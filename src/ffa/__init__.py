@@ -57,13 +57,12 @@ from .spiking import (
     OutputTrace,
     SpikeEncoderConfig,
     SpikingConfig,
-    SpikingModel,
     TraceConfig,
     eligibility_step,
     hebbian_impulse,
     lif_step,
     rate_encode,
-    run_sample,
+    simulate,
     trace_step,
     train_hebbian,
 )

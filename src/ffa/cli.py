@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override experiment seed")
         p.add_argument("--data-dir", help="directory with the IDX dataset files")
         p.add_argument("--out-dir", help="directory for artifacts")
-        p.add_argument("--threads", type=int, default=1, help="parallel worker budget")
         p.add_argument(
             "--set", action="append", metavar="SECTION.KEY=VALUE",
             help="override any config field (repeatable)",
@@ -317,9 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="1-epoch (eta, tau_e) grid search")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="parallel worker budget")
 
     p = sub.add_parser("reproduce", help="rerun a reference table end to end")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="parallel worker budget")
     p.add_argument("--table", choices=("table1", "table2"), required=True)
 
     return parser

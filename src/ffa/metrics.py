@@ -18,7 +18,7 @@ from .analog import DenseLayer, forward_batch
 from .core import ProbabilityFn, SigmoidProb
 from .data import Dataset, LabelCodebook, embed_batch
 from .errors import DataError
-from .spiking import SpikingConfig, simulate_latents
+from .spiking import SpikingConfig, simulate
 
 LatentRunner = Callable[[DenseLayer, np.ndarray], np.ndarray]
 
@@ -42,7 +42,7 @@ def spiking_runner(spiking: SpikingConfig, seed: int) -> LatentRunner:
     rng = np.random.default_rng([seed, 0xE7A1])
 
     def run(layer: DenseLayer, X: np.ndarray) -> np.ndarray:
-        return simulate_latents(layer, X, spiking, rng)
+        return simulate(layer, X, spiking, rng)
 
     return run
 

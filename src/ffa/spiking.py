@@ -6,6 +6,9 @@ the non-differentiable spike train when evaluating goodness, probability and
 the modulation factor.  During the last few timesteps of each sample the
 three-factor product ``modulation * trace * input_spike`` is fed through a
 per-synapse eligibility trace that low-passes the updates into the weights.
+
+One lockstep loop, :func:`simulate`, serves evaluation, batch training and
+online training (a batch of one).
 """
 
 from __future__ import annotations
@@ -16,17 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import plasticity_step
 from .analog import DenseLayer, EpochStats, TrainConfig, _RunningStats, check_finite, partition_for
-from .core import (
-    Polarity,
-    PolarityPartition,
-    ProbabilityFn,
-    SigmoidProb,
-    modulation_batch,
-    probability_batch,
-)
-from .data import ContrastiveSample, ExperimentData, batches
+from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
+from .data import ExperimentData, batches
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -58,23 +53,14 @@ class LIFConfig:
 
 @dataclass
 class LIFState:
-    """Membrane potentials plus the dynamics parameters that govern them."""
+    """Membrane potentials plus the dynamics that govern them."""
 
     potential: np.ndarray
-    decay: float = 0.85
-    threshold: float = 1.0
-    reset_mode: str = "to_zero"
-    input_gain: float = 1.0
+    config: LIFConfig
 
     @classmethod
     def zeros(cls, shape, config: LIFConfig) -> "LIFState":
-        return cls(
-            np.zeros(shape),
-            decay=config.decay,
-            threshold=config.threshold,
-            reset_mode=config.reset_mode,
-            input_gain=config.input_gain,
-        )
+        return cls(np.zeros(shape), config)
 
 
 def lif_step(state: LIFState, weights: np.ndarray, in_spikes: np.ndarray) -> np.ndarray:
@@ -83,18 +69,15 @@ def lif_step(state: LIFState, weights: np.ndarray, in_spikes: np.ndarray) -> np.
     Accepts a single spike vector [n_in] or a lockstep batch [B, n_in]
     (with a matching [B, n_out] potential).
     """
-    in_spikes = np.asarray(in_spikes, dtype=np.float64)
-    if in_spikes.ndim == 1:
-        current = weights @ in_spikes
-    else:
-        current = in_spikes @ weights.T
-    state.potential *= state.decay
-    state.potential += state.input_gain * current
-    out = state.potential >= state.threshold
-    if state.reset_mode == "to_zero":
+    cfg = state.config
+    current = np.asarray(in_spikes, dtype=np.float64) @ weights.T
+    state.potential *= cfg.decay
+    state.potential += cfg.input_gain * current
+    out = state.potential >= cfg.threshold
+    if cfg.reset_mode == "to_zero":
         state.potential[out] = 0.0
     else:
-        state.potential[out] -= state.threshold
+        state.potential[out] -= cfg.threshold
     return out.astype(np.float64)
 
 
@@ -117,14 +100,12 @@ class TraceConfig:
 class OutputTrace:
     """Per-neuron smooth summary of recent output spikes."""
 
-    kind: str
     value: np.ndarray
-    mu: float = 0.1
-    tau_o: float = 0.9
+    config: TraceConfig
 
     @classmethod
     def zeros(cls, shape, config: TraceConfig) -> "OutputTrace":
-        return cls(config.kind, np.zeros(shape), mu=config.mu, tau_o=config.tau_o)
+        return cls(np.zeros(shape), config)
 
 
 def trace_step(trace: OutputTrace, out_spikes: np.ndarray) -> OutputTrace:
@@ -135,42 +116,52 @@ def trace_step(trace: OutputTrace, out_spikes: np.ndarray) -> OutputTrace:
     relu:    T <- mu * I + T                 (pure accumulation)
     """
     I = np.asarray(out_spikes, dtype=np.float64)
-    if trace.kind == "li":
-        trace.value = trace.mu * I + trace.tau_o * trace.value
-    elif trace.kind == "hard_li":
-        trace.value = I + trace.tau_o * (1.0 - I) * trace.value
-    elif trace.kind == "relu":
-        trace.value = trace.mu * I + trace.value
+    cfg = trace.config
+    if cfg.kind == "li":
+        trace.value = cfg.mu * I + cfg.tau_o * trace.value
+    elif cfg.kind == "hard_li":
+        trace.value = I + cfg.tau_o * (1.0 - I) * trace.value
     else:
-        raise ConfigError(f"unknown trace kind {trace.kind!r}")
+        trace.value = cfg.mu * I + trace.value
     return trace
 
 
 @dataclass
 class EligibilityTrace:
-    """Per-synapse low-pass filter over update impulses."""
+    """Per-synapse low-pass filter over update impulses.
+
+    ``impulse`` is a scratch buffer of the same shape: :func:`hebbian_impulse`
+    writes the next impulse into it and :func:`eligibility_step` consumes
+    it, so plastic timesteps allocate no weight-sized array.
+    """
 
     e: np.ndarray
     tau_e: float
+    impulse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.tau_e < 1.0:
             raise ConfigError("tau_e must be in [0, 1)")
+        self.impulse = np.empty_like(self.e)
 
     @classmethod
     def zeros(cls, shape, tau_e: float) -> "EligibilityTrace":
         return cls(np.zeros(shape), tau_e)
 
 
-def eligibility_step(
-    el: EligibilityTrace, impulse: np.ndarray, weights: np.ndarray, eta: float
-) -> None:
-    """Fold an update impulse into the trace, then the trace into the weights.
+def eligibility_step(el: EligibilityTrace, weights: np.ndarray, eta: float) -> None:
+    """Fold ``el.impulse`` into the trace, then the trace into the weights.
 
-    Impulses are descent directions, so the weight move is a plain addition.
+    ``e += (1 - tau_e) * (impulse - e); weights += eta * e``, in place; the
+    impulse buffer is spent as scratch.  Impulses are descent directions, so
+    the weight move is a plain addition.
     """
-    el.e += (1.0 - el.tau_e) * (impulse - el.e)
-    weights += eta * el.e
+    scratch = el.impulse
+    scratch -= el.e
+    scratch *= 1.0 - el.tau_e
+    el.e += scratch
+    np.multiply(el.e, eta, out=scratch)
+    weights += scratch
 
 
 @dataclass(frozen=True)
@@ -191,68 +182,36 @@ class SpikeEncoderConfig:
 
 
 def rate_encode(x: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """One timestep of Bernoulli spikes: P(spike_i) = scale * x_i."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        raise DataError("rate encoder input must lie in [0, 1]")
+    """One timestep of Bernoulli spikes: P(spike_i) = scale * x_i, for x in [0, 1]."""
     return (rng.random(x.shape) < scale * x).astype(np.float64)
 
 
-def _modulation_single(
-    trace_value: np.ndarray,
-    polarity: Polarity,
-    prob_fn: ProbabilityFn,
-    partition: PolarityPartition,
-) -> tuple[float, np.ndarray]:
-    """Lean scalar path for one latent row (the online hot loop).
-
-    Returns the positive probability and the per-neuron modulation vector.
-    """
-    sq = trace_value * trace_value
-    if isinstance(prob_fn, SigmoidProb):
-        g = float(sq.sum())
-        z = prob_fn.alpha * (g - prob_fn.theta)
-        if z >= 0.0:
-            p = 1.0 / (1.0 + np.exp(-z))
-        else:
-            ez = np.exp(z)
-            p = ez / (1.0 + ez)
-        if polarity is Polarity.POSITIVE:
-            factor = prob_fn.alpha * (1.0 - p)
-        else:
-            factor = -prob_fn.alpha * p
-        return float(p), np.full(trace_value.shape, factor)
-    g_pos = float(sq[partition.pos_mask].sum())
-    g_neg = float(sq.sum() - g_pos)
-    eps = prob_fn.epsilon
-    total = g_pos + g_neg + eps
-    p = (g_pos + 0.5 * eps) / total
-    if polarity is Polarity.POSITIVE:
-        g_match, p_match, match_mask = g_pos, p, partition.pos_mask
-    else:
-        g_match, p_match, match_mask = g_neg, 1.0 - p, ~partition.pos_mask
-    if prob_fn.denominator == "total":
-        pot = (1.0 - p_match) / total
-    else:
-        pot = (1.0 - p_match) / (g_match + 0.5 * eps)
-    return float(p), np.where(match_mask, pot, -1.0 / total)
-
-
 def hebbian_impulse(
-    trace_value: np.ndarray,
+    trace: np.ndarray,
     in_spikes: np.ndarray,
+    codes: np.ndarray,
     prob_fn: ProbabilityFn,
-    polarity: Polarity,
     partition: PolarityPartition,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Three-factor update impulse: modulation * trace_j * in_spike_i.
+    """Three-factor update impulse: the row mean of outer(modulation_b * trace_b, in_spikes_b).
 
-    The returned matrix is a descent direction; with no presynaptic spikes
-    or a fully converged probability it is exactly zero.
+    ``trace`` [B, n_out] and ``in_spikes`` [B, n_in] hold one lockstep
+    instance per row and ``codes`` its +1/-1 polarity.  The [n_out, n_in]
+    result is a descent direction, written into ``out`` when given; with no
+    presynaptic spikes or a fully converged probability it is exactly zero.
     """
-    trace_value = np.asarray(trace_value, dtype=np.float64)
-    _, modulation = _modulation_single(trace_value, polarity, prob_fn, partition)
-    return np.outer(modulation * trace_value, np.asarray(in_spikes, dtype=np.float64))
+    _, modulation = modulation_batch(trace, codes, prob_fn, partition)
+    post = (modulation * trace).T
+    if out is None:
+        out = np.empty((post.shape[0], in_spikes.shape[1]))
+    if post.shape[1] == 1:
+        # The exact outer product; a one-row GEMM is slower.
+        np.multiply(post, in_spikes, out=out)
+    else:
+        np.matmul(post, in_spikes, out=out)
+        out /= post.shape[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,158 +230,50 @@ class SpikingConfig:
             raise ConfigError("modulation_window must be 'instantaneous' or 'window_mean'")
 
 
-@dataclass
-class SpikingModel:
-    """A dense layer together with the dynamics it is simulated under."""
-
-    layer: DenseLayer
-    prob_fn: ProbabilityFn
-    spiking: SpikingConfig
-
-    @classmethod
-    def initialize(
-        cls, n_in: int, prob_fn: ProbabilityFn, spiking: SpikingConfig, seed: int
-    ) -> "SpikingModel":
-        partition = partition_for(prob_fn, spiking.n_out)
-        layer = DenseLayer.initialize(n_in, spiking.n_out, partition, seed)
-        return cls(layer, prob_fn, spiking)
-
-
-def run_sample(
-    model: SpikingModel,
-    sample: ContrastiveSample,
-    train: bool,
+def simulate(
+    layer: DenseLayer,
+    X: np.ndarray,
+    spiking: SpikingConfig,
     rng: np.random.Generator,
+    codes: Optional[np.ndarray] = None,
+    prob_fn: Optional[ProbabilityFn] = None,
     eligibility: Optional[EligibilityTrace] = None,
-    eta: float = 0.0,
+    eta: Optional[float] = None,
 ) -> np.ndarray:
-    """Simulate one sample for the full window; returns the final trace.
+    """Simulate a stack of inputs [B, n_in] in lockstep; returns the final traces [B, n_out].
 
-    LIF and trace state start fresh.  When ``train`` is set, the last
-    ``active_window`` timesteps also apply the Hebbian impulse through the
-    (persistent) eligibility trace; outside that window the weights are
-    untouched by construction.
+    LIF and trace state start fresh.  Plasticity is off unless the polarity
+    ``codes`` (+1/-1 per row), ``prob_fn``, the ``eligibility`` trace and
+    ``eta`` are all given; then each of the last ``active_window`` timesteps
+    folds the row-mean Hebbian impulse through the eligibility trace into
+    ``layer.weights``.  Outside that window the weights are untouched.
     """
-    if train and eligibility is None:
-        raise ConfigError("training requires an eligibility trace")
-    cfg = model.spiking
-    enc = cfg.encoder
-    layer = model.layer
-    lif = LIFState.zeros(layer.n_out, cfg.lif)
-    trace = OutputTrace.zeros(layer.n_out, cfg.trace)
-    active_start = enc.steps - enc.active_window
-    window_mean = cfg.modulation_window == "window_mean"
-    win_sum = np.zeros(layer.n_out) if window_mean else None
-    x = sample.input
+    given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
+    plastic = all(given)
+    if any(given) and not plastic:
+        raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
+    X = np.asarray(X, dtype=np.float64)
+    if X.size and (X.min() < 0.0 or X.max() > 1.0):
+        raise DataError("rate encoder input must lie in [0, 1]")
+    enc = spiking.encoder
+    shape = (X.shape[0], layer.n_out)
+    lif = LIFState.zeros(shape, spiking.lif)
+    trace = OutputTrace.zeros(shape, spiking.trace)
+    active_start = enc.steps - enc.active_window if plastic else enc.steps
+    window_mean = spiking.modulation_window == "window_mean"
+    win_sum = np.zeros(shape) if window_mean else None
     for t in range(enc.steps):
-        spikes = rate_encode(x, enc.scale, rng)
-        out = lif_step(lif, layer.weights, spikes)
-        trace_step(trace, out)
-        if train and t >= active_start:
+        spikes = rate_encode(X, enc.scale, rng)
+        trace_step(trace, lif_step(lif, layer.weights, spikes))
+        if t >= active_start:
             if window_mean:
                 win_sum += trace.value
                 effective = win_sum / (t - active_start + 1)
             else:
                 effective = trace.value
-            _, modulation = _modulation_single(
-                effective, sample.polarity, model.prob_fn, layer.partition
-            )
-            plasticity_step(
-                eligibility.e, layer.weights, modulation * effective, spikes,
-                eligibility.tau_e, eta,
-            )
-    return trace.value.copy()
-
-
-def simulate_latents(
-    layer: DenseLayer,
-    X: np.ndarray,
-    spiking: SpikingConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Lockstep plasticity-free simulation of a stack of inputs [B, n_in].
-
-    Returns the final output traces [B, n_out], the latent vectors used for
-    classification and latent-geometry metrics.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.size and (X.min() < 0.0 or X.max() > 1.0):
-        raise DataError("rate encoder input must lie in [0, 1]")
-    enc = spiking.encoder
-    B = X.shape[0]
-    lif = LIFState.zeros((B, layer.n_out), spiking.lif)
-    trace = OutputTrace.zeros((B, layer.n_out), spiking.trace)
-    for _ in range(enc.steps):
-        spikes = (rng.random(X.shape) < enc.scale * X).astype(np.float64)
-        out = lif_step(lif, layer.weights, spikes)
-        trace_step(trace, out)
+            hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            eligibility_step(eligibility, layer.weights, eta)
     return trace.value
-
-
-def _train_epoch_batch(
-    model: SpikingModel,
-    config: TrainConfig,
-    data: ExperimentData,
-    eligibility: EligibilityTrace,
-    epoch: int,
-    stats: _RunningStats,
-) -> None:
-    """One epoch in lockstep batch mode.
-
-    All 2K instances of a batch are simulated on a shared clock; at each
-    active timestep the per-instance impulses are averaged before the single
-    eligibility/weight update, mirroring the 1/K batch mean of the analog
-    gradient.
-    """
-    cfg = model.spiking
-    enc = cfg.encoder
-    layer = model.layer
-    prob_fn = model.prob_fn
-    rng = np.random.default_rng([config.seed, epoch, 0x5E1])
-    active_start = enc.steps - enc.active_window
-    window_mean = cfg.modulation_window == "window_mean"
-    for batch in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
-        X = np.stack([s.input for s in batch])
-        if X.min() < 0.0 or X.max() > 1.0:
-            raise DataError("rate encoder input must lie in [0, 1]")
-        codes = np.asarray([s.polarity.value for s in batch], dtype=np.int8)
-        B = X.shape[0]
-        lif = LIFState.zeros((B, layer.n_out), cfg.lif)
-        trace = OutputTrace.zeros((B, layer.n_out), cfg.trace)
-        win_sum = np.zeros((B, layer.n_out)) if window_mean else None
-        for t in range(enc.steps):
-            spikes = (rng.random(X.shape) < enc.scale * X).astype(np.float64)
-            out = lif_step(lif, layer.weights, spikes)
-            trace_step(trace, out)
-            if t >= active_start:
-                if window_mean:
-                    win_sum += trace.value
-                    effective = win_sum / (t - active_start + 1)
-                else:
-                    effective = trace.value
-                _, modulation = modulation_batch(effective, codes, prob_fn, layer.partition)
-                impulse = ((modulation * effective).T @ spikes) / B
-                eligibility_step(eligibility, impulse, layer.weights, config.eta)
-        p = probability_batch(trace.value, prob_fn, layer.partition)
-        stats.update(trace.value, [s.polarity for s in batch], p)
-
-
-def _train_epoch_online(
-    model: SpikingModel,
-    config: TrainConfig,
-    data: ExperimentData,
-    eligibility: EligibilityTrace,
-    epoch: int,
-    stats: _RunningStats,
-) -> None:
-    """One epoch in online mode: every instance updates the weights itself."""
-    layer = model.layer
-    rng = np.random.default_rng([config.seed, epoch, 0x5E1])
-    for batch in batches(data.train, data.codebook, 1, config.seed, epoch):
-        for sample in batch:
-            final = run_sample(model, sample, True, rng, eligibility, config.eta)
-            p, _ = _modulation_single(final, sample.polarity, model.prob_fn, layer.partition)
-            stats.update(final[None, :], [sample.polarity], np.asarray([p]))
 
 
 def train_hebbian(
@@ -434,29 +285,33 @@ def train_hebbian(
 ) -> tuple[DenseLayer, list[EpochStats]]:
     """Train the spiking layer with per-timestep Hebbian updates.
 
-    ``mode`` is "batch" (impulses averaged over config.batch_size pairs) or
-    "online" (batch size forced to 1).  ``eval_fn`` reports test accuracy
-    after each epoch when provided.
+    ``mode`` is "batch" (the 2 * config.batch_size instances of a batch run
+    in lockstep and their impulses are averaged, mirroring the batch mean of
+    the analog gradient) or "online" (every instance runs alone and updates
+    the weights itself; config.batch_size is ignored).  ``eval_fn`` reports
+    test accuracy after each epoch when provided.
     """
     if mode not in ("batch", "online"):
         raise ConfigError("mode must be 'batch' or 'online'")
     spiking = spiking or SpikingConfig()
-    model = SpikingModel.initialize(data.input_dim, config.prob_fn, spiking, config.seed)
-    eligibility = EligibilityTrace.zeros(model.layer.weights.shape, spiking.tau_e)
-    if mode == "online" and config.batch_size != 1:
-        config = TrainConfig(
-            eta=config.eta, batch_size=1, epochs=config.epochs,
-            seed=config.seed, prob_fn=config.prob_fn,
-        )
+    prob_fn = config.prob_fn
+    partition = partition_for(prob_fn, spiking.n_out)
+    layer = DenseLayer.initialize(data.input_dim, spiking.n_out, partition, config.seed)
+    eligibility = EligibilityTrace.zeros(layer.weights.shape, spiking.tau_e)
+    pairs = 1 if mode == "online" else config.batch_size
     log: list[EpochStats] = []
     for epoch in range(config.epochs):
         stats = _RunningStats()
-        if mode == "batch":
-            _train_epoch_batch(model, config, data, eligibility, epoch, stats)
-        else:
-            _train_epoch_online(model, config, data, eligibility, epoch, stats)
-        check_finite(model.layer.weights, f"epoch {epoch}")
-        accuracy = eval_fn(model.layer) if eval_fn is not None else float("nan")
+        rng = np.random.default_rng([config.seed, epoch, 0x5E1])
+        for batch in batches(data.train, data.codebook, pairs, config.seed, epoch):
+            for group in [[s] for s in batch] if mode == "online" else [batch]:
+                X = np.stack([s.input for s in group])
+                polarities = [s.polarity for s in group]
+                codes = np.asarray([p.value for p in polarities], dtype=np.int8)
+                final = simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, config.eta)
+                stats.update(final, polarities, probability_batch(final, prob_fn, partition))
+        check_finite(layer.weights, f"epoch {epoch}")
+        accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
         entry = stats.finish(epoch, accuracy)
         log.append(entry)
         logger.info(
@@ -464,4 +319,4 @@ def train_hebbian(
             mode, epoch, entry.train_loss, entry.mean_goodness_pos,
             entry.mean_goodness_neg, entry.test_accuracy,
         )
-    return model.layer, log
+    return layer, log

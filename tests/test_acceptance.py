@@ -253,10 +253,10 @@ def test_criterion5_eligibility_closed_form():
     for tau_e in (0.999, 0.99, 0.9):
         for g in (0.7, 1.0):
             el = EligibilityTrace.zeros((1,), tau_e)
-            impulse = np.array([g])
             weights = np.zeros(1)
             for k in range(1, 10_001):
-                eligibility_step(el, impulse, weights, eta=0.0)
+                el.impulse[:] = g  # the production fold spends its impulse buffer
+                eligibility_step(el, weights, eta=0.0)
                 closed = g * (1.0 - tau_e**k)
                 worst = max(worst, abs(float(el.e[0]) - closed))
     print(f"criterion 5: worst |e_k - g(1 - tau^k)| = {worst:.3e} (<=1e-12)")

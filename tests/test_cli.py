@@ -194,6 +194,13 @@ class TestReproduce:
 
 
 class TestErrorPaths:
+    def test_threads_only_on_parallel_commands(self, base_config, capsys):
+        config, _ = base_config
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--config", config, "--threads", 2)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
     def test_missing_data_dir(self, base_config, tmp_path, capsys):
         config, _ = base_config
         code = run_cli("train", "--config", config, "--data-dir", tmp_path / "nowhere")

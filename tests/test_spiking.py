@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import ffa.spiking as spiking_mod
-from ffa._kernels import plasticity_step, plasticity_step_numpy
 from ffa.analog import DenseLayer, TrainConfig, forward, layer_gradient, partition_for
-from ffa.core import Polarity, PolarityPartition, SigmoidProb, SymmetricProb
-from ffa.data import ContrastiveSample, ExperimentData, LabelCodebook
+from ffa.core import Polarity, PolarityPartition, SigmoidProb, SymmetricProb, modulation_batch
+from ffa.data import ContrastiveSample, Dataset, ExperimentData, LabelCodebook
 from ffa.errors import ConfigError, DataError
 from ffa.spiking import (
     EligibilityTrace,
@@ -14,14 +13,12 @@ from ffa.spiking import (
     OutputTrace,
     SpikeEncoderConfig,
     SpikingConfig,
-    SpikingModel,
     TraceConfig,
     eligibility_step,
     hebbian_impulse,
     lif_step,
     rate_encode,
-    run_sample,
-    simulate_latents,
+    simulate,
     train_hebbian,
 )
 from ffa import metrics
@@ -51,17 +48,26 @@ class TestRateEncode:
         sigma = np.sqrt(steps * scale * (1 - scale))
         assert abs(counts.mean() - expected_mean) < 3 * sigma / np.sqrt(trials)
 
-    def test_rejects_out_of_range(self):
-        rng = np.random.default_rng(0)
+    @pytest.mark.parametrize("pixel", [1.2, -0.1])
+    @pytest.mark.parametrize("path", ["eval", "batch", "online"])
+    def test_rejects_out_of_range(self, small_data, path, pixel):
+        images = small_data.train.images[:6].copy()
+        images[:, 0] = pixel
+        bad = Dataset(images, small_data.train.labels[:6])
+        prob = SymmetricProb()
+        spk = SpikingConfig(n_out=10)
         with pytest.raises(DataError):
-            rate_encode(np.array([1.2]), 0.25, rng)
-        with pytest.raises(DataError):
-            rate_encode(np.array([-0.1]), 0.25, rng)
+            if path == "eval":
+                layer = DenseLayer.initialize(small_data.input_dim, 10, partition_for(prob, 10), 0)
+                metrics.accuracy(layer, bad, small_data.codebook, metrics.spiking_runner(spk, 0), prob)
+            else:
+                cfg = TrainConfig(eta=0.1, batch_size=2, epochs=1, seed=0, prob_fn=prob)
+                train_hebbian(cfg, ExperimentData(bad, small_data.test, small_data.codebook), path, spk)
 
 
 class TestLIF:
     def test_zero_weights_decay_to_rest(self):
-        state = LIFState(np.array([0.8, 0.4]), decay=0.85, threshold=1.0)
+        state = LIFState(np.array([0.8, 0.4]), LIFConfig(decay=0.85, threshold=1.0))
         W = np.zeros((2, 3))
         spikes = np.ones(3)
         for k in range(1, 30):
@@ -94,13 +100,13 @@ class TestLIF:
             assert lif_step(state, W, np.zeros(1))[0] == 0.0
 
     def test_reset_to_zero(self):
-        state = LIFState(np.array([0.0]), decay=1.0, threshold=1.0, reset_mode="to_zero")
+        state = LIFState(np.array([0.0]), LIFConfig(decay=1.0, reset_mode="to_zero", input_gain=1.0))
         out = lif_step(state, np.array([[1.5]]), np.ones(1))
         assert out[0] == 1.0
         assert state.potential[0] == 0.0
 
     def test_reset_subtract(self):
-        state = LIFState(np.array([0.0]), decay=1.0, threshold=1.0, reset_mode="subtract")
+        state = LIFState(np.array([0.0]), LIFConfig(decay=1.0, reset_mode="subtract", input_gain=1.0))
         out = lif_step(state, np.array([[1.5]]), np.ones(1))
         assert out[0] == 1.0
         assert state.potential[0] == pytest.approx(0.5, rel=1e-12)
@@ -207,16 +213,17 @@ class TestEligibility:
         for tau_e in (0.9, 0.99):
             el = EligibilityTrace.zeros((2, 2), tau_e)
             w = np.zeros((2, 2))
-            g = np.full((2, 2), 0.7)
             for k in range(1, 200):
-                eligibility_step(el, g, w, eta=0.0)
+                el.impulse[:] = 0.7
+                eligibility_step(el, w, eta=0.0)
                 assert np.allclose(el.e, 0.7 * (1 - tau_e**k), rtol=0, atol=1e-12)
 
     def test_no_smoothing_when_tau_zero(self):
         el = EligibilityTrace.zeros((2, 3), 0.0)
         w = np.zeros((2, 3))
         g = np.arange(6.0).reshape(2, 3)
-        eligibility_step(el, g, w, eta=1.0)
+        el.impulse[:] = g
+        eligibility_step(el, w, eta=1.0)
         assert np.array_equal(el.e, g)
         assert np.array_equal(w, g)
 
@@ -227,7 +234,8 @@ class TestEligibility:
         drifts = []
         prev_w = 0.0
         for _ in range(300):
-            eligibility_step(el, np.zeros((1, 1)), w, eta=0.1)
+            el.impulse[:] = 0.0
+            eligibility_step(el, w, eta=0.1)
             drifts.append(abs(float(w[0, 0]) - prev_w))
             prev_w = float(w[0, 0])
         assert el.e[0, 0] < 1e-13
@@ -236,25 +244,38 @@ class TestEligibility:
     def test_weight_update_adds_eta_times_trace(self):
         el = EligibilityTrace.zeros((1, 1), 0.5)
         w = np.array([[2.0]])
-        eligibility_step(el, np.array([[1.0]]), w, eta=0.25)
+        el.impulse[:] = 1.0
+        eligibility_step(el, w, eta=0.25)
         assert el.e[0, 0] == 0.5
         assert w[0, 0] == 2.0 + 0.25 * 0.5
+
+
+def random_plastic_step(rows, seed=6):
+    """Trace, spikes, codes, partition and the starting e/W of one plastic timestep."""
+    rng = np.random.default_rng(seed)
+    n_out, n_in = 8, 11
+    trace = rng.uniform(0.0, 1.5, size=(rows, n_out))
+    spikes = (rng.random((rows, n_in)) < 0.4).astype(float)
+    codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+    return (trace, spikes, codes, PolarityPartition.split_halves(n_out),
+            rng.standard_normal((n_out, n_in)), rng.standard_normal((n_out, n_in)))
 
 
 class TestHebbianImpulse:
     def test_no_presynaptic_activity(self):
         part = PolarityPartition.split_halves(4)
-        impulse = hebbian_impulse(
-            np.array([0.5, 0.2, 0.1, 0.0]), np.zeros(6), SymmetricProb(), Polarity.POSITIVE, part
-        )
-        assert np.all(impulse == 0.0)
+        for rows in (1, 3):
+            trace = np.tile([0.5, 0.2, 0.1, 0.0], (rows, 1))
+            codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+            impulse = hebbian_impulse(trace, np.zeros((rows, 6)), codes, SymmetricProb(), part)
+            assert np.all(impulse == 0.0)
 
     def test_converged_positive_sigmoid(self):
         # saturated probability: modulation (1 - p) is exactly zero
         part = PolarityPartition.all_positive(3)
-        trace = np.array([50.0, 40.0, 30.0])
-        impulse = hebbian_impulse(trace, np.ones(5), SigmoidProb(alpha=1.0, theta=2.0),
-                                  Polarity.POSITIVE, part)
+        trace = np.array([[50.0, 40.0, 30.0]])
+        impulse = hebbian_impulse(trace, np.ones((1, 5)), np.array([1]),
+                                  SigmoidProb(alpha=1.0, theta=2.0), part)
         assert np.all(impulse == 0.0)
 
     @pytest.mark.parametrize("prob", [SigmoidProb(theta=1.0), SymmetricProb(epsilon=0.5)])
@@ -270,11 +291,16 @@ class TestHebbianImpulse:
         )
         x = rng.uniform(0.05, 1.0, size=n_in)
         _, latent = forward(layer, x)
-        trace = OutputTrace.zeros(n_out, TraceConfig(kind="relu", mu=1.0))
-        spiking_mod.trace_step(trace, latent)  # pass-through: spikes := latent
-        assert np.array_equal(trace.value, latent)
+        trace = OutputTrace.zeros((1, n_out), TraceConfig(kind="relu", mu=1.0))
+        spiking_mod.trace_step(trace, latent[None, :])  # pass-through: spikes := latent
+        assert np.array_equal(trace.value[0], latent)
 
-        impulse = hebbian_impulse(trace.value, x, prob, polarity, layer.partition)
+        # the production impulse, folded by the production eligibility step
+        el = EligibilityTrace.zeros(layer.weights.shape, 0.0)
+        hebbian_impulse(trace.value, x[None, :], np.array([polarity.value]), prob,
+                        layer.partition, el.impulse)
+        eligibility_step(el, np.zeros_like(layer.weights), 1.0)
+        impulse = el.e
         grad = layer_gradient(layer, [ContrastiveSample(x, polarity, 0, 0)], prob)
         descent = -grad.ravel()
         cos = np.dot(impulse.ravel(), descent) / (
@@ -284,124 +310,140 @@ class TestHebbianImpulse:
         # the two sides differ exactly by the goodness-gradient constant 2
         assert np.allclose(2.0 * impulse, descent.reshape(n_out, n_in), rtol=1e-10, atol=1e-14)
 
+    def test_one_row_fold_matches_explicit_outer_bitwise(self):
+        trace, spikes, codes, part, e0, w0 = random_plastic_step(rows=1)
+        prob, tau_e, eta = SymmetricProb(), 0.97, 0.05
 
-class TestPlasticityKernel:
-    def test_fused_matches_reference_paths_bitwise(self):
-        rng = np.random.default_rng(6)
-        e0 = rng.standard_normal((8, 11))
-        w0 = rng.standard_normal((8, 11))
-        post = rng.standard_normal(8)
-        spikes = (rng.random(11) < 0.4).astype(float)
-        tau_e, eta = 0.97, 0.05
+        el, w = EligibilityTrace(e0.copy(), tau_e), w0.copy()
+        hebbian_impulse(trace, spikes, codes, prob, part, el.impulse)
+        eligibility_step(el, w, eta)
 
-        e1, w1 = e0.copy(), w0.copy()
-        plasticity_step(e1, w1, post, spikes, tau_e, eta)
+        _, modulation = modulation_batch(trace, codes, prob, part)
+        post = (modulation * trace)[0]
+        e_ref, w_ref = e0.copy(), w0.copy()
+        e_ref += (1.0 - tau_e) * (np.outer(post, spikes[0]) - e_ref)
+        w_ref += eta * e_ref
+        assert np.array_equal(el.e, e_ref) and np.array_equal(w, w_ref)
 
-        e2, w2 = e0.copy(), w0.copy()
-        plasticity_step_numpy(e2, w2, post, spikes, tau_e, eta)
+    def test_rows_fold_mean_of_outer_products(self):
+        trace, spikes, codes, part, e0, w0 = random_plastic_step(rows=5)
+        prob, tau_e, eta = SigmoidProb(theta=1.0), 0.9, 0.3
 
-        # the public two-op path: materialized impulse, then trace fold
-        e3, w3 = EligibilityTrace(e0.copy(), tau_e), w0.copy()
-        eligibility_step(e3, np.outer(post, spikes), w3, eta)
+        el, w = EligibilityTrace(e0.copy(), tau_e), w0.copy()
+        hebbian_impulse(trace, spikes, codes, prob, part, el.impulse)
+        eligibility_step(el, w, eta)
 
-        assert np.array_equal(e1, e2) and np.array_equal(w1, w2)
-        assert np.array_equal(e1, e3.e) and np.array_equal(w1, w3)
+        _, modulation = modulation_batch(trace, codes, prob, part)
+        post = modulation * trace
+        mean = sum(np.outer(post[b], spikes[b]) for b in range(5)) / 5
+        e_ref, w_ref = e0.copy(), w0.copy()
+        e_ref += (1.0 - tau_e) * (mean - e_ref)
+        w_ref += eta * e_ref
+        assert np.allclose(el.e, e_ref, rtol=0, atol=1e-12)
+        assert np.allclose(w, w_ref, rtol=0, atol=1e-12)
 
 
-def tiny_model(prob=None, **spiking_kwargs) -> SpikingModel:
+POSITIVE = np.array([Polarity.POSITIVE.value], dtype=np.int8)
+
+
+def tiny_model(prob=None, **spiking_kwargs) -> tuple[DenseLayer, SpikingConfig]:
     prob = prob or SymmetricProb()
     spiking = SpikingConfig(
         n_out=spiking_kwargs.pop("n_out", 10),
         encoder=spiking_kwargs.pop("encoder", SpikeEncoderConfig(scale=0.25, steps=12, active_window=4)),
         **spiking_kwargs,
     )
-    return SpikingModel.initialize(15, prob, spiking, seed=5)
+    layer = DenseLayer.initialize(15, spiking.n_out, partition_for(prob, spiking.n_out), seed=5)
+    return layer, spiking
 
 
-def positive_sample(rng, n=15):
-    return ContrastiveSample(rng.uniform(0.0, 1.0, size=n), Polarity.POSITIVE, 3, 3)
+def positive_input(rng, n=15):
+    return rng.uniform(0.0, 1.0, size=(1, n))
 
 
 class TestRunSample:
+    """Single-instance (B=1) runs of the shared simulation loop."""
+
     def test_inference_leaves_weights_untouched(self):
         rng = np.random.default_rng(7)
-        model = tiny_model()
-        before = model.layer.weights.copy()
-        run_sample(model, positive_sample(rng), train=False, rng=rng)
-        assert np.array_equal(model.layer.weights, before)
+        layer, spk = tiny_model()
+        before = layer.weights.copy()
+        simulate(layer, positive_input(rng), spk, rng)
+        assert np.array_equal(layer.weights, before)
 
     def test_all_black_image_is_inert(self):
         rng = np.random.default_rng(8)
-        model = tiny_model()
-        el = EligibilityTrace.zeros(model.layer.weights.shape, 0.99)
-        before = model.layer.weights.copy()
-        sample = ContrastiveSample(np.zeros(15), Polarity.POSITIVE, 0, 0)
-        final = run_sample(model, sample, train=True, rng=rng, eligibility=el, eta=0.1)
+        layer, spk = tiny_model()
+        el = EligibilityTrace.zeros(layer.weights.shape, 0.99)
+        before = layer.weights.copy()
+        final = simulate(layer, np.zeros((1, 15)), spk, rng, POSITIVE, SymmetricProb(), el, 0.1)
         assert np.all(final == 0.0)
-        assert np.array_equal(model.layer.weights, before)
+        assert np.array_equal(layer.weights, before)
         assert np.all(el.e == 0.0)
 
     def test_same_seed_same_trace(self):
-        model = tiny_model()
-        sample = positive_sample(np.random.default_rng(9))
-        a = run_sample(model, sample, train=False, rng=np.random.default_rng(123))
-        b = run_sample(model, sample, train=False, rng=np.random.default_rng(123))
+        layer, spk = tiny_model()
+        x = positive_input(np.random.default_rng(9))
+        a = simulate(layer, x, spk, np.random.default_rng(123))
+        b = simulate(layer, x, spk, np.random.default_rng(123))
         assert np.array_equal(a, b)
 
     def test_training_requires_eligibility(self):
-        model = tiny_model()
+        layer, spk = tiny_model()
+        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            run_sample(model, positive_sample(np.random.default_rng(0)), True,
-                       np.random.default_rng(0))
+            simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), eta=0.1)
 
     def test_plasticity_gated_to_active_window(self, monkeypatch):
         calls = []
-        real = spiking_mod.plasticity_step
+        real = spiking_mod.eligibility_step
 
         def counting(*args):
             calls.append(True)
             return real(*args)
 
-        monkeypatch.setattr(spiking_mod, "plasticity_step", counting)
+        monkeypatch.setattr(spiking_mod, "eligibility_step", counting)
         rng = np.random.default_rng(10)
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=4)
-        model = tiny_model(encoder=enc)
-        el = EligibilityTrace.zeros(model.layer.weights.shape, 0.99)
-        run_sample(model, positive_sample(rng), train=True, rng=rng, eligibility=el, eta=0.1)
-        assert len(calls) == enc.active_window
+        layer, spk = tiny_model(encoder=enc)
+        for rows in (1, 4):
+            calls.clear()
+            el = EligibilityTrace.zeros(layer.weights.shape, 0.99)
+            codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+            X = rng.uniform(0.0, 1.0, size=(rows, 15))
+            simulate(layer, X, spk, rng, codes, SymmetricProb(), el, 0.1)
+            assert len(calls) == enc.active_window
 
     def test_zero_active_window_never_updates(self):
         rng = np.random.default_rng(11)
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=0)
-        model = tiny_model(encoder=enc)
-        el = EligibilityTrace.zeros(model.layer.weights.shape, 0.99)
-        before = model.layer.weights.copy()
-        run_sample(model, positive_sample(rng), train=True, rng=rng, eligibility=el, eta=0.5)
-        assert np.array_equal(model.layer.weights, before)
+        layer, spk = tiny_model(encoder=enc)
+        el = EligibilityTrace.zeros(layer.weights.shape, 0.99)
+        before = layer.weights.copy()
+        simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), el, 0.5)
+        assert np.array_equal(layer.weights, before)
 
 
 class TestSimulateLatents:
+    """Lockstep runs of many instances at once."""
+
     def test_lockstep_matches_run_sample_distributionally(self):
-        # same model, same input: the batched simulator and the single-sample
-        # path draw different random streams but share the dynamics, so the
+        # same model, same input: 300 single-instance calls and one 300-row
+        # call draw different random streams but share the dynamics, so the
         # mean trace over many draws must agree
         rng = np.random.default_rng(12)
-        model = tiny_model()
-        x = rng.uniform(0, 1, size=15)
-        sample = ContrastiveSample(x, Polarity.POSITIVE, 0, 0)
-        singles = np.stack([
-            run_sample(model, sample, False, np.random.default_rng(1000 + i)) for i in range(300)
+        layer, spk = tiny_model()
+        x = positive_input(rng)
+        singles = np.concatenate([
+            simulate(layer, x, spk, np.random.default_rng(1000 + i)) for i in range(300)
         ])
-        batched = simulate_latents(
-            model.layer, np.tile(x, (300, 1)), model.spiking, np.random.default_rng(5000)
-        )
+        batched = simulate(layer, np.tile(x, (300, 1)), spk, np.random.default_rng(5000))
         assert np.allclose(singles.mean(0), batched.mean(0), atol=4 * singles.std(0).max() / np.sqrt(300) + 1e-9)
 
     def test_rejects_out_of_range(self):
-        model = tiny_model()
+        layer, spk = tiny_model()
         with pytest.raises(DataError):
-            simulate_latents(model.layer, np.full((2, 15), 1.5), model.spiking,
-                             np.random.default_rng(0))
+            simulate(layer, np.full((2, 15), 1.5), spk, np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -462,10 +504,22 @@ class TestTrainHebbian:
         assert np.array_equal(layer_a.weights, layer_b.weights)
 
     def test_online_forces_batch_size_one(self, small_data):
+        # online mode simulates one instance at a time, whatever batch_size says
         prob = SigmoidProb()
-        cfg = TrainConfig(eta=0.1, batch_size=50, epochs=0, seed=6, prob_fn=prob)
-        layer, log = train_hebbian(cfg, small_data, "online", SpikingConfig(n_out=10))
-        assert log == []
+        spk = SpikingConfig(n_out=10, encoder=SpikeEncoderConfig(steps=8, active_window=3))
+        sub = ExperimentData(
+            Dataset(small_data.train.images[:60], small_data.train.labels[:60]),
+            small_data.test, small_data.codebook,
+        )
+        weights = []
+        for batch_size in (50, 1):
+            cfg = TrainConfig(eta=0.1, batch_size=batch_size, epochs=1, seed=6, prob_fn=prob)
+            layer, log = train_hebbian(cfg, sub, "online", spk)
+            assert len(log) == 1
+            weights.append(layer.weights.tobytes())
+        init = DenseLayer.initialize(sub.input_dim, 10, partition_for(prob, 10), 6)
+        assert weights[0] != init.weights.tobytes()
+        assert weights[0] == weights[1]
 
     def test_invalid_mode(self, small_data):
         cfg = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=6)
