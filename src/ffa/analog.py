@@ -21,7 +21,7 @@ from .core import (
     modulation_batch,
 )
 from .data import ContrastiveSample, ExperimentData, batches
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, require
 
 logger = logging.getLogger(__name__)
 
@@ -176,12 +176,11 @@ class TrainConfig:
     prob_fn: ProbabilityFn = field(default_factory=SigmoidProb)
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        require({
+            "eta must be positive": self.eta > 0,
+            "batch_size must be >= 1": self.batch_size >= 1,
+            "epochs must be >= 0": self.epochs >= 0,
+        })
 
 
 @dataclass

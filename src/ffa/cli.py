@@ -18,12 +18,10 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import analog, metrics, spiking
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, apply_overrides, load_config, serialize_config
-from .data import ExperimentData, LabelCodebook, load_mnist
+from .data import ExperimentData, load_mnist
 from .errors import CheckpointError, ConfigError, DivergenceError, FFAError
 
 logger = logging.getLogger(__name__)
@@ -33,8 +31,7 @@ EXIT_CODES = {"config": 2, "data": 3, "checkpoint": 4, "diverged": 5, "io": 6, "
 
 def prepare_data(cfg: ExperimentConfig) -> ExperimentData:
     train, test = load_mnist(cfg.data_dir)
-    codebook = LabelCodebook(cfg.label_length, cfg.label_density, cfg.codebook_seed)
-    return ExperimentData(train, test, codebook)
+    return ExperimentData(train, test, cfg.codebook())
 
 
 def build_runner(cfg: ExperimentConfig) -> metrics.LatentRunner:
@@ -73,8 +70,6 @@ def write_epoch_log(path, log) -> None:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    cfg = cfg.normalized()
-    cfg.validate()
     data = prepare_data(cfg)
     layer, log = train_model(cfg, data)
     out_dir = Path(cfg.out_dir)
@@ -90,8 +85,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_for_eval(cfg: ExperimentConfig, checkpoint_path):
-    """Checkpoint plus consistency checks against the config and data."""
+def _load_for_eval(cfg: ExperimentConfig, checkpoint_path) -> tuple:
+    """Checkpoint layer and dataset, checked against each other and the config."""
     layer, codebook = load_checkpoint(checkpoint_path)
     if layer.n_out != cfg.n_hidden:
         raise CheckpointError(
@@ -103,17 +98,6 @@ def _load_for_eval(cfg: ExperimentConfig, checkpoint_path):
             f"{checkpoint_path}: checkpoint codebook length {codebook.length} != "
             f"config label length {cfg.label_length}"
         )
-    return layer, codebook
-
-
-def _pick_split(data: ExperimentData, split: str):
-    return data.train if split == "train" else data.test
-
-
-def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
-    cfg = cfg.normalized()
-    cfg.validate()
-    layer, codebook = _load_for_eval(cfg, checkpoint_path)
     train, test = load_mnist(cfg.data_dir)
     data = ExperimentData(train, test, codebook)
     if data.input_dim != layer.n_in:
@@ -121,8 +105,13 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
             f"{checkpoint_path}: expects {layer.n_in} inputs, dataset+codebook give "
             f"{data.input_dim}"
         )
+    return layer, data
+
+
+def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
+    layer, data = _load_for_eval(cfg, checkpoint_path)
     report, _ = metrics.evaluate(
-        layer, _pick_split(data, split), codebook, build_runner(cfg), cfg.prob_fn(),
+        layer, getattr(data, split), data.codebook, build_runner(cfg), cfg.prob_fn(),
         model_tag=f"{cfg.model}/{cfg.prob}",
     )
     print(report.format())
@@ -130,18 +119,9 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
 
 
 def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> int:
-    cfg = cfg.normalized()
-    cfg.validate()
-    layer, codebook = _load_for_eval(cfg, checkpoint_path)
-    train, test = load_mnist(cfg.data_dir)
-    data = ExperimentData(train, test, codebook)
-    if data.input_dim != layer.n_in:
-        raise CheckpointError(
-            f"{checkpoint_path}: expects {layer.n_in} inputs, dataset+codebook give "
-            f"{data.input_dim}"
-        )
+    layer, data = _load_for_eval(cfg, checkpoint_path)
     dump = metrics.collect_latents(
-        layer, _pick_split(data, split), codebook, build_runner(cfg),
+        layer, getattr(data, split), data.codebook, build_runner(cfg),
         model_tag=f"{cfg.model}/{cfg.prob}",
     )
     metrics.export_latents(dump, output)
@@ -153,6 +133,14 @@ def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> in
 
 _WORKER_DATA: ExperimentData | None = None
 _WORKER_CFG: ExperimentConfig | None = None
+
+
+def _map(fn, items, threads: int) -> list:
+    """``fn`` over ``items``, in a pool of ``threads`` forked workers when above 1."""
+    if threads > 1:
+        with multiprocessing.get_context("fork").Pool(threads) as pool:
+            return pool.map(fn, items)
+    return [fn(item) for item in items]
 
 
 def _grid_cell(cell: tuple[float, float]) -> tuple[float, float, float, str]:
@@ -173,17 +161,11 @@ def _grid_cell(cell: tuple[float, float]) -> tuple[float, float, float, str]:
 
 
 def cmd_grid(cfg: ExperimentConfig, threads: int) -> int:
-    cfg = cfg.normalized()
-    cfg.validate()
     global _WORKER_DATA, _WORKER_CFG
     _WORKER_DATA = prepare_data(cfg)
     _WORKER_CFG = cfg
     cells = [(eta, tau_e) for eta in cfg.grid_eta for tau_e in cfg.grid_tau_e]
-    if threads > 1:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            rows = pool.map(_grid_cell, cells)
-    else:
-        rows = [_grid_cell(cell) for cell in cells]
+    rows = _map(_grid_cell, cells, threads)
     # Descending accuracy; NaN rows sink to the bottom.
     rows.sort(key=lambda r: (math.isnan(r[2]), -(r[2] if not math.isnan(r[2]) else 0.0)))
     out_dir = Path(cfg.out_dir)
@@ -220,8 +202,9 @@ def _reproduce_row(row: dict) -> tuple[dict, float | None, str]:
         prob=row["prob"],
         trace=row.get("trace", _WORKER_CFG.trace),
     )
-    cfg = apply_overrides(cfg, row.get("hyper", {})).normalized()
     try:
+        cfg = apply_overrides(cfg, row.get("hyper", {})).normalized()
+        cfg.validate()
         layer, log = train_model(cfg, _WORKER_DATA)
         return row, log[-1].test_accuracy * 100.0, "ok"
     except FFAError as exc:
@@ -229,17 +212,11 @@ def _reproduce_row(row: dict) -> tuple[dict, float | None, str]:
 
 
 def cmd_reproduce(cfg: ExperimentConfig, table: str, threads: int) -> int:
-    cfg = cfg.normalized()
-    cfg.validate()
     rows = load_reference_table(table)
     global _WORKER_DATA, _WORKER_CFG
     _WORKER_DATA = prepare_data(cfg)
     _WORKER_CFG = cfg
-    if threads > 1:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            results = pool.map(_reproduce_row, rows)
-    else:
-        results = [_reproduce_row(row) for row in rows]
+    results = _map(_reproduce_row, rows, threads)
     print(f"{'model':<16}{'prob':<11}{'trace':<9}{'measured':>9}{'reference':>10}{'delta':>8}")
     failures = []
     for row, measured, status in results:
@@ -331,7 +308,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(args).normalized()
+        cfg.validate()
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":

@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields as dataclass_fields
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .analog import TrainConfig
 from .core import ProbabilityFn, SigmoidProb, SymmetricProb
-from .errors import ConfigError
-from .spiking import LIFConfig, SpikeEncoderConfig, SpikingConfig, TraceConfig
+from .data import LabelCodebook
+from .errors import ConfigError, FFAError, require
+from .spiking import EligibilityTrace, LIFConfig, SpikeEncoderConfig, SpikingConfig, TraceConfig
 
 MODELS = ("analog", "hebbian", "hebbian_online")
 PROBS = ("sigmoid", "symmetric")
-TRACES = ("relu", "li", "hard_li")
 
 
 def _parse_bool(text: str) -> bool:
@@ -31,11 +32,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [s for s in (part.strip() for part in text.split(",")) if s]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(s) for s in items)
+    return tuple(_parse_float(s) for s in items)
+
+
+# Parser by the type of a field's default; any other type parses itself.
+_PARSERS = {bool: _parse_bool, float: _parse_float, tuple: _parse_float_list}
 
 
 def _fmt(value) -> str:
@@ -48,109 +60,88 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _ini(key: str, default):
+    """A config field stored under the INI ``section.key``."""
+    return field(default=default, metadata={"ini": key})
+
+
 @dataclass
 class ExperimentConfig:
-    # [experiment]
-    model: str = "analog"
-    prob: str = "symmetric"
-    trace: str = "relu"
-    eta: float = 0.01
-    tau_e: float = 0.999
-    epochs: int = 10
-    batch_size: int = 50
-    seed: int = 0
-    n_hidden: int = 200
-    use_bias: bool = False
-    # [probability]
-    alpha: float = 1.0
-    theta: float = 2.0
-    epsilon: float = 0.5
-    symmetric_denominator: str = "match"
-    # [labels]
-    label_length: int = 100
-    label_density: float = 0.3
-    codebook_seed: int = 101
-    # [lif]
-    lif_decay: float = 0.85
-    lif_threshold: float = 1.0
-    lif_reset: str = "to_zero"
-    lif_input_gain: float = 4.0
-    # [trace]
-    trace_mu: float = 0.1
-    trace_tau_o: float = 0.9
-    # [encoder]
-    encoder_scale: float = 0.25
-    encoder_steps: int = 24
-    active_window: int = 9
-    modulation_window: str = "instantaneous"
-    # [grid]
-    grid_eta: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0)
-    grid_tau_e: tuple[float, ...] = (0.999, 0.99, 0.9)
-    # [paths]
-    data_dir: str = "data/mnist"
-    out_dir: str = "runs/out"
+    model: str = _ini("experiment.model", "analog")
+    prob: str = _ini("experiment.prob", "symmetric")
+    trace: str = _ini("experiment.trace", "relu")
+    eta: float = _ini("experiment.eta", 0.01)
+    tau_e: float = _ini("experiment.tau_e", 0.999)
+    epochs: int = _ini("experiment.epochs", 10)
+    batch_size: int = _ini("experiment.batch_size", 50)
+    seed: int = _ini("experiment.seed", 0)
+    n_hidden: int = _ini("experiment.n_hidden", 200)
+    use_bias: bool = _ini("experiment.use_bias", False)
+    alpha: float = _ini("probability.alpha", 1.0)
+    theta: float = _ini("probability.theta", 2.0)
+    epsilon: float = _ini("probability.epsilon", 0.5)
+    symmetric_denominator: str = _ini("probability.symmetric_denominator", "match")
+    label_length: int = _ini("labels.length", 100)
+    label_density: float = _ini("labels.density", 0.3)
+    codebook_seed: int = _ini("labels.codebook_seed", 101)
+    lif_decay: float = _ini("lif.decay", 0.85)
+    lif_threshold: float = _ini("lif.threshold", 1.0)
+    lif_reset: str = _ini("lif.reset_mode", "to_zero")
+    lif_input_gain: float = _ini("lif.input_gain", 4.0)
+    trace_mu: float = _ini("trace.mu", 0.1)
+    trace_tau_o: float = _ini("trace.tau_o", 0.9)
+    encoder_scale: float = _ini("encoder.scale", 0.25)
+    encoder_steps: int = _ini("encoder.steps", 24)
+    active_window: int = _ini("encoder.active_window", 9)
+    modulation_window: str = _ini("encoder.modulation_window", "instantaneous")
+    grid_eta: tuple[float, ...] = _ini("grid.eta", (0.001, 0.01, 0.1, 1.0, 10.0))
+    grid_tau_e: tuple[float, ...] = _ini("grid.tau_e", (0.999, 0.99, 0.9))
+    data_dir: str = _ini("paths.data_dir", "data/mnist")
+    out_dir: str = _ini("paths.out_dir", "runs/out")
 
     def normalized(self) -> "ExperimentConfig":
         """Apply structural rules (online training is single-sample)."""
         if self.model == "hebbian_online" and self.batch_size != 1:
-            cfg = ExperimentConfig(**{f.name: getattr(self, f.name) for f in dataclass_fields(self)})
-            cfg.batch_size = 1
-            return cfg
+            return replace(self, batch_size=1)
         return self
 
     def validate(self) -> None:
-        """Raise one ConfigError naming every invalid field."""
+        """Raise one ConfigError naming every invalid field.
+
+        The range and enum rules belong to the components that use the
+        values; this builds each component and gathers their errors, plus
+        the rules that no component owns.
+        """
         problems: list[str] = []
-        if self.model not in MODELS:
-            problems.append(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.prob not in PROBS:
-            problems.append(f"prob must be one of {PROBS}, got {self.prob!r}")
-        if self.trace not in TRACES:
-            problems.append(f"trace must be one of {TRACES}, got {self.trace!r}")
-        if self.eta <= 0:
-            problems.append("eta must be positive")
-        if not 0.0 <= self.tau_e < 1.0:
-            problems.append("tau_e must be in [0, 1)")
-        if self.epochs < 0:
-            problems.append("epochs must be >= 0")
-        if self.batch_size < 1:
-            problems.append("batch_size must be >= 1")
-        if self.n_hidden < 2:
-            problems.append("n_hidden must be >= 2")
-        if self.use_bias and self.model != "analog":
-            problems.append("use_bias is only available for the analog model")
-        if self.alpha <= 0:
-            problems.append("alpha must be positive")
-        if self.epsilon <= 0:
-            problems.append("epsilon must be positive")
-        if self.symmetric_denominator not in ("match", "total"):
-            problems.append("symmetric_denominator must be 'match' or 'total'")
-        if self.label_length < 4:
-            problems.append("label length must be >= 4")
-        if not 0.0 < self.label_density < 1.0:
-            problems.append("label density must be in (0, 1)")
-        if not 0.0 <= self.lif_decay <= 1.0:
-            problems.append("lif decay must be in [0, 1]")
-        if self.lif_reset not in ("to_zero", "subtract"):
-            problems.append("lif reset must be 'to_zero' or 'subtract'")
-        if not 0.0 <= self.trace_tau_o < 1.0:
-            problems.append("trace tau_o must be in [0, 1)")
-        if not 0.0 <= self.encoder_scale <= 1.0:
-            problems.append("encoder scale must be in [0, 1]")
-        if self.encoder_steps < 1:
-            problems.append("encoder steps must be >= 1")
-        if not 0 <= self.active_window <= self.encoder_steps:
-            problems.append("active_window must be in [0, encoder steps]")
-        if self.modulation_window not in ("instantaneous", "window_mean"):
-            problems.append("modulation_window must be 'instantaneous' or 'window_mean'")
-        if not self.grid_eta:
-            problems.append("grid eta values must be nonempty")
-        if not self.grid_tau_e:
-            problems.append("grid tau_e values must be nonempty")
+        builders = (
+            self._own_rules, self.train_config, self.spiking_config, self.codebook,
+            self._lif, self._trace, self._encoder, lambda: EligibilityTrace.zeros(0, self.tau_e),
+            # both probability forms, whichever one is selected
+            *(replace(self, prob=prob).prob_fn for prob in PROBS),
+        )
+        for build in builders:
+            try:
+                build()
+            except FFAError as exc:
+                if str(exc) not in problems:
+                    problems.append(str(exc))
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
 
+    def _own_rules(self) -> None:
+        require({
+            f"model must be one of {MODELS}, got {self.model!r}": self.model in MODELS,
+            f"prob must be one of {PROBS}, got {self.prob!r}": self.prob in PROBS,
+            "n_hidden must be >= 2": self.n_hidden >= 2,
+            "use_bias is only available for the analog model":
+                not self.use_bias or self.model == "analog",
+            "grid eta values must be nonempty": len(self.grid_eta) > 0,
+            "grid tau_e values must be nonempty": len(self.grid_tau_e) > 0,
+        })
+
     # --- builders for the module-level configs -------------------------
+    # The composite configs check their own fields before their parts are
+    # built, so a bad part cannot hide them from validate().
 
     def prob_fn(self) -> ProbabilityFn:
         if self.prob == "sigmoid":
@@ -158,73 +149,59 @@ class ExperimentConfig:
         return SymmetricProb(epsilon=self.epsilon, denominator=self.symmetric_denominator)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            eta=self.eta,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=self.seed,
-            prob_fn=self.prob_fn(),
+        config = TrainConfig(
+            eta=self.eta, batch_size=self.batch_size, epochs=self.epochs, seed=self.seed
+        )
+        return replace(config, prob_fn=self.prob_fn())
+
+    def _lif(self) -> LIFConfig:
+        return LIFConfig(
+            decay=self.lif_decay,
+            threshold=self.lif_threshold,
+            reset_mode=self.lif_reset,
+            input_gain=self.lif_input_gain,
+        )
+
+    def _trace(self) -> TraceConfig:
+        return TraceConfig(kind=self.trace, mu=self.trace_mu, tau_o=self.trace_tau_o)
+
+    def _encoder(self) -> SpikeEncoderConfig:
+        return SpikeEncoderConfig(
+            scale=self.encoder_scale, steps=self.encoder_steps, active_window=self.active_window
         )
 
     def spiking_config(self) -> SpikingConfig:
-        return SpikingConfig(
-            lif=LIFConfig(
-                decay=self.lif_decay,
-                threshold=self.lif_threshold,
-                reset_mode=self.lif_reset,
-                input_gain=self.lif_input_gain,
-            ),
-            trace=TraceConfig(kind=self.trace, mu=self.trace_mu, tau_o=self.trace_tau_o),
-            encoder=SpikeEncoderConfig(
-                scale=self.encoder_scale,
-                steps=self.encoder_steps,
-                active_window=self.active_window,
-            ),
-            tau_e=self.tau_e,
-            n_out=self.n_hidden,
-            modulation_window=self.modulation_window,
+        config = SpikingConfig(
+            tau_e=self.tau_e, n_out=self.n_hidden, modulation_window=self.modulation_window
         )
+        return replace(config, lif=self._lif(), trace=self._trace(), encoder=self._encoder())
+
+    def codebook(self) -> LabelCodebook:
+        return LabelCodebook(self.label_length, self.label_density, self.codebook_seed)
 
     def mode(self) -> str:
         return "online" if self.model == "hebbian_online" else "batch"
 
 
-# (section, key) -> (attribute, parser)
+# (section, key) -> (attribute, parser), in field order
 _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("experiment", "model"): ("model", str),
-    ("experiment", "prob"): ("prob", str),
-    ("experiment", "trace"): ("trace", str),
-    ("experiment", "eta"): ("eta", float),
-    ("experiment", "tau_e"): ("tau_e", float),
-    ("experiment", "epochs"): ("epochs", int),
-    ("experiment", "batch_size"): ("batch_size", int),
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "n_hidden"): ("n_hidden", int),
-    ("experiment", "use_bias"): ("use_bias", _parse_bool),
-    ("probability", "alpha"): ("alpha", float),
-    ("probability", "theta"): ("theta", float),
-    ("probability", "epsilon"): ("epsilon", float),
-    ("probability", "symmetric_denominator"): ("symmetric_denominator", str),
-    ("labels", "length"): ("label_length", int),
-    ("labels", "density"): ("label_density", float),
-    ("labels", "codebook_seed"): ("codebook_seed", int),
-    ("lif", "decay"): ("lif_decay", float),
-    ("lif", "threshold"): ("lif_threshold", float),
-    ("lif", "reset_mode"): ("lif_reset", str),
-    ("lif", "input_gain"): ("lif_input_gain", float),
-    ("trace", "mu"): ("trace_mu", float),
-    ("trace", "tau_o"): ("trace_tau_o", float),
-    ("encoder", "scale"): ("encoder_scale", float),
-    ("encoder", "steps"): ("encoder_steps", int),
-    ("encoder", "active_window"): ("active_window", int),
-    ("encoder", "modulation_window"): ("modulation_window", str),
-    ("grid", "eta"): ("grid_eta", _parse_float_list),
-    ("grid", "tau_e"): ("grid_tau_e", _parse_float_list),
-    ("paths", "data_dir"): ("data_dir", str),
-    ("paths", "out_dir"): ("out_dir", str),
+    tuple(f.metadata["ini"].split(".")): (f.name, _PARSERS.get(type(f.default), type(f.default)))
+    for f in fields(ExperimentConfig)
 }
 
-_SECTION_ORDER = ("experiment", "probability", "labels", "lif", "trace", "encoder", "grid", "paths")
+_SECTION_ORDER = tuple(dict.fromkeys(section for section, _ in _SCHEMA))
+
+
+def _assign(cfg: ExperimentConfig, section: str, key: str, raw: str, problems: list[str]) -> None:
+    entry = _SCHEMA.get((section, key))
+    if entry is None:
+        problems.append(f"unknown key {section}.{key}")
+        return
+    attr, parse = entry
+    try:
+        setattr(cfg, attr, parse(raw))
+    except ValueError as exc:
+        problems.append(f"{section}.{key}: {exc}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -240,15 +217,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             problems.append(f"unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            entry = _SCHEMA.get((section, key))
-            if entry is None:
-                problems.append(f"unknown key {section}.{key}")
-                continue
-            attr, parse = entry
-            try:
-                setattr(cfg, attr, parse(raw))
-            except ValueError as exc:
-                problems.append(f"{section}.{key}: {exc}")
+            _assign(cfg, section, key, raw, problems)
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
     return cfg
@@ -271,15 +240,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
             problems.append(f"override {dotted!r} is not of the form section.key")
             continue
         section, key = dotted.split(".", 1)
-        entry = _SCHEMA.get((section, key))
-        if entry is None:
-            problems.append(f"unknown key {section}.{key}")
-            continue
-        attr, parse = entry
-        try:
-            setattr(cfg, attr, parse(raw))
-        except ValueError as exc:
-            problems.append(f"{section}.{key}: {exc}")
+        _assign(cfg, section, key, raw, problems)
     if problems:
         raise ConfigError("invalid overrides: " + "; ".join(problems))
     return cfg
@@ -287,13 +248,11 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical INI text; parse(serialize(cfg)) round-trips exactly."""
-    by_section: dict[str, list[tuple[str, str]]] = {s: [] for s in _SECTION_ORDER}
-    for (section, key), (attr, _) in _SCHEMA.items():
-        by_section[section].append((key, _fmt(getattr(cfg, attr))))
     out = io.StringIO()
     for section in _SECTION_ORDER:
         out.write(f"[{section}]\n")
-        for key, value in by_section[section]:
-            out.write(f"{key} = {value}\n")
+        for (sec, key), (attr, _) in _SCHEMA.items():
+            if sec == section:
+                out.write(f"{key} = {_fmt(getattr(cfg, attr))}\n")
         out.write("\n")
     return out.getvalue()

@@ -20,6 +20,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "Polarity",
     "PolarityPartition",
@@ -102,8 +104,7 @@ class SigmoidProb:
     theta: float = 2.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        require({"alpha must be positive": self.alpha > 0})
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,10 @@ class SymmetricProb:
     denominator: str = "match"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.denominator not in ("match", "total"):
-            raise ValueError("denominator must be 'match' or 'total'")
+        require({
+            "epsilon must be positive": self.epsilon > 0,
+            "denominator must be 'match' or 'total'": self.denominator in ("match", "total"),
+        })
 
 
 ProbabilityFn = Union[SigmoidProb, SymmetricProb]

@@ -29,3 +29,13 @@ class DivergenceError(FFAError):
     """Training produced non-finite weights."""
 
     category = "diverged"
+
+
+def require(rules: dict[str, bool]) -> None:
+    """Raise one ConfigError naming every rule whose condition is false.
+
+    Each condition states what must hold, so a NaN fails it.
+    """
+    problems = [message for message, holds in rules.items() if not holds]
+    if problems:
+        raise ConfigError("; ".join(problems))

@@ -22,7 +22,7 @@ import numpy as np
 from .analog import DenseLayer, EpochStats, TrainConfig, _RunningStats, check_finite, partition_for
 from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
 from .data import ExperimentData, batches
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +45,10 @@ class LIFConfig:
     input_gain: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 <= self.decay <= 1.0:
-            raise ConfigError("lif decay must be in [0, 1]")
-        if self.reset_mode not in RESET_MODES:
-            raise ConfigError(f"reset_mode must be one of {RESET_MODES}")
+        require({
+            "lif decay must be in [0, 1]": 0.0 <= self.decay <= 1.0,
+            f"reset_mode must be one of {RESET_MODES}": self.reset_mode in RESET_MODES,
+        })
 
 
 @dataclass
@@ -90,10 +90,10 @@ class TraceConfig:
     tau_o: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in TRACE_KINDS:
-            raise ConfigError(f"trace kind must be one of {TRACE_KINDS}")
-        if not 0.0 <= self.tau_o < 1.0:
-            raise ConfigError("tau_o must be in [0, 1)")
+        require({
+            f"trace kind must be one of {TRACE_KINDS}": self.kind in TRACE_KINDS,
+            "tau_o must be in [0, 1)": 0.0 <= self.tau_o < 1.0,
+        })
 
 
 @dataclass
@@ -140,8 +140,7 @@ class EligibilityTrace:
     impulse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.tau_e < 1.0:
-            raise ConfigError("tau_e must be in [0, 1)")
+        require({"tau_e must be in [0, 1)": 0.0 <= self.tau_e < 1.0})
         self.impulse = np.empty_like(self.e)
 
     @classmethod
@@ -173,12 +172,11 @@ class SpikeEncoderConfig:
     active_window: int = 9
 
     def __post_init__(self):
-        if not 0.0 <= self.scale <= 1.0:
-            raise ConfigError("encoder scale must be in [0, 1]")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if not 0 <= self.active_window <= self.steps:
-            raise ConfigError("active_window must be in [0, steps]")
+        require({
+            "encoder scale must be in [0, 1]": 0.0 <= self.scale <= 1.0,
+            "steps must be >= 1": self.steps >= 1,
+            "active_window must be in [0, steps]": 0 <= self.active_window <= self.steps,
+        })
 
 
 def rate_encode(x: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -226,8 +224,10 @@ class SpikingConfig:
     modulation_window: str = "instantaneous"
 
     def __post_init__(self):
-        if self.modulation_window not in ("instantaneous", "window_mean"):
-            raise ConfigError("modulation_window must be 'instantaneous' or 'window_mean'")
+        require({
+            "modulation_window must be 'instantaneous' or 'window_mean'":
+                self.modulation_window in ("instantaneous", "window_mean"),
+        })
 
 
 def simulate(

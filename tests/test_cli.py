@@ -3,6 +3,7 @@ import pytest
 
 from ffa import cli
 from ffa.checkpoint import load_checkpoint
+from ffa.config import ExperimentConfig
 from ffa.metrics import read_latents
 
 
@@ -192,6 +193,15 @@ class TestReproduce:
         with pytest.raises(SystemExit):
             run_cli("reproduce", "--table", "table9")
 
+    @pytest.mark.parametrize("hyper", [{"experiment.eta": "nan"}, {"experiment.use_bias": "true"}])
+    def test_row_overrides_validated_before_training(self, synthetic_data, monkeypatch, hyper):
+        monkeypatch.setattr(cli, "_WORKER_DATA", synthetic_data)
+        monkeypatch.setattr(cli, "_WORKER_CFG", ExperimentConfig(epochs=1, n_hidden=16))
+        row = {"model": "hebbian", "prob": "symmetric", "accuracy": 0.0, "hyper": hyper}
+        _, measured, status = cli._reproduce_row(row)
+        assert measured is None
+        assert status.startswith("config")
+
 
 class TestErrorPaths:
     def test_threads_only_on_parallel_commands(self, base_config, capsys):
@@ -216,6 +226,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:config:" in err
         assert "model" in err and "eta" in err
+
+    @pytest.mark.parametrize("key", [
+        "experiment.eta", "probability.alpha", "probability.epsilon", "lif.threshold",
+    ])
+    def test_non_finite_value_is_a_config_error(self, base_config, capsys, key):
+        config, out_dir = base_config
+        code = run_cli("train", "--config", config, "--set", "experiment.model=hebbian",
+                       "--set", f"{key}=nan")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:config:" in err and key in err
+        assert not out_dir.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("train", "--config", tmp_path / "absent.ini")

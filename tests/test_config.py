@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from ffa.config import (
@@ -23,6 +26,108 @@ decay = 0.8
 
 [grid]
 eta = 0.1, 0.2
+"""
+
+
+# Canonical config.ini text; a renamed, moved or reordered key changes these.
+GOLDEN_DEFAULT = """\
+[experiment]
+model = analog
+prob = symmetric
+trace = relu
+eta = 0.01
+tau_e = 0.999
+epochs = 10
+batch_size = 50
+seed = 0
+n_hidden = 200
+use_bias = false
+
+[probability]
+alpha = 1.0
+theta = 2.0
+epsilon = 0.5
+symmetric_denominator = match
+
+[labels]
+length = 100
+density = 0.3
+codebook_seed = 101
+
+[lif]
+decay = 0.85
+threshold = 1.0
+reset_mode = to_zero
+input_gain = 4.0
+
+[trace]
+mu = 0.1
+tau_o = 0.9
+
+[encoder]
+scale = 0.25
+steps = 24
+active_window = 9
+modulation_window = instantaneous
+
+[grid]
+eta = 0.001, 0.01, 0.1, 1.0, 10.0
+tau_e = 0.999, 0.99, 0.9
+
+[paths]
+data_dir = data/mnist
+out_dir = runs/out
+
+"""
+
+GOLDEN_ONLINE = """\
+[experiment]
+model = hebbian_online
+prob = symmetric
+trace = relu
+eta = 0.01
+tau_e = 0.999
+epochs = 10
+batch_size = 1
+seed = 0
+n_hidden = 200
+use_bias = false
+
+[probability]
+alpha = 1.0
+theta = 2.0
+epsilon = 0.5
+symmetric_denominator = match
+
+[labels]
+length = 100
+density = 0.3
+codebook_seed = 101
+
+[lif]
+decay = 0.85
+threshold = 1.0
+reset_mode = to_zero
+input_gain = 4.0
+
+[trace]
+mu = 0.1
+tau_o = 0.9
+
+[encoder]
+scale = 0.25
+steps = 24
+active_window = 9
+modulation_window = instantaneous
+
+[grid]
+eta = 0.001, 0.01, 0.1, 1.0, 10.0
+tau_e = 0.999, 0.99, 0.9
+
+[paths]
+data_dir = data/mnist
+out_dir = runs/out
+
 """
 
 
@@ -59,6 +164,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match="syntax"):
             parse_config_text("not an ini file at all [")
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("experiment", "eta", "nan"),
+        ("probability", "theta", "inf"),
+        ("lif", "threshold", "nan"),
+        ("trace", "mu", "-inf"),
+        ("grid", "eta", "0.1, nan"),
+    ])
+    def test_non_finite_float_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: not a finite number"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: not a finite number"):
+            apply_overrides(ExperimentConfig(), {f"{section}.{key}": value})
+
+    def test_every_field_has_its_own_ini_key(self):
+        keys = [f.metadata["ini"] for f in fields(ExperimentConfig)]
+        assert all(key.count(".") == 1 for key in keys)
+        assert len(set(keys)) == len(keys)
+
 
 class TestValidation:
     def test_all_problems_in_one_message(self):
@@ -71,6 +194,56 @@ class TestValidation:
 
     def test_valid_default_config(self):
         ExperimentConfig().validate()
+
+    @pytest.mark.parametrize("bad,fragment", [
+        ({"model": "quantum"}, "model"),
+        ({"prob": "fuzzy"}, "prob"),
+        ({"model": "hebbian", "trace": "square"}, "trace"),
+        ({"eta": 0.0}, "eta"),
+        ({"eta": math.nan}, "eta"),
+        ({"tau_e": 1.0}, "tau_e"),
+        ({"tau_e": math.nan}, "tau_e"),
+        ({"epochs": -1}, "epochs"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"n_hidden": 1}, "n_hidden"),
+        ({"model": "hebbian", "use_bias": True}, "use_bias"),
+        ({"prob": "sigmoid", "alpha": -1.0}, "alpha"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"epsilon": math.nan}, "epsilon"),
+        ({"symmetric_denominator": "half"}, "denominator"),
+        ({"label_length": 3}, "length"),
+        ({"label_density": 1.0}, "density"),
+        ({"lif_decay": 1.5}, "decay"),
+        ({"lif_reset": "clamp"}, "reset_mode"),
+        ({"trace_tau_o": 1.0}, "tau_o"),
+        ({"encoder_scale": 1.5}, "scale"),
+        ({"encoder_steps": 0}, "steps"),
+        ({"active_window": 30}, "active_window"),
+        ({"modulation_window": "sliding"}, "modulation_window"),
+        ({"grid_eta": ()}, "grid eta"),
+        ({"grid_tau_e": ()}, "grid tau_e"),
+    ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
+    def test_each_rule_names_its_field(self, bad, fragment):
+        with pytest.raises(ConfigError, match="invalid config") as err:
+            replace(ExperimentConfig(), **bad).validate()
+        assert fragment in str(err.value)
+
+    def test_bad_part_hides_no_other_field(self):
+        cfg = ExperimentConfig(prob="sigmoid", alpha=-1.0, eta=-1.0, lif_decay=2.0,
+                               trace="square", encoder_steps=0, modulation_window="sliding")
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        text = str(err.value)
+        for fragment in ("alpha", "eta", "decay", "trace kind", "steps", "modulation_window"):
+            assert fragment in text
+
+    def test_each_problem_reported_once(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(epsilon=-1.0, lif_decay=2.0).validate()
+        text = str(err.value)
+        assert text.count("epsilon must be positive") == 1
+        assert text.count("lif decay") == 1
 
     def test_online_model_normalizes_batch_size(self):
         cfg = ExperimentConfig(model="hebbian_online", batch_size=50)
@@ -90,6 +263,11 @@ class TestRoundTrip:
     def test_default_config_round_trips(self):
         cfg = ExperimentConfig()
         assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_canonical_text_is_pinned(self):
+        assert serialize_config(ExperimentConfig()) == GOLDEN_DEFAULT
+        online = ExperimentConfig(model="hebbian_online", batch_size=50).normalized()
+        assert serialize_config(online) == GOLDEN_ONLINE
 
 
 class TestOverrides:
