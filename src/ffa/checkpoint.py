@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analog import DenseLayer
+from .atomic import atomic_write
 from .core import PolarityPartition
 from .data import LabelCodebook
 from .errors import CheckpointError
@@ -37,7 +38,7 @@ def save_checkpoint(path, layer: DenseLayer, codebook: LabelCodebook) -> None:
     path = Path(path)
     flags = _FLAG_BIAS if layer.bias is not None else 0
     bits = np.packbits(codebook.vectors.astype(np.uint8).ravel())
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IIII", VERSION, flags, layer.n_in, layer.n_out))
         f.write(layer.partition.pos_mask.astype(np.uint8).tobytes())

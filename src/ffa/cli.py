@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import analog, metrics, spiking
+from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, apply_overrides, load_config, serialize_config
 from .data import ExperimentData, load_mnist
@@ -60,7 +61,7 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData, eval_each_epoch: bo
 
 
 def write_epoch_log(path, log) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write("epoch,mean_goodness_pos,mean_goodness_neg,train_loss,test_accuracy\n")
         for entry in log:
             f.write(
@@ -75,7 +76,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "model.ffaw", layer, data.codebook)
-    (out_dir / "config.ini").write_text(serialize_config(cfg))
+    with atomic_write(out_dir / "config.ini") as f:
+        f.write(serialize_config(cfg))
     write_epoch_log(out_dir / "log.csv", log)
     final = log[-1].test_accuracy if log else float("nan")
     if math.isnan(final):
@@ -143,10 +145,14 @@ def _map(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
+def _cell_config(cfg: ExperimentConfig, eta: float, tau_e: float) -> ExperimentConfig:
+    return replace(cfg, eta=eta, tau_e=tau_e, epochs=1)
+
+
 def _grid_cell(cell: tuple[float, float]) -> tuple[float, float, float, str]:
     """1-epoch accuracy for one (eta, tau_e) cell; failures become flags."""
     eta, tau_e = cell
-    cfg = replace(_WORKER_CFG, eta=eta, tau_e=tau_e, epochs=1)
+    cfg = _cell_config(_WORKER_CFG, eta, tau_e)
     try:
         layer, log = train_model(cfg, _WORKER_DATA)
         acc = log[-1].test_accuracy
@@ -162,16 +168,24 @@ def _grid_cell(cell: tuple[float, float]) -> tuple[float, float, float, str]:
 
 def cmd_grid(cfg: ExperimentConfig, threads: int) -> int:
     global _WORKER_DATA, _WORKER_CFG
+    cells = [(eta, tau_e) for eta in cfg.grid_eta for tau_e in cfg.grid_tau_e]
+    # Every cell passes the component rules before any cell trains.
+    problems = [
+        f"eta={eta!r} tau_e={tau_e!r}: " + "; ".join(broken)
+        for eta, tau_e in cells
+        if (broken := _cell_config(cfg, eta, tau_e).problems())
+    ]
+    if problems:
+        raise ConfigError("invalid grid cells: " + " | ".join(problems))
     _WORKER_DATA = prepare_data(cfg)
     _WORKER_CFG = cfg
-    cells = [(eta, tau_e) for eta in cfg.grid_eta for tau_e in cfg.grid_tau_e]
     rows = _map(_grid_cell, cells, threads)
     # Descending accuracy; NaN rows sink to the bottom.
     rows.sort(key=lambda r: (math.isnan(r[2]), -(r[2] if not math.isnan(r[2]) else 0.0)))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid_path = out_dir / "grid.csv"
-    with open(grid_path, "w") as f:
+    with atomic_write(grid_path) as f:
         f.write("eta,tau_e,accuracy,status\n")
         for eta, tau_e, acc, status in rows:
             f.write(f"{eta!r},{tau_e!r},{acc:.6f},{status}\n")

@@ -106,7 +106,13 @@ class ExperimentConfig:
         return self
 
     def validate(self) -> None:
-        """Raise one ConfigError naming every invalid field.
+        """Raise one ConfigError naming every invalid field."""
+        problems = self.problems()
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
+
+    def problems(self) -> list[str]:
+        """Every rule the config breaks, each named once.
 
         The range and enum rules belong to the components that use the
         values; this builds each component and gathers their errors, plus
@@ -125,8 +131,7 @@ class ExperimentConfig:
             except FFAError as exc:
                 if str(exc) not in problems:
                     problems.append(str(exc))
-        if problems:
-            raise ConfigError("invalid config: " + "; ".join(problems))
+        return problems
 
     def _own_rules(self) -> None:
         require({

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .analog import DenseLayer, forward_batch
+from .atomic import atomic_write
 from .core import ProbabilityFn, SigmoidProb
 from .data import Dataset, LabelCodebook, embed_batch
 from .errors import DataError
@@ -183,7 +184,7 @@ def export_latents(dump: LatentDump, path) -> None:
     """Write latents as CSV: header ``label,h0,...``, 9 significant digits."""
     n = dump.latents.shape[1]
     header = "label," + ",".join(f"h{j}" for j in range(n))
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(header + "\n")
         for label, row in zip(dump.labels, dump.latents):
             f.write(f"{int(label)}," + ",".join(f"{v:.9g}" for v in row) + "\n")

@@ -8,7 +8,8 @@ three-factor product ``modulation * trace * input_spike`` is fed through a
 per-synapse eligibility trace that low-passes the updates into the weights.
 
 One lockstep loop, :func:`simulate`, serves evaluation, batch training and
-online training (a batch of one).
+online training (a batch of one).  A plastic batch of one runs the same rule
+event-driven: only the synapses of inputs that spiked are touched.
 """
 
 from __future__ import annotations
@@ -69,8 +70,12 @@ def lif_step(state: LIFState, weights: np.ndarray, in_spikes: np.ndarray) -> np.
     Accepts a single spike vector [n_in] or a lockstep batch [B, n_in]
     (with a matching [B, n_out] potential).
     """
+    return lif_fire(state, np.asarray(in_spikes, dtype=np.float64) @ weights.T)
+
+
+def lif_fire(state: LIFState, current: np.ndarray) -> np.ndarray:
+    """Leak, add ``input_gain * current``, then fire and reset at the threshold."""
     cfg = state.config
-    current = np.asarray(in_spikes, dtype=np.float64) @ weights.T
     state.potential *= cfg.decay
     state.potential += cfg.input_gain * current
     out = state.potential >= cfg.threshold
@@ -163,6 +168,57 @@ def eligibility_step(el: EligibilityTrace, weights: np.ndarray, eta: float) -> N
     weights += scratch
 
 
+# The event-driven form folds once the decay product drops below this.  At
+# tau_e < 1/2 one step alone gets there, so those runs keep the dense rule.
+_FOLD_BELOW = 0.5
+
+
+class _EventSynapses:
+    """The weights and eligibility of one plastic instance, touched only at inputs that spiked.
+
+    Between folds the arrays hold ``E`` and ``V`` with ``e = c * E`` and
+    ``W = V + eta * C * E``, where ``c`` is the product of the tau_e decays
+    so far and ``C`` the sum of those products.  The dense rule
+    ``e += (1 - tau_e) * (impulse - e); W += eta * e`` then becomes
+    ``c *= tau_e; E[:, idx] += (1 - tau_e) / c * post; V[:, idx] -= eta * C * that;
+    C += c`` over the spiking inputs ``idx`` (Morrison, Diesmann & Gerstner
+    2008).  :meth:`fold` writes the real values back in one dense pass.
+    """
+
+    def __init__(self, weights: np.ndarray, el: EligibilityTrace, eta: float):
+        self.weights, self.e, self.scratch = weights, el.e, el.impulse
+        self.tau_e, self.eta = el.tau_e, eta
+        self.decay, self.decay_sum = 1.0, 0.0
+        self.idx = np.empty(0, dtype=np.intp)
+
+    def current(self, spikes: np.ndarray) -> np.ndarray:
+        """``W @ spikes[0]`` as a sum over the spiking columns, which it keeps for :meth:`step`."""
+        self.idx = np.flatnonzero(spikes[0])
+        current = self.weights[:, self.idx].sum(axis=1)
+        if self.decay_sum:
+            current += self.eta * self.decay_sum * self.e[:, self.idx].sum(axis=1)
+        return current
+
+    def step(self, post: np.ndarray) -> None:
+        """One plastic timestep; ``post`` [n_out] is the impulse at each input that spiked."""
+        self.decay *= self.tau_e
+        if self.idx.size:
+            delta = ((1.0 - self.tau_e) / self.decay * post)[:, None]
+            self.e[:, self.idx] += delta
+            self.weights[:, self.idx] -= self.eta * self.decay_sum * delta
+        self.decay_sum += self.decay
+        if self.decay < _FOLD_BELOW:
+            self.fold()
+
+    def fold(self) -> None:
+        """Make the arrays hold the real ``W`` and ``e`` again."""
+        if self.decay_sum:
+            np.multiply(self.e, self.eta * self.decay_sum, out=self.scratch)
+            self.weights += self.scratch
+            self.e *= self.decay
+        self.decay, self.decay_sum = 1.0, 0.0
+
+
 @dataclass(frozen=True)
 class SpikeEncoderConfig:
     """Bernoulli rate coding over a fixed simulation window."""
@@ -184,6 +240,14 @@ def rate_encode(x: np.ndarray, scale: float, rng: np.random.Generator) -> np.nda
     return (rng.random(x.shape) < scale * x).astype(np.float64)
 
 
+def hebbian_post(
+    trace: np.ndarray, codes: np.ndarray, prob_fn: ProbabilityFn, partition: PolarityPartition
+) -> np.ndarray:
+    """Postsynaptic factor ``modulation * trace`` [B, n_out]: row b's impulse at each input that spiked."""
+    _, modulation = modulation_batch(trace, codes, prob_fn, partition)
+    return modulation * trace
+
+
 def hebbian_impulse(
     trace: np.ndarray,
     in_spikes: np.ndarray,
@@ -199,8 +263,7 @@ def hebbian_impulse(
     result is a descent direction, written into ``out`` when given; with no
     presynaptic spikes or a fully converged probability it is exactly zero.
     """
-    _, modulation = modulation_batch(trace, codes, prob_fn, partition)
-    post = (modulation * trace).T
+    post = hebbian_post(trace, codes, prob_fn, partition).T
     if out is None:
         out = np.empty((post.shape[0], in_spikes.shape[1]))
     if post.shape[1] == 1:
@@ -247,6 +310,11 @@ def simulate(
     ``eta`` are all given; then each of the last ``active_window`` timesteps
     folds the row-mean Hebbian impulse through the eligibility trace into
     ``layer.weights``.  Outside that window the weights are untouched.
+
+    A plastic call with one row and ``tau_e >= 1/2`` runs event-driven: the
+    LIF current and the updates touch only the synapses of inputs that
+    spiked, and ``layer.weights`` and ``eligibility.e`` hold the real values
+    again when the call returns.  Every other call runs the dense rule.
     """
     given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
     plastic = all(given)
@@ -262,17 +330,27 @@ def simulate(
     active_start = enc.steps - enc.active_window if plastic else enc.steps
     window_mean = spiking.modulation_window == "window_mean"
     win_sum = np.zeros(shape) if window_mean else None
+    event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
+    synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
     for t in range(enc.steps):
         spikes = rate_encode(X, enc.scale, rng)
-        trace_step(trace, lif_step(lif, layer.weights, spikes))
+        # The output spikes stay a temporary: a [B, n_out] array held across
+        # steps would raise eval's peak memory.
+        trace_step(trace, lif_fire(lif, synapses.current(spikes)) if event
+                   else lif_step(lif, layer.weights, spikes))
         if t >= active_start:
             if window_mean:
                 win_sum += trace.value
                 effective = win_sum / (t - active_start + 1)
             else:
                 effective = trace.value
-            hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
-            eligibility_step(eligibility, layer.weights, eta)
+            if event:
+                synapses.step(hebbian_post(effective, codes, prob_fn, layer.partition)[0])
+            else:
+                hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+                eligibility_step(eligibility, layer.weights, eta)
+    if event:
+        synapses.fold()
     return trace.value
 
 

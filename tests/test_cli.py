@@ -162,6 +162,32 @@ class TestGrid:
         # diverged rows sink below finished ones
         assert rows[0].endswith("ok")
 
+    @pytest.mark.parametrize("etas,taus,bad_cells", [
+        ("-0.1", "1.5", ["eta=-0.1 tau_e=1.5: eta must be positive; tau_e must be in [0, 1)"]),
+        ("-0.1, 0.02", "0.9, 1.5", [
+            "eta=-0.1 tau_e=0.9: eta must be positive",
+            "eta=-0.1 tau_e=1.5: eta must be positive; tau_e must be in [0, 1)",
+            "eta=0.02 tau_e=1.5: tau_e must be in [0, 1)",
+        ]),
+    ])
+    def test_bad_cells_rejected_before_training(self, base_config, capsys, monkeypatch,
+                                                etas, taus, bad_cells):
+        config, out_dir = base_config
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: trained.append(args))
+        code = run_cli("grid", "--config", config,
+                       "--set", "experiment.model=hebbian",
+                       "--set", f"grid.eta={etas}",
+                       "--set", f"grid.tau_e={taus}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:")
+        for cell in bad_cells:
+            assert cell in err
+        assert "eta=0.02 tau_e=0.9" not in err
+        assert trained == []
+        assert not (out_dir / "grid.csv").exists()
+
 
 class TestReproduce:
     def test_table1_runs_all_rows(self, base_config, capsys):

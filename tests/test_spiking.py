@@ -395,24 +395,49 @@ class TestRunSample:
             simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), eta=0.1)
 
     def test_plasticity_gated_to_active_window(self, monkeypatch):
-        calls = []
-        real = spiking_mod.eligibility_step
+        # Record every timestep's input spikes and output trace, then replay
+        # the dense rule over the last active_window steps only.  e starts
+        # nonzero, so an update outside the window decays it once too often
+        # and a missing update inside it once too rarely.  One row runs
+        # event-driven, four run the dense rule.
+        spikes_seen, traces_seen = [], []
+        real_encode, real_trace_step = spiking_mod.rate_encode, spiking_mod.trace_step
 
-        def counting(*args):
-            calls.append(True)
-            return real(*args)
+        def recording_encode(*args):
+            spikes_seen.append(real_encode(*args))
+            return spikes_seen[-1]
 
-        monkeypatch.setattr(spiking_mod, "eligibility_step", counting)
+        def recording_trace_step(*args):
+            trace = real_trace_step(*args)
+            traces_seen.append(trace.value.copy())
+            return trace
+
+        monkeypatch.setattr(spiking_mod, "rate_encode", recording_encode)
+        monkeypatch.setattr(spiking_mod, "trace_step", recording_trace_step)
         rng = np.random.default_rng(10)
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=4)
-        layer, spk = tiny_model(encoder=enc)
+        prob, tau_e, eta = SymmetricProb(), 0.99, 0.1
+        layer, spk = tiny_model(prob, encoder=enc)
         for rows in (1, 4):
-            calls.clear()
-            el = EligibilityTrace.zeros(layer.weights.shape, 0.99)
+            spikes_seen.clear()
+            traces_seen.clear()
+            e0 = rng.standard_normal(layer.weights.shape)
+            w0 = layer.weights.copy()
+            el = EligibilityTrace(e0.copy(), tau_e)
             codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
-            X = rng.uniform(0.0, 1.0, size=(rows, 15))
-            simulate(layer, X, spk, rng, codes, SymmetricProb(), el, 0.1)
-            assert len(calls) == enc.active_window
+            simulate(layer, rng.uniform(0.0, 1.0, size=(rows, 15)), spk, rng, codes, prob, el, eta)
+            assert len(spikes_seen) == len(traces_seen) == enc.steps
+
+            e_ref, w_ref = e0.copy(), w0.copy()
+            for t in range(enc.steps - enc.active_window, enc.steps):
+                _, modulation = modulation_batch(traces_seen[t], codes, prob, layer.partition)
+                impulse = (modulation * traces_seen[t]).T @ spikes_seen[t] / rows
+                e_ref += (1.0 - tau_e) * (impulse - e_ref)
+                w_ref += eta * e_ref
+            assert np.allclose(el.e, e_ref, rtol=0, atol=1e-12), rows
+            assert np.allclose(layer.weights, w_ref, rtol=0, atol=1e-12), rows
+            # one decay step more or less moves e by (1 - tau_e) |e|, far above the tolerance
+            assert np.abs(el.e - e0).min() > 1e-4
 
     def test_zero_active_window_never_updates(self):
         rng = np.random.default_rng(11)
@@ -422,6 +447,105 @@ class TestRunSample:
         before = layer.weights.copy()
         simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), el, 0.5)
         assert np.array_equal(layer.weights, before)
+
+
+def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
+    """The plastic lockstep loop on the dense rule alone: the oracle of the event-driven path."""
+    enc = spiking.encoder
+    shape = (X.shape[0], layer.n_out)
+    lif = LIFState.zeros(shape, spiking.lif)
+    trace = OutputTrace.zeros(shape, spiking.trace)
+    active_start = enc.steps - enc.active_window
+    win_sum = np.zeros(shape)
+    for t in range(enc.steps):
+        spikes = rate_encode(X, enc.scale, rng)
+        spiking_mod.trace_step(trace, lif_step(lif, layer.weights, spikes))
+        if t >= active_start:
+            effective = trace.value
+            if spiking.modulation_window == "window_mean":
+                win_sum += trace.value
+                effective = win_sum / (t - active_start + 1)
+            hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            eligibility_step(eligibility, layer.weights, eta)
+    return trace.value
+
+
+class TestEventDrivenPlasticity:
+    """A plastic B=1 call updates only the synapses of inputs that spiked; the dense rule is its oracle."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "silent_steps"])
+    @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
+    @pytest.mark.parametrize("window", ["instantaneous", "window_mean"])
+    @pytest.mark.parametrize("prob", [SigmoidProb(theta=1.0), SymmetricProb()], ids=["sigmoid", "symmetric"])
+    @pytest.mark.parametrize("tau_e", [0.0, 0.3, 0.9, 0.999])
+    def test_matches_dense_rule(self, monkeypatch, tau_e, prob, window, reset_mode, sparse):
+        n_in, n_out, eta = 40, 12, 0.2
+        spk = SpikingConfig(
+            n_out=n_out, tau_e=tau_e, modulation_window=window,
+            lif=LIFConfig(reset_mode=reset_mode),
+            encoder=SpikeEncoderConfig(scale=0.25, steps=12, active_window=8),
+        )
+        data_rng = np.random.default_rng(30)
+        X = data_rng.uniform(0.0, 1.0, size=(6, n_in))
+        if sparse:
+            # a few dim pixels: most timesteps carry no input spike at all
+            X *= data_rng.random(X.shape) < 0.05
+            X[0] = 0.0
+        layer = DenseLayer.initialize(n_in, n_out, partition_for(prob, n_out), seed=5)
+        ref_layer = DenseLayer(layer.weights.copy(), layer.partition)
+        e0 = 0.1 * data_rng.standard_normal(layer.weights.shape)
+        el, ref_el = EligibilityTrace(e0.copy(), tau_e), EligibilityTrace(e0.copy(), tau_e)
+
+        silent_steps, dense_steps, folds = [], [], []
+        real_encode, real_step = spiking_mod.rate_encode, spiking_mod.eligibility_step
+        real_fold = spiking_mod._EventSynapses.fold
+
+        def recording_encode(*args):
+            spikes = real_encode(*args)
+            silent_steps.append(not spikes.any())
+            return spikes
+
+        def counting_step(*args):
+            dense_steps.append(True)
+            return real_step(*args)
+
+        def counting_fold(synapses):
+            folds.append(True)
+            return real_fold(synapses)
+
+        monkeypatch.setattr(spiking_mod, "rate_encode", recording_encode)
+        monkeypatch.setattr(spiking_mod, "eligibility_step", counting_step)
+        monkeypatch.setattr(spiking_mod._EventSynapses, "fold", counting_fold)
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        for i, x in enumerate(X):
+            codes = np.array([1 if i % 2 == 0 else -1], dtype=np.int8)
+            got = simulate(layer, x[None, :], spk, rng, codes, prob, el, eta)
+            want = dense_simulate(ref_layer, x[None, :], spk, ref_rng, codes, prob, ref_el, eta)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(layer.weights, ref_layer.weights, rtol=0, atol=1e-12)
+            assert np.allclose(el.e, ref_el.e, rtol=0, atol=1e-12)
+
+        assert not np.allclose(layer.weights, DenseLayer.initialize(n_in, n_out, layer.partition, 5).weights)
+        if sparse:
+            assert sum(silent_steps) > len(silent_steps) // 2
+        # tau_e < 1/2 stays on the dense rule; otherwise each call folds once at
+        # its end, and tau_e = 0.9 once more mid-window (0.9**7 < 1/2)
+        event = tau_e >= 0.5
+        assert len(dense_steps) == (0 if event else len(X) * spk.encoder.active_window)
+        assert len(folds) == (0 if not event else len(X) * (2 if tau_e == 0.9 else 1))
+
+    @pytest.mark.parametrize("tau_e", [0.9, 0.999])
+    def test_online_epoch_matches_dense_rule(self, small_data, monkeypatch, tau_e):
+        prob = SymmetricProb(epsilon=0.5)
+        cfg = TrainConfig(eta=0.03, batch_size=1, epochs=1, seed=6, prob_fn=prob)
+        spk = SpikingConfig(n_out=40, tau_e=tau_e)
+        layer, log = train_hebbian(cfg, small_data, "online", spk)
+        monkeypatch.setattr(spiking_mod, "simulate", dense_simulate)
+        ref_layer, ref_log = train_hebbian(cfg, small_data, "online", spk)
+        init = DenseLayer.initialize(small_data.input_dim, 40, layer.partition, 6)
+        assert np.abs(layer.weights - init.weights).max() > 1e-3
+        assert np.allclose(layer.weights, ref_layer.weights, rtol=0, atol=1e-12)
+        assert log[0].train_loss == pytest.approx(ref_log[0].train_loss, rel=1e-9)
 
 
 class TestSimulateLatents:
