@@ -30,15 +30,14 @@ from .core import (
     prob_symmetric,
 )
 from .data import (
-    ContrastiveSample,
     Dataset,
     ExperimentData,
     LabelCodebook,
     batches,
     embed,
+    embed_batch,
     load_mnist,
-    make_negative,
-    make_positive,
+    pair_codes,
 )
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError, FFAError
 from .metrics import (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .core import (
     bce_batch,
     modulation_batch,
 )
-from .data import ContrastiveSample, ExperimentData, batches
+from .data import ExperimentData, batches, pair_codes
 from .errors import ConfigError, DivergenceError, require
 
 logger = logging.getLogger(__name__)
@@ -98,39 +98,28 @@ def forward_batch(layer: DenseLayer, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     return preact, np.maximum(preact, 0.0)
 
 
-def _closed_form_gradient(
+def layer_gradient(
     layer: DenseLayer,
     X: np.ndarray,
-    polarities,
+    codes: np.ndarray,
     prob_fn: ProbabilityFn,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Weight (and bias) gradient plus the probabilities and latents behind it."""
+    """Closed-form mean loss gradient over the rows of ``X`` [B, n_in] with +1/-1 ``codes``.
+
+    Returns ``(grad_w, grad_b, p, latent)``: the weight and bias (None
+    without a bias) gradients and the per-row probabilities and latents.
+    Per sample d L / d w_ij is ``-(modulation_j) * relu'(a_j) * 2*latent_j * x_i``
+    (the modulation is a descent direction, hence the leading minus), so
+    neurons left inactive by the ReLU contribute exactly zero.
+    """
+    if len(X) == 0:
+        raise ConfigError("gradient of an empty batch is undefined")
     preact, latent = forward_batch(layer, X)
-    p, modulation = modulation_batch(latent, polarities, prob_fn, layer.partition)
+    p, modulation = modulation_batch(latent, codes, prob_fn, layer.partition)
     post = modulation * (preact > 0.0) * 2.0 * latent
     grad_w = -(post.T @ X) / X.shape[0]
     grad_b = -post.mean(axis=0) if layer.bias is not None else None
     return grad_w, grad_b, p, latent
-
-
-def layer_gradient(
-    layer: DenseLayer,
-    batch: Sequence[ContrastiveSample],
-    prob_fn: ProbabilityFn,
-) -> np.ndarray:
-    """Mean loss gradient d L / d w over a batch, in closed form.
-
-    Per sample the gradient of the cross-entropy loss with respect to w_ij
-    is ``-(modulation_j) * relu'(a_j) * 2*latent_j * x_i`` (the modulation is
-    a descent direction, hence the leading minus).  Neurons left inactive by
-    the ReLU contribute exactly zero.
-    """
-    if not batch:
-        raise ConfigError("gradient of an empty batch is undefined")
-    X = np.stack([s.input for s in batch])
-    polarities = [s.polarity for s in batch]
-    grad, _, _, _ = _closed_form_gradient(layer, X, polarities, prob_fn)
-    return grad
 
 
 @dataclass
@@ -203,14 +192,14 @@ class _RunningStats:
         self.loss = 0.0
         self.n_loss = 0
 
-    def update(self, latents: np.ndarray, polarities, p: np.ndarray) -> None:
+    def update(self, latents: np.ndarray, codes: np.ndarray, p: np.ndarray) -> None:
         g = np.einsum("bj,bj->b", latents, latents)
-        codes = np.asarray([pol.value for pol in polarities])
-        self.g_pos += g[codes > 0].sum()
-        self.n_pos += int((codes > 0).sum())
-        self.g_neg += g[codes < 0].sum()
-        self.n_neg += int((codes < 0).sum())
-        self.loss += bce_batch(p, polarities).sum()
+        pos = codes > 0
+        self.g_pos += g[pos].sum()
+        self.n_pos += int(pos.sum())
+        self.g_neg += g[~pos].sum()
+        self.n_neg += int((~pos).sum())
+        self.loss += bce_batch(p, codes).sum()
         self.n_loss += len(p)
 
     def finish(self, epoch: int, test_accuracy: float) -> EpochStats:
@@ -248,14 +237,13 @@ def train_analog(
     log: list[EpochStats] = []
     for epoch in range(config.epochs):
         stats = _RunningStats()
-        for batch in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
-            X = np.stack([s.input for s in batch])
-            polarities = [s.polarity for s in batch]
-            grad, grad_b, p, latent = _closed_form_gradient(layer, X, polarities, config.prob_fn)
+        for X in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
+            codes = pair_codes(len(X))
+            grad, grad_b, p, latent = layer_gradient(layer, X, codes, config.prob_fn)
             adam_step(layer, grad, adam, config.eta)
             if grad_b is not None:
                 _adam_update(layer.bias, grad_b, adam_bias, config.eta)
-            stats.update(latent, polarities, p)
+            stats.update(latent, codes, p)
         check_finite(layer.weights, f"epoch {epoch}")
         accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
         entry = stats.finish(epoch, accuracy)

@@ -222,15 +222,16 @@ def modulation_symmetric(
 
 # ---------------------------------------------------------------------------
 # Batched forms used by the trainers.  ``latents`` has one row per sample,
-# ``polarities`` holds +1 / -1 per row (the Polarity enum values).
+# ``codes`` holds its int8 polarity, +1 / -1 per row (the Polarity values).
 
 
-def _polarity_codes(polarities) -> np.ndarray:
-    if isinstance(polarities, np.ndarray):
-        return polarities.astype(np.int8, copy=False)
-    return np.asarray(
-        [p.value if isinstance(p, Polarity) else int(p) for p in polarities], dtype=np.int8
-    )
+def _symmetric_terms(latents: np.ndarray, prob_fn: SymmetricProb, partition: PolarityPartition):
+    """Per-row ``(g_pos, g_neg, p)``: partition goodness and the symmetric probability."""
+    sq = latents * latents
+    g_pos = sq[:, partition.pos_mask].sum(axis=1)
+    g_neg = sq[:, ~partition.pos_mask].sum(axis=1)
+    eps = prob_fn.epsilon
+    return g_pos, g_neg, (g_pos + 0.5 * eps) / (g_pos + g_neg + eps)
 
 
 def probability_batch(
@@ -253,16 +254,12 @@ def probability_batch(
         ez = np.exp(z[~pos])
         out[~pos] = ez / (1.0 + ez)
         return out
-    sq = latents * latents
-    g_pos = sq[:, partition.pos_mask].sum(axis=1)
-    g_neg = sq[:, ~partition.pos_mask].sum(axis=1)
-    eps = prob_fn.epsilon
-    return (g_pos + 0.5 * eps) / (g_pos + g_neg + eps)
+    return _symmetric_terms(latents, prob_fn, partition)[2]
 
 
 def modulation_batch(
     latents: np.ndarray,
-    polarities,
+    codes: np.ndarray,
     prob_fn: ProbabilityFn,
     partition: PolarityPartition,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -274,15 +271,12 @@ def modulation_batch(
     polarity are potentiated, the others depressed.
     """
     latents = np.atleast_2d(np.asarray(latents, dtype=float))
-    codes = _polarity_codes(polarities)
     n = latents.shape[1]
-    p = probability_batch(latents, prob_fn, partition)
     if isinstance(prob_fn, SigmoidProb):
+        p = probability_batch(latents, prob_fn, partition)
         factor = np.where(codes > 0, prob_fn.alpha * (1.0 - p), -prob_fn.alpha * p)
         return p, np.repeat(factor[:, None], n, axis=1)
-    sq = latents * latents
-    g_pos = sq[:, partition.pos_mask].sum(axis=1)
-    g_neg = sq[:, ~partition.pos_mask].sum(axis=1)
+    g_pos, g_neg, p = _symmetric_terms(latents, prob_fn, partition)
     g_match = np.where(codes > 0, g_pos, g_neg)
     p_match = np.where(codes > 0, p, 1.0 - p)
     eps = prob_fn.epsilon
@@ -298,8 +292,7 @@ def modulation_batch(
     return p, np.where(match_mask, pot[:, None], dep[:, None])
 
 
-def bce_batch(p: np.ndarray, polarities) -> np.ndarray:
+def bce_batch(p: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Vectorized binary cross-entropy."""
-    codes = _polarity_codes(polarities)
     p = np.clip(np.asarray(p, dtype=float), EPS_CLAMP, 1.0 - EPS_CLAMP)
     return np.where(codes > 0, -np.log(p), -np.log1p(-p))

@@ -1,8 +1,8 @@
-"""Dataset ingestion and contrastive sample construction.
+"""Dataset ingestion and contrastive batch construction.
 
 MNIST is read from the standard IDX files (raw or gzipped).  Labels are
 embedded into the input by appending a fixed random binary codeword per
-class; positive samples carry the true label's codeword, negative samples a
+class; positive rows carry the true label's codeword, negative rows a
 deliberately wrong one.
 """
 
@@ -16,7 +16,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Polarity
 from .errors import DataError
 
 IMAGE_MAGIC = 0x00000803
@@ -45,16 +44,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-
-@dataclass(frozen=True)
-class ContrastiveSample:
-    """Image with embedded label codeword, tagged positive or negative."""
-
-    input: np.ndarray
-    polarity: Polarity
-    true_label: int
-    embedded_label: int
 
 
 def _open_maybe_gzip(path: Path):
@@ -121,6 +110,8 @@ def _load_split(directory: Path, image_names, label_names) -> Dataset:
             f"{image_path} has {images.shape[0]} images but {label_path} has "
             f"{labels.shape[0]} labels"
         )
+    if images.shape[0] == 0:
+        raise DataError(f"{image_path}: the split has no images")
     return Dataset(images, labels)
 
 
@@ -181,38 +172,31 @@ def embed(image: np.ndarray, label: int, codebook: LabelCodebook) -> np.ndarray:
     return np.concatenate([np.asarray(image, dtype=np.float64), codebook.vectors[label]])
 
 
-def embed_batch(images: np.ndarray, label: int, codebook: LabelCodebook) -> np.ndarray:
-    """Append one label's codeword to every row of an image stack."""
+def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarray:
+    """Append to every row of an image stack the codeword of one label, or of its own label."""
     images = np.asarray(images, dtype=np.float64)
-    suffix = np.broadcast_to(codebook.vectors[label], (images.shape[0], codebook.length))
+    suffix = np.broadcast_to(codebook.vectors[labels], (images.shape[0], codebook.length))
     return np.hstack([images, suffix])
 
 
-def make_positive(image: np.ndarray, label: int, codebook: LabelCodebook) -> ContrastiveSample:
-    return ContrastiveSample(embed(image, label, codebook), Polarity.POSITIVE, label, label)
-
-
-def make_negative(
-    image: np.ndarray, true_label: int, codebook: LabelCodebook, rng: np.random.Generator
-) -> ContrastiveSample:
-    """Embed a wrong label drawn uniformly from the other nine classes."""
-    draw = int(rng.integers(9))
-    wrong = draw + (draw >= true_label)
-    return ContrastiveSample(embed(image, wrong, codebook), Polarity.NEGATIVE, true_label, wrong)
+def pair_codes(rows: int) -> np.ndarray:
+    """Polarity codes of a :func:`batches` array: +1 on even rows, -1 on odd rows."""
+    codes = np.ones(rows, dtype=np.int8)
+    codes[1::2] = -1
+    return codes
 
 
 def batches(
-    dataset: Dataset,
-    codebook: LabelCodebook,
-    k: int,
-    seed: int,
-    epoch: int,
-) -> Iterator[list[ContrastiveSample]]:
+    dataset: Dataset, codebook: LabelCodebook, k: int, seed: int, epoch: int
+) -> Iterator[np.ndarray]:
     """Yield shuffled batches of k (positive, negative) pairs for one epoch.
 
-    Each batch is a flat list of 2k samples with the pair members adjacent.
-    The shuffle and the wrong-label draws are reproducible functions of
-    (seed, epoch), so distinct epochs see distinct permutations.
+    Each batch is one array ``X`` [2m, n_in] (m = k except in the last batch).
+    Row 2i is an image with its true label's codeword and row 2i+1 the same
+    image with a wrong label drawn uniformly from the other nine;
+    ``pair_codes(len(X))`` gives their polarity codes.  The shuffle and the
+    wrong-label draws are reproducible functions of (seed, epoch), so
+    distinct epochs see distinct permutations.
     """
     if k < 1:
         raise DataError("batch size must be >= 1")
@@ -220,13 +204,11 @@ def batches(
     order = rng.permutation(len(dataset))
     for start in range(0, len(order), k):
         chunk = order[start : start + k]
-        batch: list[ContrastiveSample] = []
-        for idx in chunk:
-            image = dataset.images[idx]
-            label = int(dataset.labels[idx])
-            batch.append(make_positive(image, label, codebook))
-            batch.append(make_negative(image, label, codebook, rng))
-        yield batch
+        labels = dataset.labels[chunk]
+        draw = rng.integers(9, size=chunk.size)
+        wrong = draw + (draw >= labels)
+        rows = np.stack([labels, wrong], axis=1).ravel()
+        yield embed_batch(np.repeat(dataset.images[chunk], 2, axis=0), rows, codebook)
 
 
 @dataclass

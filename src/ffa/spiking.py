@@ -22,7 +22,7 @@ import numpy as np
 
 from .analog import DenseLayer, EpochStats, TrainConfig, _RunningStats, check_finite, partition_for
 from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
-from .data import ExperimentData, batches
+from .data import ExperimentData, batches, pair_codes
 from .errors import ConfigError, DataError, require
 
 logger = logging.getLogger(__name__)
@@ -266,12 +266,8 @@ def hebbian_impulse(
     post = hebbian_post(trace, codes, prob_fn, partition).T
     if out is None:
         out = np.empty((post.shape[0], in_spikes.shape[1]))
-    if post.shape[1] == 1:
-        # The exact outer product; a one-row GEMM is slower.
-        np.multiply(post, in_spikes, out=out)
-    else:
-        np.matmul(post, in_spikes, out=out)
-        out /= post.shape[1]
+    np.matmul(post, in_spikes, out=out)
+    out /= post.shape[1]
     return out
 
 
@@ -381,13 +377,13 @@ def train_hebbian(
     for epoch in range(config.epochs):
         stats = _RunningStats()
         rng = np.random.default_rng([config.seed, epoch, 0x5E1])
-        for batch in batches(data.train, data.codebook, pairs, config.seed, epoch):
-            for group in [[s] for s in batch] if mode == "online" else [batch]:
-                X = np.stack([s.input for s in group])
-                polarities = [s.polarity for s in group]
-                codes = np.asarray([p.value for p in polarities], dtype=np.int8)
-                final = simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, config.eta)
-                stats.update(final, polarities, probability_batch(final, prob_fn, partition))
+        for X in batches(data.train, data.codebook, pairs, config.seed, epoch):
+            codes = pair_codes(len(X))
+            rows = 1 if mode == "online" else len(X)
+            for i in range(0, len(X), rows):
+                x, c = X[i : i + rows], codes[i : i + rows]
+                final = simulate(layer, x, spiking, rng, c, prob_fn, eligibility, config.eta)
+                stats.update(final, c, probability_batch(final, prob_fn, partition))
         check_finite(layer.weights, f"epoch {epoch}")
         accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
         entry = stats.finish(epoch, accuracy)

@@ -25,7 +25,7 @@ from ffa.core import (
     prob_sigmoid,
     prob_symmetric,
 )
-from ffa.data import ContrastiveSample, ExperimentData, LabelCodebook, load_mnist
+from ffa.data import ExperimentData, LabelCodebook, load_mnist
 from ffa.metrics import (
     LatentDump,
     accuracy,
@@ -150,19 +150,18 @@ def test_criterion3_latent_geometry(mnist_models, model, prob, trace):
 # --- criterion 4: the equivalence oracle -------------------------------------
 
 
-def sample_loss(layer: DenseLayer, sample: ContrastiveSample, prob_fn) -> float:
-    _, latent = forward(layer, sample.input)
+def sample_loss(layer: DenseLayer, x: np.ndarray, polarity: Polarity, prob_fn) -> float:
+    _, latent = forward(layer, x)
     if isinstance(prob_fn, SigmoidProb):
         p = prob_sigmoid(goodness(latent), prob_fn.alpha, prob_fn.theta)
     else:
         g_pos, g_neg = partition_goodness(latent, layer.partition)
         p = prob_symmetric(g_pos, g_neg, prob_fn.epsilon)
-    return bce_loss(p, sample.polarity)
+    return bce_loss(p, polarity)
 
 
-def scalar_factorized_gradient(layer, sample, prob_fn) -> np.ndarray:
+def scalar_factorized_gradient(layer, x, polarity, prob_fn) -> np.ndarray:
     """Independent assembly: -modulation * relu' * 2*latent_j * x_i."""
-    x = sample.input
     part = layer.partition
     _, latent = forward(layer, x)
     out = np.zeros_like(layer.weights)
@@ -174,9 +173,9 @@ def scalar_factorized_gradient(layer, sample, prob_fn) -> np.ndarray:
         if latent[j] <= 0.0:
             continue
         if isinstance(prob_fn, SigmoidProb):
-            m = modulation_sigmoid(p, sample.polarity, prob_fn.alpha)
+            m = modulation_sigmoid(p, polarity, prob_fn.alpha)
         else:
-            if sample.polarity is Polarity.POSITIVE:
+            if polarity is Polarity.POSITIVE:
                 p_m = prob_symmetric(g_pos, g_neg, prob_fn.epsilon)
                 g_m, g_o = g_pos, g_neg
                 side = "match" if part.pos_mask[j] else "other"
@@ -216,10 +215,10 @@ def test_criterion4_equivalence_oracle():
         if np.min(np.abs(preact)) <= 1e-3:
             continue  # keep finite differences away from the ReLU kink
         draws += 1
-        sample = ContrastiveSample(x, polarity, 0, 0)
-        grad = layer_gradient(layer, [sample], prob_fn)
+        codes = np.array([polarity.value], dtype=np.int8)
+        grad, _, _, _ = layer_gradient(layer, x[None, :], codes, prob_fn)
 
-        factorized = scalar_factorized_gradient(layer, sample, prob_fn)
+        factorized = scalar_factorized_gradient(layer, x, polarity, prob_fn)
         worst_closed = max(worst_closed, relative_error(grad, factorized))
 
         fd = np.zeros_like(grad)
@@ -229,9 +228,9 @@ def test_criterion4_equivalence_oracle():
                 h = 1e-6 * max(1.0, abs(W[j, i]))
                 orig = W[j, i]
                 W[j, i] = orig + h
-                up = sample_loss(layer, sample, prob_fn)
+                up = sample_loss(layer, x, polarity, prob_fn)
                 W[j, i] = orig - h
-                down = sample_loss(layer, sample, prob_fn)
+                down = sample_loss(layer, x, polarity, prob_fn)
                 W[j, i] = orig
                 fd[j, i] = (up - down) / (2 * h)
         scale = max(float(np.abs(grad).max()), 1e-12)

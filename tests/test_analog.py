@@ -25,7 +25,6 @@ from ffa.core import (
     prob_sigmoid,
     prob_symmetric,
 )
-from ffa.data import ContrastiveSample, batches
 from ffa.errors import ConfigError, DivergenceError
 from ffa import metrics
 
@@ -35,8 +34,13 @@ def make_layer(n_in, n_out, seed=0, prob=None):
     return DenseLayer.initialize(n_in, n_out, partition_for(prob, n_out), seed)
 
 
-def sample_of(x, polarity=Polarity.POSITIVE):
-    return ContrastiveSample(np.asarray(x, dtype=float), polarity, 0, 0)
+def codes_of(*polarities):
+    return np.array([p.value for p in polarities], dtype=np.int8)
+
+
+def gradient(layer, rows, polarities, prob):
+    """layer_gradient's weight gradient for the given input rows."""
+    return layer_gradient(layer, np.atleast_2d(rows), codes_of(*polarities), prob)[0]
 
 
 class TestForward:
@@ -80,19 +84,19 @@ class TestForward:
             assert np.allclose(latent_b[b], latent, rtol=1e-13)
 
 
-def finite_difference_gradient(layer, sample, prob_fn, h=1e-6):
+def finite_difference_gradient(layer, x, polarity, prob_fn, h=1e-6):
     """Independent loss-slope oracle over every weight."""
     part = layer.partition
 
     def loss(W):
-        a = W @ sample.input
+        a = W @ x
         l = np.maximum(a, 0.0)
         if isinstance(prob_fn, SigmoidProb):
             p = prob_sigmoid(goodness(l), prob_fn.alpha, prob_fn.theta)
         else:
             g_pos, g_neg = partition_goodness(l, part)
             p = prob_symmetric(g_pos, g_neg, prob_fn.epsilon)
-        return bce_loss(p, sample.polarity)
+        return bce_loss(p, polarity)
 
     W = layer.weights
     grad = np.zeros_like(W)
@@ -125,20 +129,18 @@ class TestLayerGradient:
         rng = np.random.default_rng(8)
         for _ in range(5):
             layer, x = draw_fd_safe(rng, 6, 4, prob)
-            sample = sample_of(x, polarity)
-            grad = layer_gradient(layer, [sample], prob)
-            fd = finite_difference_gradient(layer, sample, prob)
+            grad = gradient(layer, x, [polarity], prob)
+            fd = finite_difference_gradient(layer, x, polarity, prob)
             assert np.allclose(grad, fd, rtol=1e-4, atol=1e-10)
 
     def test_mean_is_linear_in_batch(self):
         rng = np.random.default_rng(9)
         prob = SymmetricProb()
         layer = make_layer(6, 4, seed=2, prob=prob)
-        s1 = sample_of(rng.uniform(0, 1, 6), Polarity.POSITIVE)
-        s2 = sample_of(rng.uniform(0, 1, 6), Polarity.NEGATIVE)
-        g1 = layer_gradient(layer, [s1], prob)
-        g2 = layer_gradient(layer, [s2], prob)
-        g12 = layer_gradient(layer, [s1, s2], prob)
+        x1, x2 = rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)
+        g1 = gradient(layer, x1, [Polarity.POSITIVE], prob)
+        g2 = gradient(layer, x2, [Polarity.NEGATIVE], prob)
+        g12 = gradient(layer, [x1, x2], [Polarity.POSITIVE, Polarity.NEGATIVE], prob)
         assert np.allclose(g12, (g1 + g2) / 2.0, rtol=1e-12, atol=1e-15)
 
     def test_inactive_neuron_gradient_exactly_zero(self):
@@ -147,7 +149,7 @@ class TestLayerGradient:
         layer = make_layer(5, 3, seed=3)
         x = rng.uniform(0.1, 1.0, size=5)
         preact, _ = forward(layer, x)
-        grad = layer_gradient(layer, [sample_of(x)], prob)
+        grad = gradient(layer, x, [Polarity.POSITIVE], prob)
         for j in range(3):
             if preact[j] <= 0.0:
                 assert np.all(grad[j] == 0.0)
@@ -156,12 +158,13 @@ class TestLayerGradient:
         # dead layer: ReLU derivative gates every update to exactly zero
         prob = SymmetricProb(epsilon=0.5)
         layer = DenseLayer(np.zeros((4, 3)), PolarityPartition.split_halves(4))
-        batch = [
-            sample_of([0.5, 0.2, 0.9], Polarity.POSITIVE),
-            sample_of([0.5, 0.2, 0.9], Polarity.NEGATIVE),
-        ]
-        grad = layer_gradient(layer, batch, prob)
+        grad = gradient(layer, [[0.5, 0.2, 0.9]] * 2, [Polarity.POSITIVE, Polarity.NEGATIVE], prob)
         assert np.all(grad == 0.0)
+
+    def test_empty_batch_rejected(self):
+        layer = make_layer(3, 2)
+        with pytest.raises(ConfigError, match="empty batch"):
+            layer_gradient(layer, np.zeros((0, 3)), np.zeros(0, dtype=np.int8), SigmoidProb())
 
     def test_factorizes_into_three_factors(self):
         # grad = -(modulation) * relu' * 2*latent_j * x_i, assembled from
@@ -170,8 +173,7 @@ class TestLayerGradient:
         for prob in (SigmoidProb(alpha=1.5, theta=1.0), SymmetricProb(epsilon=0.3)):
             for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE):
                 layer, x = draw_fd_safe(rng, 7, 4, prob)
-                sample = sample_of(x, polarity)
-                grad = layer_gradient(layer, [sample], prob)
+                grad = gradient(layer, x, [polarity], prob)
                 _, latent = forward(layer, x)
                 part = layer.partition
                 expected = np.zeros_like(grad)
@@ -272,8 +274,6 @@ class TestTrainAnalog:
         assert np.all(np.isfinite(layer.bias))
 
     def test_bias_gradient_matches_finite_differences(self):
-        from ffa.analog import _closed_form_gradient
-
         rng = np.random.default_rng(14)
         prob = SigmoidProb(theta=1.0)
         layer = DenseLayer(
@@ -282,13 +282,12 @@ class TestTrainAnalog:
             bias=rng.uniform(-0.2, 0.2, size=4),
         )
         x = rng.uniform(0.05, 1.0, size=6)
-        sample = sample_of(x, Polarity.NEGATIVE)
-        _, grad_b, _, _ = _closed_form_gradient(layer, x[None, :], [sample.polarity], prob)
+        _, grad_b, _, _ = layer_gradient(layer, x[None, :], codes_of(Polarity.NEGATIVE), prob)
 
         def loss(bias):
             a = layer.weights @ x + bias
             l = np.maximum(a, 0.0)
-            return bce_loss(prob_sigmoid(goodness(l), prob.alpha, prob.theta), sample.polarity)
+            return bce_loss(prob_sigmoid(goodness(l), prob.alpha, prob.theta), Polarity.NEGATIVE)
 
         for j in range(4):
             h = 1e-6
@@ -304,20 +303,3 @@ class TestTrainAnalog:
         cfg = TrainConfig(eta=1e200, batch_size=50, epochs=1, seed=3, prob_fn=prob)
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
             train_analog(cfg, synthetic_data, n_out=10)
-
-
-class TestBatches:
-    def test_pairing_and_partition(self, synthetic_data):
-        data = synthetic_data
-        seen = []
-        for batch in batches(data.train, data.codebook, 32, seed=1, epoch=0):
-            assert len(batch) % 2 == 0
-            for pos, neg in zip(batch[::2], batch[1::2]):
-                assert pos.polarity is Polarity.POSITIVE
-                assert neg.polarity is Polarity.NEGATIVE
-                assert pos.true_label == neg.true_label
-                assert neg.embedded_label != neg.true_label
-                # same base image, different codeword suffix
-                assert np.array_equal(pos.input[:100], neg.input[:100])
-                seen.append(pos.true_label)
-        assert len(seen) == len(data.train)

@@ -5,6 +5,7 @@ from ffa import cli
 from ffa.checkpoint import load_checkpoint
 from ffa.config import ExperimentConfig
 from ffa.metrics import read_latents
+from tests.conftest import write_idx_images, write_idx_labels
 
 
 @pytest.fixture()
@@ -242,6 +243,17 @@ class TestErrorPaths:
         code = run_cli("train", "--config", config, "--data-dir", tmp_path / "nowhere")
         assert code == 3
         assert "error:data:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "t10k"])
+    def test_empty_split_is_a_data_error(self, base_config, idx_dataset_dir, capsys, split):
+        config, out_dir = base_config
+        write_idx_images(idx_dataset_dir / f"{split}-images-idx3-ubyte",
+                         np.zeros((0, 6, 6), dtype=np.uint8))
+        write_idx_labels(idx_dataset_dir / f"{split}-labels-idx1-ubyte", np.zeros(0))
+        assert run_cli("train", "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "error:data:" in err and f"{split}-images-idx3-ubyte" in err
+        assert not (out_dir / "model.ffaw").exists()
 
     def test_invalid_config_enumerates_fields(self, base_config, capsys):
         config, _ = base_config

@@ -227,13 +227,13 @@ class TestBatchedForms:
         prob = SigmoidProb(alpha=1.2, theta=1.5)
         part = PolarityPartition.all_positive(6)
         latents = rng.uniform(0, 1.5, size=(9, 6))
-        codes = [Polarity.POSITIVE, Polarity.NEGATIVE] * 4 + [Polarity.POSITIVE]
+        codes = np.resize(np.array([1, -1], dtype=np.int8), 9)
         p, mod = modulation_batch(latents, codes, prob, part)
         for b in range(9):
             g = goodness(latents[b])
             p_ref = prob_sigmoid(g, prob.alpha, prob.theta)
             assert p[b] == pytest.approx(p_ref, rel=1e-12)
-            expected = modulation_sigmoid(p_ref, codes[b], prob.alpha)
+            expected = modulation_sigmoid(p_ref, Polarity(codes[b]), prob.alpha)
             assert np.allclose(mod[b], expected, rtol=1e-12)
 
     def test_symmetric_rows(self):
@@ -241,12 +241,12 @@ class TestBatchedForms:
         prob = SymmetricProb(epsilon=0.25)
         part = PolarityPartition.split_halves(6)
         latents = rng.uniform(0, 1.5, size=(8, 6))
-        codes = [Polarity.POSITIVE, Polarity.NEGATIVE] * 4
+        codes = np.resize(np.array([1, -1], dtype=np.int8), 8)
         p, mod = modulation_batch(latents, codes, prob, part)
         for b in range(8):
             g_pos, g_neg = partition_goodness(latents[b], part)
             assert p[b] == pytest.approx(prob_symmetric(g_pos, g_neg, prob.epsilon), rel=1e-12)
-            if codes[b] is Polarity.POSITIVE:
+            if codes[b] > 0:
                 g_m, g_o, match_mask = g_pos, g_neg, part.pos_mask
                 p_match = prob_symmetric(g_pos, g_neg, prob.epsilon)
             else:
@@ -256,6 +256,17 @@ class TestBatchedForms:
                 side = "match" if match_mask[j] else "other"
                 expected = modulation_symmetric(p_match, g_m, g_o, side, prob.epsilon)
                 assert mod[b, j] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("prob", [SigmoidProb(alpha=1.2, theta=1.5),
+                                      SymmetricProb(epsilon=0.25),
+                                      SymmetricProb(denominator="total")])
+    def test_modulation_probability_is_probability_batch_bitwise(self, prob):
+        rng = np.random.default_rng(8)
+        part = PolarityPartition.split_halves(7)
+        latents = rng.uniform(0, 1.5, size=(11, 7))
+        codes = np.resize(np.array([1, -1], dtype=np.int8), 11)
+        p, _ = modulation_batch(latents, codes, prob, part)
+        assert np.array_equal(p, probability_batch(latents, prob, part))
 
     def test_probability_batch_bounds(self):
         rng = np.random.default_rng(7)

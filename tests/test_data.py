@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ffa.core import Polarity
 from ffa.data import (
     Dataset,
     LabelCodebook,
@@ -12,8 +11,7 @@ from ffa.data import (
     embed,
     embed_batch,
     load_mnist,
-    make_negative,
-    make_positive,
+    pair_codes,
     read_idx_images,
     read_idx_labels,
 )
@@ -88,6 +86,16 @@ class TestIdxParsing:
         with pytest.raises(DataError, match="12 images but .* 5 labels"):
             load_mnist(tmp_path)
 
+    @pytest.mark.parametrize("split", ["train", "t10k"])
+    def test_empty_split_rejected(self, tmp_path, small_images, split):
+        for prefix in ("train", "t10k"):
+            images = small_images[:0] if prefix == split else small_images
+            write_idx_images(tmp_path / f"{prefix}-images-idx3-ubyte", images)
+            write_idx_labels(tmp_path / f"{prefix}-labels-idx1-ubyte",
+                             np.zeros(len(images), dtype=np.uint8))
+        with pytest.raises(DataError, match=f"{split}-images-idx3-ubyte: the split has no images"):
+            load_mnist(tmp_path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_mnist(tmp_path / "absent")
@@ -157,34 +165,62 @@ class TestEmbedding:
         for b in range(6):
             assert np.array_equal(stacked[b], embed(images[b], 5, book))
 
+    def test_batch_one_label_per_row(self):
+        rng = np.random.default_rng(2)
+        book = LabelCodebook(length=8, density=0.3, seed=3)
+        images = rng.uniform(0, 1, size=(6, 10))
+        labels = np.array([4, 0, 9, 4, 2, 7])
+        stacked = embed_batch(images, labels, book)
+        for b in range(6):
+            assert np.array_equal(stacked[b], embed(images[b], labels[b], book))
 
-class TestMakeNegative:
+
+def embedded_labels(X: np.ndarray, book: LabelCodebook) -> np.ndarray:
+    """The label whose codeword each row of X carries."""
+    match = (X[:, -book.length :, None] == book.vectors.T[None]).all(axis=1)
+    assert np.all(match.sum(axis=1) == 1)
+    return match.argmax(axis=1)
+
+
+def wrong_labels(dataset, book, k, seed, epochs):
+    """(true label, embedded label) of every negative row of `batches`."""
+    true, wrong = [], []
+    for epoch in range(epochs):
+        for X in batches(dataset, book, k, seed, epoch):
+            labels = embedded_labels(X, book)
+            true.append(labels[0::2])
+            wrong.append(labels[1::2])
+    return np.concatenate(true), np.concatenate(wrong)
+
+
+class TestNegativeRows:
     def test_never_the_true_label(self):
         rng = np.random.default_rng(4)
         book = LabelCodebook(length=10, density=0.3, seed=3)
-        image = np.zeros(4)
-        for _ in range(10_000):
-            s = make_negative(image, 7, book, rng)
-            assert s.embedded_label != 7
-            assert s.polarity is Polarity.NEGATIVE
+        dataset = Dataset(np.zeros((2000, 1)), rng.integers(0, 10, 2000))
+        true, wrong = wrong_labels(dataset, book, 50, seed=4, epochs=5)
+        assert true.size == 10_000
+        assert np.all(wrong != true)
 
     def test_wrong_labels_uniform_chi_square(self):
-        rng = np.random.default_rng(5)
         book = LabelCodebook(length=10, density=0.3, seed=3)
-        draws = np.array([
-            make_negative(np.zeros(2), 3, book, rng).embedded_label for _ in range(100_000)
-        ])
-        counts = np.bincount(draws, minlength=10)
-        assert counts[3] == 0
+        dataset = Dataset(np.zeros((20_000, 1)), np.full(20_000, 3))
+        _, wrong = wrong_labels(dataset, book, 500, seed=5, epochs=5)
+        counts = np.bincount(wrong, minlength=10)
+        assert counts.sum() == 100_000 and counts[3] == 0
         observed = np.delete(counts, 3)
         _, p_value = stats.chisquare(observed)
         assert p_value > 0.01
 
-    def test_same_rng_state_same_label(self):
+    def test_same_seed_and_epoch_same_draws(self):
+        rng = np.random.default_rng(9)
         book = LabelCodebook(length=10, density=0.3, seed=3)
-        a = make_negative(np.zeros(2), 1, book, np.random.default_rng(9)).embedded_label
-        b = make_negative(np.zeros(2), 1, book, np.random.default_rng(9)).embedded_label
-        assert a == b
+        dataset = Dataset(np.zeros((300, 1)), rng.integers(0, 10, 300))
+        a = wrong_labels(dataset, book, 7, seed=9, epochs=2)
+        b = wrong_labels(dataset, book, 7, seed=9, epochs=2)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        other_seed = wrong_labels(dataset, book, 7, seed=10, epochs=2)
+        assert not np.array_equal(a[1], other_seed[1])
 
 
 class TestBatches:
@@ -198,35 +234,57 @@ class TestBatches:
         return LabelCodebook(length=6, density=0.3, seed=3)
 
     def test_partition_exactly_once(self, dataset, book):
-        seen = 0
-        for batch in batches(dataset, book, 5, seed=1, epoch=0):
-            assert len(batch) in (10, 6)  # 5 pairs per batch, remainder 3 pairs
-            seen += len(batch) // 2
-        assert seen == 23
+        seen = []
+        for X in batches(dataset, book, 5, seed=1, epoch=0):
+            assert X.shape in ((10, 14), (6, 14))  # 5 pairs per batch, remainder 3 pairs
+            seen.extend(X[0::2, :8].tolist())
+        assert sorted(seen) == sorted(dataset.images.tolist())
 
     def test_online_stream(self, dataset, book):
         chunks = list(batches(dataset, book, 1, seed=1, epoch=0))
         assert len(chunks) == 23
-        assert all(len(c) == 2 for c in chunks)
+        assert all(c.shape == (2, 14) for c in chunks)
 
     def test_epochs_permute_differently_but_reproducibly(self, dataset, book):
         def order(epoch):
-            return [
-                s.true_label
-                for batch in batches(dataset, book, 4, seed=2, epoch=epoch)
-                for s in batch[::2]
-            ]
+            return [row for X in batches(dataset, book, 4, seed=2, epoch=epoch)
+                    for row in X[0::2].tolist()]
 
         assert order(0) != order(1)
         assert order(0) == order(0)
 
-    def test_positive_samples_embed_true_label(self, dataset, book):
-        for batch in batches(dataset, book, 4, seed=3, epoch=0):
-            for s in batch[::2]:
-                assert s.embedded_label == s.true_label
-                assert np.array_equal(s.input[8:], book.vectors[s.true_label])
+    def test_rows_pair_one_image_with_its_true_and_a_wrong_label(self, synthetic_data):
+        data = synthetic_data
+        n_image = data.train.images.shape[1]
+        true_of = {row.tobytes(): label for row, label in zip(data.train.images, data.train.labels)}
+        seen = 0
+        for X in batches(data.train, data.codebook, 32, seed=1, epoch=0):
+            pos, neg = X[0::2], X[1::2]
+            assert np.array_equal(pos[:, :n_image], neg[:, :n_image])
+            true = np.array([true_of[row.tobytes()] for row in pos[:, :n_image]])
+            assert np.array_equal(embedded_labels(pos, data.codebook), true)
+            assert np.all(embedded_labels(neg, data.codebook) != true)
+            seen += len(pos)
+        assert seen == len(data.train)
 
-    def test_make_positive_invariant(self, book):
-        s = make_positive(np.linspace(0, 1, 5), 2, book)
-        assert s.polarity is Polarity.POSITIVE
-        assert s.embedded_label == s.true_label == 2
+    def test_pair_codes_alternate(self):
+        assert pair_codes(6).tolist() == [1, -1, 1, -1, 1, -1]
+        assert pair_codes(6).dtype == np.int8
+        assert pair_codes(0).size == 0
+
+    def test_golden_rows(self):
+        # (image index, embedded label) per row, captured from the per-sample
+        # implementation this layout replaced; pins the shuffle and the draws
+        images = np.array([[i / 10, 1 - i / 10] for i in range(7)])
+        dataset = Dataset(images, np.array([3, 0, 9, 3, 5, 1, 7]))
+        book = LabelCodebook(length=6, density=0.3, seed=3)
+        golden = [
+            [(2, 9), (2, 3), (3, 3), (3, 6), (0, 3), (0, 2)],
+            [(1, 0), (1, 1), (4, 5), (4, 8), (5, 1), (5, 3)],
+            [(6, 7), (6, 8)],
+        ]
+        got = list(batches(dataset, book, 3, seed=4, epoch=1))
+        assert len(got) == len(golden)
+        for X, rows in zip(got, golden):
+            idx, labels = np.array(rows).T
+            assert np.array_equal(X, embed_batch(images[idx], labels, book))

@@ -4,7 +4,7 @@ import pytest
 import ffa.spiking as spiking_mod
 from ffa.analog import DenseLayer, TrainConfig, forward, layer_gradient, partition_for
 from ffa.core import Polarity, PolarityPartition, SigmoidProb, SymmetricProb, modulation_batch
-from ffa.data import ContrastiveSample, Dataset, ExperimentData, LabelCodebook
+from ffa.data import Dataset, ExperimentData, LabelCodebook
 from ffa.errors import ConfigError, DataError
 from ffa.spiking import (
     EligibilityTrace,
@@ -301,7 +301,8 @@ class TestHebbianImpulse:
                         layer.partition, el.impulse)
         eligibility_step(el, np.zeros_like(layer.weights), 1.0)
         impulse = el.e
-        grad = layer_gradient(layer, [ContrastiveSample(x, polarity, 0, 0)], prob)
+        codes = np.array([polarity.value], dtype=np.int8)
+        grad, _, _, _ = layer_gradient(layer, x[None, :], codes, prob)
         descent = -grad.ravel()
         cos = np.dot(impulse.ravel(), descent) / (
             np.linalg.norm(impulse) * np.linalg.norm(descent)
