@@ -122,6 +122,11 @@ def layer_gradient(
     return grad_w, grad_b, p, latent
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers for the ADAM update."""
@@ -129,29 +134,22 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros_like(cls, weights: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(weights), np.zeros_like(weights))
+    def zeros_like(cls, tensor: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(tensor), np.zeros_like(tensor))
 
 
-def _adam_update(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float) -> None:
+def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float) -> None:
+    """One bias-corrected ADAM descent step on ``tensor`` (weights or bias), in place."""
+    if grad.shape != tensor.shape:
+        raise ConfigError(f"gradient shape {grad.shape} != tensor {tensor.shape}")
     state.step += 1
-    state.m += (1.0 - state.beta1) * (grad - state.m)
-    state.v += (1.0 - state.beta2) * (grad * grad - state.v)
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    tensor -= eta * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def adam_step(layer: DenseLayer, grad: np.ndarray, state: AdamState, eta: float) -> None:
-    """One bias-corrected ADAM descent step on the weights, in place."""
-    if grad.shape != layer.weights.shape:
-        raise ConfigError(f"gradient shape {grad.shape} != weights {layer.weights.shape}")
-    _adam_update(layer.weights, grad, state, eta)
+    state.m += (1.0 - ADAM_BETA1) * (grad - state.m)
+    state.v += (1.0 - ADAM_BETA2) * (grad * grad - state.v)
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+    tensor -= eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -185,12 +183,8 @@ class _RunningStats:
     """Accumulates the per-epoch goodness/loss aggregates."""
 
     def __init__(self):
-        self.g_pos = 0.0
-        self.n_pos = 0
-        self.g_neg = 0.0
-        self.n_neg = 0
-        self.loss = 0.0
-        self.n_loss = 0
+        self.g_pos = self.g_neg = self.loss = 0.0
+        self.n_pos = self.n_neg = self.n_loss = 0
 
     def update(self, latents: np.ndarray, codes: np.ndarray, p: np.ndarray) -> None:
         g = np.einsum("bj,bj->b", latents, latents)
@@ -217,6 +211,37 @@ def check_finite(weights: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite weights after {context}")
 
 
+def run_epochs(
+    config: TrainConfig,
+    data: ExperimentData,
+    layer: DenseLayer,
+    update: Callable[[np.ndarray, np.ndarray, np.random.Generator, _RunningStats], None],
+    eval_fn: Optional[Callable[[DenseLayer], float]],
+    name: str,
+) -> tuple[DenseLayer, list[EpochStats]]:
+    """The epoch protocol shared by every trainer.
+
+    Each epoch hands every shuffled contrastive batch of ``data.train`` to
+    ``update(X, codes, rng, stats)``, which moves ``layer`` in place, with a
+    generator seeded by (seed, epoch); then it checks the weights are
+    finite, reports ``eval_fn`` (NaN in the log when omitted) and logs one
+    line under ``name``.
+    """
+    log: list[EpochStats] = []
+    for epoch in range(config.epochs):
+        stats = _RunningStats()
+        rng = np.random.default_rng([config.seed, epoch, 0x5E1])
+        for X in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
+            update(X, pair_codes(len(X)), rng, stats)
+        check_finite(layer.weights, f"epoch {epoch}")
+        accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
+        entry = stats.finish(epoch, accuracy)
+        log.append(entry)
+        logger.info("%s epoch %d: loss=%.4f g+=%.3f g-=%.3f acc=%.4f", name, epoch,
+                    entry.train_loss, entry.mean_goodness_pos, entry.mean_goodness_neg, accuracy)
+    return layer, log
+
+
 def train_analog(
     config: TrainConfig,
     data: ExperimentData,
@@ -226,34 +251,20 @@ def train_analog(
 ) -> tuple[DenseLayer, list[EpochStats]]:
     """Train a single dense ReLU layer with layer-local gradients and ADAM.
 
-    ``eval_fn`` is called after every epoch to report test accuracy (NaN in
-    the log when omitted).  Training is deterministic for a fixed config and
+    ``eval_fn`` reports test accuracy after every epoch (see
+    :func:`run_epochs`).  Training is deterministic for a fixed config and
     seed.
     """
     partition = partition_for(config.prob_fn, n_out)
     layer = DenseLayer.initialize(data.input_dim, n_out, partition, config.seed, use_bias)
     adam = AdamState.zeros_like(layer.weights)
     adam_bias = AdamState.zeros_like(layer.bias) if use_bias else None
-    log: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        stats = _RunningStats()
-        for X in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
-            codes = pair_codes(len(X))
-            grad, grad_b, p, latent = layer_gradient(layer, X, codes, config.prob_fn)
-            adam_step(layer, grad, adam, config.eta)
-            if grad_b is not None:
-                _adam_update(layer.bias, grad_b, adam_bias, config.eta)
-            stats.update(latent, codes, p)
-        check_finite(layer.weights, f"epoch {epoch}")
-        accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
-        entry = stats.finish(epoch, accuracy)
-        log.append(entry)
-        logger.info(
-            "analog epoch %d: loss=%.4f g+=%.3f g-=%.3f acc=%.4f",
-            epoch,
-            entry.train_loss,
-            entry.mean_goodness_pos,
-            entry.mean_goodness_neg,
-            entry.test_accuracy,
-        )
-    return layer, log
+
+    def update(X, codes, rng, stats):
+        grad, grad_b, p, latent = layer_gradient(layer, X, codes, config.prob_fn)
+        adam_step(layer.weights, grad, adam, config.eta)
+        if grad_b is not None:
+            adam_step(layer.bias, grad_b, adam_bias, config.eta)
+        stats.update(latent, codes, p)
+
+    return run_epochs(config, data, layer, update, eval_fn, "analog")

@@ -100,6 +100,8 @@ def _load_for_eval(cfg: ExperimentConfig, checkpoint_path) -> tuple:
             f"{checkpoint_path}: checkpoint codebook length {codebook.length} != "
             f"config label length {cfg.label_length}"
         )
+    if layer.partition != analog.partition_for(cfg.prob_fn(), cfg.n_hidden):
+        raise CheckpointError(f"{checkpoint_path}: polarity split does not match prob {cfg.prob!r}")
     train, test = load_mnist(cfg.data_dir)
     data = ExperimentData(train, test, codebook)
     if data.input_dim != layer.n_in:
@@ -155,10 +157,7 @@ def _grid_cell(cell: tuple[float, float]) -> tuple[float, float, float, str]:
     cfg = _cell_config(_WORKER_CFG, eta, tau_e)
     try:
         layer, log = train_model(cfg, _WORKER_DATA)
-        acc = log[-1].test_accuracy
-        if not math.isfinite(acc):
-            return eta, tau_e, float("nan"), "non_finite"
-        return eta, tau_e, acc, "ok"
+        return eta, tau_e, log[-1].test_accuracy, "ok"
     except DivergenceError:
         return eta, tau_e, float("nan"), "diverged"
     except FFAError as exc:

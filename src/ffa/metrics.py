@@ -116,15 +116,11 @@ def collect_latents(
     chunk: int = 2000,
 ) -> LatentDump:
     """Latents of every sample with its true label embedded."""
-    latents = np.zeros((len(dataset), layer.n_out))
+    latents = np.empty((len(dataset), layer.n_out))
     for start in range(0, len(dataset), chunk):
-        images = dataset.images[start : start + chunk]
-        labels = dataset.labels[start : start + chunk]
-        for c in range(10):
-            mask = labels == c
-            if mask.any():
-                rows = runner(layer, embed_batch(images[mask], c, codebook))
-                latents[start + np.flatnonzero(mask)] = rows
+        stop = start + chunk
+        X = embed_batch(dataset.images[start:stop], dataset.labels[start:stop], codebook)
+        latents[start:stop] = runner(layer, X)
     return LatentDump(latents, dataset.labels.copy(), model_tag)
 
 

@@ -14,18 +14,15 @@ event-driven: only the synapses of inputs that spiked are touched.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .analog import DenseLayer, EpochStats, TrainConfig, _RunningStats, check_finite, partition_for
+from .analog import DenseLayer, EpochStats, TrainConfig, partition_for, run_epochs
 from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
-from .data import ExperimentData, batches, pair_codes
+from .data import ExperimentData
 from .errors import ConfigError, DataError, require
-
-logger = logging.getLogger(__name__)
 
 TRACE_KINDS = ("li", "hard_li", "relu")
 RESET_MODES = ("to_zero", "subtract")
@@ -372,25 +369,15 @@ def train_hebbian(
     partition = partition_for(prob_fn, spiking.n_out)
     layer = DenseLayer.initialize(data.input_dim, spiking.n_out, partition, config.seed)
     eligibility = EligibilityTrace.zeros(layer.weights.shape, spiking.tau_e)
-    pairs = 1 if mode == "online" else config.batch_size
-    log: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        stats = _RunningStats()
-        rng = np.random.default_rng([config.seed, epoch, 0x5E1])
-        for X in batches(data.train, data.codebook, pairs, config.seed, epoch):
-            codes = pair_codes(len(X))
-            rows = 1 if mode == "online" else len(X)
-            for i in range(0, len(X), rows):
-                x, c = X[i : i + rows], codes[i : i + rows]
-                final = simulate(layer, x, spiking, rng, c, prob_fn, eligibility, config.eta)
-                stats.update(final, c, probability_batch(final, prob_fn, partition))
-        check_finite(layer.weights, f"epoch {epoch}")
-        accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
-        entry = stats.finish(epoch, accuracy)
-        log.append(entry)
-        logger.info(
-            "hebbian(%s) epoch %d: loss=%.4f g+=%.3f g-=%.3f acc=%.4f",
-            mode, epoch, entry.train_loss, entry.mean_goodness_pos,
-            entry.mean_goodness_neg, entry.test_accuracy,
-        )
-    return layer, log
+    online = mode == "online"
+
+    def update(X, codes, rng, stats):
+        rows = 1 if online else len(X)
+        for i in range(0, len(X), rows):
+            x, c = X[i : i + rows], codes[i : i + rows]
+            final = simulate(layer, x, spiking, rng, c, prob_fn, eligibility, config.eta)
+            stats.update(final, c, probability_batch(final, prob_fn, partition))
+
+    # Online pairs one image per batch, each row of which updates alone.
+    loop_config = replace(config, batch_size=1) if online else config
+    return run_epochs(loop_config, data, layer, update, eval_fn, f"hebbian({mode})")

@@ -277,6 +277,20 @@ class TestErrorPaths:
         assert "error:config:" in err and key in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_checkpoint_polarity_split_must_match_prob(self, base_config, tmp_path, capsys,
+                                                       command):
+        # trained symmetric (split halves); sigmoid reads every neuron as positive
+        config, out_dir = base_config
+        run_cli("train", "--config", config, "--set", "experiment.epochs=1")
+        capsys.readouterr()
+        extra = ["--output", tmp_path / "latents.csv"] if command == "export" else []
+        code = run_cli(command, "--config", config, "--checkpoint", out_dir / "model.ffaw",
+                       "--set", "experiment.prob=sigmoid", *extra)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error:checkpoint:" in err and "polarity" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("train", "--config", tmp_path / "absent.ini")
         assert code == 2
