@@ -70,6 +70,14 @@ def write_epoch_log(path, log) -> None:
             )
 
 
+def final_accuracy(cfg: ExperimentConfig, data: ExperimentData, layer, log) -> float:
+    """The last epoch's test accuracy, or the layer's own score when no epoch logged one."""
+    final = log[-1].test_accuracy if log else float("nan")
+    if math.isnan(final):
+        final = metrics.accuracy(layer, data.test, data.codebook, build_runner(cfg), cfg.prob_fn())
+    return final
+
+
 def cmd_train(cfg: ExperimentConfig) -> int:
     data = prepare_data(cfg)
     layer, log = train_model(cfg, data)
@@ -79,11 +87,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     with atomic_write(out_dir / "config.ini") as f:
         f.write(serialize_config(cfg))
     write_epoch_log(out_dir / "log.csv", log)
-    final = log[-1].test_accuracy if log else float("nan")
-    if math.isnan(final):
-        runner = build_runner(cfg)
-        final = metrics.accuracy(layer, data.test, data.codebook, runner, cfg.prob_fn())
-    print(f"final test accuracy: {final:.4f}")
+    print(f"final test accuracy: {final_accuracy(cfg, data, layer, log):.4f}")
     return 0
 
 
@@ -133,10 +137,9 @@ def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> in
     return 0
 
 
-# --- grid search -----------------------------------------------------------
+# --- sweeps: grid search and reference tables -----------------------------
 
 _WORKER_DATA: ExperimentData | None = None
-_WORKER_CFG: ExperimentConfig | None = None
 
 
 def _map(fn, items, threads: int) -> list:
@@ -147,38 +150,48 @@ def _map(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-def _cell_config(cfg: ExperimentConfig, eta: float, tau_e: float) -> ExperimentConfig:
-    return replace(cfg, eta=eta, tau_e=tau_e, epochs=1)
-
-
-def _grid_cell(cell: tuple[float, float]) -> tuple[float, float, float, str]:
-    """1-epoch accuracy for one (eta, tau_e) cell; failures become flags."""
-    eta, tau_e = cell
-    cfg = _cell_config(_WORKER_CFG, eta, tau_e)
+def _train_cell(cfg: ExperimentConfig) -> tuple[float, FFAError | None]:
+    """Final accuracy of one config on the loaded data; a failure comes back as its error."""
     try:
         layer, log = train_model(cfg, _WORKER_DATA)
-        return eta, tau_e, log[-1].test_accuracy, "ok"
-    except DivergenceError:
-        return eta, tau_e, float("nan"), "diverged"
+        return final_accuracy(cfg, _WORKER_DATA, layer, log), None
     except FFAError as exc:
-        logger.warning("grid cell eta=%g tau_e=%g failed: %s", eta, tau_e, exc)
-        return eta, tau_e, float("nan"), "error"
+        return float("nan"), exc
+
+
+def _sweep(cfg: ExperimentConfig, cells: dict[str, ExperimentConfig], threads: int) -> list:
+    """``_train_cell`` of every named cell, in cell order, on one load of ``cfg``'s data.
+
+    Every cell passes the component rules before any cell trains.
+    """
+    global _WORKER_DATA
+    problems = [
+        f"{name}: " + "; ".join(broken)
+        for name, cell in cells.items()
+        if (broken := cell.problems())
+    ]
+    if problems:
+        raise ConfigError("invalid cells: " + " | ".join(problems))
+    _WORKER_DATA = prepare_data(cfg)
+    return _map(_train_cell, list(cells.values()), threads)
 
 
 def cmd_grid(cfg: ExperimentConfig, threads: int) -> int:
-    global _WORKER_DATA, _WORKER_CFG
-    cells = [(eta, tau_e) for eta in cfg.grid_eta for tau_e in cfg.grid_tau_e]
-    # Every cell passes the component rules before any cell trains.
-    problems = [
-        f"eta={eta!r} tau_e={tau_e!r}: " + "; ".join(broken)
-        for eta, tau_e in cells
-        if (broken := _cell_config(cfg, eta, tau_e).problems())
-    ]
-    if problems:
-        raise ConfigError("invalid grid cells: " + " | ".join(problems))
-    _WORKER_DATA = prepare_data(cfg)
-    _WORKER_CFG = cfg
-    rows = _map(_grid_cell, cells, threads)
+    cells = {
+        f"eta={eta!r} tau_e={tau_e!r}": replace(cfg, eta=eta, tau_e=tau_e, epochs=1)
+        for eta in cfg.grid_eta
+        for tau_e in cfg.grid_tau_e
+    }
+    rows = []
+    for cell, (acc, exc) in zip(cells.values(), _sweep(cfg, cells, threads)):
+        if exc is None:
+            status = "ok"
+        elif isinstance(exc, DivergenceError):
+            status = "diverged"
+        else:
+            logger.warning("grid cell eta=%g tau_e=%g failed: %s", cell.eta, cell.tau_e, exc)
+            status = "error"
+        rows.append((cell.eta, cell.tau_e, acc, status))
     # Descending accuracy; NaN rows sink to the bottom.
     rows.sort(key=lambda r: (math.isnan(r[2]), -(r[2] if not math.isnan(r[2]) else 0.0)))
     out_dir = Path(cfg.out_dir)
@@ -197,9 +210,6 @@ def cmd_grid(cfg: ExperimentConfig, threads: int) -> int:
     return 0
 
 
-# --- reproduction of the reference tables ----------------------------------
-
-
 def load_reference_table(name: str) -> list[dict]:
     text = resources.files("ffa").joinpath("reference_results.json").read_text()
     tables = json.loads(text)
@@ -208,43 +218,30 @@ def load_reference_table(name: str) -> list[dict]:
     return tables[name]
 
 
-def _reproduce_row(row: dict) -> tuple[dict, float | None, str]:
-    cfg = replace(
-        _WORKER_CFG,
-        model=row["model"],
-        prob=row["prob"],
-        trace=row.get("trace", _WORKER_CFG.trace),
-    )
-    try:
-        cfg = apply_overrides(cfg, row.get("hyper", {})).normalized()
-        cfg.validate()
-        layer, log = train_model(cfg, _WORKER_DATA)
-        return row, log[-1].test_accuracy * 100.0, "ok"
-    except FFAError as exc:
-        return row, None, f"{exc.category}: {exc}"
-
-
 def cmd_reproduce(cfg: ExperimentConfig, table: str, threads: int) -> int:
     rows = load_reference_table(table)
-    global _WORKER_DATA, _WORKER_CFG
-    _WORKER_DATA = prepare_data(cfg)
-    _WORKER_CFG = cfg
-    results = _map(_reproduce_row, rows, threads)
+    cells = {}
+    for row in rows:
+        name = "/".join(row[key] for key in ("model", "prob", "trace") if key in row)
+        cell = replace(cfg, model=row["model"], prob=row["prob"], trace=row.get("trace", cfg.trace))
+        cells[name] = apply_overrides(cell, row.get("hyper", {})).normalized()
+    results = _sweep(cfg, cells, threads)
     print(f"{'model':<16}{'prob':<11}{'trace':<9}{'measured':>9}{'reference':>10}{'delta':>8}")
     failures = []
-    for row, measured, status in results:
+    for row, (acc, exc) in zip(rows, results, strict=True):
         trace = row.get("trace", "-")
         ref = row["accuracy"]
-        if status == "ok":
+        if exc is None:
+            measured = acc * 100.0
             print(
                 f"{row['model']:<16}{row['prob']:<11}{trace:<9}"
                 f"{measured:>9.2f}{ref:>10.2f}{measured - ref:>8.2f}"
             )
         else:
-            failures.append((row, status))
+            failures.append((row, exc))
             print(f"{row['model']:<16}{row['prob']:<11}{trace:<9}{'failed':>9}{ref:>10.2f}{'-':>8}")
-    for row, status in failures:
-        print(f"failure: {row['model']}/{row['prob']}: {status}", file=sys.stderr)
+    for row, exc in failures:
+        print(f"failure: {row['model']}/{row['prob']}: {exc.category}: {exc}", file=sys.stderr)
     return 0 if not failures else 1
 
 

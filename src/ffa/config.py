@@ -67,33 +67,36 @@ def _ini(key: str, default):
 
 @dataclass
 class ExperimentConfig:
+    # A value that a component uses takes its default from that component's class.
     model: str = _ini("experiment.model", "analog")
     prob: str = _ini("experiment.prob", "symmetric")
-    trace: str = _ini("experiment.trace", "relu")
-    eta: float = _ini("experiment.eta", 0.01)
-    tau_e: float = _ini("experiment.tau_e", 0.999)
-    epochs: int = _ini("experiment.epochs", 10)
-    batch_size: int = _ini("experiment.batch_size", 50)
-    seed: int = _ini("experiment.seed", 0)
-    n_hidden: int = _ini("experiment.n_hidden", 200)
+    trace: str = _ini("experiment.trace", TraceConfig.kind)
+    eta: float = _ini("experiment.eta", TrainConfig.eta)
+    tau_e: float = _ini("experiment.tau_e", SpikingConfig.tau_e)
+    epochs: int = _ini("experiment.epochs", TrainConfig.epochs)
+    batch_size: int = _ini("experiment.batch_size", TrainConfig.batch_size)
+    seed: int = _ini("experiment.seed", TrainConfig.seed)
+    n_hidden: int = _ini("experiment.n_hidden", SpikingConfig.n_out)
     use_bias: bool = _ini("experiment.use_bias", False)
-    alpha: float = _ini("probability.alpha", 1.0)
-    theta: float = _ini("probability.theta", 2.0)
-    epsilon: float = _ini("probability.epsilon", 0.5)
-    symmetric_denominator: str = _ini("probability.symmetric_denominator", "match")
+    alpha: float = _ini("probability.alpha", SigmoidProb.alpha)
+    theta: float = _ini("probability.theta", SigmoidProb.theta)
+    epsilon: float = _ini("probability.epsilon", SymmetricProb.epsilon)
+    symmetric_denominator: str = _ini(
+        "probability.symmetric_denominator", SymmetricProb.denominator
+    )
     label_length: int = _ini("labels.length", 100)
     label_density: float = _ini("labels.density", 0.3)
     codebook_seed: int = _ini("labels.codebook_seed", 101)
-    lif_decay: float = _ini("lif.decay", 0.85)
-    lif_threshold: float = _ini("lif.threshold", 1.0)
-    lif_reset: str = _ini("lif.reset_mode", "to_zero")
-    lif_input_gain: float = _ini("lif.input_gain", 4.0)
-    trace_mu: float = _ini("trace.mu", 0.1)
-    trace_tau_o: float = _ini("trace.tau_o", 0.9)
-    encoder_scale: float = _ini("encoder.scale", 0.25)
-    encoder_steps: int = _ini("encoder.steps", 24)
-    active_window: int = _ini("encoder.active_window", 9)
-    modulation_window: str = _ini("encoder.modulation_window", "instantaneous")
+    lif_decay: float = _ini("lif.decay", LIFConfig.decay)
+    lif_threshold: float = _ini("lif.threshold", LIFConfig.threshold)
+    lif_reset: str = _ini("lif.reset_mode", LIFConfig.reset_mode)
+    lif_input_gain: float = _ini("lif.input_gain", LIFConfig.input_gain)
+    trace_mu: float = _ini("trace.mu", TraceConfig.mu)
+    trace_tau_o: float = _ini("trace.tau_o", TraceConfig.tau_o)
+    encoder_scale: float = _ini("encoder.scale", SpikeEncoderConfig.scale)
+    encoder_steps: int = _ini("encoder.steps", SpikeEncoderConfig.steps)
+    active_window: int = _ini("encoder.active_window", SpikeEncoderConfig.active_window)
+    modulation_window: str = _ini("encoder.modulation_window", SpikingConfig.modulation_window)
     grid_eta: tuple[float, ...] = _ini("grid.eta", (0.001, 0.01, 0.1, 1.0, 10.0))
     grid_tau_e: tuple[float, ...] = _ini("grid.tau_e", (0.999, 0.99, 0.9))
     data_dir: str = _ini("paths.data_dir", "data/mnist")

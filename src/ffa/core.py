@@ -79,14 +79,6 @@ class PolarityPartition:
     def n(self) -> int:
         return self.pos_mask.size
 
-    @property
-    def pos_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.pos_mask)
-
-    @property
-    def neg_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.pos_mask)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PolarityPartition) and np.array_equal(
             self.pos_mask, other.pos_mask

@@ -3,7 +3,6 @@ import pytest
 
 from ffa import cli
 from ffa.checkpoint import load_checkpoint
-from ffa.config import ExperimentConfig
 from ffa.metrics import read_latents
 from tests.conftest import write_idx_images, write_idx_labels
 
@@ -141,13 +140,17 @@ class TestGrid:
         assert accs == sorted(accs, reverse=True)
         assert "best cell:" in capsys.readouterr().out
 
-    def test_parallel_workers(self, base_config):
-        config, out_dir = base_config
-        assert run_cli("grid", "--config", config, "--threads", 2,
-                       "--set", "grid.eta=0.005, 0.02",
-                       "--set", "grid.tau_e=0.9") == 0
-        rows = (out_dir / "grid.csv").read_text().splitlines()
-        assert len(rows) == 3
+    def test_parallel_workers(self, base_config, tmp_path):
+        config, _ = base_config
+        grids = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            assert run_cli("grid", "--config", config, "--threads", threads, "--out-dir", out,
+                           "--set", "grid.eta=0.005, 0.02",
+                           "--set", "grid.tau_e=0.9") == 0
+            grids.append((out / "grid.csv").read_bytes())
+        assert len(grids[1].splitlines()) == 3
+        assert grids[0] == grids[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cells_flagged_but_command_succeeds(self, base_config, capsys):
@@ -220,14 +223,59 @@ class TestReproduce:
         with pytest.raises(SystemExit):
             run_cli("reproduce", "--table", "table9")
 
-    @pytest.mark.parametrize("hyper", [{"experiment.eta": "nan"}, {"experiment.use_bias": "true"}])
-    def test_row_overrides_validated_before_training(self, synthetic_data, monkeypatch, hyper):
-        monkeypatch.setattr(cli, "_WORKER_DATA", synthetic_data)
-        monkeypatch.setattr(cli, "_WORKER_CFG", ExperimentConfig(epochs=1, n_hidden=16))
-        row = {"model": "hebbian", "prob": "symmetric", "accuracy": 0.0, "hyper": hyper}
-        _, measured, status = cli._reproduce_row(row)
-        assert measured is None
-        assert status.startswith("config")
+    def test_zero_epochs_scores_initial_layer(self, base_config, capsys):
+        config, _ = base_config
+        assert run_cli("reproduce", "--table", "table1", "--config", config,
+                       "--set", "experiment.epochs=0",
+                       "--set", "experiment.n_hidden=12") == 0
+        out = capsys.readouterr().out
+        lines = [l for l in out.splitlines() if l and not l.startswith("model")]
+        assert len(lines) == 6
+        assert not any("failed" in l for l in lines)
+
+    def test_parallel_matches_serial(self, base_config, capsys):
+        config, _ = base_config
+        outs = []
+        for threads in (1, 2):
+            assert run_cli("reproduce", "--table", "table1", "--config", config,
+                           "--threads", threads,
+                           "--set", "experiment.epochs=1",
+                           "--set", "experiment.n_hidden=12") == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_invalid_rows_rejected_before_training(self, base_config, capsys, monkeypatch):
+        config, _ = base_config
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: trained.append(args))
+        code = run_cli("reproduce", "--table", "table1", "--config", config,
+                       "--set", "experiment.use_bias=true")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:config:")
+        for row in ("hebbian/sigmoid", "hebbian/symmetric",
+                    "hebbian_online/sigmoid", "hebbian_online/symmetric"):
+            assert f"{row}: use_bias" in captured.err
+        assert "analog/" not in captured.err
+        assert captured.out == ""
+        assert trained == []
+
+    def test_non_finite_row_hyper_rejected_before_training(self, base_config, capsys,
+                                                           monkeypatch):
+        config, _ = base_config
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: trained.append(args))
+        rows = [
+            {"model": "analog", "prob": "sigmoid", "accuracy": 0.0},
+            {"model": "hebbian", "prob": "symmetric", "accuracy": 0.0,
+             "hyper": {"experiment.eta": "nan"}},
+        ]
+        monkeypatch.setattr(cli, "load_reference_table", lambda name: rows)
+        code = run_cli("reproduce", "--table", "table1", "--config", config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and "experiment.eta" in err
+        assert trained == []
 
 
 class TestErrorPaths:

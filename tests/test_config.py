@@ -3,14 +3,18 @@ from dataclasses import fields, replace
 
 import pytest
 
+from ffa.analog import TrainConfig
 from ffa.config import (
+    PROBS,
     ExperimentConfig,
     apply_overrides,
     parse_config_text,
     serialize_config,
 )
 from ffa.core import SigmoidProb, SymmetricProb
+from ffa.data import LabelCodebook
 from ffa.errors import ConfigError
+from ffa.spiking import SpikingConfig
 
 SAMPLE = """
 [experiment]
@@ -313,3 +317,13 @@ class TestBuilders:
     def test_mode(self):
         assert ExperimentConfig(model="analog").mode() == "batch"
         assert ExperimentConfig(model="hebbian_online").mode() == "online"
+
+    def test_defaults_are_the_components_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.spiking_config() == SpikingConfig()
+        assert cfg.codebook() == LabelCodebook()
+        # the config's default prob is symmetric; TrainConfig's is sigmoid
+        assert replace(cfg.train_config(), prob_fn=SigmoidProb()) == TrainConfig()
+        defaults = {"sigmoid": SigmoidProb(), "symmetric": SymmetricProb()}
+        for prob in PROBS:
+            assert replace(cfg, prob=prob).prob_fn() == defaults[prob]
