@@ -44,7 +44,6 @@ from .metrics import (
     LatentDump,
     MetricReport,
     accuracy,
-    classify,
     export_latents,
     hoyer_index,
     separability_index,

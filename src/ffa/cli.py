@@ -159,16 +159,17 @@ def _train_cell(cfg: ExperimentConfig) -> tuple[float, FFAError | None]:
         return float("nan"), exc
 
 
-def _sweep(cfg: ExperimentConfig, cells: dict[str, ExperimentConfig], threads: int) -> list:
+def _sweep(cfg: ExperimentConfig, cells: dict[str, ExperimentConfig | ConfigError],
+           threads: int) -> list:
     """``_train_cell`` of every named cell, in cell order, on one load of ``cfg``'s data.
 
-    Every cell passes the component rules before any cell trains.
+    Every cell passes the component rules before any cell trains; a ConfigError cell did not parse.
     """
     global _WORKER_DATA
     problems = [
         f"{name}: " + "; ".join(broken)
         for name, cell in cells.items()
-        if (broken := cell.problems())
+        if (broken := [str(cell)] if isinstance(cell, ConfigError) else cell.problems())
     ]
     if problems:
         raise ConfigError("invalid cells: " + " | ".join(problems))
@@ -224,7 +225,10 @@ def cmd_reproduce(cfg: ExperimentConfig, table: str, threads: int) -> int:
     for row in rows:
         name = "/".join(row[key] for key in ("model", "prob", "trace") if key in row)
         cell = replace(cfg, model=row["model"], prob=row["prob"], trace=row.get("trace", cfg.trace))
-        cells[name] = apply_overrides(cell, row.get("hyper", {})).normalized()
+        try:
+            cells[name] = apply_overrides(cell, row.get("hyper", {})).normalized()
+        except ConfigError as exc:
+            cells[name] = exc
     results = _sweep(cfg, cells, threads)
     print(f"{'model':<16}{'prob':<11}{'trace':<9}{'measured':>9}{'reference':>10}{'delta':>8}")
     failures = []

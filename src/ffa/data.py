@@ -29,7 +29,7 @@ _TEST_LABELS = ("t10k-labels-idx1-ubyte", "t10k-labels.idx1-ubyte")
 
 @dataclass
 class Dataset:
-    """Flat images in [0, 1] plus integer labels."""
+    """Flat images in [0, 1] plus integer labels in 0-9."""
 
     images: np.ndarray  # [N, D] float64
     labels: np.ndarray  # [N] int64
@@ -41,6 +41,8 @@ class Dataset:
             raise DataError(
                 f"images/labels shape mismatch: {self.images.shape} vs {self.labels.shape}"
             )
+        if np.any((self.labels < 0) | (self.labels > 9)):
+            raise DataError(f"labels outside 0-9: {np.setdiff1d(self.labels, range(10)).tolist()}")
 
     def __len__(self) -> int:
         return self.images.shape[0]

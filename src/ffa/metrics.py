@@ -58,17 +58,29 @@ def goodness_scores(
     return sq[:, layer.partition.pos_mask].sum(axis=1)
 
 
-def classify(
+def scan(
     layer: DenseLayer,
-    image: np.ndarray,
+    dataset: Dataset,
     codebook: LabelCodebook,
     runner: LatentRunner,
     prob_fn: ProbabilityFn,
-) -> int:
-    """Goodness-scan prediction for one image; ties go to the lowest label."""
-    stack = np.stack([np.concatenate([image, codebook.vectors[c]]) for c in range(10)])
-    latents = runner(layer, stack)
-    return int(np.argmax(goodness_scores(latents, prob_fn, layer)))
+    chunk: int = 2000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Goodness-scan predictions [Q], ties to the lowest label, and the latents [Q, n] it
+    scored for each row's true label: per chunk, label c's pass gives the rows labelled c.
+    """
+    predictions = np.empty(len(dataset), dtype=np.int64)
+    true_latents = np.empty((len(dataset), layer.n_out))
+    for start in range(0, len(dataset), chunk):
+        rows = slice(start, start + chunk)
+        images, labels = dataset.images[rows], dataset.labels[rows]
+        scores = np.empty((images.shape[0], 10))
+        for c in range(10):
+            latents = runner(layer, embed_batch(images, c, codebook))
+            scores[:, c] = goodness_scores(latents, prob_fn, layer)
+            true_latents[rows][labels == c] = latents[labels == c]
+        predictions[rows] = np.argmax(scores, axis=1)
+    return predictions, true_latents
 
 
 def accuracy(
@@ -77,19 +89,10 @@ def accuracy(
     codebook: LabelCodebook,
     runner: LatentRunner,
     prob_fn: ProbabilityFn,
-    chunk: int = 2000,
 ) -> float:
-    """Goodness-scan accuracy over a dataset, evaluated in chunks."""
-    hits = 0
-    for start in range(0, len(dataset), chunk):
-        images = dataset.images[start : start + chunk]
-        labels = dataset.labels[start : start + chunk]
-        scores = np.empty((images.shape[0], 10))
-        for c in range(10):
-            latents = runner(layer, embed_batch(images, c, codebook))
-            scores[:, c] = goodness_scores(latents, prob_fn, layer)
-        hits += int((np.argmax(scores, axis=1) == labels).sum())
-    return hits / len(dataset)
+    """Goodness-scan accuracy over a dataset."""
+    predictions, _ = scan(layer, dataset, codebook, runner, prob_fn)
+    return int((predictions == dataset.labels).sum()) / len(dataset)
 
 
 @dataclass
@@ -115,7 +118,7 @@ def collect_latents(
     model_tag: str = "",
     chunk: int = 2000,
 ) -> LatentDump:
-    """Latents of every sample with its true label embedded."""
+    """Latents of every sample with its true label embedded, in one pass per chunk."""
     latents = np.empty((len(dataset), layer.n_out))
     for start in range(0, len(dataset), chunk):
         stop = start + chunk
@@ -125,35 +128,27 @@ def collect_latents(
 
 
 def hoyer_index(latent: np.ndarray) -> float:
-    """Normalized L1/L2 sparsity in [0, 1]: 0 uniform, 1 one-hot.
-
-    The all-zero vector is 0/0 under the formula and is defined as 1.0
-    (maximally sparse) so metric sweeps survive dead latents.
-    """
+    """Normalized L1/L2 sparsity of one vector in [0, 1]: 0 uniform, 1 one-hot."""
     latent = np.asarray(latent, dtype=np.float64)
-    n = latent.size
-    if n < 2:
-        raise ValueError("hoyer index needs at least 2 components")
-    l2 = math.sqrt(float(np.dot(latent, latent)))
-    if l2 == 0.0:
-        return 1.0
-    l1 = float(np.abs(latent).sum())
-    root_n = math.sqrt(n)
-    return (root_n - l1 / l2) / (root_n - 1.0)
+    if latent.ndim != 1 or latent.size < 2:
+        raise ValueError("hoyer index needs a vector of at least 2 components")
+    return hoyer_summary(latent)[0]
 
 
 def hoyer_summary(latents: np.ndarray) -> tuple[float, float, int]:
-    """Mean and std of the index over rows, plus the count of dead latents."""
+    """Mean and std of the Hoyer index over rows, plus the count of dead latents.
+
+    An all-zero row is 0/0 under the formula and is defined as 1.0
+    (maximally sparse) so metric sweeps survive dead latents.
+    """
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
-    n = latents.shape[1]
     l2 = np.sqrt(np.einsum("qj,qj->q", latents, latents))
     l1 = np.abs(latents).sum(axis=1)
-    dead = l2 == 0.0
-    root_n = math.sqrt(n)
+    root_n = math.sqrt(latents.shape[1])
+    alive = l2 != 0.0
     values = np.ones(latents.shape[0])
-    alive = ~dead
     values[alive] = (root_n - l1[alive] / l2[alive]) / (root_n - 1.0)
-    return float(values.mean()), float(values.std()), int(dead.sum())
+    return float(values.mean()), float(values.std()), int((~alive).sum())
 
 
 def separability_index(dump: LatentDump, k_nn: int = 5, chunk: int = 256) -> float:
@@ -192,15 +187,13 @@ def read_latents(path) -> LatentDump:
         header = f.readline().strip()
         if not header.startswith("label,"):
             raise DataError(f"{path}: not a latent CSV")
-        labels = []
-        rows = []
+        labels, rows = [], []
         for line in f:
             parts = line.rstrip("\n").split(",")
             labels.append(int(parts[0]))
             rows.append([float(v) for v in parts[1:]])
-    n_cols = header.count(",")
-    latents = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, n_cols))
-    return LatentDump(latents.reshape(len(labels), -1) if rows else latents, np.asarray(labels, dtype=np.int64))
+    latents = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, header.count(",")))
+    return LatentDump(latents, labels)
 
 
 @dataclass
@@ -232,12 +225,12 @@ def evaluate(
     codebook: LabelCodebook,
     runner: LatentRunner,
     prob_fn: ProbabilityFn,
-    k_nn: int = 5,
     model_tag: str = "",
 ) -> tuple[MetricReport, LatentDump]:
-    """Accuracy plus latent-geometry metrics on one split."""
-    acc = accuracy(layer, dataset, codebook, runner, prob_fn)
-    dump = collect_latents(layer, dataset, codebook, runner, model_tag)
+    """Accuracy plus the geometry metrics of the true-label latents that one scan scored."""
+    predictions, latents = scan(layer, dataset, codebook, runner, prob_fn)
+    acc = int((predictions == dataset.labels).sum()) / len(dataset)
+    dump = LatentDump(latents, dataset.labels.copy(), model_tag)
     h_mean, h_std, n_dead = hoyer_summary(dump.latents)
-    si = separability_index(dump, k_nn=k_nn)
+    si = separability_index(dump)
     return MetricReport(acc, h_mean, h_std, si, n_dead, model_tag), dump

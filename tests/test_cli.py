@@ -275,6 +275,7 @@ class TestReproduce:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:config:") and "experiment.eta" in err
+        assert "invalid cells: hebbian/symmetric:" in err
         assert trained == []
 
 

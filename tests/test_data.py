@@ -69,8 +69,14 @@ class TestIdxParsing:
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "labels"
         write_idx_labels(path, np.array([1, 2, 11], dtype=np.uint8))
-        with pytest.raises(DataError, match="0-9"):
+        with pytest.raises(DataError, match="0-9") as raised:
             read_idx_labels(path)
+        assert str(path) in str(raised.value)
+
+    @pytest.mark.parametrize("labels", [[10, -1], [3, 10], [-1]])
+    def test_dataset_rejects_labels_outside_0_9(self, labels):
+        with pytest.raises(DataError, match="labels outside 0-9"):
+            Dataset(np.zeros((len(labels), 4)), labels)
 
     def test_load_mnist_layout(self, idx_dataset_dir):
         train, test = load_mnist(idx_dataset_dir)

@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffa.analog import DenseLayer
-from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
-from ffa.data import Dataset, LabelCodebook
+from ffa.analog import DenseLayer, forward
+from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb, goodness, partition_goodness
+from ffa.data import Dataset, LabelCodebook, embed
 from ffa.errors import DataError
 from ffa.metrics import (
     LatentDump,
     accuracy,
     analog_runner,
-    classify,
     collect_latents,
     evaluate,
     export_latents,
+    goodness_scores,
     hoyer_index,
     hoyer_summary,
     read_latents,
+    scan,
     separability_index,
     spiking_runner,
 )
@@ -164,24 +165,35 @@ def trained_like_layer(rng, n_out, n_in):
                       PolarityPartition.split_halves(n_out))
 
 
+def oracle_prediction(layer, image, book, prob):
+    """Per-image goodness scan: ten embedded rows, one forward each, argmax."""
+    latents = [forward(layer, embed(image, c, book))[1] for c in range(10)]
+    if isinstance(prob, SigmoidProb):
+        scores = [goodness(h) for h in latents]
+    else:
+        scores = [partition_goodness(h, layer.partition)[0] for h in latents]
+    return int(np.argmax(scores))
+
+
 class TestClassify:
     def test_all_zero_weights_tie_breaks_to_label_zero(self):
         book = LabelCodebook(length=8, density=0.3, seed=3)
         layer = DenseLayer(np.zeros((6, 18)), PolarityPartition.all_positive(6))
-        pred = classify(layer, np.zeros(10), book, analog_runner(), SigmoidProb())
-        assert pred == 0
+        images = Dataset(np.zeros((3, 10)), [3, 0, 9])
+        predictions, _ = scan(layer, images, book, analog_runner(), SigmoidProb())
+        assert predictions.tolist() == [0, 0, 0]
 
     def test_weight_rescaling_invariance(self):
         rng = np.random.default_rng(7)
         book = LabelCodebook(length=8, density=0.3, seed=3)
         layer = trained_like_layer(rng, 12, 18)
-        images = rng.uniform(0, 1, size=(25, 10))
+        images = Dataset(rng.uniform(0, 1, size=(25, 10)), rng.integers(0, 10, 25))
         runner = analog_runner()
+        scaled = DenseLayer(3.7 * layer.weights, layer.partition)
         for prob in (SigmoidProb(), SymmetricProb()):
-            before = [classify(layer, img, book, runner, prob) for img in images]
-            scaled = DenseLayer(3.7 * layer.weights, layer.partition)
-            after = [classify(scaled, img, book, runner, prob) for img in images]
-            assert before == after
+            before, _ = scan(layer, images, book, runner, prob)
+            after, _ = scan(scaled, images, book, runner, prob)
+            assert np.array_equal(before, after)
 
     def test_untrained_accuracy_near_chance(self, synthetic_data):
         rng = np.random.default_rng(8)
@@ -190,28 +202,82 @@ class TestClassify:
                        analog_runner(), SymmetricProb())
         assert 0.02 <= acc <= 0.25
 
-    def test_accuracy_agrees_with_classify_loop(self, synthetic_data):
+    @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()])
+    def test_accuracy_agrees_with_classify_loop(self, synthetic_data, prob):
         rng = np.random.default_rng(9)
         layer = trained_like_layer(rng, 20, 120)
         data = synthetic_data.test
         sub = Dataset(data.images[:40], data.labels[:40])
-        prob = SigmoidProb()
-        acc = accuracy(layer, sub, synthetic_data.codebook, analog_runner(), prob, chunk=16)
-        preds = [
-            classify(layer, img, synthetic_data.codebook, analog_runner(), prob)
-            for img in sub.images
-        ]
-        assert acc == np.mean(np.asarray(preds) == sub.labels)
+        predictions, _ = scan(layer, sub, synthetic_data.codebook, analog_runner(), prob, chunk=16)
+        book = synthetic_data.codebook
+        oracle = [oracle_prediction(layer, img, book, prob) for img in sub.images]
+        assert predictions.tolist() == oracle
+        acc = accuracy(layer, sub, synthetic_data.codebook, analog_runner(), prob)
+        assert acc == np.mean(np.asarray(oracle) == sub.labels)
 
     def test_spiking_runner_deterministic_per_seed(self):
         rng = np.random.default_rng(10)
         book = LabelCodebook(length=8, density=0.3, seed=3)
         layer = trained_like_layer(rng, 10, 18)
         spk = SpikingConfig(n_out=10, encoder=SpikeEncoderConfig(steps=6, active_window=2))
-        img = rng.uniform(0, 1, 10)
-        a = classify(layer, img, book, spiking_runner(spk, seed=4), SigmoidProb())
-        b = classify(layer, img, book, spiking_runner(spk, seed=4), SigmoidProb())
-        assert a == b
+        images = Dataset(rng.uniform(0, 1, size=(5, 10)), [1, 4, 4, 0, 9])
+        a = scan(layer, images, book, spiking_runner(spk, seed=4), SigmoidProb())
+        b = scan(layer, images, book, spiking_runner(spk, seed=4), SigmoidProb())
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def recording(runner):
+    """The runner, plus the list of latents it returned, one entry per call."""
+    calls = []
+
+    def run(layer, X):
+        calls.append(runner(layer, X))
+        return calls[-1]
+
+    return run, calls
+
+
+class TestScan:
+    SPIKING = SpikingConfig(n_out=14, encoder=SpikeEncoderConfig(steps=12, active_window=4))
+
+    def test_evaluate_runs_ten_passes_per_chunk(self, synthetic_data):
+        layer = trained_like_layer(np.random.default_rng(13), 14, 120)
+        sub = Dataset(synthetic_data.test.images[:50], synthetic_data.test.labels[:50])
+        runner, calls = recording(analog_runner())
+        evaluate(layer, sub, synthetic_data.codebook, runner, SigmoidProb())
+        assert len(calls) == 10
+        runner, calls = recording(analog_runner())
+        scan(layer, sub, synthetic_data.codebook, runner, SigmoidProb(), chunk=16)
+        assert len(calls) == 40
+
+    @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()])
+    def test_spiking_report_latents_are_the_scored_ones(self, synthetic_data, prob):
+        layer = trained_like_layer(np.random.default_rng(14), 14, 120)
+        sub = Dataset(synthetic_data.test.images[:60], synthetic_data.test.labels[:60])
+        runner, calls = recording(spiking_runner(self.SPIKING, seed=5))
+        _, dump = evaluate(layer, sub, synthetic_data.codebook, runner, prob)
+        scored = np.array([
+            goodness_scores(calls[label][q : q + 1], prob, layer)[0]
+            for q, label in enumerate(sub.labels)
+        ])
+        assert np.any(scored > 0)
+        assert np.array_equal(goodness_scores(dump.latents, prob, layer), scored)
+
+    def test_evaluate_accuracy_equals_accuracy_spiking(self, synthetic_data):
+        layer = trained_like_layer(np.random.default_rng(15), 14, 120)
+        sub = Dataset(synthetic_data.test.images[:60], synthetic_data.test.labels[:60])
+        book, prob = synthetic_data.codebook, SymmetricProb()
+        report, _ = evaluate(layer, sub, book, spiking_runner(self.SPIKING, seed=6), prob)
+        same_seed = spiking_runner(self.SPIKING, seed=6)
+        assert report.accuracy == accuracy(layer, sub, book, same_seed, prob)
+
+    def test_analog_latents_equal_collect_latents(self, synthetic_data):
+        layer = trained_like_layer(np.random.default_rng(16), 14, 120)
+        sub = Dataset(synthetic_data.test.images[:90], synthetic_data.test.labels[:90])
+        _, dump = evaluate(layer, sub, synthetic_data.codebook, analog_runner(), SigmoidProb())
+        direct = collect_latents(layer, sub, synthetic_data.codebook, analog_runner())
+        assert np.array_equal(dump.latents, direct.latents)
+        assert np.array_equal(dump.labels, direct.labels)
 
 
 class TestCollectAndEvaluate:
@@ -220,9 +286,6 @@ class TestCollectAndEvaluate:
         layer = trained_like_layer(rng, 14, 120)
         sub = Dataset(synthetic_data.test.images[:30], synthetic_data.test.labels[:30])
         dump = collect_latents(layer, sub, synthetic_data.codebook, analog_runner(), "tag")
-        from ffa.analog import forward
-        from ffa.data import embed
-
         for q in (0, 7, 29):
             x = embed(sub.images[q], int(sub.labels[q]), synthetic_data.codebook)
             _, latent = forward(layer, x)
