@@ -169,14 +169,16 @@ class LabelCodebook:
 
 def embed(image: np.ndarray, label: int, codebook: LabelCodebook) -> np.ndarray:
     """Append the label's codeword to a flat image."""
-    if not 0 <= label <= 9:
-        raise DataError(f"label {label} outside 0-9")
-    return np.concatenate([np.asarray(image, dtype=np.float64), codebook.vectors[label]])
+    return embed_batch(np.asarray(image)[None, :], label, codebook)[0]
 
 
 def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarray:
     """Append to every row of an image stack the codeword of one label, or of its own label."""
     images = np.asarray(images, dtype=np.float64)
+    labels = np.asarray(labels)
+    if labels.size and not 0 <= labels.min() <= labels.max() <= 9:
+        bad = labels[(labels < 0) | (labels > 9)].flat[0]
+        raise DataError(f"label {bad} outside 0-9")
     suffix = np.broadcast_to(codebook.vectors[labels], (images.shape[0], codebook.length))
     return np.hstack([images, suffix])
 

@@ -151,23 +151,68 @@ def hoyer_summary(latents: np.ndarray) -> tuple[float, float, int]:
     return float(values.mean()), float(values.std()), int((~alive).sum())
 
 
+# Query rows per exact recompute; their union of candidate columns stays near 8 * k_nn.
+_RECOMPUTE_ROWS = 8
+
+
+def _screen_error_bound(n: int, sq_norms: np.ndarray) -> np.ndarray:
+    """Per query row a, a bound E_a >= |screen - cdist| over every pair (a, b) of n features.
+
+    With g(m) = m*u / (1 - m*u) and u the unit roundoff, the two squared norms
+    together err by at most g(n)(|a|^2 + |b|^2), and so does twice the dot product
+    (2|a||b| <= |a|^2 + |b|^2); the screen's two final roundings add at most
+    4u(1 + g(n))(|a|^2 + |b|^2), and cdist's feature-order sum errs by at most
+    g(n+2)|a - b|^2 <= 2g(n+2)(|a|^2 + |b|^2).  In all that is below
+    g(4n + 16)(|a|^2 + |b|^2), and |b|^2 <= max |b|^2.  The factor 2 covers the
+    rounding of the norms, of this bound and of the threshold; the absolute term
+    covers underflow, gradual or flushed to zero, in the 4n products.
+    """
+    u = np.finfo(np.float64).eps / 2
+    m = 4 * n + 16
+    gamma = m * u / (1 - m * u)
+    return 2 * gamma * (sq_norms + sq_norms.max()) + m * np.finfo(np.float64).tiny
+
+
 def separability_index(dump: LatentDump, k_nn: int = 5, chunk: int = 256) -> float:
     """Mean fraction of the k nearest latent neighbors sharing the true label.
 
-    Exact brute-force Euclidean neighbors, query point excluded; exact
-    distance ties resolve in index order.
+    Exact Euclidean neighbors, query point excluded: the distance is scipy's
+    ``cdist(..., "sqeuclidean")``, a sum of squared differences in feature order,
+    and exact distance ties resolve in index order.  Per chunk of query rows, one
+    GEMM screen ``|a|^2 + |b|^2 - 2 a.b`` finds each row's k-th screened distance t;
+    only columns screened within 2E of t can be among the k nearest, where E bounds
+    the rounding gap between screen and cdist (see ``_screen_error_bound``).  Those
+    candidates are recomputed with cdist and sorted, so the result equals a full
+    sort of every cdist distance bit for bit.  If every row ties, every column is a
+    candidate.  Latents need finite squared norms below 1/4 of the float64 maximum.
     """
     latents, labels = dump.latents, dump.labels
-    q = latents.shape[0]
-    if q <= k_nn:
-        raise DataError(f"need more than k_nn={k_nn} samples, got {q}")
+    q, n = latents.shape
+    if not 1 <= k_nn < q:
+        raise DataError(f"need 1 <= k_nn < samples, got k_nn={k_nn} and {q} samples")
+    sq_norms = np.einsum("qj,qj->q", latents, latents)
+    if not np.isfinite(4.0 * sq_norms.max()):
+        raise DataError("latents must be finite, with squared norms below 4.4e307")
+    margin = 2.0 * _screen_error_bound(n, sq_norms)
     matches = 0
     for start in range(0, q, chunk):
         stop = min(start + chunk, q)
-        d = cdist(latents[start:stop], latents, "sqeuclidean")
-        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        neighbors = np.argsort(d, axis=1, kind="stable")[:, :k_nn]
-        matches += int((labels[neighbors] == labels[start:stop, None]).sum())
+        screen = latents[start:stop] @ latents.T
+        screen *= -2.0
+        screen += sq_norms[start:stop, None]
+        screen += sq_norms
+        screen[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        kth = np.partition(screen, k_nn - 1, axis=1)[:, k_nn - 1]
+        candidates = screen <= (kth + margin[start:stop])[:, None]
+        for offset in range(0, stop - start, _RECOMPUTE_ROWS):
+            mask = candidates[offset : offset + _RECOMPUTE_ROWS]
+            rows = slice(start + offset, start + offset + mask.shape[0])
+            columns = np.flatnonzero(mask.any(axis=0))
+            d = cdist(latents[rows], latents[columns], "sqeuclidean")
+            d[~mask[:, columns]] = np.inf
+            # columns ascend, so a stable sort breaks distance ties in index order
+            neighbors = columns[np.argsort(d, axis=1, kind="stable")[:, :k_nn]]
+            matches += int((labels[neighbors] == labels[rows, None]).sum())
     return matches / (q * k_nn)
 
 
@@ -182,18 +227,26 @@ def export_latents(dump: LatentDump, path) -> None:
 
 
 def read_latents(path) -> LatentDump:
-    """Read a latent CSV back (external tools consume the same format)."""
+    """Read a latent CSV back (external tools consume the same format).
+
+    Every row must hold a label and as many values as the header names.
+    """
     with open(path) as f:
         header = f.readline().strip()
         if not header.startswith("label,"):
             raise DataError(f"{path}: not a latent CSV")
+        width = header.count(",")
         labels, rows = [], []
-        for line in f:
+        for number, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(",")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    latents = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, header.count(",")))
-    return LatentDump(latents, labels)
+            if len(parts) != width + 1:
+                raise DataError(f"{path}:{number}: expected {width} values, got {len(parts) - 1}")
+            try:
+                labels.append(int(parts[0]))
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{number}: {exc}") from None
+    return LatentDump(np.asarray(rows, dtype=np.float64).reshape(len(rows), width), labels)
 
 
 @dataclass

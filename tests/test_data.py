@@ -163,12 +163,21 @@ class TestEmbedding:
         with pytest.raises(DataError):
             embed(np.zeros(5), 10, book)
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_batch_rejects_bad_label_scalar_and_per_row(self, bad):
+        book = LabelCodebook(length=20, density=0.3, seed=3)
+        with pytest.raises(DataError, match=f"label {bad} outside 0-9"):
+            embed_batch(np.zeros((1, 3)), bad, book)
+        with pytest.raises(DataError, match=f"label {bad} outside 0-9"):
+            embed_batch(np.zeros((3, 3)), np.array([2, bad, 9]), book)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         book = LabelCodebook(length=8, density=0.3, seed=3)
         images = rng.uniform(0, 1, size=(6, 10))
         stacked = embed_batch(images, 5, book)
         for b in range(6):
+            assert np.array_equal(stacked[b], np.concatenate([images[b], book.vectors[5]]))
             assert np.array_equal(stacked[b], embed(images[b], 5, book))
 
     def test_batch_one_label_per_row(self):
@@ -178,7 +187,7 @@ class TestEmbedding:
         labels = np.array([4, 0, 9, 4, 2, 7])
         stacked = embed_batch(images, labels, book)
         for b in range(6):
-            assert np.array_equal(stacked[b], embed(images[b], labels[b], book))
+            assert np.array_equal(stacked[b], np.concatenate([images[b], book.vectors[labels[b]]]))
 
 
 def embedded_labels(X: np.ndarray, book: LabelCodebook) -> np.ndarray:

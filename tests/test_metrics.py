@@ -73,6 +73,53 @@ def brute_force_si(latents, labels, k):
     return matches / (q * k)
 
 
+def feature_order_si(latents, labels, k):
+    """kNN oracle on the textbook distance: squared differences summed in feature
+    order (the order cdist uses), then a full sort with ties broken by index."""
+    q = len(labels)
+    d = np.zeros((q, q))
+    for column in latents.T:
+        diff = column[:, None] - column[None, :]
+        d += diff * diff
+    np.fill_diagonal(d, np.inf)
+    nearest = np.lexsort((np.broadcast_to(np.arange(q), d.shape), d))[:, :k]
+    return int((labels[nearest] == labels[:, None]).sum()) / (q * k)
+
+
+def spiking_like(rng, q, n, mu=0.1, steps=24):
+    """Relu output traces: mu times a spike, accumulated step by step."""
+    trace = np.zeros((q, n))
+    rate = rng.uniform(0.0, 0.5, size=(q, n))
+    for _ in range(steps):
+        trace = mu * (rng.random((q, n)) < rate) + trace
+    return trace
+
+
+def near_tie_triples(rng, clusters=40, n=8, offset=1e3):
+    """Per cluster a query and two neighbours at one distance up to the rounding of
+    their coordinates, far below the GEMM screen's rounding at this offset."""
+    rows = []
+    for i in range(clusters):
+        a = offset + 100.0 * i + rng.normal(size=n)
+        step = rng.normal(size=n)
+        rows += [a, a + step, a + step[::-1]]
+    return np.array(rows)
+
+
+ORACLE_CASES = {
+    "crosses_chunks": lambda rng: rng.normal(size=(700, 12)),
+    "duplicate_rows": lambda rng: np.vstack([rng.normal(size=(150, 10))] * 2),
+    "dead_rows": lambda rng: np.vstack(
+        [np.maximum(rng.normal(size=(250, 10)), 0.0), np.zeros((50, 10))]
+    ),
+    "integer_ties": lambda rng: rng.integers(0, 3, size=(300, 5)).astype(float),
+    "spiking_multiples_of_mu": lambda rng: spiking_like(rng, 300, 20),
+    "large_offset_and_scale": lambda rng: rng.normal(size=(300, 10)) * 1e6 + 1e3,
+    "large_offset_small_spread": lambda rng: rng.normal(size=(300, 10)) + 1e6,
+    "near_ties_below_screen_rounding": near_tie_triples,
+}
+
+
 class TestSeparabilityIndex:
     def test_single_label_is_one(self):
         rng = np.random.default_rng(0)
@@ -135,6 +182,31 @@ class TestSeparabilityIndex:
         with pytest.raises(DataError):
             separability_index(dump, k_nn=5)
 
+    def test_requires_positive_k(self):
+        dump = LatentDump(np.zeros((4, 2)), np.zeros(4, dtype=int))
+        with pytest.raises(DataError):
+            separability_index(dump, k_nn=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e155])
+    def test_rejects_latents_without_finite_squared_norms(self, bad):
+        latents = np.zeros((8, 3))
+        latents[2, 1] = bad
+        with pytest.raises(DataError):
+            separability_index(LatentDump(latents, np.zeros(8, dtype=int)))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("chunk", [97, 256])
+    def test_equals_feature_order_oracle(self, case, chunk):
+        rng = np.random.default_rng(sorted(ORACLE_CASES).index(case))
+        latents = ORACLE_CASES[case](rng)
+        # 0, 0, 1 per triple: the near-tie neighbours of a query differ in label
+        labels = np.arange(len(latents)) % 3 // 2
+        dump = LatentDump(latents, labels)
+        for k in (1, 5):
+            assert separability_index(dump, k_nn=k, chunk=chunk) == feature_order_si(
+                latents, labels, k
+            )
+
 
 class TestExport:
     def test_round_trip(self, tmp_path):
@@ -158,6 +230,16 @@ class TestExport:
         path = tmp_path / "latents.csv"
         export_latents(dump, path)
         assert len(path.read_text().splitlines()) == 14
+
+    @pytest.mark.parametrize(
+        "body", ["3,0.5\n4,0.25\n", "3,0.5,1.5\n4,0.25\n", "3,0.5,1.5\n4,0.25,1,2\n"]
+    )
+    def test_row_width_must_match_header(self, tmp_path, body):
+        path = tmp_path / "latents.csv"
+        path.write_text("label,h0,h1\n" + body)
+        line = 2 if body.startswith("3,0.5\n") else 3
+        with pytest.raises(DataError, match=f"latents.csv:{line}: expected 2 values"):
+            read_latents(path)
 
 
 def trained_like_layer(rng, n_out, n_in):
