@@ -216,7 +216,7 @@ def run_epochs(
     data: ExperimentData,
     layer: DenseLayer,
     update: Callable[[np.ndarray, np.ndarray, np.random.Generator, _RunningStats], None],
-    eval_fn: Optional[Callable[[DenseLayer], float]],
+    eval_fn: Optional[Callable[[DenseLayer, int], float]],
     name: str,
 ) -> tuple[DenseLayer, list[EpochStats]]:
     """The epoch protocol shared by every trainer.
@@ -224,8 +224,8 @@ def run_epochs(
     Each epoch hands every shuffled contrastive batch of ``data.train`` to
     ``update(X, codes, rng, stats)``, which moves ``layer`` in place, with a
     generator seeded by (seed, epoch); then it checks the weights are
-    finite, reports ``eval_fn`` (NaN in the log when omitted) and logs one
-    line under ``name``.
+    finite, reports ``eval_fn(layer, epoch)`` (NaN in the log when
+    omitted) and logs one line under ``name``.
     """
     log: list[EpochStats] = []
     for epoch in range(config.epochs):
@@ -234,7 +234,7 @@ def run_epochs(
         for X in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
             update(X, pair_codes(len(X)), rng, stats)
         check_finite(layer.weights, f"epoch {epoch}")
-        accuracy = eval_fn(layer) if eval_fn is not None else float("nan")
+        accuracy = eval_fn(layer, epoch) if eval_fn is not None else float("nan")
         entry = stats.finish(epoch, accuracy)
         log.append(entry)
         logger.info("%s epoch %d: loss=%.4f g+=%.3f g-=%.3f acc=%.4f", name, epoch,
@@ -245,7 +245,7 @@ def run_epochs(
 def train_analog(
     config: TrainConfig,
     data: ExperimentData,
-    eval_fn: Optional[Callable[[DenseLayer], float]] = None,
+    eval_fn: Optional[Callable[[DenseLayer, int], float]] = None,
     n_out: int = 200,
     use_bias: bool = False,
 ) -> tuple[DenseLayer, list[EpochStats]]:

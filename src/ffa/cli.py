@@ -35,20 +35,24 @@ def prepare_data(cfg: ExperimentConfig) -> ExperimentData:
     return ExperimentData(train, test, cfg.codebook())
 
 
-def build_runner(cfg: ExperimentConfig) -> metrics.LatentRunner:
+def build_runner(cfg: ExperimentConfig, epoch: int = 0) -> metrics.LatentRunner:
+    """The configured latent runner; a spiking one draws the stream keyed by (seed, epoch)."""
     if cfg.model == "analog":
         return metrics.analog_runner()
-    return metrics.spiking_runner(cfg.spiking_config(), cfg.seed)
+    return metrics.spiking_runner(cfg.spiking_config(), cfg.seed, epoch)
 
 
 def train_model(cfg: ExperimentConfig, data: ExperimentData, eval_each_epoch: bool = True):
-    """Run the configured trainer; returns (layer, per-epoch stats)."""
+    """Run the configured trainer; returns (layer, per-epoch stats).
+
+    Each epoch's test accuracy depends only on the config and the epoch's weights.
+    """
     prob_fn = cfg.prob_fn()
-    runner = build_runner(cfg)
 
     eval_fn = None
     if eval_each_epoch:
-        def eval_fn(layer):
+        def eval_fn(layer, epoch):
+            runner = build_runner(cfg, epoch)
             return metrics.accuracy(layer, data.test, data.codebook, runner, prob_fn)
 
     if cfg.model == "analog":

@@ -34,13 +34,14 @@ def analog_runner() -> LatentRunner:
     return run
 
 
-def spiking_runner(spiking: SpikingConfig, seed: int) -> LatentRunner:
+def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentRunner:
     """Latents via a plasticity-free spiking simulation.
 
-    The encoder is stochastic, so the runner owns a seeded generator;
-    a given sequence of calls is reproducible.
+    The encoder is stochastic, so the runner owns a generator keyed by
+    ``(seed, epoch)``; a given sequence of calls is reproducible, and each
+    epoch's evaluation gets its own stream.
     """
-    rng = np.random.default_rng([seed, 0xE7A1])
+    rng = np.random.default_rng([seed, epoch, 0xE7A1])
 
     def run(layer: DenseLayer, X: np.ndarray) -> np.ndarray:
         return simulate(layer, X, spiking, rng)

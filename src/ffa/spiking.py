@@ -1,9 +1,11 @@
 """Spiking Hebbian trainer: LIF neurons, rate coding, output and eligibility traces.
 
-Inputs are Bernoulli spike trains; a leaky integrate-and-fire layer turns
-them into output spikes, and a smooth per-neuron output trace stands in for
-the non-differentiable spike train when evaluating goodness, probability and
-the modulation factor.  During the last few timesteps of each sample the
+Inputs are Bernoulli spike trains delivered as address events: only inputs
+with a nonzero rate draw, and the spikes that fire drive the layer as a
+sparse current.  A leaky integrate-and-fire layer turns them into output
+spikes, and a smooth per-neuron output trace stands in for the
+non-differentiable spike train when evaluating goodness, probability and the
+modulation factor.  During the last few timesteps of each sample the
 three-factor product ``modulation * trace * input_spike`` is fed through a
 per-synapse eligibility trace that low-passes the updates into the weights.
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .analog import DenseLayer, EpochStats, TrainConfig, partition_for, run_epochs
 from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
@@ -61,13 +64,15 @@ class LIFState:
         return cls(np.zeros(shape), config)
 
 
-def lif_step(state: LIFState, weights: np.ndarray, in_spikes: np.ndarray) -> np.ndarray:
+def lif_step(
+    state: LIFState, weights: np.ndarray, in_spikes: np.ndarray | csr_array
+) -> np.ndarray:
     """Integrate one timestep and return the binary output spikes.
 
-    Accepts a single spike vector [n_in] or a lockstep batch [B, n_in]
-    (with a matching [B, n_out] potential).
+    Accepts a single spike vector [n_in] or a lockstep batch [B, n_in], dense
+    or a CSR array (with a matching [B, n_out] potential).
     """
-    return lif_fire(state, np.asarray(in_spikes, dtype=np.float64) @ weights.T)
+    return lif_fire(state, in_spikes @ weights.T)
 
 
 def lif_fire(state: LIFState, current: np.ndarray) -> np.ndarray:
@@ -188,9 +193,9 @@ class _EventSynapses:
         self.decay, self.decay_sum = 1.0, 0.0
         self.idx = np.empty(0, dtype=np.intp)
 
-    def current(self, spikes: np.ndarray) -> np.ndarray:
-        """``W @ spikes[0]`` as a sum over the spiking columns, which it keeps for :meth:`step`."""
-        self.idx = np.flatnonzero(spikes[0])
+    def current(self, idx: np.ndarray) -> np.ndarray:
+        """``W @ spikes`` as a sum over the spiking columns ``idx``, kept for :meth:`step`."""
+        self.idx = idx
         current = self.weights[:, self.idx].sum(axis=1)
         if self.decay_sum:
             current += self.eta * self.decay_sum * self.e[:, self.idx].sum(axis=1)
@@ -232,9 +237,33 @@ class SpikeEncoderConfig:
         })
 
 
-def rate_encode(x: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """One timestep of Bernoulli spikes: P(spike_i) = scale * x_i, for x in [0, 1]."""
-    return (rng.random(x.shape) < scale * x).astype(np.float64)
+def rate_encode(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One timestep of Bernoulli spikes over address events: the ascending positions
+    ``i`` that fire, each with probability ``p[i]``, from one uniform draw per event."""
+    return np.flatnonzero(rng.random(p.size) < p)
+
+
+def _input_events(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero inputs of ``X`` [B, n_in] in row-major order: their values,
+    their columns, and the [B + 1] offsets where each row's events start.
+
+    Zero inputs never spike, so only these events draw.  Each must lie in
+    (0, 1]; NaN fails the check too.
+    """
+    flat = np.flatnonzero(X != 0.0)
+    x = X.ravel()[flat]
+    if not np.all((x > 0.0) & (x <= 1.0)):
+        raise DataError("rate encoder input must lie in [0, 1]")
+    n_in = X.shape[1]
+    return x, flat % n_in, np.searchsorted(flat, np.arange(X.shape[0] + 1) * n_in)
+
+
+def _fired_spikes(
+    cols: np.ndarray, starts: np.ndarray, fired: np.ndarray, shape: tuple[int, int]
+) -> csr_array:
+    """The events at positions ``fired`` (ascending) as a 0/1 CSR array [B, n_in]."""
+    indptr = np.searchsorted(fired, starts)
+    return csr_array((np.ones(fired.size), cols[fired], indptr), shape=shape)
 
 
 def hebbian_post(
@@ -247,7 +276,7 @@ def hebbian_post(
 
 def hebbian_impulse(
     trace: np.ndarray,
-    in_spikes: np.ndarray,
+    in_spikes: np.ndarray | csr_array,
     codes: np.ndarray,
     prob_fn: ProbabilityFn,
     partition: PolarityPartition,
@@ -255,17 +284,16 @@ def hebbian_impulse(
 ) -> np.ndarray:
     """Three-factor update impulse: the row mean of outer(modulation_b * trace_b, in_spikes_b).
 
-    ``trace`` [B, n_out] and ``in_spikes`` [B, n_in] hold one lockstep
-    instance per row and ``codes`` its +1/-1 polarity.  The [n_out, n_in]
-    result is a descent direction, written into ``out`` when given; with no
-    presynaptic spikes or a fully converged probability it is exactly zero.
+    ``trace`` [B, n_out] and ``in_spikes`` [B, n_in] (dense or a CSR array)
+    hold one lockstep instance per row and ``codes`` its +1/-1 polarity.  The
+    [n_out, n_in] result is a descent direction, written into ``out`` when
+    given; with no presynaptic spikes or a fully converged probability it is
+    exactly zero.
     """
     post = hebbian_post(trace, codes, prob_fn, partition).T
     if out is None:
         out = np.empty((post.shape[0], in_spikes.shape[1]))
-    np.matmul(post, in_spikes, out=out)
-    out /= post.shape[1]
-    return out
+    return np.divide(post @ in_spikes, post.shape[1], out=out)
 
 
 @dataclass(frozen=True)
@@ -298,11 +326,14 @@ def simulate(
 ) -> np.ndarray:
     """Simulate a stack of inputs [B, n_in] in lockstep; returns the final traces [B, n_out].
 
-    LIF and trace state start fresh.  Plasticity is off unless the polarity
-    ``codes`` (+1/-1 per row), ``prob_fn``, the ``eligibility`` trace and
-    ``eta`` are all given; then each of the last ``active_window`` timesteps
-    folds the row-mean Hebbian impulse through the eligibility trace into
-    ``layer.weights``.  Outside that window the weights are untouched.
+    Inputs must lie in [0, 1].  Each timestep, input i spikes with probability
+    ``scale * x_i``, drawn for nonzero inputs only, and the spikes drive the
+    layer as a sparse current.  LIF and trace state start fresh.  Plasticity
+    is off unless the polarity ``codes`` (+1/-1 per row), ``prob_fn``, the
+    ``eligibility`` trace and ``eta`` are all given; then each of the last
+    ``active_window`` timesteps folds the row-mean Hebbian impulse through the
+    eligibility trace into ``layer.weights``.  Outside that window the weights
+    are untouched.
 
     A plastic call with one row and ``tau_e >= 1/2`` runs event-driven: the
     LIF current and the updates touch only the synapses of inputs that
@@ -314,9 +345,9 @@ def simulate(
     if any(given) and not plastic:
         raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
     X = np.asarray(X, dtype=np.float64)
-    if X.size and (X.min() < 0.0 or X.max() > 1.0):
-        raise DataError("rate encoder input must lie in [0, 1]")
+    x, cols, starts = _input_events(X)
     enc = spiking.encoder
+    p = enc.scale * x
     shape = (X.shape[0], layer.n_out)
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
@@ -326,10 +357,12 @@ def simulate(
     event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
     for t in range(enc.steps):
-        spikes = rate_encode(X, enc.scale, rng)
+        fired = rate_encode(p, rng)
+        if not event:
+            spikes = _fired_spikes(cols, starts, fired, X.shape)
         # The output spikes stay a temporary: a [B, n_out] array held across
         # steps would raise eval's peak memory.
-        trace_step(trace, lif_fire(lif, synapses.current(spikes)) if event
+        trace_step(trace, lif_fire(lif, synapses.current(cols[fired])) if event
                    else lif_step(lif, layer.weights, spikes))
         if t >= active_start:
             if window_mean:
@@ -352,7 +385,7 @@ def train_hebbian(
     data: ExperimentData,
     mode: str = "batch",
     spiking: Optional[SpikingConfig] = None,
-    eval_fn: Optional[Callable[[DenseLayer], float]] = None,
+    eval_fn: Optional[Callable[[DenseLayer, int], float]] = None,
 ) -> tuple[DenseLayer, list[EpochStats]]:
     """Train the spiking layer with per-timestep Hebbian updates.
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ffa import cli
+from ffa import cli, metrics
 from ffa.checkpoint import load_checkpoint
+from ffa.config import apply_overrides, load_config
 from ffa.metrics import read_latents
 from tests.conftest import write_idx_images, write_idx_labels
 
@@ -81,6 +84,37 @@ class TestTrain:
                        "--set", "experiment.epochs=1") == 0
         layer, _ = load_checkpoint(out / "model.ffaw")
         assert np.all(np.isfinite(layer.weights))
+
+    @pytest.mark.parametrize("model", ["hebbian", "hebbian_online"])
+    def test_spiking_byte_identical_reruns(self, base_config, tmp_path, model):
+        config, _ = base_config
+        outs = [tmp_path / name for name in ("a", "b")]
+        for out in outs:
+            assert run_cli("train", "--config", config, "--out-dir", out,
+                           "--set", f"experiment.model={model}") == 0
+        for artifact in ("model.ffaw", "log.csv"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
+    @pytest.mark.parametrize("model", ["hebbian", "hebbian_online"])
+    def test_spiking_eval_keyed_per_epoch(self, base_config, model):
+        # log[k].test_accuracy is a function of (seed, epoch k) and the epoch-k
+        # weights alone: a freshly keyed runner on those weights scores the same
+        config, _ = base_config
+        cfg = apply_overrides(load_config(config), {
+            "experiment.model": model, "experiment.epochs": "3", "experiment.seed": "4",
+        }).normalized()
+        data = cli.prepare_data(cfg)
+        _, log = cli.train_model(cfg, data)
+        for k in range(3):
+            layer, _ = cli.train_model(replace(cfg, epochs=k + 1), data, eval_each_epoch=False)
+            fresh = metrics.spiking_runner(cfg.spiking_config(), cfg.seed, k)
+            acc = metrics.accuracy(layer, data.test, data.codebook, fresh, cfg.prob_fn())
+            assert log[k].test_accuracy == acc, k
+        # the key is the epoch: two epochs' streams draw different latents
+        X = np.full((4, layer.n_in), 0.5)
+        latents = [metrics.spiking_runner(cfg.spiking_config(), cfg.seed, k)(layer, X)
+                   for k in (0, 1)]
+        assert not np.array_equal(*latents)
 
 
 class TestEval:

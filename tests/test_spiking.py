@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.sparse import csr_array
 
 import ffa.spiking as spiking_mod
 from ffa.analog import DenseLayer, TrainConfig, forward, layer_gradient, partition_for
@@ -25,30 +27,107 @@ from ffa import metrics
 from tests.conftest import make_synthetic
 
 
+def densify(X, fired):
+    """Fired positions among the nonzero inputs of ``X`` (row-major) as a dense 0/1 array."""
+    rows, cols = np.nonzero(X)
+    spikes = np.zeros(X.shape)
+    spikes[rows[fired], cols[fired]] = 1.0
+    return spikes
+
+
+def drawn_spikes(X, scale, rng):
+    """One timestep of the production encoder over ``X`` [B, n_in], as a dense 0/1 array.
+
+    Like ``simulate``, it hands ``rate_encode`` the probabilities of the nonzero
+    inputs in row-major order, so the same generator state draws the same spikes.
+    """
+    rows, cols = np.nonzero(X)
+    return densify(X, rate_encode(scale * X[rows, cols], rng))
+
+
+def dense_rate_encode(x, scale, rng):
+    """The dense encoder that address events replaced: one draw per input per timestep."""
+    return (rng.random(x.shape) < scale * x).astype(np.float64)
+
+
+def record_lif_inputs(monkeypatch, check=None):
+    """Make ``simulate``'s ``lif_step`` record its input spikes, after ``check(spikes, weights)``."""
+    seen, real = [], spiking_mod.lif_step
+
+    def recording(state, weights, spikes):
+        if check is not None:
+            check(spikes, weights)
+        seen.append(spikes)
+        return real(state, weights, spikes)
+
+    monkeypatch.setattr(spiking_mod, "lif_step", recording)
+    return seen
+
+
 class TestRateEncode:
-    def test_zero_intensity_never_spikes(self):
+    def test_zero_rate_never_spikes(self, monkeypatch):
         rng = np.random.default_rng(0)
-        x = np.zeros(50)
         for _ in range(200):
-            assert rate_encode(x, 0.25, rng).sum() == 0.0
+            assert rate_encode(np.zeros(50), rng).size == 0
+        assert rate_encode(np.zeros(0), rng).size == 0
+        X = rng.uniform(0.0, 1.0, size=(7, 30)) * (rng.random((7, 30)) < 0.4)
+        X[2] = 0.0
+        seen = record_lif_inputs(monkeypatch)
+        layer, spk = tiny_model(n_in=30)
+        simulate(layer, X, spk, rng)
+        total = sum(spikes.toarray() for spikes in seen)
+        assert len(seen) == spk.encoder.steps
+        assert np.all(total[X == 0.0] == 0.0)
+        assert total.sum() > 0
 
-    def test_zero_scale_silent(self):
+    def test_zero_scale_silent(self, monkeypatch):
         rng = np.random.default_rng(0)
-        assert rate_encode(np.ones(50), 0.0, rng).sum() == 0.0
+        seen = record_lif_inputs(monkeypatch)
+        layer, spk = tiny_model(encoder=SpikeEncoderConfig(scale=0.0, steps=6, active_window=2))
+        final = simulate(layer, np.ones((3, 15)), spk, rng)
+        assert all(spikes.nnz == 0 for spikes in seen)
+        assert np.all(final == 0.0)
 
-    def test_binomial_oracle(self):
-        # full-intensity pixel, scale 0.25, 24 steps: Binomial(24, 0.25)
-        rng = np.random.default_rng(42)
-        trials, steps, scale = 10_000, 24, 0.25
-        x = np.ones(1)
-        counts = np.zeros(trials)
-        for t in range(trials):
-            counts[t] = sum(rate_encode(x, scale, rng)[0] for _ in range(steps))
-        expected_mean = steps * scale
-        sigma = np.sqrt(steps * scale * (1 - scale))
-        assert abs(counts.mean() - expected_mean) < 3 * sigma / np.sqrt(trials)
+    def test_fires_ascending_positions(self):
+        rng = np.random.default_rng(1)
+        p = rng.uniform(0.0, 1.0, size=500)
+        for _ in range(50):
+            fired = rate_encode(p, rng)
+            assert fired.dtype == np.intp
+            assert np.all(np.diff(fired) > 0) and np.all((fired >= 0) & (fired < p.size))
+        assert rate_encode(np.ones(9), rng).tolist() == list(range(9))
 
-    @pytest.mark.parametrize("pixel", [1.2, -0.1])
+    def test_spike_counts_fit_binomial(self, monkeypatch):
+        # Over one simulate call each input spikes Binomial(steps, scale * x)
+        # times.  Chi-square per distinct rate, bins pooled to >= 5 expected.
+        rates = np.array([0.1, 0.35, 0.7, 1.0])
+        scale, steps, rows = 0.5, 24, 3000
+        seen = record_lif_inputs(monkeypatch)
+        layer, spk = tiny_model(n_in=rates.size, encoder=SpikeEncoderConfig(scale, steps, 0))
+        simulate(layer, np.tile(rates, (rows, 1)), spk, np.random.default_rng(2))
+        counts = sum(spikes.toarray() for spikes in seen)
+        for j, x in enumerate(rates):
+            expected = rows * stats.binom.pmf(np.arange(steps + 1), steps, scale * x)
+            observed = np.bincount(counts[:, j].astype(int), minlength=steps + 1)
+            keep = expected >= 5
+            pooled_obs = np.append(observed[keep], observed[~keep].sum())
+            pooled_exp = np.append(expected[keep], expected[~keep].sum())
+            pvalue = stats.chisquare(pooled_obs, pooled_exp * rows / pooled_exp.sum()).pvalue
+            assert pvalue > 1e-3, (x, pvalue)
+            assert counts[:, j].mean() == pytest.approx(steps * scale * x, rel=0.05)
+
+    def test_csr_spikes_replay_the_dense_scatter(self):
+        # the CSR array built from the fired events equals the oracle's dense scatter
+        X = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 25))
+        X *= np.random.default_rng(4).random(X.shape) < 0.3
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        x, cols, starts = spiking_mod._input_events(X)
+        for _ in range(10):
+            spikes = spiking_mod._fired_spikes(cols, starts, rate_encode(0.5 * x, rng), X.shape)
+            assert isinstance(spikes, csr_array) and spikes.shape == X.shape
+            assert np.array_equal(spikes.toarray(), drawn_spikes(X, 0.5, ref_rng))
+
+    @pytest.mark.parametrize("pixel", [1.2, -0.1, np.nan])
     @pytest.mark.parametrize("path", ["eval", "batch", "online"])
     def test_rejects_out_of_range(self, small_data, path, pixel):
         images = small_data.train.images[:6].copy()
@@ -130,6 +209,34 @@ class TestLIF:
         state = LIFState.zeros(1, cfg)
         lif_step(state, np.array([[0.5]]), np.ones(1))
         assert state.potential[0] == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_csr_current_matches_dense_gemm(self, monkeypatch, rows):
+        # every timestep of an eval call drives the layer with CSR spikes whose
+        # current equals the dense GEMM of the same spikes
+        def check(spikes, weights):
+            assert isinstance(spikes, csr_array) and spikes.shape == (rows, weights.shape[1])
+            want = spikes.toarray() @ weights.T
+            assert np.allclose(spikes @ weights.T, want, rtol=0, atol=1e-12)
+
+        seen = record_lif_inputs(monkeypatch, check)
+        layer, spk = tiny_model(n_in=60)
+        X = np.random.default_rng(6).uniform(0.0, 1.0, size=(rows, 60))
+        simulate(layer, X, spk, np.random.default_rng(7))
+        assert len(seen) == spk.encoder.steps
+        assert sum(spikes.nnz for spikes in seen) > 0
+
+    def test_csr_step_matches_dense_step(self):
+        rng = np.random.default_rng(8)
+        W = rng.uniform(-0.5, 0.5, size=(5, 40))
+        cfg = LIFConfig(input_gain=2.0)
+        sparse_state, dense_state = LIFState.zeros((7, 5), cfg), LIFState.zeros((7, 5), cfg)
+        for _ in range(20):
+            spikes = (rng.random((7, 40)) < 0.1).astype(float)
+            got = lif_step(sparse_state, W, csr_array(spikes))
+            want = lif_step(dense_state, W, spikes)
+            assert np.array_equal(got, want)
+            assert np.allclose(sparse_state.potential, dense_state.potential, rtol=0, atol=1e-12)
 
 
 def scalar_trace_reference(kind, spikes, mu, tau_o):
@@ -326,6 +433,24 @@ class TestHebbianImpulse:
         w_ref += eta * e_ref
         assert np.array_equal(el.e, e_ref) and np.array_equal(w, w_ref)
 
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_sparse_spikes_match_dense_matmul(self, rows):
+        rng = np.random.default_rng(9)
+        n_out, n_in = 12, 50
+        trace = rng.uniform(0.0, 1.5, size=(rows, n_out))
+        X = rng.uniform(0.0, 1.0, size=(rows, n_in)) * (rng.random((rows, n_in)) < 0.3)
+        x, cols, starts = spiking_mod._input_events(X)
+        spikes = spiking_mod._fired_spikes(cols, starts, rate_encode(0.5 * x, rng), X.shape)
+        codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+        part, prob = PolarityPartition.split_halves(n_out), SymmetricProb()
+        out = np.empty((n_out, n_in))
+        got = hebbian_impulse(trace, spikes, codes, prob, part, out)
+        assert got is out
+        _, modulation = modulation_batch(trace, codes, prob, part)
+        want = (modulation * trace).T @ spikes.toarray() / rows
+        assert spikes.nnz > 0
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_rows_fold_mean_of_outer_products(self):
         trace, spikes, codes, part, e0, w0 = random_plastic_step(rows=5)
         prob, tau_e, eta = SigmoidProb(theta=1.0), 0.9, 0.3
@@ -347,14 +472,14 @@ class TestHebbianImpulse:
 POSITIVE = np.array([Polarity.POSITIVE.value], dtype=np.int8)
 
 
-def tiny_model(prob=None, **spiking_kwargs) -> tuple[DenseLayer, SpikingConfig]:
+def tiny_model(prob=None, n_in=15, **spiking_kwargs) -> tuple[DenseLayer, SpikingConfig]:
     prob = prob or SymmetricProb()
     spiking = SpikingConfig(
         n_out=spiking_kwargs.pop("n_out", 10),
         encoder=spiking_kwargs.pop("encoder", SpikeEncoderConfig(scale=0.25, steps=12, active_window=4)),
         **spiking_kwargs,
     )
-    layer = DenseLayer.initialize(15, spiking.n_out, partition_for(prob, spiking.n_out), seed=5)
+    layer = DenseLayer.initialize(n_in, spiking.n_out, partition_for(prob, spiking.n_out), seed=5)
     return layer, spiking
 
 
@@ -400,7 +525,8 @@ class TestRunSample:
         # the dense rule over the last active_window steps only.  e starts
         # nonzero, so an update outside the window decays it once too often
         # and a missing update inside it once too rarely.  One row runs
-        # event-driven, four run the dense rule.
+        # event-driven, four run the dense rule.  The recorded spikes are the
+        # positions the encoder fired among the nonzero inputs.
         spikes_seen, traces_seen = [], []
         real_encode, real_trace_step = spiking_mod.rate_encode, spiking_mod.trace_step
 
@@ -426,13 +552,14 @@ class TestRunSample:
             w0 = layer.weights.copy()
             el = EligibilityTrace(e0.copy(), tau_e)
             codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
-            simulate(layer, rng.uniform(0.0, 1.0, size=(rows, 15)), spk, rng, codes, prob, el, eta)
+            X = rng.uniform(0.0, 1.0, size=(rows, 15))
+            simulate(layer, X, spk, rng, codes, prob, el, eta)
             assert len(spikes_seen) == len(traces_seen) == enc.steps
 
             e_ref, w_ref = e0.copy(), w0.copy()
             for t in range(enc.steps - enc.active_window, enc.steps):
                 _, modulation = modulation_batch(traces_seen[t], codes, prob, layer.partition)
-                impulse = (modulation * traces_seen[t]).T @ spikes_seen[t] / rows
+                impulse = (modulation * traces_seen[t]).T @ densify(X, spikes_seen[t]) / rows
                 e_ref += (1.0 - tau_e) * (impulse - e_ref)
                 w_ref += eta * e_ref
             assert np.allclose(el.e, e_ref, rtol=0, atol=1e-12), rows
@@ -451,7 +578,11 @@ class TestRunSample:
 
 
 def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
-    """The plastic lockstep loop on the dense rule alone: the oracle of the event-driven path."""
+    """The plastic lockstep loop on the dense rule alone: the oracle of the event-driven path.
+
+    It replays the spikes the production encoder draws from the same generator
+    state as dense arrays, and runs dense GEMMs on them.
+    """
     enc = spiking.encoder
     shape = (X.shape[0], layer.n_out)
     lif = LIFState.zeros(shape, spiking.lif)
@@ -459,7 +590,7 @@ def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
     active_start = enc.steps - enc.active_window
     win_sum = np.zeros(shape)
     for t in range(enc.steps):
-        spikes = rate_encode(X, enc.scale, rng)
+        spikes = drawn_spikes(X, enc.scale, rng)
         spiking_mod.trace_step(trace, lif_step(lif, layer.weights, spikes))
         if t >= active_start:
             effective = trace.value
@@ -468,6 +599,17 @@ def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
                 effective = win_sum / (t - active_start + 1)
             hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
             eligibility_step(eligibility, layer.weights, eta)
+    return trace.value
+
+
+def dense_eval_simulate(layer, X, spiking, rng):
+    """A plasticity-free run on the dense encoder that address events replaced."""
+    shape = (X.shape[0], layer.n_out)
+    lif = LIFState.zeros(shape, spiking.lif)
+    trace = OutputTrace.zeros(shape, spiking.trace)
+    for _ in range(spiking.encoder.steps):
+        spikes = dense_rate_encode(X, spiking.encoder.scale, rng)
+        spiking_mod.trace_step(trace, lif_step(lif, layer.weights, spikes))
     return trace.value
 
 
@@ -502,9 +644,9 @@ class TestEventDrivenPlasticity:
         real_fold = spiking_mod._EventSynapses.fold
 
         def recording_encode(*args):
-            spikes = real_encode(*args)
-            silent_steps.append(not spikes.any())
-            return spikes
+            fired = real_encode(*args)
+            silent_steps.append(fired.size == 0)
+            return fired
 
         def counting_step(*args):
             dense_steps.append(True)
@@ -565,10 +707,32 @@ class TestSimulateLatents:
         batched = simulate(layer, np.tile(x, (300, 1)), spk, np.random.default_rng(5000))
         assert np.allclose(singles.mean(0), batched.mean(0), atol=4 * singles.std(0).max() / np.sqrt(300) + 1e-9)
 
-    def test_rejects_out_of_range(self):
+    def test_matches_dense_encoder_distributionally(self):
+        # The dense encoder drew one double per input per step; address events
+        # draw only for nonzero inputs.  The streams differ but the spike
+        # distribution is the same, so for each of three inputs, half of them
+        # zero, the latent per-unit means and goodness distributions agree.
+        rng = np.random.default_rng(13)
+        layer, spk = tiny_model(n_in=30)
+        inputs = rng.uniform(0.0, 1.0, size=(3, 30)) * (rng.random((3, 30)) < 0.5)
+        X = np.repeat(inputs, 1500, axis=0)
+        new = simulate(layer, X, spk, np.random.default_rng(14))
+        old = dense_eval_simulate(layer, X, spk, np.random.default_rng(15))
+        for k in range(3):
+            a, b = new[k * 1500 : (k + 1) * 1500], old[k * 1500 : (k + 1) * 1500]
+            assert a.sum() > 0
+            se = np.sqrt((a.var(0) + b.var(0)) / 1500)
+            assert np.all(np.abs(a.mean(0) - b.mean(0)) <= 5 * se + 1e-12), k
+            ks = stats.ks_2samp((a * a).sum(1), (b * b).sum(1))
+            assert ks.pvalue > 1e-3, (k, ks.pvalue)
+
+    @pytest.mark.parametrize("value", [1.5, -0.2, np.nan, np.inf])
+    def test_rejects_out_of_range(self, value):
         layer, spk = tiny_model()
+        X = np.full((2, 15), 0.5)
+        X[1, 3] = value
         with pytest.raises(DataError):
-            simulate(layer, np.full((2, 15), 1.5), spk, np.random.default_rng(0))
+            simulate(layer, X, spk, np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")

@@ -51,16 +51,18 @@ class TestRunEpochs:
         assert layer.partition == init.partition
 
     def test_eval_once_per_epoch_after_its_updates(self, tiny_data, trainer):
-        seen = []
+        seen, epochs = [], []
         scores = [0.25, 0.75]
 
-        def eval_fn(layer):
+        def eval_fn(layer, epoch):
             seen.append(layer.weights.copy())
+            epochs.append(epoch)
             return scores[len(seen) - 1]
 
         layer, log = train(trainer, tiny_data, epochs=2, eval_fn=eval_fn)
         one_epoch, _ = train(trainer, tiny_data, epochs=1)
         assert len(seen) == 2
+        assert epochs == [0, 1]
         assert np.array_equal(seen[0], one_epoch.weights)
         assert np.array_equal(seen[1], layer.weights)
         assert [entry.test_accuracy for entry in log] == scores
@@ -77,7 +79,7 @@ class TestRunEpochs:
                 layer.weights[0, 0] = np.nan
             return result
 
-        def eval_fn(layer):
+        def eval_fn(layer, epoch):
             evaluated.append(True)
             return 0.5
 
