@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .core import (
     bce_batch,
     modulation_batch,
 )
-from .data import ExperimentData, batches, pair_codes
+from .data import ExperimentData, LabelCodebook, batches, check_labels, pair_codes
 from .errors import ConfigError, DivergenceError, require
 
 logger = logging.getLogger(__name__)
@@ -87,15 +87,41 @@ def forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return preact, np.maximum(preact, 0.0)
 
 
+def _bias_relu(layer: DenseLayer, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layer rule after the weight product ``W x``: (pre-activation ``W x + b``, ReLU latent)."""
+    preact = product if layer.bias is None else product + layer.bias
+    return preact, np.maximum(preact, 0.0)
+
+
 def forward_batch(layer: DenseLayer, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass over a stack of inputs [B, n_in]."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != layer.n_in:
         raise ConfigError(f"batch has shape {X.shape}, layer expects [B, {layer.n_in}]")
-    preact = X @ layer.weights.T
-    if layer.bias is not None:
-        preact = preact + layer.bias
-    return preact, np.maximum(preact, 0.0)
+    return _bias_relu(layer, X @ layer.weights.T)
+
+
+def forward_labelled(
+    layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook, label_sets: Iterable
+) -> Iterator[np.ndarray]:
+    """ReLU latents [Q, n_out] of ``[images ; codeword]`` for each entry of ``label_sets``.
+
+    An entry is one label for every row or one label per row.  The input is
+    an image part plus a code part, so the pre-activation splits as
+    ``W_img x + W_code c + b``: the images are projected once, the ten
+    codewords once, and each entry costs one gather and add, not a GEMM.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    n_img = layer.n_in - codebook.length
+    if images.ndim != 2 or images.shape[1] != n_img:
+        raise ConfigError(
+            f"images have shape {images.shape}, layer expects [Q, {n_img}] plus "
+            f"{codebook.length} code bits"
+        )
+    projected = images @ layer.weights[:, :n_img].T
+    code_table = codebook.vectors @ layer.weights[:, n_img:].T
+    for labels in label_sets:
+        yield _bias_relu(layer, projected + code_table[check_labels(labels)])[1]
 
 
 def layer_gradient(
@@ -129,11 +155,19 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment buffers for the ADAM update."""
+    """First/second moment buffers for the ADAM update.
+
+    ``scratch`` holds two buffers of the same shape for the step's
+    intermediates, so a step allocates no tensor-sized array.
+    """
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros_like(cls, tensor: np.ndarray) -> "AdamState":
@@ -141,15 +175,30 @@ class AdamState:
 
 
 def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float) -> None:
-    """One bias-corrected ADAM descent step on ``tensor`` (weights or bias), in place."""
+    """One bias-corrected ADAM descent step on ``tensor`` (weights or bias), in place.
+
+    ``m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
+    tensor -= eta * (m / c1) / (sqrt(v / c2) + eps)`` with ``c = 1 - b^step``,
+    each operation rounded as written, into the state's scratch buffers.
+    """
     if grad.shape != tensor.shape:
         raise ConfigError(f"gradient shape {grad.shape} != tensor {tensor.shape}")
     state.step += 1
-    state.m += (1.0 - ADAM_BETA1) * (grad - state.m)
-    state.v += (1.0 - ADAM_BETA2) * (grad * grad - state.v)
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
-    tensor -= eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    a, b = state.scratch
+    np.subtract(grad, state.m, out=a)
+    a *= 1.0 - ADAM_BETA1
+    state.m += a
+    np.multiply(grad, grad, out=b)
+    b -= state.v
+    b *= 1.0 - ADAM_BETA2
+    state.v += b
+    np.divide(state.m, 1.0 - ADAM_BETA1**state.step, out=a)
+    a *= eta
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.step, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    tensor -= a
 
 
 @dataclass

@@ -110,6 +110,11 @@ def _load_for_eval(cfg: ExperimentConfig, checkpoint_path) -> tuple:
         )
     if layer.partition != analog.partition_for(cfg.prob_fn(), cfg.n_hidden):
         raise CheckpointError(f"{checkpoint_path}: polarity split does not match prob {cfg.prob!r}")
+    if (layer.bias is not None) != cfg.use_bias:
+        raise CheckpointError(
+            f"{checkpoint_path}: checkpoint {'has' if layer.bias is not None else 'has no'} "
+            f"bias, config says use_bias={str(cfg.use_bias).lower()}"
+        )
     train, test = load_mnist(cfg.data_dir)
     data = ExperimentData(train, test, codebook)
     if data.input_dim != layer.n_in:

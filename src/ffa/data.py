@@ -172,13 +172,19 @@ def embed(image: np.ndarray, label: int, codebook: LabelCodebook) -> np.ndarray:
     return embed_batch(np.asarray(image)[None, :], label, codebook)[0]
 
 
-def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarray:
-    """Append to every row of an image stack the codeword of one label, or of its own label."""
-    images = np.asarray(images, dtype=np.float64)
+def check_labels(labels) -> np.ndarray:
+    """``labels`` (one or an array) as an array, after checking each lies in 0-9."""
     labels = np.asarray(labels)
     if labels.size and not 0 <= labels.min() <= labels.max() <= 9:
         bad = labels[(labels < 0) | (labels > 9)].flat[0]
         raise DataError(f"label {bad} outside 0-9")
+    return labels
+
+
+def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarray:
+    """Append to every row of an image stack the codeword of one label, or of its own label."""
+    images = np.asarray(images, dtype=np.float64)
+    labels = check_labels(labels)
     suffix = np.broadcast_to(codebook.vectors[labels], (images.shape[0], codebook.length))
     return np.hstack([images, suffix])
 

@@ -3,48 +3,54 @@
 Inference embeds each of the ten candidate labels in turn and predicts the
 label whose latent scores highest: total goodness under the sigmoid
 probability, positive-partition goodness under the symmetric one.
+
+A latent runner computes those latents.  ``run(layer, images, codebook,
+label_sets)`` yields one [Q, n_out] block per entry of ``label_sets``, the
+latents of ``[images ; codeword]`` with an entry's label embedded; an entry
+is one label for every row or a [Q] array of per-row labels.  The scan
+passes ``range(10)``, :func:`collect_latents` the true labels alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .analog import DenseLayer, forward_batch
+from .analog import DenseLayer, forward_labelled
 from .atomic import atomic_write
 from .core import ProbabilityFn, SigmoidProb
 from .data import Dataset, LabelCodebook, embed_batch
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .spiking import SpikingConfig, simulate
 
-LatentRunner = Callable[[DenseLayer, np.ndarray], np.ndarray]
+LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook, Iterable], Iterator[np.ndarray]]
 
 
 def analog_runner() -> LatentRunner:
-    """Latents via a plain ReLU forward pass."""
-
-    def run(layer: DenseLayer, X: np.ndarray) -> np.ndarray:
-        _, latent = forward_batch(layer, X)
-        return latent
-
-    return run
+    """Latents via the ReLU forward pass, factored: each image is projected once per call."""
+    return forward_labelled
 
 
 def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentRunner:
-    """Latents via a plasticity-free spiking simulation.
+    """Latents via a plasticity-free spiking simulation, one per entry of ``label_sets``.
 
     The encoder is stochastic, so the runner owns a generator keyed by
     ``(seed, epoch)``; a given sequence of calls is reproducible, and each
-    epoch's evaluation gets its own stream.
+    epoch's evaluation gets its own stream.  The spiking layer has no bias,
+    so a layer that carries one is refused.
     """
     rng = np.random.default_rng([seed, epoch, 0xE7A1])
 
-    def run(layer: DenseLayer, X: np.ndarray) -> np.ndarray:
-        return simulate(layer, X, spiking, rng)
+    def run(layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook,
+            label_sets: Iterable) -> Iterator[np.ndarray]:
+        if layer.bias is not None:
+            raise ConfigError("the spiking runner has no bias; this layer carries one")
+        for labels in label_sets:
+            yield simulate(layer, embed_batch(images, labels, codebook), spiking, rng)
 
     return run
 
@@ -68,7 +74,8 @@ def scan(
     chunk: int = 2000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Goodness-scan predictions [Q], ties to the lowest label, and the latents [Q, n] it
-    scored for each row's true label: per chunk, label c's pass gives the rows labelled c.
+    scored for each row's true label: one runner call per chunk yields the ten label
+    passes, and label c's pass gives the rows labelled c.
     """
     predictions = np.empty(len(dataset), dtype=np.int64)
     true_latents = np.empty((len(dataset), layer.n_out))
@@ -76,8 +83,7 @@ def scan(
         rows = slice(start, start + chunk)
         images, labels = dataset.images[rows], dataset.labels[rows]
         scores = np.empty((images.shape[0], 10))
-        for c in range(10):
-            latents = runner(layer, embed_batch(images, c, codebook))
+        for c, latents in zip(range(10), runner(layer, images, codebook, range(10)), strict=True):
             scores[:, c] = goodness_scores(latents, prob_fn, layer)
             true_latents[rows][labels == c] = latents[labels == c]
         predictions[rows] = np.argmax(scores, axis=1)
@@ -119,12 +125,14 @@ def collect_latents(
     model_tag: str = "",
     chunk: int = 2000,
 ) -> LatentDump:
-    """Latents of every sample with its true label embedded, in one pass per chunk."""
+    """Latents of every sample with its true label embedded, in one runner pass per chunk.
+
+    The scan's chunks are the same, so analog latents equal the ones it scores bit for bit.
+    """
     latents = np.empty((len(dataset), layer.n_out))
     for start in range(0, len(dataset), chunk):
-        stop = start + chunk
-        X = embed_batch(dataset.images[start:stop], dataset.labels[start:stop], codebook)
-        latents[start:stop] = runner(layer, X)
+        rows = slice(start, start + chunk)
+        (latents[rows],) = runner(layer, dataset.images[rows], codebook, [dataset.labels[rows]])
     return LatentDump(latents, dataset.labels.copy(), model_tag)
 
 

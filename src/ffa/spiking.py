@@ -356,6 +356,10 @@ def simulate(
     win_sum = np.zeros(shape) if window_mean else None
     event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
+    # scipy's sparse product reads W.T by rows and would copy the F-ordered view
+    # each step, so the dense rule holds a C-ordered W.T (lif_step gets its
+    # transpose) and refreshes it only after a plastic step moves the weights.
+    weights_t = None if event else np.ascontiguousarray(layer.weights.T)
     for t in range(enc.steps):
         fired = rate_encode(p, rng)
         if not event:
@@ -363,7 +367,7 @@ def simulate(
         # The output spikes stay a temporary: a [B, n_out] array held across
         # steps would raise eval's peak memory.
         trace_step(trace, lif_fire(lif, synapses.current(cols[fired])) if event
-                   else lif_step(lif, layer.weights, spikes))
+                   else lif_step(lif, weights_t.T, spikes))
         if t >= active_start:
             if window_mean:
                 win_sum += trace.value
@@ -375,6 +379,7 @@ def simulate(
             else:
                 hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
                 eligibility_step(eligibility, layer.weights, eta)
+                np.copyto(weights_t, layer.weights.T)
     if event:
         synapses.fold()
     return trace.value

@@ -228,6 +228,23 @@ class TestAdam:
         delta = float(layer.weights[0, 0] - prev[0, 0])
         assert delta == pytest.approx(-0.01, rel=1e-3)
 
+    @pytest.mark.parametrize("shape", [(7, 5), (5,)], ids=["weights", "bias"])
+    def test_matches_textbook_expression_bitwise(self, shape):
+        # the in-place step rounds every operation as the plain expression does
+        rng = np.random.default_rng(23)
+        tensor = rng.normal(size=shape)
+        want_tensor, m, v = tensor.copy(), np.zeros(shape), np.zeros(shape)
+        state = AdamState.zeros_like(tensor)
+        for step in range(1, 30):
+            grad = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2, size=shape)
+            adam_step(tensor, grad, state, eta=0.01)
+            m += (1.0 - 0.9) * (grad - m)
+            v += (1.0 - 0.999) * (grad * grad - v)
+            m_hat, v_hat = m / (1.0 - 0.9**step), v / (1.0 - 0.999**step)
+            want_tensor -= 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert np.array_equal(tensor, want_tensor)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
     def test_moment_shapes_checked(self):
         layer = make_layer(3, 2)
         state = AdamState.zeros_like(layer.weights)

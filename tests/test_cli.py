@@ -111,8 +111,9 @@ class TestTrain:
             acc = metrics.accuracy(layer, data.test, data.codebook, fresh, cfg.prob_fn())
             assert log[k].test_accuracy == acc, k
         # the key is the epoch: two epochs' streams draw different latents
-        X = np.full((4, layer.n_in), 0.5)
-        latents = [metrics.spiking_runner(cfg.spiking_config(), cfg.seed, k)(layer, X)
+        images = np.full((4, layer.n_in - data.codebook.length), 0.5)
+        latents = [next(metrics.spiking_runner(cfg.spiking_config(), cfg.seed, k)(
+                       layer, images, data.codebook, [0]))
                    for k in (0, 1)]
         assert not np.array_equal(*latents)
 
@@ -373,6 +374,28 @@ class TestErrorPaths:
         assert code == 4
         err = capsys.readouterr().err
         assert "error:checkpoint:" in err and "polarity" in err
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("trained, evaluated", [
+        ("true", ["experiment.model=hebbian", "experiment.use_bias=false"]),
+        ("true", ["experiment.use_bias=false"]),
+        ("false", ["experiment.use_bias=true"]),
+    ], ids=["biased_on_spiking_runner", "biased_as_unbiased", "unbiased_as_biased"])
+    def test_checkpoint_bias_must_match_use_bias(self, base_config, tmp_path, capsys, command,
+                                                 trained, evaluated):
+        # the spiking runner has no bias term, and the analog one must not drop or invent one
+        config, out_dir = base_config
+        run_cli("train", "--config", config, "--set", "experiment.epochs=1",
+                "--set", f"experiment.use_bias={trained}")
+        capsys.readouterr()
+        extra = ["--output", tmp_path / "latents.csv"] if command == "export" else []
+        checkpoint = ["--config", config, "--checkpoint", out_dir / "model.ffaw", *extra]
+        assert run_cli(command, *checkpoint, "--set", f"experiment.use_bias={trained}") == 0
+        capsys.readouterr()
+        overrides = [arg for item in evaluated for arg in ("--set", item)]
+        assert run_cli(command, *checkpoint, *overrides) == 4
+        err = capsys.readouterr().err
+        assert "error:checkpoint:" in err and "bias" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("train", "--config", tmp_path / "absent.ini")

@@ -1,12 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffa.analog import DenseLayer, forward
+from ffa import metrics as metrics_mod
+from ffa.analog import DenseLayer, forward, forward_batch, forward_labelled
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb, goodness, partition_goodness
-from ffa.data import Dataset, LabelCodebook, embed
-from ffa.errors import DataError
+from ffa.data import Dataset, LabelCodebook, embed, embed_batch
+from ffa.errors import ConfigError, DataError
 from ffa.metrics import (
     LatentDump,
     accuracy,
@@ -22,7 +25,7 @@ from ffa.metrics import (
     separability_index,
     spiking_runner,
 )
-from ffa.spiking import SpikeEncoderConfig, SpikingConfig
+from ffa.spiking import SpikeEncoderConfig, SpikingConfig, simulate
 
 
 class TestHoyerIndex:
@@ -309,12 +312,14 @@ class TestClassify:
 
 
 def recording(runner):
-    """The runner, plus the list of latents it returned, one entry per call."""
+    """The runner, plus one entry per call: the list of latent blocks that call yielded."""
     calls = []
 
-    def run(layer, X):
-        calls.append(runner(layer, X))
-        return calls[-1]
+    def run(layer, images, codebook, label_sets):
+        calls.append([])
+        for latents in runner(layer, images, codebook, label_sets):
+            calls[-1].append(latents)
+            yield latents
 
     return run, calls
 
@@ -327,10 +332,10 @@ class TestScan:
         sub = Dataset(synthetic_data.test.images[:50], synthetic_data.test.labels[:50])
         runner, calls = recording(analog_runner())
         evaluate(layer, sub, synthetic_data.codebook, runner, SigmoidProb())
-        assert len(calls) == 10
+        assert [len(blocks) for blocks in calls] == [10]
         runner, calls = recording(analog_runner())
         scan(layer, sub, synthetic_data.codebook, runner, SigmoidProb(), chunk=16)
-        assert len(calls) == 40
+        assert [len(blocks) for blocks in calls] == [10] * 4
 
     @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()])
     def test_spiking_report_latents_are_the_scored_ones(self, synthetic_data, prob):
@@ -339,7 +344,7 @@ class TestScan:
         runner, calls = recording(spiking_runner(self.SPIKING, seed=5))
         _, dump = evaluate(layer, sub, synthetic_data.codebook, runner, prob)
         scored = np.array([
-            goodness_scores(calls[label][q : q + 1], prob, layer)[0]
+            goodness_scores(calls[0][label][q : q + 1], prob, layer)[0]
             for q, label in enumerate(sub.labels)
         ])
         assert np.any(scored > 0)
@@ -360,6 +365,106 @@ class TestScan:
         direct = collect_latents(layer, sub, synthetic_data.codebook, analog_runner())
         assert np.array_equal(dump.latents, direct.latents)
         assert np.array_equal(dump.labels, direct.labels)
+
+
+def per_label_scan(layer, dataset, book, latents_of, prob, chunk):
+    """The scan as it was before the factored runner: per chunk, each label's full
+    ``[image ; codeword]`` input through ``latents_of``, one pass per label."""
+    predictions = np.empty(len(dataset), dtype=np.int64)
+    true_latents = np.empty((len(dataset), layer.n_out))
+    for start in range(0, len(dataset), chunk):
+        images, labels = dataset.images[start : start + chunk], dataset.labels[start : start + chunk]
+        passes = [latents_of(embed_batch(images, c, book)) for c in range(10)]
+        # spiking goodness ties exactly, so the scores are summed as the scan sums them
+        scores = np.stack([goodness_scores(latents, prob, layer) for latents in passes], axis=1)
+        predictions[start : start + chunk] = np.argmax(scores, axis=1)
+        true_latents[start : start + chunk] = np.stack(passes)[labels, np.arange(len(labels))]
+    return predictions, true_latents
+
+
+def first_generator(monkeypatch):
+    """A list that receives a copy of the generator ``simulate`` is first called with."""
+    seen, real = [], metrics_mod.simulate
+
+    def spy(layer, X, spiking, rng, *args):
+        if not seen:
+            seen.append(copy.deepcopy(rng))
+        return real(layer, X, spiking, rng, *args)
+
+    monkeypatch.setattr(metrics_mod, "simulate", spy)
+    return seen
+
+
+class TestFactoredScan:
+    """The analog runner adds a ten-row label table to one image projection per chunk."""
+
+    @pytest.mark.parametrize("chunk", [16, 2000], ids=["ragged_chunks", "one_chunk"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+    @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()], ids=["sigmoid", "symmetric"])
+    def test_analog_matches_full_forward_per_label(self, synthetic_data, prob, bias, chunk):
+        rng = np.random.default_rng(17)
+        layer = trained_like_layer(rng, 14, 120)
+        if bias:
+            layer.bias = rng.uniform(-0.3, 0.3, size=14)
+        sub = Dataset(synthetic_data.test.images[:40], synthetic_data.test.labels[:40])
+        book = synthetic_data.codebook
+        predictions, latents = scan(layer, sub, book, analog_runner(), prob, chunk=chunk)
+        want_predictions, want_latents = per_label_scan(
+            layer, sub, book, lambda X: forward_batch(layer, X)[1], prob, chunk)
+        assert np.array_equal(predictions, want_predictions)
+        assert len(set(predictions.tolist())) > 1
+        assert np.count_nonzero(latents) > latents.size // 4
+        np.testing.assert_allclose(latents, want_latents, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_latents).max())
+
+    @pytest.mark.parametrize("chunk", [16, 2000], ids=["ragged_chunks", "one_chunk"])
+    @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()], ids=["sigmoid", "symmetric"])
+    def test_spiking_equals_per_label_simulate_bitwise(self, synthetic_data, monkeypatch,
+                                                       prob, chunk):
+        layer = trained_like_layer(np.random.default_rng(18), 14, 120)
+        sub = Dataset(synthetic_data.test.images[:40], synthetic_data.test.labels[:40])
+        book, spk = synthetic_data.codebook, TestScan.SPIKING
+        generator = first_generator(monkeypatch)
+        predictions, latents = scan(layer, sub, book, spiking_runner(spk, seed=8), prob,
+                                    chunk=chunk)
+        want_predictions, want_latents = per_label_scan(
+            layer, sub, book, lambda X: simulate(layer, X, spk, generator[0]), prob, chunk)
+        assert np.array_equal(predictions, want_predictions)
+        assert np.array_equal(latents, want_latents)
+        assert np.any(latents > 0)
+
+    def test_entries_may_label_each_row(self, synthetic_data):
+        rng = np.random.default_rng(19)
+        layer = trained_like_layer(rng, 14, 120)
+        layer.bias = rng.uniform(-0.3, 0.3, size=14)
+        images, book = synthetic_data.test.images[:25], synthetic_data.codebook
+        per_row = rng.integers(0, 10, size=25)
+        blocks = list(forward_labelled(layer, images, book, [per_row, 7]))
+        assert len(blocks) == 2
+        for got, labels in zip(blocks, [per_row, 7]):
+            want = forward_batch(layer, embed_batch(images, labels, book))[1]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("labels", [-1, 10, [0, 3, 12]])
+    def test_labels_outside_0_9_rejected(self, synthetic_data, labels):
+        layer = trained_like_layer(np.random.default_rng(20), 14, 120)
+        images = synthetic_data.test.images[:3]
+        with pytest.raises(DataError, match="outside 0-9"):
+            list(forward_labelled(layer, images, synthetic_data.codebook, [labels]))
+
+    def test_image_width_checked(self, synthetic_data):
+        layer = trained_like_layer(np.random.default_rng(21), 14, 120)
+        images = synthetic_data.test.images[:3, :-1]
+        with pytest.raises(ConfigError, match="code bits"):
+            list(forward_labelled(layer, images, synthetic_data.codebook, [0]))
+
+    def test_spiking_runner_refuses_a_bias(self, synthetic_data):
+        layer = trained_like_layer(np.random.default_rng(22), 14, 120)
+        layer.bias = np.zeros(14)
+        sub = Dataset(synthetic_data.test.images[:5], synthetic_data.test.labels[:5])
+        with pytest.raises(ConfigError, match="bias"):
+            scan(layer, sub, synthetic_data.codebook, spiking_runner(TestScan.SPIKING, seed=1),
+                 SigmoidProb())
 
 
 class TestCollectAndEvaluate:

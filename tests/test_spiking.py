@@ -226,6 +226,30 @@ class TestLIF:
         assert len(seen) == spk.encoder.steps
         assert sum(spikes.nnz for spikes in seen) > 0
 
+    @pytest.mark.parametrize("tau_e", [None, 0.9, 0.3], ids=["eval", "plastic", "plastic_tau_0.3"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_current_reads_a_contiguous_copy_of_the_current_weights(self, monkeypatch, rows,
+                                                                     tau_e):
+        # a C-ordered W.T spares scipy a copy per step; after every plastic
+        # step the copy must hold the moved weights again
+        layer, spk = tiny_model(n_in=60)
+
+        def check(spikes, weights):
+            assert weights.T.flags.c_contiguous
+            assert np.array_equal(weights, layer.weights)
+
+        seen = record_lif_inputs(monkeypatch, check)
+        X = np.random.default_rng(9).uniform(0.0, 1.0, size=(rows, 60))
+        plastic = () if tau_e is None else (
+            np.resize(np.array([1, -1], dtype=np.int8), rows), SymmetricProb(),
+            EligibilityTrace.zeros(layer.weights.shape, tau_e), 0.5)
+        before = layer.weights.copy()
+        simulate(layer, X, spk, np.random.default_rng(10), *plastic)
+        # a one-row plastic call with tau_e >= 1/2 runs event-driven, without lif_step
+        event = tau_e is not None and rows == 1 and tau_e >= 0.5
+        assert len(seen) == (0 if event else spk.encoder.steps)
+        assert np.array_equal(layer.weights, before) == (tau_e is None)
+
     def test_csr_step_matches_dense_step(self):
         rng = np.random.default_rng(8)
         W = rng.uniform(-0.5, 0.5, size=(5, 40))
