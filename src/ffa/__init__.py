@@ -12,29 +12,16 @@ from .analog import (
     EpochStats,
     TrainConfig,
     adam_step,
-    forward,
     forward_batch,
     layer_gradient,
     train_analog,
 )
-from .core import (
-    Polarity,
-    PolarityPartition,
-    SigmoidProb,
-    SymmetricProb,
-    bce_loss,
-    goodness,
-    modulation_sigmoid,
-    modulation_symmetric,
-    prob_sigmoid,
-    prob_symmetric,
-)
+from .core import PolarityPartition, SigmoidProb, SymmetricProb
 from .data import (
     Dataset,
     ExperimentData,
     LabelCodebook,
     batches,
-    embed,
     embed_batch,
     load_mnist,
     pair_codes,
@@ -45,7 +32,6 @@ from .metrics import (
     MetricReport,
     accuracy,
     export_latents,
-    hoyer_index,
     separability_index,
 )
 from .spiking import (

@@ -59,6 +59,13 @@ class DenseLayer:
     def n_in(self) -> int:
         return self.weights.shape[1]
 
+    def check_batch(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a float64 stack of inputs [B, n_in]; any other shape is a ConfigError."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_in:
+            raise ConfigError(f"batch has shape {X.shape}, layer expects [B, {self.n_in}]")
+        return X
+
     @classmethod
     def initialize(
         cls,
@@ -76,17 +83,6 @@ class DenseLayer:
         return cls(weights, partition, bias)
 
 
-def forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-input forward pass: returns (pre-activation, ReLU latent)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.n_in,):
-        raise ConfigError(f"input has shape {x.shape}, layer expects ({layer.n_in},)")
-    preact = layer.weights @ x
-    if layer.bias is not None:
-        preact = preact + layer.bias
-    return preact, np.maximum(preact, 0.0)
-
-
 def _bias_relu(layer: DenseLayer, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The layer rule after the weight product ``W x``: (pre-activation ``W x + b``, ReLU latent)."""
     preact = product if layer.bias is None else product + layer.bias
@@ -95,9 +91,7 @@ def _bias_relu(layer: DenseLayer, product: np.ndarray) -> tuple[np.ndarray, np.n
 
 def forward_batch(layer: DenseLayer, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass over a stack of inputs [B, n_in]."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != layer.n_in:
-        raise ConfigError(f"batch has shape {X.shape}, layer expects [B, {layer.n_in}]")
+    X = layer.check_batch(X)
     return _bias_relu(layer, X @ layer.weights.T)
 
 

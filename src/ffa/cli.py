@@ -151,10 +151,11 @@ def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> in
 _WORKER_DATA: ExperimentData | None = None
 
 
-def _map(fn, items, threads: int) -> list:
-    """``fn`` over ``items``, in a pool of ``threads`` forked workers when above 1."""
-    if threads > 1:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
+def _map(fn, items: list, threads: int) -> list:
+    """``fn`` over ``items``, in ``min(threads, len(items))`` forked workers when above 1."""
+    workers = min(threads, len(items))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             return pool.map(fn, items)
     return [fn(item) for item in items]
 

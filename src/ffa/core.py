@@ -5,16 +5,13 @@ to positive samples and low goodness to negative samples.  A probability
 function maps goodness to [0, 1]; the layer minimizes binary cross-entropy
 of that probability.  Because the goodness gradient is simply ``2 * latent``,
 the loss gradient factorizes into ``modulation * post * pre`` — the same
-shape as a three-factor Hebbian update.  The ``modulation_*`` functions
-below return exactly that third factor, expressed as the update (descent)
-direction so that adding ``modulation * post * pre`` to a weight improves
-the loss.
+shape as a three-factor Hebbian update.  :func:`modulation_batch` returns
+exactly that third factor, expressed as the update (descent) direction so
+that adding ``modulation * post * pre`` to a weight improves the loss.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,18 +20,10 @@ import numpy as np
 from .errors import require
 
 __all__ = [
-    "Polarity",
     "PolarityPartition",
     "SigmoidProb",
     "SymmetricProb",
     "ProbabilityFn",
-    "goodness",
-    "partition_goodness",
-    "prob_sigmoid",
-    "prob_symmetric",
-    "bce_loss",
-    "modulation_sigmoid",
-    "modulation_symmetric",
     "probability_batch",
     "modulation_batch",
     "bce_batch",
@@ -42,13 +31,6 @@ __all__ = [
 
 # Clamp applied to probabilities before taking logs.
 EPS_CLAMP = 1e-7
-
-
-class Polarity(enum.Enum):
-    """Contrastive tag: a sample is either real-labelled or wrong-labelled."""
-
-    POSITIVE = 1
-    NEGATIVE = -1
 
 
 class PolarityPartition:
@@ -128,93 +110,9 @@ class SymmetricProb:
 ProbabilityFn = Union[SigmoidProb, SymmetricProb]
 
 
-def goodness(latent: np.ndarray) -> float:
-    """Squared Euclidean norm of a latent activity vector."""
-    latent = np.asarray(latent, dtype=float)
-    return float(np.dot(latent, latent))
-
-
-def partition_goodness(latent: np.ndarray, partition: PolarityPartition) -> tuple[float, float]:
-    """Goodness restricted to the positive and negative neuron sets."""
-    latent = np.asarray(latent, dtype=float)
-    sq = latent * latent
-    g_pos = float(sq[partition.pos_mask].sum())
-    g_neg = float(sq[~partition.pos_mask].sum())
-    return g_pos, g_neg
-
-
-def prob_sigmoid(g: float, alpha: float, theta: float) -> float:
-    """Probability that goodness ``g`` came from the positive distribution.
-
-    Computed in the overflow-safe branch form, so extreme goodness saturates
-    cleanly to 0 or 1.
-    """
-    z = alpha * (g - theta)
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z)) if z < 745.0 else 1.0
-    return math.exp(z) / (1.0 + math.exp(z)) if z > -745.0 else 0.0
-
-
-def prob_symmetric(g_pos: float, g_neg: float, epsilon: float) -> float:
-    """Share of total goodness carried by the positive-polarity neurons.
-
-    The epsilon split (half in the numerator, all of it in the denominator)
-    regularizes the dead-layer 0/0 case to exactly 0.5 and keeps
-    ``p(a, b) + p(b, a) == 1``.
-    """
-    return (g_pos + 0.5 * epsilon) / (g_pos + g_neg + epsilon)
-
-
-def bce_loss(p: float, polarity: Polarity) -> float:
-    """Binary cross-entropy of a single sample's probability."""
-    p = min(max(p, EPS_CLAMP), 1.0 - EPS_CLAMP)
-    if polarity is Polarity.POSITIVE:
-        return -math.log(p)
-    return -math.log(1.0 - p)
-
-
-def modulation_sigmoid(p: float, polarity: Polarity, alpha: float) -> float:
-    """Third factor of the sigmoid-probability update, as a descent direction.
-
-    Positive samples potentiate by ``alpha * (1 - p)``; negative samples
-    depress by ``alpha * p``.  The remaining constant from the goodness
-    gradient is folded into the learning rate.
-    """
-    if polarity is Polarity.POSITIVE:
-        return alpha * (1.0 - p)
-    return -alpha * p
-
-
-def modulation_symmetric(
-    p: float,
-    g_match: float,
-    g_other: float,
-    partition: str,
-    epsilon: float,
-    denominator: str = "match",
-) -> float:
-    """Third factor of the symmetric-probability update, as a descent direction.
-
-    ``partition`` says which side of the polarity split the neuron lies on
-    relative to the sample: "match" neurons share the sample's polarity and
-    are potentiated, "other" neurons are depressed.  Both branches are the
-    exact gradient of ``-log prob_symmetric``: the epsilon terms mirror the
-    halved-epsilon regularization of the probability itself, which is what
-    makes the dead-layer potentiation and depression magnitudes equal.
-    """
-    total = g_match + g_other + epsilon
-    if partition == "match":
-        if denominator == "total":
-            return (1.0 - p) / total
-        return (1.0 - p) / (g_match + 0.5 * epsilon)
-    if partition == "other":
-        return -1.0 / total
-    raise ValueError("partition must be 'match' or 'other'")
-
-
 # ---------------------------------------------------------------------------
-# Batched forms used by the trainers.  ``latents`` has one row per sample,
-# ``codes`` holds its int8 polarity, +1 / -1 per row (the Polarity values).
+# The rules act on batches: ``latents`` has one row per sample, and ``codes``
+# holds its int8 polarity, +1 for a positive and -1 for a negative sample.
 
 
 def _symmetric_terms(latents: np.ndarray, prob_fn: SymmetricProb, partition: PolarityPartition):
@@ -260,7 +158,9 @@ def modulation_batch(
     Returns ``(p, M)`` with ``p`` of shape [B] and ``M`` of shape [B, n];
     ``M[b, j]`` is the descent-direction third factor for neuron ``j`` under
     sample ``b``.  Neurons whose partition side matches the sample's
-    polarity are potentiated, the others depressed.
+    polarity are potentiated, the others depressed.  Under the symmetric
+    probability both are the exact gradient of ``-log p_match``: the epsilon
+    terms mirror the probability's halved-epsilon regularization.
     """
     latents = np.atleast_2d(np.asarray(latents, dtype=float))
     n = latents.shape[1]

@@ -167,11 +167,6 @@ class LabelCodebook:
         return isinstance(other, LabelCodebook) and np.array_equal(self.vectors, other.vectors)
 
 
-def embed(image: np.ndarray, label: int, codebook: LabelCodebook) -> np.ndarray:
-    """Append the label's codeword to a flat image."""
-    return embed_batch(np.asarray(image)[None, :], label, codebook)[0]
-
-
 def check_labels(labels) -> np.ndarray:
     """``labels`` (one or an array) as an array, after checking each lies in 0-9."""
     labels = np.asarray(labels)

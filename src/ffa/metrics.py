@@ -136,21 +136,17 @@ def collect_latents(
     return LatentDump(latents, dataset.labels.copy(), model_tag)
 
 
-def hoyer_index(latent: np.ndarray) -> float:
-    """Normalized L1/L2 sparsity of one vector in [0, 1]: 0 uniform, 1 one-hot."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.ndim != 1 or latent.size < 2:
-        raise ValueError("hoyer index needs a vector of at least 2 components")
-    return hoyer_summary(latent)[0]
-
-
 def hoyer_summary(latents: np.ndarray) -> tuple[float, float, int]:
     """Mean and std of the Hoyer index over rows, plus the count of dead latents.
 
-    An all-zero row is 0/0 under the formula and is defined as 1.0
-    (maximally sparse) so metric sweeps survive dead latents.
+    The Hoyer index is the normalized L1/L2 sparsity of a row in [0, 1]: 0
+    uniform, 1 one-hot; it needs at least 2 components.  An all-zero row is
+    0/0 under the formula and is defined as 1.0 (maximally sparse) so metric
+    sweeps survive dead latents.
     """
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
+    if latents.shape[1] < 2:
+        raise DataError("the hoyer index needs latents of at least 2 components")
     l2 = np.sqrt(np.einsum("qj,qj->q", latents, latents))
     l1 = np.abs(latents).sum(axis=1)
     root_n = math.sqrt(latents.shape[1])
@@ -233,29 +229,6 @@ def export_latents(dump: LatentDump, path) -> None:
         f.write(header + "\n")
         for label, row in zip(dump.labels, dump.latents):
             f.write(f"{int(label)}," + ",".join(f"{v:.9g}" for v in row) + "\n")
-
-
-def read_latents(path) -> LatentDump:
-    """Read a latent CSV back (external tools consume the same format).
-
-    Every row must hold a label and as many values as the header names.
-    """
-    with open(path) as f:
-        header = f.readline().strip()
-        if not header.startswith("label,"):
-            raise DataError(f"{path}: not a latent CSV")
-        width = header.count(",")
-        labels, rows = [], []
-        for number, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != width + 1:
-                raise DataError(f"{path}:{number}: expected {width} values, got {len(parts) - 1}")
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{number}: {exc}") from None
-    return LatentDump(np.asarray(rows, dtype=np.float64).reshape(len(rows), width), labels)
 
 
 @dataclass

@@ -326,9 +326,10 @@ def simulate(
 ) -> np.ndarray:
     """Simulate a stack of inputs [B, n_in] in lockstep; returns the final traces [B, n_out].
 
-    Inputs must lie in [0, 1].  Each timestep, input i spikes with probability
-    ``scale * x_i``, drawn for nonzero inputs only, and the spikes drive the
-    layer as a sparse current.  LIF and trace state start fresh.  Plasticity
+    Any other shape of ``X`` is a ConfigError, and its inputs must lie in
+    [0, 1].  Each timestep, input i spikes with probability ``scale * x_i``,
+    drawn for nonzero inputs only, and the spikes drive the layer as a
+    sparse current.  LIF and trace state start fresh.  Plasticity
     is off unless the polarity ``codes`` (+1/-1 per row), ``prob_fn``, the
     ``eligibility`` trace and ``eta`` are all given; then each of the last
     ``active_window`` timesteps folds the row-mean Hebbian impulse through the
@@ -344,7 +345,7 @@ def simulate(
     plastic = all(given)
     if any(given) and not plastic:
         raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
-    X = np.asarray(X, dtype=np.float64)
+    X = layer.check_batch(X)
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x

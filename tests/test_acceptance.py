@@ -11,31 +11,20 @@ import numpy as np
 import pytest
 
 from ffa import cli
-from ffa.analog import DenseLayer, forward, layer_gradient, partition_for
+from ffa.analog import DenseLayer, layer_gradient, partition_for
 from ffa.config import ExperimentConfig, apply_overrides
-from ffa.core import (
-    Polarity,
-    SigmoidProb,
-    SymmetricProb,
-    bce_loss,
-    goodness,
-    modulation_sigmoid,
-    modulation_symmetric,
-    partition_goodness,
-    prob_sigmoid,
-    prob_symmetric,
-)
+from ffa.core import SigmoidProb, SymmetricProb
 from ffa.data import ExperimentData, LabelCodebook, load_mnist
 from ffa.metrics import (
     LatentDump,
     accuracy,
     collect_latents,
-    hoyer_index,
     hoyer_summary,
     separability_index,
 )
 from ffa.spiking import EligibilityTrace, OutputTrace, TraceConfig, eligibility_step, trace_step
 from tests.conftest import require_mnist
+from tests.reference import Polarity, forward, sample_loss, scalar_factorized_gradient
 
 
 # --- criteria 1-3: MNIST reproduction ---------------------------------------
@@ -148,45 +137,6 @@ def test_criterion3_latent_geometry(mnist_models, model, prob, trace):
 
 
 # --- criterion 4: the equivalence oracle -------------------------------------
-
-
-def sample_loss(layer: DenseLayer, x: np.ndarray, polarity: Polarity, prob_fn) -> float:
-    _, latent = forward(layer, x)
-    if isinstance(prob_fn, SigmoidProb):
-        p = prob_sigmoid(goodness(latent), prob_fn.alpha, prob_fn.theta)
-    else:
-        g_pos, g_neg = partition_goodness(latent, layer.partition)
-        p = prob_symmetric(g_pos, g_neg, prob_fn.epsilon)
-    return bce_loss(p, polarity)
-
-
-def scalar_factorized_gradient(layer, x, polarity, prob_fn) -> np.ndarray:
-    """Independent assembly: -modulation * relu' * 2*latent_j * x_i."""
-    part = layer.partition
-    _, latent = forward(layer, x)
-    out = np.zeros_like(layer.weights)
-    if isinstance(prob_fn, SigmoidProb):
-        p = prob_sigmoid(goodness(latent), prob_fn.alpha, prob_fn.theta)
-    else:
-        g_pos, g_neg = partition_goodness(latent, part)
-    for j in range(layer.n_out):
-        if latent[j] <= 0.0:
-            continue
-        if isinstance(prob_fn, SigmoidProb):
-            m = modulation_sigmoid(p, polarity, prob_fn.alpha)
-        else:
-            if polarity is Polarity.POSITIVE:
-                p_m = prob_symmetric(g_pos, g_neg, prob_fn.epsilon)
-                g_m, g_o = g_pos, g_neg
-                side = "match" if part.pos_mask[j] else "other"
-            else:
-                p_m = prob_symmetric(g_neg, g_pos, prob_fn.epsilon)
-                g_m, g_o = g_neg, g_pos
-                side = "match" if not part.pos_mask[j] else "other"
-            m = modulation_symmetric(p_m, g_m, g_o, side, prob_fn.epsilon)
-        for i in range(layer.n_in):
-            out[j, i] = -m * 2.0 * latent[j] * x[i]
-    return out
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -310,9 +260,9 @@ def test_criterion6_trace_oracles(kind):
 def test_criterion7_metric_units():
     one_hot = np.zeros(8)
     one_hot[3] = 2.5
-    assert abs(hoyer_index(one_hot) - 1.0) <= 1e-12
-    assert abs(hoyer_index(np.full(16, 0.7)) - 0.0) <= 1e-12
-    assert abs(hoyer_index(np.array([3.0, 4.0, 0.0, 0.0])) - 0.6) <= 1e-12
+    assert abs(hoyer_summary(one_hot)[0] - 1.0) <= 1e-12
+    assert abs(hoyer_summary(np.full(16, 0.7))[0] - 0.0) <= 1e-12
+    assert abs(hoyer_summary(np.array([3.0, 4.0, 0.0, 0.0]))[0] - 0.6) <= 1e-12
 
     rng = np.random.default_rng(11)
     a = rng.normal(0.0, 0.05, size=(8, 5))
@@ -323,7 +273,7 @@ def test_criterion7_metric_units():
     # scale invariance of the sparsity index
     v = rng.uniform(0, 2, size=40)
     for c in (1e-3, 0.5, 7.0, 1e3):
-        assert abs(hoyer_index(c * v) - hoyer_index(v)) <= 1e-12
+        assert abs(hoyer_summary(c * v)[0] - hoyer_summary(v)[0]) <= 1e-12
 
     # permutation invariance of the separability index
     latents = rng.normal(size=(50, 9))

@@ -7,27 +7,15 @@ from ffa.analog import (
     DenseLayer,
     TrainConfig,
     adam_step,
-    forward,
     forward_batch,
     layer_gradient,
     partition_for,
     train_analog,
 )
-from ffa.core import (
-    Polarity,
-    PolarityPartition,
-    SigmoidProb,
-    SymmetricProb,
-    bce_loss,
-    goodness,
-    modulation_sigmoid,
-    modulation_symmetric,
-    partition_goodness,
-    prob_sigmoid,
-    prob_symmetric,
-)
+from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
 from ffa.errors import ConfigError, DivergenceError
 from ffa import metrics
+from tests.reference import Polarity, forward, sample_loss, scalar_factorized_gradient
 
 
 def make_layer(n_in, n_out, seed=0, prob=None):
@@ -90,14 +78,7 @@ def finite_difference_gradient(layer, x, polarity, prob_fn, h=1e-6):
     part = layer.partition
 
     def loss(W):
-        a = W @ x
-        l = np.maximum(a, 0.0)
-        if isinstance(prob_fn, SigmoidProb):
-            p = prob_sigmoid(goodness(l), prob_fn.alpha, prob_fn.theta)
-        else:
-            g_pos, g_neg = partition_goodness(l, part)
-            p = prob_symmetric(g_pos, g_neg, prob_fn.epsilon)
-        return bce_loss(p, polarity)
+        return sample_loss(DenseLayer(W, part), x, polarity, prob_fn)
 
     W = layer.weights
     grad = np.zeros_like(W)
@@ -175,27 +156,7 @@ class TestLayerGradient:
             for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE):
                 layer, x = draw_fd_safe(rng, 7, 4, prob)
                 grad = gradient(layer, x, [polarity], prob)
-                _, latent = forward(layer, x)
-                part = layer.partition
-                expected = np.zeros_like(grad)
-                for j in range(4):
-                    if latent[j] <= 0.0 and isinstance(prob, SigmoidProb):
-                        continue
-                    if isinstance(prob, SigmoidProb):
-                        p = prob_sigmoid(goodness(latent), prob.alpha, prob.theta)
-                        m = modulation_sigmoid(p, polarity, prob.alpha)
-                    else:
-                        g_pos, g_neg = partition_goodness(latent, part)
-                        if polarity is Polarity.POSITIVE:
-                            p_m, g_m, g_o = prob_symmetric(g_pos, g_neg, prob.epsilon), g_pos, g_neg
-                            side = "match" if part.pos_mask[j] else "other"
-                        else:
-                            p_m, g_m, g_o = prob_symmetric(g_neg, g_pos, prob.epsilon), g_neg, g_pos
-                            side = "match" if not part.pos_mask[j] else "other"
-                        m = modulation_symmetric(p_m, g_m, g_o, side, prob.epsilon)
-                    relu_prime = 1.0 if latent[j] > 0.0 else 0.0
-                    for i in range(7):
-                        expected[j, i] = -m * relu_prime * 2.0 * latent[j] * x[i]
+                expected = scalar_factorized_gradient(layer, x, polarity, prob)
                 assert np.allclose(grad, expected, rtol=1e-10, atol=1e-14)
 
 
@@ -303,9 +264,8 @@ class TestTrainAnalog:
         _, grad_b, _, _ = layer_gradient(layer, x[None, :], codes_of(Polarity.NEGATIVE), prob)
 
         def loss(bias):
-            a = layer.weights @ x + bias
-            l = np.maximum(a, 0.0)
-            return bce_loss(prob_sigmoid(goodness(l), prob.alpha, prob.theta), Polarity.NEGATIVE)
+            biased = DenseLayer(layer.weights, layer.partition, bias)
+            return sample_loss(biased, x, Polarity.NEGATIVE, prob)
 
         for j in range(4):
             h = 1e-6

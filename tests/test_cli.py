@@ -6,8 +6,8 @@ import pytest
 from ffa import cli, metrics
 from ffa.checkpoint import load_checkpoint
 from ffa.config import apply_overrides, load_config
-from ffa.metrics import read_latents
 from tests.conftest import write_idx_images, write_idx_labels
+from tests.reference import read_latents
 
 
 @pytest.fixture()
@@ -278,6 +278,36 @@ class TestReproduce:
                            "--set", "experiment.n_hidden=12") == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_forks_no_more_workers_than_cells(self, base_config, capsys, monkeypatch):
+        # A fake fork context records each pool's size and maps in-process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: FakeContext)
+        config, _ = base_config
+        assert run_cli("reproduce", "--table", "table1", "--config", config,
+                       "--threads", 64,
+                       "--set", "experiment.epochs=1",
+                       "--set", "experiment.n_hidden=12") == 0
+        assert sizes == [6]
+        assert cli._map(abs, [-3], 64) == [3]
+        assert sizes == [6]
 
     def test_invalid_rows_rejected_before_training(self, base_config, capsys, monkeypatch):
         config, _ = base_config

@@ -8,7 +8,6 @@ from ffa.data import (
     Dataset,
     LabelCodebook,
     batches,
-    embed,
     embed_batch,
     load_mnist,
     pair_codes,
@@ -145,7 +144,7 @@ class TestLabelCodebook:
 class TestEmbedding:
     def test_zero_image_nonzeros_only_in_suffix(self):
         book = LabelCodebook(length=20, density=0.3, seed=3)
-        v = embed(np.zeros(50), 4, book)
+        v = embed_batch(np.zeros((1, 50)), 4, book)[0]
         assert v.shape == (70,)
         assert np.all(v[:50] == 0.0)
         assert np.array_equal(v[50:], book.vectors[4])
@@ -154,14 +153,14 @@ class TestEmbedding:
         rng = np.random.default_rng(1)
         book = LabelCodebook(length=20, density=0.3, seed=3)
         image = rng.uniform(0, 1, 50)
-        a, b = embed(image, 2, book), embed(image, 7, book)
+        a, b = embed_batch(image[None, :], 2, book)[0], embed_batch(image[None, :], 7, book)[0]
         assert np.array_equal(a[:50], b[:50])
         assert not np.array_equal(a[50:], b[50:])
 
     def test_rejects_bad_label(self):
         book = LabelCodebook(length=20, density=0.3, seed=3)
         with pytest.raises(DataError):
-            embed(np.zeros(5), 10, book)
+            embed_batch(np.zeros((1, 5)), 10, book)
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_batch_rejects_bad_label_scalar_and_per_row(self, bad):
@@ -178,7 +177,7 @@ class TestEmbedding:
         stacked = embed_batch(images, 5, book)
         for b in range(6):
             assert np.array_equal(stacked[b], np.concatenate([images[b], book.vectors[5]]))
-            assert np.array_equal(stacked[b], embed(images[b], 5, book))
+            assert np.array_equal(stacked[b], embed_batch(images[b : b + 1], 5, book)[0])
 
     def test_batch_one_label_per_row(self):
         rng = np.random.default_rng(2)

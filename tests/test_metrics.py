@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ffa import metrics as metrics_mod
-from ffa.analog import DenseLayer, forward, forward_batch, forward_labelled
-from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb, goodness, partition_goodness
-from ffa.data import Dataset, LabelCodebook, embed, embed_batch
+from ffa.analog import DenseLayer, forward_batch, forward_labelled
+from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
+from ffa.data import Dataset, LabelCodebook, embed_batch
 from ffa.errors import ConfigError, DataError
 from ffa.metrics import (
     LatentDump,
@@ -18,14 +18,13 @@ from ffa.metrics import (
     evaluate,
     export_latents,
     goodness_scores,
-    hoyer_index,
     hoyer_summary,
-    read_latents,
     scan,
     separability_index,
     spiking_runner,
 )
 from ffa.spiking import SpikeEncoderConfig, SpikingConfig, simulate
+from tests.reference import forward, goodness, partition_goodness, read_latents
 
 
 class TestHoyerIndex:
@@ -33,27 +32,28 @@ class TestHoyerIndex:
     def test_one_hot_is_one(self, n):
         v = np.zeros(n)
         v[0] = 3.7
-        assert hoyer_index(v) == pytest.approx(1.0, abs=1e-12)
+        assert hoyer_summary(v)[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 10, 64])
     def test_uniform_is_zero(self, n):
-        assert hoyer_index(np.full(n, 0.8)) == pytest.approx(0.0, abs=1e-12)
+        assert hoyer_summary(np.full(n, 0.8))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated(self):
         # l1 = 7, l2 = 5, n = 4: (2 - 1.4) / (2 - 1) = 0.6
-        assert hoyer_index(np.array([3.0, 4.0, 0.0, 0.0])) == pytest.approx(0.6, abs=1e-12)
+        assert hoyer_summary(np.array([3.0, 4.0, 0.0, 0.0]))[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_vector_convention(self):
-        assert hoyer_index(np.zeros(16)) == 1.0
+        assert hoyer_summary(np.zeros(16))[0] == 1.0
 
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            hoyer_index(np.array([1.0]))
+    @pytest.mark.parametrize("latents", [np.array([1.0]), np.ones((5, 1)), np.zeros((3, 0))])
+    def test_too_short(self, latents):
+        with pytest.raises(DataError, match="at least 2 components"):
+            hoyer_summary(latents)
 
     @given(c=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariant(self, c):
         v = np.array([0.1, 0.9, 0.0, 0.4, 2.0])
-        assert hoyer_index(c * v) == pytest.approx(hoyer_index(v), abs=1e-12)
+        assert hoyer_summary(c * v)[0] == pytest.approx(hoyer_summary(v)[0], abs=1e-12)
 
     def test_summary_counts_dead_latents(self):
         latents = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
@@ -252,7 +252,7 @@ def trained_like_layer(rng, n_out, n_in):
 
 def oracle_prediction(layer, image, book, prob):
     """Per-image goodness scan: ten embedded rows, one forward each, argmax."""
-    latents = [forward(layer, embed(image, c, book))[1] for c in range(10)]
+    latents = [forward(layer, embed_batch(image[None, :], c, book)[0])[1] for c in range(10)]
     if isinstance(prob, SigmoidProb):
         scores = [goodness(h) for h in latents]
     else:
@@ -474,7 +474,7 @@ class TestCollectAndEvaluate:
         sub = Dataset(synthetic_data.test.images[:30], synthetic_data.test.labels[:30])
         dump = collect_latents(layer, sub, synthetic_data.codebook, analog_runner(), "tag")
         for q in (0, 7, 29):
-            x = embed(sub.images[q], int(sub.labels[q]), synthetic_data.codebook)
+            x = embed_batch(sub.images[q : q + 1], int(sub.labels[q]), synthetic_data.codebook)[0]
             _, latent = forward(layer, x)
             assert np.allclose(dump.latents[q], latent, rtol=1e-13)
         assert dump.model_tag == "tag"
@@ -491,3 +491,9 @@ class TestCollectAndEvaluate:
         assert dump.latents.shape == (50, 14)
         text = report.format()
         assert "accuracy:" in text and "separability:" in text
+
+    def test_evaluate_refuses_one_unit_layer(self, synthetic_data):
+        layer = DenseLayer(np.full((1, 120), 0.1), PolarityPartition.all_positive(1))
+        sub = Dataset(synthetic_data.test.images[:20], synthetic_data.test.labels[:20])
+        with pytest.raises(DataError, match="at least 2 components"):
+            evaluate(layer, sub, synthetic_data.codebook, analog_runner(), SigmoidProb())

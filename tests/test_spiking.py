@@ -4,8 +4,8 @@ from scipy import stats
 from scipy.sparse import csr_array
 
 import ffa.spiking as spiking_mod
-from ffa.analog import DenseLayer, TrainConfig, forward, layer_gradient, partition_for
-from ffa.core import Polarity, PolarityPartition, SigmoidProb, SymmetricProb, modulation_batch
+from ffa.analog import DenseLayer, TrainConfig, layer_gradient, partition_for
+from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb, modulation_batch
 from ffa.data import Dataset, ExperimentData, LabelCodebook
 from ffa.errors import ConfigError, DataError
 from ffa.spiking import (
@@ -25,6 +25,7 @@ from ffa.spiking import (
 )
 from ffa import metrics
 from tests.conftest import make_synthetic
+from tests.reference import Polarity, forward
 
 
 def densify(X, fired):
@@ -757,6 +758,22 @@ class TestSimulateLatents:
         X[1, 3] = value
         with pytest.raises(DataError):
             simulate(layer, X, spk, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("width", [6, 20])
+    @pytest.mark.parametrize("mode", ["eval", "batch", "online"])
+    def test_rejects_wrong_width(self, mode, width):
+        # Every path, the event-driven online one included, checks the input
+        # width before it draws or touches a weight.
+        layer, spk = tiny_model()
+        rows = 1 if mode == "online" else 4
+        plastic = () if mode == "eval" else (
+            np.where(np.arange(rows) % 2 == 0, 1, -1).astype(np.int8), SymmetricProb(),
+            EligibilityTrace.zeros(layer.weights.shape, 0.99), 0.1,
+        )
+        before = layer.weights.copy()
+        with pytest.raises(ConfigError, match=r"batch has shape .*, layer expects \[B, 15\]"):
+            simulate(layer, np.full((rows, width), 0.5), spk, np.random.default_rng(0), *plastic)
+        assert np.array_equal(layer.weights, before)
 
 
 @pytest.fixture(scope="module")
