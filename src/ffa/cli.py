@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import math
-import multiprocessing
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -24,6 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, apply_overrides, load_config, serialize_config
 from .data import ExperimentData, load_mnist
 from .errors import CheckpointError, ConfigError, DivergenceError, FFAError
+from .forks import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -148,34 +148,14 @@ def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> in
 
 # --- sweeps: grid search and reference tables -----------------------------
 
-_WORKER_DATA: ExperimentData | None = None
-
-
-def _map(fn, items: list, threads: int) -> list:
-    """``fn`` over ``items``, in ``min(threads, len(items))`` forked workers when above 1."""
-    workers = min(threads, len(items))
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(fn, items)
-    return [fn(item) for item in items]
-
-
-def _train_cell(cfg: ExperimentConfig) -> tuple[float, FFAError | None]:
-    """Final accuracy of one config on the loaded data; a failure comes back as its error."""
-    try:
-        layer, log = train_model(cfg, _WORKER_DATA)
-        return final_accuracy(cfg, _WORKER_DATA, layer, log), None
-    except FFAError as exc:
-        return float("nan"), exc
-
-
 def _sweep(cfg: ExperimentConfig, cells: dict[str, ExperimentConfig | ConfigError],
-           threads: int) -> list:
-    """``_train_cell`` of every named cell, in cell order, on one load of ``cfg``'s data.
+           threads: int) -> list[tuple[float, FFAError | None]]:
+    """Final accuracy of every named cell, in cell order, on one load of ``cfg``'s data.
 
-    Every cell passes the component rules before any cell trains; a ConfigError cell did not parse.
+    The cells train in ``fork_map`` over ``threads`` workers; a failed cell
+    comes back as its error.  Every cell passes the component rules before
+    any cell trains; a ConfigError cell did not parse.
     """
-    global _WORKER_DATA
     problems = [
         f"{name}: " + "; ".join(broken)
         for name, cell in cells.items()
@@ -183,8 +163,16 @@ def _sweep(cfg: ExperimentConfig, cells: dict[str, ExperimentConfig | ConfigErro
     ]
     if problems:
         raise ConfigError("invalid cells: " + " | ".join(problems))
-    _WORKER_DATA = prepare_data(cfg)
-    return _map(_train_cell, list(cells.values()), threads)
+    data = prepare_data(cfg)
+
+    def train_cell(cell: ExperimentConfig) -> tuple[float, FFAError | None]:
+        try:
+            layer, log = train_model(cell, data)
+            return final_accuracy(cell, data, layer, log), None
+        except FFAError as exc:
+            return float("nan"), exc
+
+    return list(fork_map(train_cell, cells.values(), threads))
 
 
 def cmd_grid(cfg: ExperimentConfig, threads: int) -> int:

@@ -14,17 +14,19 @@ passes ``range(10)``, :func:`collect_latents` the true labels alone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .analog import DenseLayer, forward_labelled
 from .atomic import atomic_write
 from .core import ProbabilityFn, SigmoidProb
-from .data import Dataset, LabelCodebook, embed_batch
+from .data import Dataset, LabelCodebook, check_labels, embed_batch
 from .errors import ConfigError, DataError
+from .forks import fork_map
 from .spiking import SpikingConfig, simulate
 
 LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook, Iterable], Iterator[np.ndarray]]
@@ -35,6 +37,11 @@ def analog_runner() -> LatentRunner:
     return forward_labelled
 
 
+def _advance(bits: np.random.BitGenerator, draws: int) -> np.random.BitGenerator:
+    """``bits`` moved on as if ``draws`` 64-bit outputs were drawn; numpy refuses 0."""
+    return bits.advance(draws) if draws else bits
+
+
 def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentRunner:
     """Latents via a plasticity-free spiking simulation, one per entry of ``label_sets``.
 
@@ -42,6 +49,12 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
     ``(seed, epoch)``; a given sequence of calls is reproducible, and each
     epoch's evaluation gets its own stream.  The spiking layer has no bias,
     so a layer that carries one is refused.
+
+    The entries of a call run in :func:`~ffa.forks.fork_map` over the usable
+    cores, on the stream a single process would draw: the encoder draws one
+    uniform per nonzero input per step, so entry e starts from the call's
+    state advanced past ``steps * nnz`` draws of each entry before it, and the
+    runner's generator ends the call advanced past them all.
     """
     rng = np.random.default_rng([seed, epoch, 0xE7A1])
 
@@ -49,8 +62,28 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
             label_sets: Iterable) -> Iterator[np.ndarray]:
         if layer.bias is not None:
             raise ConfigError("the spiking runner has no bias; this layer carries one")
-        for labels in label_sets:
-            yield simulate(layer, embed_batch(images, labels, codebook), spiking, rng)
+        label_sets = [check_labels(labels) for labels in label_sets]
+        image_events = np.count_nonzero(images)
+        code_events = np.count_nonzero(codebook.vectors, axis=1)
+        # Python ints: advance() rejects numpy integers
+        draws = [
+            int(spiking.encoder.steps * (image_events + np.broadcast_to(
+                code_events[labels], len(images)).sum()))
+            for labels in label_sets
+        ]
+        offsets = list(accumulate(draws, initial=0))
+        state = rng.bit_generator.state
+        _advance(rng.bit_generator, offsets[-1])
+
+        def latents(entry: int) -> np.ndarray:
+            bits = type(rng.bit_generator)()
+            bits.state = state
+            generator = np.random.Generator(_advance(bits, offsets[entry]))
+            return simulate(layer, embed_batch(images, label_sets[entry], codebook), spiking,
+                            generator)
+
+        workers = len(os.sched_getaffinity(0))
+        yield from fork_map(latents, range(len(label_sets)), workers)
 
     return run
 
@@ -75,8 +108,10 @@ def scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Goodness-scan predictions [Q], ties to the lowest label, and the latents [Q, n] it
     scored for each row's true label: one runner call per chunk yields the ten label
-    passes, and label c's pass gives the rows labelled c.
+    passes, and label c's pass gives the rows labelled c.  An empty dataset is a DataError.
     """
+    if len(dataset) == 0:
+        raise DataError("cannot score an empty dataset")
     predictions = np.empty(len(dataset), dtype=np.int64)
     true_latents = np.empty((len(dataset), layer.n_out))
     for start in range(0, len(dataset), chunk):
@@ -191,6 +226,8 @@ def separability_index(dump: LatentDump, k_nn: int = 5, chunk: int = 256) -> flo
     sort of every cdist distance bit for bit.  If every row ties, every column is a
     candidate.  Latents need finite squared norms below 1/4 of the float64 maximum.
     """
+    from scipy.spatial.distance import cdist
+
     latents, labels = dump.latents, dump.labels
     q, n = latents.shape
     if not 1 <= k_nn < q:

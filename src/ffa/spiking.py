@@ -17,15 +17,17 @@ event-driven: only the synapses of inputs that spiked are touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .analog import DenseLayer, EpochStats, TrainConfig, partition_for, run_epochs
 from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
 from .data import ExperimentData
 from .errors import ConfigError, DataError, require
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 TRACE_KINDS = ("li", "hard_li", "relu")
 RESET_MODES = ("to_zero", "subtract")
@@ -48,6 +50,8 @@ class LIFConfig:
     def __post_init__(self):
         require({
             "lif decay must be in [0, 1]": 0.0 <= self.decay <= 1.0,
+            "lif threshold must be > 0": self.threshold > 0.0,
+            "lif input_gain must be >= 0": self.input_gain >= 0.0,
             f"reset_mode must be one of {RESET_MODES}": self.reset_mode in RESET_MODES,
         })
 
@@ -99,6 +103,7 @@ class TraceConfig:
     def __post_init__(self):
         require({
             f"trace kind must be one of {TRACE_KINDS}": self.kind in TRACE_KINDS,
+            "trace mu must be > 0": self.mu > 0.0,
             "tau_o must be in [0, 1)": 0.0 <= self.tau_o < 1.0,
         })
 
@@ -262,6 +267,8 @@ def _fired_spikes(
     cols: np.ndarray, starts: np.ndarray, fired: np.ndarray, shape: tuple[int, int]
 ) -> csr_array:
     """The events at positions ``fired`` (ascending) as a 0/1 CSR array [B, n_in]."""
+    from scipy.sparse import csr_array
+
     indptr = np.searchsorted(fired, starts)
     return csr_array((np.ones(fired.size), cols[fired], indptr), shape=shape)
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import struct
 from pathlib import Path
@@ -16,6 +17,18 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process running, after stopping the children."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    if left:
+        pytest.fail(f"the test left {len(left)} child process(es) running")
 
 
 def make_synthetic(

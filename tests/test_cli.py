@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffa import cli, metrics
+from ffa import cli, forks, metrics
 from ffa.checkpoint import load_checkpoint
 from ffa.config import apply_overrides, load_config
 from tests.conftest import write_idx_images, write_idx_labels
@@ -280,34 +280,23 @@ class TestReproduce:
         assert outs[0] == outs[1]
 
     def test_forks_no_more_workers_than_cells(self, base_config, capsys, monkeypatch):
-        # A fake fork context records each pool's size and maps in-process.
-        sizes = []
+        # Records the items of every child fork_map starts; the caller is worker 0.
+        started, real = [], forks._start_worker
 
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+        def spy(ctx, fn, items):
+            started.append(len(items))
+            return real(ctx, fn, items)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        class FakeContext:
-            Pool = SerialPool
-
-        monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(forks, "_start_worker", spy)
         config, _ = base_config
         assert run_cli("reproduce", "--table", "table1", "--config", config,
                        "--threads", 64,
                        "--set", "experiment.epochs=1",
                        "--set", "experiment.n_hidden=12") == 0
-        assert sizes == [6]
-        assert cli._map(abs, [-3], 64) == [3]
-        assert sizes == [6]
+        # six cells: five children of one cell each, and no scan inside a cell forked
+        assert started == [1] * 5
+        assert list(forks.fork_map(abs, [-3], 64)) == [3]
+        assert started == [1] * 5
 
     def test_invalid_rows_rejected_before_training(self, base_config, capsys, monkeypatch):
         config, _ = base_config

@@ -220,6 +220,12 @@ class TestValidation:
         ({"label_density": 1.0}, "density"),
         ({"lif_decay": 1.5}, "decay"),
         ({"lif_reset": "clamp"}, "reset_mode"),
+        ({"lif_threshold": 0.0}, "threshold"),
+        ({"lif_threshold": -1.0}, "threshold"),
+        ({"lif_input_gain": -1.0}, "input_gain"),
+        ({"lif_input_gain": math.nan}, "input_gain"),
+        ({"trace_mu": 0.0}, "trace mu"),
+        ({"trace_mu": -0.1}, "trace mu"),
         ({"trace_tau_o": 1.0}, "tau_o"),
         ({"encoder_scale": 1.5}, "scale"),
         ({"encoder_steps": 0}, "steps"),
@@ -232,6 +238,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid config") as err:
             replace(ExperimentConfig(), **bad).validate()
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("gain", [0.0, 4.0])
+    def test_silent_gain_is_legal(self, gain):
+        # a zero gain leaves the layer silent, a state the trainers must survive
+        replace(ExperimentConfig(), lif_input_gain=gain).validate()
 
     def test_bad_part_hides_no_other_field(self):
         cfg = ExperimentConfig(prob="sigmoid", alpha=-1.0, eta=-1.0, lif_decay=2.0,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +297,12 @@ class TestBatchedForms:
         for prob in (SigmoidProb(), SymmetricProb()):
             p = probability_batch(latents, prob, part)
             assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.sparse and scipy.spatial are loaded at first use, not by ``import ffa``
+    code = "import sys, ffa; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ffa.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    assert done.stdout.strip() == "[]"

@@ -1,0 +1,174 @@
+"""The fork map and the spiking runner's forked label passes."""
+
+import copy
+import multiprocessing
+import os
+import time
+
+import numpy as np
+import pytest
+
+from ffa import forks
+from ffa import metrics as metrics_mod
+from ffa.analog import DenseLayer
+from ffa.core import PolarityPartition, SymmetricProb
+from ffa.data import Dataset, LabelCodebook, embed_batch
+from ffa.errors import DataError
+from ffa.metrics import scan, spiking_runner
+from ffa.spiking import SpikeEncoderConfig, SpikingConfig, simulate
+from tests.test_metrics import per_label_scan
+
+SPIKING = SpikingConfig(n_out=14, encoder=SpikeEncoderConfig(steps=12, active_window=4))
+
+
+def layer_for(n_in, seed=30):
+    rng = np.random.default_rng(seed)
+    return DenseLayer(rng.uniform(-0.3, 0.3, size=(14, n_in)), PolarityPartition.split_halves(14))
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """Set the usable core count the spiking runner sees."""
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cores
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """The item count of every child that fork_map starts in this process."""
+    counts, real = [], forks._start_worker
+
+    def spy(ctx, fn, items):
+        counts.append(len(items))
+        return real(ctx, fn, items)
+
+    monkeypatch.setattr(forks, "_start_worker", spy)
+    return counts
+
+
+def parent_generators(monkeypatch):
+    """Copies of the generator of every ``simulate`` call made in this process, in order."""
+    seen, real = [], metrics_mod.simulate
+
+    def spy(layer, X, spiking, rng, *args):
+        seen.append(copy.deepcopy(rng))
+        return real(layer, X, spiking, rng, *args)
+
+    monkeypatch.setattr(metrics_mod, "simulate", spy)
+    return seen
+
+
+class TestForkMap:
+    def test_item_i_runs_in_worker_i_mod_w(self, started):
+        pids = list(forks.fork_map(lambda i: os.getpid(), range(7), 3))
+        assert pids == [pids[i % 3] for i in range(7)]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert started == [2, 2]
+
+    def test_results_in_item_order(self):
+        assert list(forks.fork_map(lambda x: x * x, [3, 1, 4, 1, 5], 2)) == [9, 1, 16, 1, 25]
+
+    def test_child_exception_raised_in_caller(self):
+        def fail_odd(i):
+            if i % 2:
+                raise ValueError(f"item {i}")
+            return i
+
+        results = forks.fork_map(fail_odd, range(4), 2)
+        assert next(results) == 0
+        with pytest.raises(ValueError, match="item 1"):
+            next(results)
+        assert not multiprocessing.active_children()
+
+    def test_dropped_map_stops_busy_children(self):
+        def slow(i):
+            if i:
+                time.sleep(60)
+            return i
+
+        results = forks.fork_map(slow, range(3), 3)
+        start = time.monotonic()
+        assert next(results) == 0
+        results.close()
+        assert time.monotonic() - start < 30
+        assert not multiprocessing.active_children()
+
+    def test_nested_map_runs_serially(self, started):
+        def inner_pids(i):
+            return os.getpid(), list(forks.fork_map(lambda j: os.getpid(), range(3), 3))
+
+        results = list(forks.fork_map(inner_pids, range(2), 2))
+        assert results[0][0] == os.getpid() and results[1][0] != os.getpid()
+        for pid, inner in results:
+            assert inner == [pid] * 3
+        assert started == [1]
+
+
+class TestForkedScan:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forked_equals_serial_bitwise(self, synthetic_data, cores, started, monkeypatch,
+                                          workers):
+        sub = Dataset(synthetic_data.test.images[:40], synthetic_data.test.labels[:40])
+        book, prob = synthetic_data.codebook, SymmetricProb()
+        layer = layer_for(sub.images.shape[1] + book.length)
+        seen = parent_generators(monkeypatch)
+        cores(workers)
+        got = scan(layer, sub, book, spiking_runner(SPIKING, seed=9), prob, chunk=16)
+        # per ragged chunk, child w of W runs passes w, w + W, ...
+        assert started == {1: [], 2: [5], 3: [3, 3]}[workers] * 3
+        serial = copy.deepcopy(seen[0])
+        want = per_label_scan(layer, sub, book, lambda X: simulate(layer, X, SPIKING, serial),
+                              prob, chunk=16)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.any(got[1] > 0)
+
+    def test_generator_state_after_a_call_equals_serial(self, synthetic_data, cores, started,
+                                                        monkeypatch):
+        images, book = synthetic_data.test.images[:23], synthetic_data.codebook
+        layer = layer_for(images.shape[1] + book.length)
+        per_row = np.arange(23) % 10
+        seen = parent_generators(monkeypatch)
+        cores(3)
+        run = spiking_runner(SPIKING, seed=10)
+        first = list(run(layer, images, book, [per_row, *range(10)]))
+        second = list(run(layer, images, book, [4, 7]))
+        # eleven entries over three workers, then two entries over two
+        assert started == [4, 3, 1]
+        # the serial stream: one generator through every entry of both calls
+        serial = copy.deepcopy(seen[0])
+        for labels, got in zip([per_row, *range(10)], first, strict=True):
+            assert np.array_equal(got, simulate(layer, embed_batch(images, labels, book),
+                                                SPIKING, serial))
+        # entries 0, 3, 6 and 9 of the first call ran here; the second call's first
+        # entry starts from the runner's state after the first call
+        assert seen[4].bit_generator.state == serial.bit_generator.state
+        for labels, got in zip([4, 7], second, strict=True):
+            assert np.array_equal(got, simulate(layer, embed_batch(images, labels, book),
+                                                SPIKING, serial))
+
+    def test_nan_in_a_child_entry_is_a_data_error(self, synthetic_data, cores, started):
+        images = synthetic_data.test.images[:12]
+        vectors = synthetic_data.codebook.vectors.copy()
+        vectors[1, 0] = np.nan
+        book = LabelCodebook.from_vectors(vectors, density=0.3, seed=0)
+        layer = layer_for(images.shape[1] + book.length)
+        cores(2)
+        passes = spiking_runner(SPIKING, seed=11)(layer, images, book, [0, 1])
+        assert np.all(np.isfinite(next(passes)))
+        with pytest.raises(DataError, match="must lie in"):
+            next(passes)
+        assert started == [1]
+        assert not multiprocessing.active_children()
+
+    def test_dropped_scan_leaves_no_child(self, synthetic_data, cores, started):
+        images, book = synthetic_data.test.images[:30], synthetic_data.codebook
+        layer = layer_for(images.shape[1] + book.length)
+        cores(3)
+        passes = spiking_runner(SPIKING, seed=12)(layer, images, book, range(10))
+        next(passes)
+        assert len(multiprocessing.active_children()) == 2
+        passes.close()
+        assert started == [3, 3]
+        assert not multiprocessing.active_children()

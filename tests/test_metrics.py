@@ -458,6 +458,13 @@ class TestFactoredScan:
         with pytest.raises(ConfigError, match="code bits"):
             list(forward_labelled(layer, images, synthetic_data.codebook, [0]))
 
+    @pytest.mark.parametrize("score", [scan, accuracy, evaluate])
+    def test_empty_dataset_is_a_data_error(self, synthetic_data, score):
+        layer = trained_like_layer(np.random.default_rng(23), 14, 120)
+        empty = Dataset(np.zeros((0, 100)), [])
+        with pytest.raises(DataError, match="empty"):
+            score(layer, empty, synthetic_data.codebook, analog_runner(), SigmoidProb())
+
     def test_spiking_runner_refuses_a_bias(self, synthetic_data):
         layer = trained_like_layer(np.random.default_rng(22), 14, 120)
         layer.bias = np.zeros(14)
