@@ -21,12 +21,20 @@ from .data import (
     Dataset,
     ExperimentData,
     LabelCodebook,
+    PairBatch,
     batches,
     embed_batch,
     load_mnist,
     pair_codes,
 )
-from .errors import CheckpointError, ConfigError, DataError, DivergenceError, FFAError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    DivergenceError,
+    FFAError,
+    SilentLayerError,
+)
 from .metrics import (
     LatentDump,
     MetricReport,

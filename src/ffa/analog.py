@@ -2,7 +2,9 @@
 
 The loss gradient of the layer never needs backpropagation: it factorizes in
 closed form as ``modulation * relu' * 2*latent_j * input_i`` (see
-:mod:`ffa.core`), so a whole batch reduces to two matrix products.
+:mod:`ffa.core`), so a whole batch reduces to a few matrix products.  The two
+rows of a contrastive pair share their image, so each image is projected
+once, in the forward pass and in the gradient.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .core import (
     bce_batch,
     modulation_batch,
 )
-from .data import ExperimentData, LabelCodebook, batches, check_labels, pair_codes
-from .errors import ConfigError, DivergenceError, require
+from .data import ExperimentData, LabelCodebook, PairBatch, batches, check_labels, pair_codes
+from .errors import ConfigError, DivergenceError, SilentLayerError, require
 
 logger = logging.getLogger(__name__)
 
@@ -89,10 +91,44 @@ def _bias_relu(layer: DenseLayer, product: np.ndarray) -> tuple[np.ndarray, np.n
     return preact, np.maximum(preact, 0.0)
 
 
-def forward_batch(layer: DenseLayer, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass over a stack of inputs [B, n_in]."""
-    X = layer.check_batch(X)
-    return _bias_relu(layer, X @ layer.weights.T)
+def _project_images(
+    layer: DenseLayer, images: np.ndarray, n_tail: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split the weight product of rows ``[image ; tail]`` at the image's end.
+
+    ``W [x ; t] = W_img x + W_tail t``, so an image shared by several rows is
+    projected once.  Returns ``(images @ W_img.T, W_tail)`` for ``images``
+    [m, n_in - n_tail]; any other shape is a ConfigError.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    n_img = layer.n_in - n_tail
+    if images.ndim != 2 or images.shape[1] != n_img:
+        raise ConfigError(
+            f"images have shape {images.shape}, layer expects [Q, {n_img}] plus "
+            f"{n_tail} code bits"
+        )
+    return images @ layer.weights[:, :n_img].T, layer.weights[:, n_img:]
+
+
+def forward_batch(
+    layer: DenseLayer, X: np.ndarray, tail: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward pass over a stack of inputs [B, n_in], or over the rows ``[X[b // r] ; tail[b]]``.
+
+    With a ``tail`` [B, n_t], ``X`` holds m shared images [m, n_in - n_t] and
+    each one heads r = B / m consecutive rows.
+    """
+    if tail is None:
+        return _bias_relu(layer, layer.check_batch(X) @ layer.weights.T)
+    tail = np.asarray(tail, dtype=np.float64)
+    if tail.ndim != 2:
+        raise ConfigError(f"tail has shape {tail.shape}, expected [B, n_t]")
+    projected, w_tail = _project_images(layer, X, tail.shape[1])
+    if not len(projected) or len(tail) % len(projected):
+        raise ConfigError(f"a tail of {len(tail)} rows does not split over {len(projected)} images")
+    product = np.repeat(projected, len(tail) // len(projected), axis=0)
+    product += tail @ w_tail.T
+    return _bias_relu(layer, product)
 
 
 def forward_labelled(
@@ -100,20 +136,12 @@ def forward_labelled(
 ) -> Iterator[np.ndarray]:
     """ReLU latents [Q, n_out] of ``[images ; codeword]`` for each entry of ``label_sets``.
 
-    An entry is one label for every row or one label per row.  The input is
-    an image part plus a code part, so the pre-activation splits as
-    ``W_img x + W_code c + b``: the images are projected once, the ten
-    codewords once, and each entry costs one gather and add, not a GEMM.
+    An entry is one label for every row or one label per row.  The images
+    are projected once and the ten codewords once, so each entry costs one
+    gather and add, not a GEMM.
     """
-    images = np.asarray(images, dtype=np.float64)
-    n_img = layer.n_in - codebook.length
-    if images.ndim != 2 or images.shape[1] != n_img:
-        raise ConfigError(
-            f"images have shape {images.shape}, layer expects [Q, {n_img}] plus "
-            f"{codebook.length} code bits"
-        )
-    projected = images @ layer.weights[:, :n_img].T
-    code_table = codebook.vectors @ layer.weights[:, n_img:].T
+    projected, w_code = _project_images(layer, images, codebook.length)
+    code_table = codebook.vectors @ w_code.T
     for labels in label_sets:
         yield _bias_relu(layer, projected + code_table[check_labels(labels)])[1]
 
@@ -123,22 +151,36 @@ def layer_gradient(
     X: np.ndarray,
     codes: np.ndarray,
     prob_fn: ProbabilityFn,
+    tail: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Closed-form mean loss gradient over the rows of ``X`` [B, n_in] with +1/-1 ``codes``.
+    """Closed-form mean loss gradient over the rows of :func:`forward_batch` with +1/-1 ``codes``.
 
-    Returns ``(grad_w, grad_b, p, latent)``: the weight and bias (None
-    without a bias) gradients and the per-row probabilities and latents.
-    Per sample d L / d w_ij is ``-(modulation_j) * relu'(a_j) * 2*latent_j * x_i``
-    (the modulation is a descent direction, hence the leading minus), so
-    neurons left inactive by the ReLU contribute exactly zero.
+    The rows are ``X`` [B, n_in] itself, or with a ``tail`` [B, n_t] the
+    rows ``[X[b // r] ; tail[b]]`` of m shared images.  Returns ``(grad_w,
+    grad_b, p, latent)``: the weight and bias (None without a bias)
+    gradients and the per-row probabilities and latents.  Per row d L / d
+    w_ij is ``-(modulation_j) * relu'(a_j) * 2*latent_j * x_i`` (the
+    modulation is a descent direction, hence the leading minus), so neurons
+    left inactive by the ReLU contribute exactly zero.  The image block of
+    ``post.T @ rows`` is ``(sum of each image's post rows).T @ X``: each
+    image enters the product once.
     """
-    if len(X) == 0:
+    X = np.asarray(X, dtype=np.float64)
+    tail = None if tail is None else np.asarray(tail, dtype=np.float64)
+    rows = len(X) if tail is None else len(tail)
+    if rows == 0:
         raise ConfigError("gradient of an empty batch is undefined")
-    preact, latent = forward_batch(layer, X)
+    preact, latent = forward_batch(layer, X, tail)
     p, modulation = modulation_batch(latent, codes, prob_fn, layer.partition)
     post = modulation * (preact > 0.0) * 2.0 * latent
-    grad_w = -(post.T @ X) / X.shape[0]
-    grad_b = -post.mean(axis=0) if layer.bias is not None else None
+    # the mean's 1/B and the descent sign go on this [B, n_out] factor, not on the gradient
+    post /= -rows
+    n_img = layer.n_in if tail is None else layer.n_in - tail.shape[1]
+    grad_w = np.empty_like(layer.weights)
+    np.matmul(post.reshape(len(X), -1, layer.n_out).sum(axis=1).T, X, out=grad_w[:, :n_img])
+    if tail is not None:
+        np.matmul(post.T, tail, out=grad_w[:, n_img:])
+    grad_b = post.sum(axis=0) if layer.bias is not None else None
     return grad_w, grad_b, p, latent
 
 
@@ -147,11 +189,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Elements per ADAM tile: 256 KiB per float64 operand, so the six operands of
+# a tile stay in a 2 MiB L2 cache across its fourteen passes.
+ADAM_TILE = 1 << 15
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers for the ADAM update.
+    """First/second moment buffers for the ADAM update, C-contiguous.
 
-    ``scratch`` holds two buffers of the same shape for the step's
+    ``scratch`` holds two buffers of one tile each for the step's
     intermediates, so a step allocates no tensor-sized array.
     """
 
@@ -161,11 +208,14 @@ class AdamState:
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        require({"ADAM moments must be C-contiguous":
+                 self.m.flags.c_contiguous and self.v.flags.c_contiguous})
+        tile = min(self.m.size, ADAM_TILE)
+        self.scratch = (np.empty(tile), np.empty(tile))
 
     @classmethod
     def zeros_like(cls, tensor: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(tensor), np.zeros_like(tensor))
+        return cls(np.zeros(tensor.shape), np.zeros(tensor.shape))
 
 
 def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float) -> None:
@@ -174,25 +224,36 @@ def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float
     ``m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
     tensor -= eta * (m / c1) / (sqrt(v / c2) + eps)`` with ``c = 1 - b^step``,
     each operation rounded as written, into the state's scratch buffers.
+    The step runs over flat tiles of ``ADAM_TILE`` elements, so a tile's
+    operands stay in cache from the first operation to the last; elementwise
+    operations give the same bits in any tiling.  ``tensor`` must be
+    C-contiguous.
     """
     if grad.shape != tensor.shape:
         raise ConfigError(f"gradient shape {grad.shape} != tensor {tensor.shape}")
+    if not tensor.flags.c_contiguous:
+        raise ConfigError("ADAM steps a C-contiguous tensor in place")
     state.step += 1
-    a, b = state.scratch
-    np.subtract(grad, state.m, out=a)
-    a *= 1.0 - ADAM_BETA1
-    state.m += a
-    np.multiply(grad, grad, out=b)
-    b -= state.v
-    b *= 1.0 - ADAM_BETA2
-    state.v += b
-    np.divide(state.m, 1.0 - ADAM_BETA1**state.step, out=a)
-    a *= eta
-    np.divide(state.v, 1.0 - ADAM_BETA2**state.step, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPS
-    a /= b
-    tensor -= a
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
+    flat = [x.reshape(-1) for x in (tensor, grad, state.m, state.v)]
+    for start in range(0, tensor.size, ADAM_TILE):
+        w, g, m, v = (x[start : start + ADAM_TILE] for x in flat)
+        a, b = (buffer[: w.size] for buffer in state.scratch)
+        np.subtract(g, m, out=a)
+        a *= 1.0 - ADAM_BETA1
+        m += a
+        np.multiply(g, g, out=b)
+        b -= v
+        b *= 1.0 - ADAM_BETA2
+        v += b
+        np.divide(m, c1, out=a)
+        a *= eta
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        w -= a
 
 
 @dataclass
@@ -254,29 +315,37 @@ def check_finite(weights: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite weights after {context}")
 
 
+def check_active(stats: _RunningStats, context: str) -> None:
+    """A SilentLayerError when every latent ``stats`` saw was exactly zero."""
+    if stats.n_pos + stats.n_neg and stats.g_pos == 0.0 and stats.g_neg == 0.0:
+        raise SilentLayerError(f"silent layer: every training latent was zero in {context}")
+
+
 def run_epochs(
     config: TrainConfig,
     data: ExperimentData,
     layer: DenseLayer,
-    update: Callable[[np.ndarray, np.ndarray, np.random.Generator, _RunningStats], None],
+    update: Callable[[PairBatch, np.ndarray, np.random.Generator, _RunningStats], None],
     eval_fn: Optional[Callable[[DenseLayer, int], float]],
     name: str,
 ) -> tuple[DenseLayer, list[EpochStats]]:
     """The epoch protocol shared by every trainer.
 
     Each epoch hands every shuffled contrastive batch of ``data.train`` to
-    ``update(X, codes, rng, stats)``, which moves ``layer`` in place, with a
-    generator seeded by (seed, epoch); then it checks the weights are
-    finite, reports ``eval_fn(layer, epoch)`` (NaN in the log when
-    omitted) and logs one line under ``name``.
+    ``update(batch, codes, rng, stats)``, which moves ``layer`` in place,
+    with a generator seeded by (seed, epoch); then it checks the weights are
+    finite and that some latent was not zero (a silent layer cannot learn),
+    reports ``eval_fn(layer, epoch)`` (NaN in the log when omitted) and logs
+    one line under ``name``.
     """
     log: list[EpochStats] = []
     for epoch in range(config.epochs):
         stats = _RunningStats()
         rng = np.random.default_rng([config.seed, epoch, 0x5E1])
-        for X in batches(data.train, data.codebook, config.batch_size, config.seed, epoch):
-            update(X, pair_codes(len(X)), rng, stats)
+        for batch in batches(data.train, config.batch_size, config.seed, epoch):
+            update(batch, pair_codes(len(batch)), rng, stats)
         check_finite(layer.weights, f"epoch {epoch}")
+        check_active(stats, f"epoch {epoch}")
         accuracy = eval_fn(layer, epoch) if eval_fn is not None else float("nan")
         entry = stats.finish(epoch, accuracy)
         log.append(entry)
@@ -303,8 +372,10 @@ def train_analog(
     adam = AdamState.zeros_like(layer.weights)
     adam_bias = AdamState.zeros_like(layer.bias) if use_bias else None
 
-    def update(X, codes, rng, stats):
-        grad, grad_b, p, latent = layer_gradient(layer, X, codes, config.prob_fn)
+    def update(batch, codes, rng, stats):
+        grad, grad_b, p, latent = layer_gradient(
+            layer, batch.images, codes, config.prob_fn, batch.codewords(data.codebook)
+        )
         adam_step(layer.weights, grad, adam, config.eta)
         if grad_b is not None:
             adam_step(layer.bias, grad_b, adam_bias, config.eta)

@@ -84,6 +84,9 @@ def load_checkpoint(path) -> tuple[DenseLayer, LabelCodebook]:
         bias = np.frombuffer(raw, dtype="<f8").copy()
     if off != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
+    for name, values in (("weights", weights), ("bias", bias)):
+        if values is not None and not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: non-finite {name}")
     layer = DenseLayer(weights, PolarityPartition(mask), bias)
     codebook = LabelCodebook.from_vectors(vectors, density, seed)
     return layer, codebook

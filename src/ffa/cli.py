@@ -22,12 +22,14 @@ from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, apply_overrides, load_config, serialize_config
 from .data import ExperimentData, load_mnist
-from .errors import CheckpointError, ConfigError, DivergenceError, FFAError
+from .errors import CheckpointError, ConfigError, DivergenceError, FFAError, SilentLayerError
 from .forks import fork_map
 
 logger = logging.getLogger(__name__)
 
-EXIT_CODES = {"config": 2, "data": 3, "checkpoint": 4, "diverged": 5, "io": 6, "internal": 1}
+EXIT_CODES = {
+    "config": 2, "data": 3, "checkpoint": 4, "diverged": 5, "io": 6, "silent": 7, "internal": 1,
+}
 
 
 def prepare_data(cfg: ExperimentConfig) -> ExperimentData:
@@ -187,6 +189,8 @@ def cmd_grid(cfg: ExperimentConfig, threads: int) -> int:
             status = "ok"
         elif isinstance(exc, DivergenceError):
             status = "diverged"
+        elif isinstance(exc, SilentLayerError):
+            status = "silent"
         else:
             logger.warning("grid cell eta=%g tau_e=%g failed: %s", cell.eta, cell.tau_e, exc)
             status = "error"

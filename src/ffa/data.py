@@ -185,23 +185,46 @@ def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarr
 
 
 def pair_codes(rows: int) -> np.ndarray:
-    """Polarity codes of a :func:`batches` array: +1 on even rows, -1 on odd rows."""
+    """Polarity codes of a :class:`PairBatch`'s rows: +1 on even rows, -1 on odd rows."""
     codes = np.ones(rows, dtype=np.int8)
     codes[1::2] = -1
     return codes
 
 
-def batches(
-    dataset: Dataset, codebook: LabelCodebook, k: int, seed: int, epoch: int
-) -> Iterator[np.ndarray]:
+@dataclass(frozen=True)
+class PairBatch:
+    """m contrastive pairs: ``images`` [m, D] and their (true, wrong) ``labels`` [m, 2].
+
+    The batch stands for 2m rows.  Row 2i is image i with its true label's
+    codeword appended, row 2i + 1 the same image with the wrong label's.
+    Both rows share the image, so the analog trainer projects it once and
+    only the spiking trainer builds the rows themselves (:meth:`rows`).
+    """
+
+    images: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        """The number of rows, two per image."""
+        return self.labels.size
+
+    def codewords(self, codebook: LabelCodebook) -> np.ndarray:
+        """The code part of every row [2m, codebook.length]."""
+        return codebook.vectors[self.labels.ravel()]
+
+    def rows(self, codebook: LabelCodebook) -> np.ndarray:
+        """The rows themselves [2m, D + codebook.length]."""
+        return embed_batch(np.repeat(self.images, 2, axis=0), self.labels.ravel(), codebook)
+
+
+def batches(dataset: Dataset, k: int, seed: int, epoch: int) -> Iterator[PairBatch]:
     """Yield shuffled batches of k (positive, negative) pairs for one epoch.
 
-    Each batch is one array ``X`` [2m, n_in] (m = k except in the last batch).
-    Row 2i is an image with its true label's codeword and row 2i+1 the same
-    image with a wrong label drawn uniformly from the other nine;
-    ``pair_codes(len(X))`` gives their polarity codes.  The shuffle and the
-    wrong-label draws are reproducible functions of (seed, epoch), so
-    distinct epochs see distinct permutations.
+    Each batch holds m images (m = k except in the last batch), each with its
+    true label and a wrong label drawn uniformly from the other nine;
+    ``pair_codes(len(batch))`` gives the polarity codes of its rows.  The
+    shuffle and the wrong-label draws are reproducible functions of
+    (seed, epoch), so distinct epochs see distinct permutations.
     """
     if k < 1:
         raise DataError("batch size must be >= 1")
@@ -212,8 +235,7 @@ def batches(
         labels = dataset.labels[chunk]
         draw = rng.integers(9, size=chunk.size)
         wrong = draw + (draw >= labels)
-        rows = np.stack([labels, wrong], axis=1).ravel()
-        yield embed_batch(np.repeat(dataset.images[chunk], 2, axis=0), rows, codebook)
+        yield PairBatch(dataset.images[chunk], np.stack([labels, wrong], axis=1))
 
 
 @dataclass

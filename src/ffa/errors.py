@@ -31,6 +31,12 @@ class DivergenceError(FFAError):
     category = "diverged"
 
 
+class SilentLayerError(FFAError):
+    """Training left every latent of an epoch exactly zero."""
+
+    category = "silent"
+
+
 def require(rules: dict[str, bool]) -> None:
     """Raise one ConfigError naming every rule whose condition is false.
 

@@ -239,8 +239,9 @@ def separability_index(dump: LatentDump, k_nn: int = 5, chunk: int = 256) -> flo
     matches = 0
     for start in range(0, q, chunk):
         stop = min(start + chunk, q)
-        screen = latents[start:stop] @ latents.T
-        screen *= -2.0
+        # -2 is a power of two, so scaling the query block first gives the same screen
+        # (an underflowing product aside, which E's absolute term covers) in one pass less
+        screen = (-2.0 * latents[start:stop]) @ latents.T
         screen += sq_norms[start:stop, None]
         screen += sq_norms
         screen[np.arange(stop - start), np.arange(start, stop)] = np.inf

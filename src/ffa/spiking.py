@@ -417,7 +417,8 @@ def train_hebbian(
     eligibility = EligibilityTrace.zeros(layer.weights.shape, spiking.tau_e)
     online = mode == "online"
 
-    def update(X, codes, rng, stats):
+    def update(batch, codes, rng, stats):
+        X = batch.rows(data.codebook)
         rows = 1 if online else len(X)
         for i in range(0, len(X), rows):
             x, c = X[i : i + rows], codes[i : i + rows]

@@ -159,11 +159,11 @@ def sample_loss(layer: DenseLayer, x: np.ndarray, polarity: Polarity, prob_fn) -
     return bce_loss(p, polarity)
 
 
-def scalar_factorized_gradient(layer, x, polarity, prob_fn) -> np.ndarray:
-    """Independent assembly: -modulation * relu' * 2*latent_j * x_i."""
+def scalar_post(layer, x, polarity, prob_fn) -> np.ndarray:
+    """Per-neuron factor ``-modulation_j * relu'_j * 2*latent_j`` of one input's gradient."""
     part = layer.partition
     _, latent = forward(layer, x)
-    out = np.zeros_like(layer.weights)
+    out = np.zeros(layer.n_out)
     if isinstance(prob_fn, SigmoidProb):
         p = prob_sigmoid(goodness(latent), prob_fn.alpha, prob_fn.theta)
     else:
@@ -183,6 +183,22 @@ def scalar_factorized_gradient(layer, x, polarity, prob_fn) -> np.ndarray:
                 g_m, g_o = g_neg, g_pos
                 side = "match" if not part.pos_mask[j] else "other"
             m = modulation_symmetric(p_m, g_m, g_o, side, prob_fn.epsilon)
-        for i in range(layer.n_in):
-            out[j, i] = -m * 2.0 * latent[j] * x[i]
+        out[j] = -m * 2.0 * latent[j]
     return out
+
+
+def scalar_factorized_gradient(layer, x, polarity, prob_fn) -> np.ndarray:
+    """Independent assembly: -modulation * relu' * 2*latent_j * x_i."""
+    post = scalar_post(layer, x, polarity, prob_fn)
+    out = np.zeros_like(layer.weights)
+    for j in range(layer.n_out):
+        for i in range(layer.n_in):
+            out[j, i] = post[j] * x[i]
+    return out
+
+
+def x_form_gradient(layer, X, polarities, prob_fn) -> tuple[np.ndarray, np.ndarray]:
+    """Mean weight and bias gradients over the rows of ``X``, each row's factor from
+    :func:`scalar_post`, summed over the embedded rows as one plain product."""
+    post = np.array([scalar_post(layer, x, pol, prob_fn) for x, pol in zip(X, polarities)])
+    return post.T @ X / len(X), post.mean(axis=0)

@@ -3,6 +3,7 @@ import pytest
 
 from ffa.analog import (
     ADAM_EPS,
+    ADAM_TILE,
     AdamState,
     DenseLayer,
     TrainConfig,
@@ -13,9 +14,16 @@ from ffa.analog import (
     train_analog,
 )
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
+from ffa.data import Dataset, LabelCodebook, batches, pair_codes
 from ffa.errors import ConfigError, DivergenceError
 from ffa import metrics
-from tests.reference import Polarity, forward, sample_loss, scalar_factorized_gradient
+from tests.reference import (
+    Polarity,
+    forward,
+    sample_loss,
+    scalar_factorized_gradient,
+    x_form_gradient,
+)
 
 
 def make_layer(n_in, n_out, seed=0, prob=None):
@@ -148,6 +156,34 @@ class TestLayerGradient:
         with pytest.raises(ConfigError, match="empty batch"):
             layer_gradient(layer, np.zeros((0, 3)), np.zeros(0, dtype=np.int8), SigmoidProb())
 
+    @pytest.mark.parametrize("prob", [SigmoidProb(alpha=0.5, theta=2.0), SymmetricProb()],
+                             ids=["sigmoid", "symmetric"])
+    def test_pair_batch_matches_x_form_reference(self, prob):
+        # bench shape: 50 pairs of 784-pixel images, 100 code bits, 200 units
+        rng = np.random.default_rng(31)
+        images = rng.uniform(0.0, 1.0, size=(50, 784)) * (rng.random((50, 784)) < 0.19)
+        book = LabelCodebook(length=100, density=0.3, seed=101)
+        batch = next(batches(Dataset(images, rng.integers(0, 10, 50)), 50, seed=4, epoch=0))
+        layer = DenseLayer.initialize(884, 200, partition_for(prob, 200), seed=5, use_bias=True)
+        layer.bias = rng.uniform(-0.05, 0.05, size=200)
+        codes = pair_codes(len(batch))
+        grad_w, grad_b, _, latent = layer_gradient(layer, batch.images, codes, prob,
+                                                   batch.codewords(book))
+        X = batch.rows(book)
+        want_w, want_b = x_form_gradient(layer, X, [Polarity(int(c)) for c in codes], prob)
+        assert 0 < np.count_nonzero(latent) < latent.size
+        assert np.max(np.abs(grad_w - want_w)) <= 1e-12 * np.max(np.abs(want_w))
+        assert np.max(np.abs(grad_b - want_b)) <= 1e-12 * np.max(np.abs(want_b))
+        for row, x in zip(latent, X):
+            assert np.allclose(row, forward(layer, x)[1], rtol=1e-12, atol=1e-15)
+
+    def test_tail_must_split_over_the_images(self):
+        layer = make_layer(7, 3)
+        with pytest.raises(ConfigError, match="does not split"):
+            forward_batch(layer, np.zeros((2, 5)), np.zeros((3, 2)))
+        with pytest.raises(ConfigError, match="code bits"):
+            forward_batch(layer, np.zeros((2, 4)), np.zeros((4, 2)))
+
     def test_factorizes_into_three_factors(self):
         # grad = -(modulation) * relu' * 2*latent_j * x_i, assembled from
         # the scalar operations independently of the vectorized path
@@ -189,7 +225,9 @@ class TestAdam:
         delta = float(layer.weights[0, 0] - prev[0, 0])
         assert delta == pytest.approx(-0.01, rel=1e-3)
 
-    @pytest.mark.parametrize("shape", [(7, 5), (5,)], ids=["weights", "bias"])
+    @pytest.mark.parametrize("shape", [
+        (7, 5), (5,), (ADAM_TILE - 1,), (ADAM_TILE,), (ADAM_TILE + 1,), (200, 884), (200,),
+    ], ids=["weights", "bias", "tile-1", "tile", "tile+1", "bench_weights", "bench_bias"])
     def test_matches_textbook_expression_bitwise(self, shape):
         # the in-place step rounds every operation as the plain expression does
         rng = np.random.default_rng(23)
@@ -205,6 +243,19 @@ class TestAdam:
             want_tensor -= 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             assert np.array_equal(tensor, want_tensor)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_scratch_is_at_most_one_tile(self):
+        for size in (5, ADAM_TILE + 1):
+            state = AdamState.zeros_like(np.zeros(size))
+            assert [b.shape for b in state.scratch] == [(min(size, ADAM_TILE),)] * 2
+
+    def test_non_contiguous_operands_refused(self):
+        # a flat view of these would be a copy, and the step would be lost
+        tensor = np.zeros((4, 6))
+        with pytest.raises(ConfigError, match="C-contiguous"):
+            adam_step(tensor.T, np.ones((6, 4)), AdamState.zeros_like(tensor.T), eta=0.1)
+        with pytest.raises(ConfigError, match="C-contiguous"):
+            AdamState(np.zeros((4, 6), order="F"), np.zeros((4, 6)))
 
     def test_moment_shapes_checked(self):
         layer = make_layer(3, 2)

@@ -72,6 +72,17 @@ class TestErrors:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ffaw")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_finite_parameters(self, tmp_path, layer_and_book, part, value):
+        layer, book = layer_and_book
+        layer.bias = np.zeros(6)
+        getattr(layer, part).flat[3] = value
+        path = tmp_path / "model.ffaw"
+        save_checkpoint(path, layer, book)
+        with pytest.raises(CheckpointError, match=f"model.ffaw: non-finite {part}"):
+            load_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path, layer_and_book):
         path = tmp_path / "model.ffaw"
         save_checkpoint(path, *layer_and_book)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffa import cli, forks, metrics
-from ffa.checkpoint import load_checkpoint
+from ffa.checkpoint import load_checkpoint, save_checkpoint
 from ffa.config import apply_overrides, load_config
 from tests.conftest import write_idx_images, write_idx_labels
 from tests.reference import read_latents
@@ -65,6 +65,16 @@ class TestTrain:
             outs.append(out)
         for artifact in ("model.ffaw", "log.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
+    @pytest.mark.parametrize("model", ["hebbian", "hebbian_online"])
+    def test_silent_layer_fails_the_run(self, base_config, capsys, model):
+        config, out_dir = base_config
+        code = run_cli("train", "--config", config, "--set", f"experiment.model={model}",
+                       "--set", "lif.input_gain=0")
+        assert code == cli.EXIT_CODES["silent"] == 7
+        assert "error:silent: silent layer: every training latent was zero in epoch 0" in (
+            capsys.readouterr().err)
+        assert not (out_dir / "model.ffaw").exists()
 
     def test_zero_epochs_checkpoint_of_init(self, base_config, tmp_path, capsys):
         config, _ = base_config
@@ -138,6 +148,24 @@ class TestEval:
         assert code == 4
         assert "error:checkpoint:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["analog", "hebbian"])
+    def test_non_finite_checkpoint_refused(self, base_config, capsys, model):
+        # a NaN weight is the checkpoint's fault: the analog scan would trip the
+        # data checks, and the spiking runner would report a layer whose unit never fires
+        config, out_dir = base_config
+        run_cli("train", "--config", config, "--set", "experiment.epochs=1")
+        path = out_dir / "model.ffaw"
+        layer, book = load_checkpoint(path)
+        layer.weights[0, 0] = np.nan
+        save_checkpoint(path, layer, book)
+        capsys.readouterr()
+        code = run_cli("eval", "--config", config, "--checkpoint", path,
+                       "--set", f"experiment.model={model}")
+        assert code == 4
+        captured = capsys.readouterr()
+        assert f"error:checkpoint: {path}: non-finite weights" in captured.err
+        assert "accuracy:" not in captured.out
+
     def test_mismatched_codebook_refused(self, base_config, capsys):
         config, out_dir = base_config
         run_cli("train", "--config", config)
@@ -200,6 +228,15 @@ class TestGrid:
         assert by_status["diverged"].split(",")[2] == "nan"
         # diverged rows sink below finished ones
         assert rows[0].endswith("ok")
+
+    def test_silent_cells_flagged_apart_from_diverged(self, base_config, capsys):
+        config, out_dir = base_config
+        assert run_cli("grid", "--config", config, "--set", "experiment.model=hebbian",
+                       "--set", "lif.input_gain=0",
+                       "--set", "grid.eta=0.02", "--set", "grid.tau_e=0.9") == 0
+        rows = (out_dir / "grid.csv").read_text().splitlines()[1:]
+        assert rows == ["0.02,0.9,nan,silent"]
+        assert "no grid cell finished successfully" in capsys.readouterr().out
 
     @pytest.mark.parametrize("etas,taus,bad_cells", [
         ("-0.1", "1.5", ["eta=-0.1 tau_e=1.5: eta must be positive; tau_e must be in [0, 1)"]),

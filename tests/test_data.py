@@ -200,8 +200,8 @@ def wrong_labels(dataset, book, k, seed, epochs):
     """(true label, embedded label) of every negative row of `batches`."""
     true, wrong = [], []
     for epoch in range(epochs):
-        for X in batches(dataset, book, k, seed, epoch):
-            labels = embedded_labels(X, book)
+        for batch in batches(dataset, k, seed, epoch):
+            labels = embedded_labels(batch.rows(book), book)
             true.append(labels[0::2])
             wrong.append(labels[1::2])
     return np.concatenate(true), np.concatenate(wrong)
@@ -249,20 +249,22 @@ class TestBatches:
 
     def test_partition_exactly_once(self, dataset, book):
         seen = []
-        for X in batches(dataset, book, 5, seed=1, epoch=0):
+        for batch in batches(dataset, 5, seed=1, epoch=0):
+            X = batch.rows(book)
             assert X.shape in ((10, 14), (6, 14))  # 5 pairs per batch, remainder 3 pairs
+            assert len(batch) == len(X) and batch.labels.shape == (len(X) // 2, 2)
             seen.extend(X[0::2, :8].tolist())
         assert sorted(seen) == sorted(dataset.images.tolist())
 
     def test_online_stream(self, dataset, book):
-        chunks = list(batches(dataset, book, 1, seed=1, epoch=0))
+        chunks = list(batches(dataset, 1, seed=1, epoch=0))
         assert len(chunks) == 23
-        assert all(c.shape == (2, 14) for c in chunks)
+        assert all(c.rows(book).shape == (2, 14) for c in chunks)
 
     def test_epochs_permute_differently_but_reproducibly(self, dataset, book):
         def order(epoch):
-            return [row for X in batches(dataset, book, 4, seed=2, epoch=epoch)
-                    for row in X[0::2].tolist()]
+            return [row for batch in batches(dataset, 4, seed=2, epoch=epoch)
+                    for row in batch.rows(book)[0::2].tolist()]
 
         assert order(0) != order(1)
         assert order(0) == order(0)
@@ -272,7 +274,9 @@ class TestBatches:
         n_image = data.train.images.shape[1]
         true_of = {row.tobytes(): label for row, label in zip(data.train.images, data.train.labels)}
         seen = 0
-        for X in batches(data.train, data.codebook, 32, seed=1, epoch=0):
+        for batch in batches(data.train, 32, seed=1, epoch=0):
+            X = batch.rows(data.codebook)
+            assert np.array_equal(X[:, -data.codebook.length :], batch.codewords(data.codebook))
             pos, neg = X[0::2], X[1::2]
             assert np.array_equal(pos[:, :n_image], neg[:, :n_image])
             true = np.array([true_of[row.tobytes()] for row in pos[:, :n_image]])
@@ -297,8 +301,10 @@ class TestBatches:
             [(1, 0), (1, 1), (4, 5), (4, 8), (5, 1), (5, 3)],
             [(6, 7), (6, 8)],
         ]
-        got = list(batches(dataset, book, 3, seed=4, epoch=1))
+        got = list(batches(dataset, 3, seed=4, epoch=1))
         assert len(got) == len(golden)
-        for X, rows in zip(got, golden):
+        for batch, rows in zip(got, golden):
             idx, labels = np.array(rows).T
-            assert np.array_equal(X, embed_batch(images[idx], labels, book))
+            assert np.array_equal(batch.images, images[idx[0::2]])
+            assert np.array_equal(batch.labels.ravel(), labels)
+            assert np.array_equal(batch.rows(book), embed_batch(images[idx], labels, book))

@@ -1,5 +1,7 @@
 """The epoch protocol every trainer shares (:func:`ffa.analog.run_epochs`)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,16 @@ import ffa.analog as analog_mod
 import ffa.spiking as spiking_mod
 from ffa.analog import DenseLayer, TrainConfig, partition_for, train_analog
 from ffa.core import SymmetricProb
-from ffa.data import ExperimentData, LabelCodebook
-from ffa.errors import DivergenceError
-from ffa.spiking import SpikeEncoderConfig, SpikingConfig, train_hebbian
+from ffa.data import ExperimentData, LabelCodebook, embed_batch, pair_codes
+from ffa.errors import DivergenceError, SilentLayerError
+from ffa.spiking import (
+    EligibilityTrace,
+    LIFConfig,
+    SpikeEncoderConfig,
+    SpikingConfig,
+    simulate,
+    train_hebbian,
+)
 from tests.conftest import make_synthetic
 
 TRAINERS = ["analog", "hebbian_batch", "hebbian_online"]
@@ -31,12 +40,26 @@ def tiny_data():
     return ExperimentData(train, test, LabelCodebook(length=10, density=0.3, seed=2))
 
 
-def train(trainer, data, epochs, eval_fn=None):
+def train(trainer, data, epochs, eval_fn=None, spiking=SPIKING):
     cfg = TrainConfig(eta=0.05, batch_size=10, epochs=epochs, seed=SEED, prob_fn=SymmetricProb())
     if trainer == "analog":
         return train_analog(cfg, data, eval_fn, n_out=N_OUT)
     mode = trainer.split("_")[1]
-    return train_hebbian(cfg, data, mode, SPIKING, eval_fn)
+    return train_hebbian(cfg, data, mode, spiking, eval_fn)
+
+
+def embedded_batches(dataset, codebook, k, seed, epoch):
+    """The rows [2m, n_in] of each contrastive batch, drawn and embedded as
+    ``data.batches`` did when it yielded them whole."""
+    rng = np.random.default_rng([seed, epoch, 0xBA7C4])
+    order = rng.permutation(len(dataset))
+    for start in range(0, len(order), k):
+        chunk = order[start : start + k]
+        labels = dataset.labels[chunk]
+        draw = rng.integers(9, size=chunk.size)
+        wrong = draw + (draw >= labels)
+        rows = np.stack([labels, wrong], axis=1).ravel()
+        yield embed_batch(np.repeat(dataset.images[chunk], 2, axis=0), rows, codebook)
 
 
 @pytest.mark.parametrize("trainer", TRAINERS)
@@ -87,3 +110,46 @@ class TestRunEpochs:
         with pytest.raises(DivergenceError, match="epoch 1"), np.errstate(all="ignore"):
             train(trainer, tiny_data, epochs=3, eval_fn=eval_fn)
         assert len(evaluated) == 1
+
+    def test_zero_weights_are_a_silent_layer(self, tiny_data, trainer, monkeypatch):
+        # no latent ever leaves zero, so no update ever moves the weights
+        original = DenseLayer.initialize
+
+        def zero_init(*args, **kwargs):
+            layer = original(*args, **kwargs)
+            layer.weights[:] = 0.0
+            return layer
+
+        monkeypatch.setattr(analog_mod.DenseLayer, "initialize", zero_init)
+        evaluated = []
+        with pytest.raises(SilentLayerError, match="epoch 0"):
+            train(trainer, tiny_data, epochs=2, eval_fn=lambda layer, epoch: evaluated.append(1))
+        assert evaluated == []
+
+
+@pytest.mark.parametrize("mode", ["batch", "online"])
+def test_zero_input_gain_is_a_silent_layer(tiny_data, mode):
+    silent = replace(SPIKING, lif=LIFConfig(input_gain=0.0))
+    with pytest.raises(SilentLayerError, match="every training latent was zero in epoch 0"):
+        train(f"hebbian_{mode}", tiny_data, epochs=1, spiking=silent)
+
+
+@pytest.mark.parametrize("mode", ["batch", "online"])
+def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
+    # the spiking trainers embed each pair batch themselves; the weights are
+    # those of the same plastic calls on rows embedded the way batches used to
+    trained, _ = train(f"hebbian_{mode}", tiny_data, epochs=1)
+    prob = SymmetricProb()
+    layer = DenseLayer.initialize(tiny_data.input_dim, N_OUT, partition_for(prob, N_OUT), SEED)
+    eligibility = EligibilityTrace.zeros(layer.weights.shape, SPIKING.tau_e)
+    rng = np.random.default_rng([SEED, 0, 0x5E1])
+    pairs = 1 if mode == "online" else 10
+    for X in embedded_batches(tiny_data.train, tiny_data.codebook, pairs, SEED, epoch=0):
+        codes = pair_codes(len(X))
+        rows = 1 if mode == "online" else len(X)
+        for i in range(0, len(X), rows):
+            simulate(layer, X[i : i + rows], SPIKING, rng, codes[i : i + rows], prob,
+                     eligibility, 0.05)
+    init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
+    assert not np.array_equal(layer.weights, init.weights)
+    assert np.array_equal(trained.weights, layer.weights)
