@@ -315,6 +315,12 @@ def check_finite(weights: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite weights after {context}")
 
 
+# run_epochs checks the weights for non-finite values after every this many
+# updates as well as at epoch end, so a long online epoch stops soon after it
+# diverges.
+FINITE_CHECK_EVERY = 1000
+
+
 def check_active(stats: _RunningStats, context: str) -> None:
     """A SilentLayerError when every latent ``stats`` saw was exactly zero."""
     if stats.n_pos + stats.n_neg and stats.g_pos == 0.0 and stats.g_neg == 0.0:
@@ -333,8 +339,9 @@ def run_epochs(
 
     Each epoch hands every shuffled contrastive batch of ``data.train`` to
     ``update(batch, codes, rng, stats)``, which moves ``layer`` in place,
-    with a generator seeded by (seed, epoch); then it checks the weights are
-    finite and that some latent was not zero (a silent layer cannot learn),
+    with a generator seeded by (seed, epoch), and checks the weights are
+    finite after every ``FINITE_CHECK_EVERY`` updates; at the end it checks
+    them again and that some latent was not zero (a silent layer cannot learn),
     reports ``eval_fn(layer, epoch)`` (NaN in the log when omitted) and logs
     one line under ``name``.
     """
@@ -342,8 +349,10 @@ def run_epochs(
     for epoch in range(config.epochs):
         stats = _RunningStats()
         rng = np.random.default_rng([config.seed, epoch, 0x5E1])
-        for batch in batches(data.train, config.batch_size, config.seed, epoch):
+        for step, batch in enumerate(batches(data.train, config.batch_size, config.seed, epoch), 1):
             update(batch, pair_codes(len(batch)), rng, stats)
+            if step % FINITE_CHECK_EVERY == 0:
+                check_finite(layer.weights, f"epoch {epoch}, update {step}")
         check_finite(layer.weights, f"epoch {epoch}")
         check_active(stats, f"epoch {epoch}")
         accuracy = eval_fn(layer, epoch) if eval_fn is not None else float("nan")

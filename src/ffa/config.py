@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .analog import TrainConfig
 from .core import ProbabilityFn, SigmoidProb, SymmetricProb
 from .data import LabelCodebook
@@ -124,7 +126,7 @@ class ExperimentConfig:
         problems: list[str] = []
         builders = (
             self._own_rules, self.train_config, self.spiking_config, self.codebook,
-            self._lif, self._trace, self._encoder, lambda: EligibilityTrace.zeros(0, self.tau_e),
+            self._lif, self._trace, self._encoder, lambda: EligibilityTrace(np.zeros(0), self.tau_e),
             # both probability forms, whichever one is selected
             *(replace(self, prob=prob).prob_fn for prob in PROBS),
         )

@@ -12,6 +12,11 @@ per-synapse eligibility trace that low-passes the updates into the weights.
 One lockstep loop, :func:`simulate`, serves evaluation, batch training and
 online training (a batch of one).  A plastic batch of one runs the same rule
 event-driven: only the synapses of inputs that spiked are touched.
+
+Plastic weights and eligibility are stored presynaptic-major, as
+address-event hardware stores its synapses: Fortran-ordered [n_out, n_in],
+so ``W.T`` is a C-contiguous [n_in, n_out] view whose row i holds the
+synapses of input i.
 """
 
 from __future__ import annotations
@@ -142,9 +147,10 @@ def trace_step(trace: OutputTrace, out_spikes: np.ndarray) -> OutputTrace:
 class EligibilityTrace:
     """Per-synapse low-pass filter over update impulses.
 
-    ``impulse`` is a scratch buffer of the same shape: :func:`hebbian_impulse`
-    writes the next impulse into it and :func:`eligibility_step` consumes
-    it, so plastic timesteps allocate no weight-sized array.
+    ``impulse`` is a scratch buffer of the same shape and layout:
+    :func:`hebbian_impulse` writes the next impulse into it and
+    :func:`eligibility_step` consumes it, so plastic timesteps allocate no
+    weight-sized array.
     """
 
     e: np.ndarray
@@ -156,8 +162,9 @@ class EligibilityTrace:
         self.impulse = np.empty_like(self.e)
 
     @classmethod
-    def zeros(cls, shape, tau_e: float) -> "EligibilityTrace":
-        return cls(np.zeros(shape), tau_e)
+    def zeros_like(cls, weights: np.ndarray, tau_e: float) -> "EligibilityTrace":
+        """A zero trace in the shape and memory layout of ``weights``."""
+        return cls(np.zeros_like(weights), tau_e)
 
 
 def eligibility_step(el: EligibilityTrace, weights: np.ndarray, eta: float) -> None:
@@ -183,36 +190,38 @@ _FOLD_BELOW = 0.5
 class _EventSynapses:
     """The weights and eligibility of one plastic instance, touched only at inputs that spiked.
 
-    Between folds the arrays hold ``E`` and ``V`` with ``e = c * E`` and
+    It works on the presynaptic-major views ``W.T`` and ``e.T`` [n_in, n_out],
+    so each spiking input reads and writes one contiguous row.  Between folds
+    the arrays hold ``E`` and ``V`` with ``e = c * E`` and
     ``W = V + eta * C * E``, where ``c`` is the product of the tau_e decays
     so far and ``C`` the sum of those products.  The dense rule
     ``e += (1 - tau_e) * (impulse - e); W += eta * e`` then becomes
-    ``c *= tau_e; E[:, idx] += (1 - tau_e) / c * post; V[:, idx] -= eta * C * that;
+    ``c *= tau_e; E.T[idx] += (1 - tau_e) / c * post; V.T[idx] -= eta * C * that;
     C += c`` over the spiking inputs ``idx`` (Morrison, Diesmann & Gerstner
     2008).  :meth:`fold` writes the real values back in one dense pass.
     """
 
     def __init__(self, weights: np.ndarray, el: EligibilityTrace, eta: float):
-        self.weights, self.e, self.scratch = weights, el.e, el.impulse
+        self.rows, self.e_rows, self.scratch = weights.T, el.e.T, el.impulse.T
         self.tau_e, self.eta = el.tau_e, eta
         self.decay, self.decay_sum = 1.0, 0.0
         self.idx = np.empty(0, dtype=np.intp)
 
     def current(self, idx: np.ndarray) -> np.ndarray:
-        """``W @ spikes`` as a sum over the spiking columns ``idx``, kept for :meth:`step`."""
+        """``W @ spikes`` as a sum over the rows of the spiking inputs ``idx``, kept for :meth:`step`."""
         self.idx = idx
-        current = self.weights[:, self.idx].sum(axis=1)
+        current = self.rows[self.idx].sum(axis=0)
         if self.decay_sum:
-            current += self.eta * self.decay_sum * self.e[:, self.idx].sum(axis=1)
+            current += self.eta * self.decay_sum * self.e_rows[self.idx].sum(axis=0)
         return current
 
     def step(self, post: np.ndarray) -> None:
         """One plastic timestep; ``post`` [n_out] is the impulse at each input that spiked."""
         self.decay *= self.tau_e
         if self.idx.size:
-            delta = ((1.0 - self.tau_e) / self.decay * post)[:, None]
-            self.e[:, self.idx] += delta
-            self.weights[:, self.idx] -= self.eta * self.decay_sum * delta
+            delta = (1.0 - self.tau_e) / self.decay * post
+            self.e_rows[self.idx] += delta
+            self.rows[self.idx] -= self.eta * self.decay_sum * delta
         self.decay_sum += self.decay
         if self.decay < _FOLD_BELOW:
             self.fold()
@@ -220,9 +229,9 @@ class _EventSynapses:
     def fold(self) -> None:
         """Make the arrays hold the real ``W`` and ``e`` again."""
         if self.decay_sum:
-            np.multiply(self.e, self.eta * self.decay_sum, out=self.scratch)
-            self.weights += self.scratch
-            self.e *= self.decay
+            np.multiply(self.e_rows, self.eta * self.decay_sum, out=self.scratch)
+            self.rows += self.scratch
+            self.e_rows *= self.decay
         self.decay, self.decay_sum = 1.0, 0.0
 
 
@@ -294,12 +303,12 @@ def hebbian_impulse(
     ``trace`` [B, n_out] and ``in_spikes`` [B, n_in] (dense or a CSR array)
     hold one lockstep instance per row and ``codes`` its +1/-1 polarity.  The
     [n_out, n_in] result is a descent direction, written into ``out`` when
-    given; with no presynaptic spikes or a fully converged probability it is
-    exactly zero.
+    given and else into a new presynaptic-major array; with no presynaptic
+    spikes or a fully converged probability it is exactly zero.
     """
     post = hebbian_post(trace, codes, prob_fn, partition).T
     if out is None:
-        out = np.empty((post.shape[0], in_spikes.shape[1]))
+        out = np.empty((post.shape[0], in_spikes.shape[1]), order="F")
     return np.divide(post @ in_spikes, post.shape[1], out=out)
 
 
@@ -343,15 +352,20 @@ def simulate(
     eligibility trace into ``layer.weights``.  Outside that window the weights
     are untouched.
 
-    A plastic call with one row and ``tau_e >= 1/2`` runs event-driven: the
-    LIF current and the updates touch only the synapses of inputs that
-    spiked, and ``layer.weights`` and ``eligibility.e`` hold the real values
-    again when the call returns.  Every other call runs the dense rule.
+    A plastic call needs ``layer.weights`` and ``eligibility.e``
+    presynaptic-major (Fortran-ordered), else it is a ConfigError.  With one
+    row and ``tau_e >= 1/2`` it runs event-driven: the LIF current and the
+    updates touch only the synapses of inputs that spiked, and
+    ``layer.weights`` and ``eligibility.e`` hold the real values again when
+    the call returns.  Every other call runs the dense rule.
     """
     given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
     plastic = all(given)
     if any(given) and not plastic:
         raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
+    if plastic and not (layer.weights.flags.f_contiguous and eligibility.e.flags.f_contiguous):
+        raise ConfigError("plasticity needs presynaptic-major (Fortran-ordered) weights and "
+                          "eligibility; see EligibilityTrace.zeros_like")
     X = layer.check_batch(X)
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
@@ -364,10 +378,10 @@ def simulate(
     win_sum = np.zeros(shape) if window_mean else None
     event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
-    # scipy's sparse product reads W.T by rows and would copy the F-ordered view
-    # each step, so the dense rule holds a C-ordered W.T (lif_step gets its
-    # transpose) and refreshes it only after a plastic step moves the weights.
-    weights_t = None if event else np.ascontiguousarray(layer.weights.T)
+    # scipy's sparse product reads W.T by rows and would copy a strided view
+    # each step.  Plastic weights are presynaptic-major, so this is the live
+    # layer; a row-major layer (a loaded checkpoint) is copied once per call.
+    weights = None if event else np.asfortranarray(layer.weights)
     for t in range(enc.steps):
         fired = rate_encode(p, rng)
         if not event:
@@ -375,7 +389,7 @@ def simulate(
         # The output spikes stay a temporary: a [B, n_out] array held across
         # steps would raise eval's peak memory.
         trace_step(trace, lif_fire(lif, synapses.current(cols[fired])) if event
-                   else lif_step(lif, weights_t.T, spikes))
+                   else lif_step(lif, weights, spikes))
         if t >= active_start:
             if window_mean:
                 win_sum += trace.value
@@ -387,7 +401,6 @@ def simulate(
             else:
                 hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
                 eligibility_step(eligibility, layer.weights, eta)
-                np.copyto(weights_t, layer.weights.T)
     if event:
         synapses.fold()
     return trace.value
@@ -414,7 +427,8 @@ def train_hebbian(
     prob_fn = config.prob_fn
     partition = partition_for(prob_fn, spiking.n_out)
     layer = DenseLayer.initialize(data.input_dim, spiking.n_out, partition, config.seed)
-    eligibility = EligibilityTrace.zeros(layer.weights.shape, spiking.tau_e)
+    layer.weights = np.asfortranarray(layer.weights)
+    eligibility = EligibilityTrace.zeros_like(layer.weights, spiking.tau_e)
     online = mode == "online"
 
     def update(batch, codes, rng, stats):

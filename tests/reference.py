@@ -7,7 +7,8 @@ written independently of the vectorized code, so the tests can check the
 batched forms against them.  A sample's polarity is a :class:`Polarity`
 here; the package carries it as int8 codes with the same values.
 :func:`read_latents` reads back the CSV that ``ffa.metrics.export_latents``
-writes.
+writes.  :func:`row_major_simulate` is the dense plastic loop as it ran on
+row-major synapse storage, the oracle of the presynaptic-major one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ from ffa.analog import DenseLayer
 from ffa.core import EPS_CLAMP, PolarityPartition, SigmoidProb
 from ffa.errors import ConfigError, DataError
 from ffa.metrics import LatentDump
+from ffa.spiking import (
+    LIFState,
+    OutputTrace,
+    _fired_spikes,
+    _input_events,
+    eligibility_step,
+    hebbian_impulse,
+    lif_step,
+    rate_encode,
+    trace_step,
+)
 
 
 class Polarity(enum.Enum):
@@ -202,3 +214,38 @@ def x_form_gradient(layer, X, polarities, prob_fn) -> tuple[np.ndarray, np.ndarr
     :func:`scalar_post`, summed over the embedded rows as one plain product."""
     post = np.array([scalar_post(layer, x, pol, prob_fn) for x, pol in zip(X, polarities)])
     return post.T @ X / len(X), post.mean(axis=0)
+
+
+def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta) -> np.ndarray:
+    """A plastic lockstep call on the dense rule over row-major (C-ordered) storage.
+
+    ``layer.weights``, ``eligibility.e`` and the impulse buffer are C-ordered
+    [n_out, n_in].  The LIF current reads a C-ordered copy of ``W.T`` that is
+    refreshed after every plastic step, and each impulse is divided into the
+    C-ordered buffer.  Same draws, same operations in the same order as
+    ``simulate``'s dense rule, so the two must agree bitwise.
+    """
+    if not (layer.weights.flags.c_contiguous and eligibility.e.flags.c_contiguous):
+        raise ConfigError("the row-major reference needs C-ordered weights and eligibility")
+    X = layer.check_batch(X)
+    x, cols, starts = _input_events(X)
+    enc = spiking.encoder
+    p = enc.scale * x
+    shape = (X.shape[0], layer.n_out)
+    lif = LIFState.zeros(shape, spiking.lif)
+    trace = OutputTrace.zeros(shape, spiking.trace)
+    active_start = enc.steps - enc.active_window
+    win_sum = np.zeros(shape)
+    weights_t = np.ascontiguousarray(layer.weights.T)
+    for t in range(enc.steps):
+        spikes = _fired_spikes(cols, starts, rate_encode(p, rng), X.shape)
+        trace_step(trace, lif_step(lif, weights_t.T, spikes))
+        if t >= active_start:
+            effective = trace.value
+            if spiking.modulation_window == "window_mean":
+                win_sum += trace.value
+                effective = win_sum / (t - active_start + 1)
+            hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            eligibility_step(eligibility, layer.weights, eta)
+            np.copyto(weights_t, layer.weights.T)
+    return trace.value

@@ -201,8 +201,8 @@ def test_criterion5_eligibility_closed_form():
     worst = 0.0
     for tau_e in (0.999, 0.99, 0.9):
         for g in (0.7, 1.0):
-            el = EligibilityTrace.zeros((1,), tau_e)
-            weights = np.zeros(1)
+            el = weights = np.zeros(1)
+            el = EligibilityTrace.zeros_like(weights, tau_e)
             for k in range(1, 10_001):
                 el.impulse[:] = g  # the production fold spends its impulse buffer
                 eligibility_step(el, weights, eta=0.0)

@@ -43,6 +43,16 @@ class TestRoundTrip:
         save_checkpoint(b, layer, book)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_presynaptic_major_layer_writes_the_row_major_bytes(self, tmp_path, layer_and_book):
+        # the spiking trainers store W Fortran-ordered; the file is row-major either way
+        layer, book = layer_and_book
+        presynaptic = DenseLayer(np.asfortranarray(layer.weights), layer.partition)
+        assert presynaptic.weights.T.flags.c_contiguous
+        a, b = tmp_path / "c.ffaw", tmp_path / "f.ffaw"
+        save_checkpoint(a, layer, book)
+        save_checkpoint(b, presynaptic, book)
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestErrors:
     def test_bad_magic(self, tmp_path, layer_and_book):

@@ -5,6 +5,7 @@ from scipy.sparse import csr_array
 
 import ffa.spiking as spiking_mod
 from ffa.analog import DenseLayer, TrainConfig, layer_gradient, partition_for
+from ffa.checkpoint import load_checkpoint, save_checkpoint
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb, modulation_batch
 from ffa.data import Dataset, ExperimentData, LabelCodebook
 from ffa.errors import ConfigError, DataError
@@ -25,7 +26,7 @@ from ffa.spiking import (
 )
 from ffa import metrics
 from tests.conftest import make_synthetic
-from tests.reference import Polarity, forward
+from tests.reference import Polarity, forward, row_major_simulate
 
 
 def densify(X, fired):
@@ -231,19 +232,19 @@ class TestLIF:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_current_reads_a_contiguous_copy_of_the_current_weights(self, monkeypatch, rows,
                                                                      tau_e):
-        # a C-ordered W.T spares scipy a copy per step; after every plastic
-        # step the copy must hold the moved weights again
+        # a C-ordered W.T spares scipy a copy per step; presynaptic-major
+        # weights are read live, so every plastic step's move is seen at once
         layer, spk = tiny_model(n_in=60)
 
         def check(spikes, weights):
             assert weights.T.flags.c_contiguous
-            assert np.array_equal(weights, layer.weights)
+            assert weights is layer.weights
 
         seen = record_lif_inputs(monkeypatch, check)
         X = np.random.default_rng(9).uniform(0.0, 1.0, size=(rows, 60))
         plastic = () if tau_e is None else (
             np.resize(np.array([1, -1], dtype=np.int8), rows), SymmetricProb(),
-            EligibilityTrace.zeros(layer.weights.shape, tau_e), 0.5)
+            EligibilityTrace.zeros_like(layer.weights, tau_e), 0.5)
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(10), *plastic)
         # a one-row plastic call with tau_e >= 1/2 runs event-driven, without lif_step
@@ -343,7 +344,7 @@ class TestOutputTrace:
 class TestEligibility:
     def test_constant_impulse_closed_form(self):
         for tau_e in (0.9, 0.99):
-            el = EligibilityTrace.zeros((2, 2), tau_e)
+            el = EligibilityTrace(np.zeros((2, 2)), tau_e)
             w = np.zeros((2, 2))
             for k in range(1, 200):
                 el.impulse[:] = 0.7
@@ -351,7 +352,7 @@ class TestEligibility:
                 assert np.allclose(el.e, 0.7 * (1 - tau_e**k), rtol=0, atol=1e-12)
 
     def test_no_smoothing_when_tau_zero(self):
-        el = EligibilityTrace.zeros((2, 3), 0.0)
+        el = EligibilityTrace(np.zeros((2, 3)), 0.0)
         w = np.zeros((2, 3))
         g = np.arange(6.0).reshape(2, 3)
         el.impulse[:] = g
@@ -360,7 +361,7 @@ class TestEligibility:
         assert np.array_equal(w, g)
 
     def test_silent_impulse_decays_to_zero(self):
-        el = EligibilityTrace.zeros((1, 1), 0.9)
+        el = EligibilityTrace(np.zeros((1, 1)), 0.9)
         el.e[:] = 1.0
         w = np.zeros((1, 1))
         drifts = []
@@ -374,7 +375,7 @@ class TestEligibility:
         assert drifts[-1] < 1e-14  # weight drift vanishes with the trace
 
     def test_weight_update_adds_eta_times_trace(self):
-        el = EligibilityTrace.zeros((1, 1), 0.5)
+        el = EligibilityTrace(np.zeros((1, 1)), 0.5)
         w = np.array([[2.0]])
         el.impulse[:] = 1.0
         eligibility_step(el, w, eta=0.25)
@@ -428,7 +429,7 @@ class TestHebbianImpulse:
         assert np.array_equal(trace.value[0], latent)
 
         # the production impulse, folded by the production eligibility step
-        el = EligibilityTrace.zeros(layer.weights.shape, 0.0)
+        el = EligibilityTrace.zeros_like(layer.weights, 0.0)
         hebbian_impulse(trace.value, x[None, :], np.array([polarity.value]), prob,
                         layer.partition, el.impulse)
         eligibility_step(el, np.zeros_like(layer.weights), 1.0)
@@ -505,6 +506,7 @@ def tiny_model(prob=None, n_in=15, **spiking_kwargs) -> tuple[DenseLayer, Spikin
         **spiking_kwargs,
     )
     layer = DenseLayer.initialize(n_in, spiking.n_out, partition_for(prob, spiking.n_out), seed=5)
+    layer.weights = np.asfortranarray(layer.weights)
     return layer, spiking
 
 
@@ -525,7 +527,7 @@ class TestRunSample:
     def test_all_black_image_is_inert(self):
         rng = np.random.default_rng(8)
         layer, spk = tiny_model()
-        el = EligibilityTrace.zeros(layer.weights.shape, 0.99)
+        el = EligibilityTrace.zeros_like(layer.weights, 0.99)
         before = layer.weights.copy()
         final = simulate(layer, np.zeros((1, 15)), spk, rng, POSITIVE, SymmetricProb(), el, 0.1)
         assert np.all(final == 0.0)
@@ -575,7 +577,7 @@ class TestRunSample:
             traces_seen.clear()
             e0 = rng.standard_normal(layer.weights.shape)
             w0 = layer.weights.copy()
-            el = EligibilityTrace(e0.copy(), tau_e)
+            el = EligibilityTrace(np.array(e0, order="F"), tau_e)
             codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
             X = rng.uniform(0.0, 1.0, size=(rows, 15))
             simulate(layer, X, spk, rng, codes, prob, el, eta)
@@ -596,7 +598,7 @@ class TestRunSample:
         rng = np.random.default_rng(11)
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=0)
         layer, spk = tiny_model(encoder=enc)
-        el = EligibilityTrace.zeros(layer.weights.shape, 0.99)
+        el = EligibilityTrace.zeros_like(layer.weights, 0.99)
         before = layer.weights.copy()
         simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), el, 0.5)
         assert np.array_equal(layer.weights, before)
@@ -660,9 +662,10 @@ class TestEventDrivenPlasticity:
             X *= data_rng.random(X.shape) < 0.05
             X[0] = 0.0
         layer = DenseLayer.initialize(n_in, n_out, partition_for(prob, n_out), seed=5)
+        layer.weights = np.asfortranarray(layer.weights)
         ref_layer = DenseLayer(layer.weights.copy(), layer.partition)
         e0 = 0.1 * data_rng.standard_normal(layer.weights.shape)
-        el, ref_el = EligibilityTrace(e0.copy(), tau_e), EligibilityTrace(e0.copy(), tau_e)
+        el, ref_el = EligibilityTrace(np.array(e0, order="F"), tau_e), EligibilityTrace(e0.copy(), tau_e)
 
         silent_steps, dense_steps, folds = [], [], []
         real_encode, real_step = spiking_mod.rate_encode, spiking_mod.eligibility_step
@@ -714,6 +717,75 @@ class TestEventDrivenPlasticity:
         assert np.abs(layer.weights - init.weights).max() > 1e-3
         assert np.allclose(layer.weights, ref_layer.weights, rtol=0, atol=1e-12)
         assert log[0].train_loss == pytest.approx(ref_log[0].train_loss, rel=1e-9)
+
+
+class TestPresynapticMajor:
+    """Plastic synapses are stored Fortran-ordered, so W.T and e.T are C-contiguous rows per input."""
+
+    @pytest.mark.parametrize("window", ["instantaneous", "window_mean"])
+    @pytest.mark.parametrize("prob", [SigmoidProb(theta=1.0), SymmetricProb()], ids=["sigmoid", "symmetric"])
+    @pytest.mark.parametrize("rows,tau_e", [(2, 0.99), (7, 0.9), (1, 0.3)])
+    def test_dense_plastic_calls_equal_the_row_major_reference_bitwise(self, rows, tau_e, prob,
+                                                                       window):
+        layer, spk = tiny_model(prob, n_in=40, tau_e=tau_e, modulation_window=window)
+        ref_layer = DenseLayer(np.ascontiguousarray(layer.weights), layer.partition)
+        e0 = 0.1 * np.random.default_rng(40).standard_normal(layer.weights.shape)
+        el = EligibilityTrace(np.array(e0, order="F"), tau_e)
+        ref_el = EligibilityTrace(e0.copy(), tau_e)
+        data_rng, rng, ref_rng = (np.random.default_rng(s) for s in (41, 42, 42))
+        codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+        for _ in range(3):
+            X = data_rng.uniform(0.0, 1.0, size=(rows, 40)) * (data_rng.random((rows, 40)) < 0.6)
+            got = simulate(layer, X, spk, rng, codes, prob, el, 0.2)
+            want = row_major_simulate(ref_layer, X, spk, ref_rng, codes, prob, ref_el, 0.2)
+            assert np.array_equal(got, want)
+            assert np.array_equal(layer.weights, ref_layer.weights)
+            assert np.array_equal(el.e, ref_el.e)
+        assert layer.weights.T.flags.c_contiguous and el.e.T.flags.c_contiguous
+        assert not np.array_equal(el.e, e0)
+
+    @pytest.mark.parametrize("mode", ["batch", "online"])
+    def test_train_hebbian_returns_presynaptic_major_weights(self, small_data, mode):
+        cfg = TrainConfig(eta=0.1, batch_size=20, epochs=1, seed=6, prob_fn=SigmoidProb())
+        spk = SpikingConfig(n_out=12, encoder=SpikeEncoderConfig(steps=8, active_window=3))
+        sub = ExperimentData(
+            Dataset(small_data.train.images[:40], small_data.train.labels[:40]),
+            small_data.test, small_data.codebook,
+        )
+        layer, _ = train_hebbian(cfg, sub, mode, spk)
+        assert layer.weights.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("row_major", ["weights", "eligibility"])
+    def test_plastic_call_refuses_row_major_storage(self, rows, row_major):
+        layer, spk = tiny_model()
+        el = EligibilityTrace.zeros_like(layer.weights, 0.99)
+        if row_major == "weights":
+            layer.weights = np.ascontiguousarray(layer.weights)
+        else:
+            el = EligibilityTrace.zeros_like(np.ascontiguousarray(layer.weights), 0.99)
+        before = layer.weights.copy()
+        codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+        with pytest.raises(ConfigError, match="presynaptic-major"):
+            simulate(layer, np.full((rows, 15), 0.5), spk, np.random.default_rng(0), codes,
+                     SymmetricProb(), el, 0.1)
+        assert np.array_equal(layer.weights, before) and np.all(el.e == 0.0)
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_loaded_checkpoint_gives_the_latents_of_the_presynaptic_major_layer(self, tmp_path,
+                                                                                 rows):
+        # a loaded checkpoint is row-major: a plasticity-free call copies W.T once
+        # and then runs exactly as on the presynaptic-major layer it was saved from
+        layer, spk = tiny_model(n_in=30)
+        book = LabelCodebook(length=4, density=0.5, seed=1)
+        save_checkpoint(tmp_path / "model.ffaw", layer, book)
+        loaded, _ = load_checkpoint(tmp_path / "model.ffaw")
+        assert loaded.weights.flags.c_contiguous and not loaded.weights.flags.f_contiguous
+        X = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 30))
+        want = simulate(layer, X, spk, np.random.default_rng(4))
+        got = simulate(loaded, X, spk, np.random.default_rng(4))
+        assert want.sum() > 0
+        assert np.array_equal(got, want)
 
 
 class TestSimulateLatents:
@@ -768,7 +840,7 @@ class TestSimulateLatents:
         rows = 1 if mode == "online" else 4
         plastic = () if mode == "eval" else (
             np.where(np.arange(rows) % 2 == 0, 1, -1).astype(np.int8), SymmetricProb(),
-            EligibilityTrace.zeros(layer.weights.shape, 0.99), 0.1,
+            EligibilityTrace.zeros_like(layer.weights, 0.99), 0.1,
         )
         before = layer.weights.copy()
         with pytest.raises(ConfigError, match=r"batch has shape .*, layer expects \[B, 15\]"):
@@ -872,4 +944,4 @@ class TestConfigValidation:
 
     def test_eligibility_tau_bounds(self):
         with pytest.raises(ConfigError):
-            EligibilityTrace.zeros((2, 2), 1.0)
+            EligibilityTrace(np.zeros((2, 2)), 1.0)

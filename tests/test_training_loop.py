@@ -9,7 +9,7 @@ import ffa.analog as analog_mod
 import ffa.spiking as spiking_mod
 from ffa.analog import DenseLayer, TrainConfig, partition_for, train_analog
 from ffa.core import SymmetricProb
-from ffa.data import ExperimentData, LabelCodebook, embed_batch, pair_codes
+from ffa.data import ExperimentData, LabelCodebook, batches, embed_batch, pair_codes
 from ffa.errors import DivergenceError, SilentLayerError
 from ffa.spiking import (
     EligibilityTrace,
@@ -20,6 +20,7 @@ from ffa.spiking import (
     train_hebbian,
 )
 from tests.conftest import make_synthetic
+from tests.reference import row_major_simulate
 
 TRAINERS = ["analog", "hebbian_batch", "hebbian_online"]
 N_OUT = 12
@@ -111,6 +112,31 @@ class TestRunEpochs:
             train(trainer, tiny_data, epochs=3, eval_fn=eval_fn)
         assert len(evaluated) == 1
 
+    def test_nan_stops_the_epoch_at_the_next_check(self, tiny_data, trainer, monkeypatch):
+        # every epoch has at least 4 updates; a NaN written in update 1 stops
+        # the epoch after update 2, the first check, not at the epoch's end
+        module, name = UPDATE_HOOK[trainer]
+        original = getattr(module, name)
+        updates = []
+
+        def counting_codes(n):
+            updates.append(n)
+            return pair_codes(n)
+
+        def poisoning(layer, *args, **kwargs):
+            result = original(layer, *args, **kwargs)
+            if len(updates) == 1:
+                layer.weights[0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(analog_mod, "FINITE_CHECK_EVERY", 2)
+        monkeypatch.setattr(analog_mod, "pair_codes", counting_codes)
+        monkeypatch.setattr(module, name, poisoning)
+        with pytest.raises(DivergenceError, match="after epoch 0, update 2$"), \
+                np.errstate(all="ignore"):
+            train(trainer, tiny_data, epochs=2)
+        assert len(updates) == 2
+
     def test_zero_weights_are_a_silent_layer(self, tiny_data, trainer, monkeypatch):
         # no latent ever leaves zero, so no update ever moves the weights
         original = DenseLayer.initialize
@@ -141,7 +167,8 @@ def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
     trained, _ = train(f"hebbian_{mode}", tiny_data, epochs=1)
     prob = SymmetricProb()
     layer = DenseLayer.initialize(tiny_data.input_dim, N_OUT, partition_for(prob, N_OUT), SEED)
-    eligibility = EligibilityTrace.zeros(layer.weights.shape, SPIKING.tau_e)
+    layer.weights = np.asfortranarray(layer.weights)
+    eligibility = EligibilityTrace.zeros_like(layer.weights, SPIKING.tau_e)
     rng = np.random.default_rng([SEED, 0, 0x5E1])
     pairs = 1 if mode == "online" else 10
     for X in embedded_batches(tiny_data.train, tiny_data.codebook, pairs, SEED, epoch=0):
@@ -150,6 +177,22 @@ def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
         for i in range(0, len(X), rows):
             simulate(layer, X[i : i + rows], SPIKING, rng, codes[i : i + rows], prob,
                      eligibility, 0.05)
+    init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
+    assert not np.array_equal(layer.weights, init.weights)
+    assert np.array_equal(trained.weights, layer.weights)
+
+
+def test_batch_epoch_equals_the_row_major_reference_bitwise(tiny_data):
+    # the presynaptic-major batch trainer computes what the row-major loop did, bit for bit
+    trained, _ = train("hebbian_batch", tiny_data, epochs=1)
+    prob = SymmetricProb()
+    layer = DenseLayer.initialize(tiny_data.input_dim, N_OUT, partition_for(prob, N_OUT), SEED)
+    eligibility = EligibilityTrace.zeros_like(layer.weights, SPIKING.tau_e)
+    rng = np.random.default_rng([SEED, 0, 0x5E1])
+    for batch in batches(tiny_data.train, 10, SEED, 0):
+        row_major_simulate(layer, batch.rows(tiny_data.codebook), SPIKING, rng,
+                           pair_codes(len(batch)), prob, eligibility, 0.05)
+    assert trained.weights.T.flags.c_contiguous and layer.weights.flags.c_contiguous
     init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
     assert not np.array_equal(layer.weights, init.weights)
     assert np.array_equal(trained.weights, layer.weights)
