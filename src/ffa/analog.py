@@ -41,7 +41,6 @@ class DenseLayer:
 
     weights: np.ndarray
     partition: PolarityPartition
-    bias: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -52,6 +51,11 @@ class DenseLayer:
                 f"partition covers {self.partition.n} neurons, layer has "
                 f"{self.weights.shape[0]}"
             )
+
+    @property
+    def bias(self) -> None:
+        # Read by perfbench/workloads.py's checkpoint round-trip check only.
+        return None
 
     @property
     def n_out(self) -> int:
@@ -75,20 +79,11 @@ class DenseLayer:
         n_out: int,
         partition: PolarityPartition,
         seed: int,
-        use_bias: bool = False,
     ) -> "DenseLayer":
         """Seeded uniform init in [-1/sqrt(n_in), +1/sqrt(n_in)]."""
         rng = np.random.default_rng([seed, 0x11A7])
         bound = 1.0 / np.sqrt(n_in)
-        weights = rng.uniform(-bound, bound, size=(n_out, n_in))
-        bias = np.zeros(n_out) if use_bias else None
-        return cls(weights, partition, bias)
-
-
-def _bias_relu(layer: DenseLayer, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The layer rule after the weight product ``W x``: (pre-activation ``W x + b``, ReLU latent)."""
-    preact = product if layer.bias is None else product + layer.bias
-    return preact, np.maximum(preact, 0.0)
+        return cls(rng.uniform(-bound, bound, size=(n_out, n_in)), partition)
 
 
 def _project_images(
@@ -112,14 +107,14 @@ def _project_images(
 
 def forward_batch(
     layer: DenseLayer, X: np.ndarray, tail: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass over a stack of inputs [B, n_in], or over the rows ``[X[b // r] ; tail[b]]``.
+) -> np.ndarray:
+    """ReLU latents [B, n_out] of inputs [B, n_in], or of the rows ``[X[b // r] ; tail[b]]``.
 
     With a ``tail`` [B, n_t], ``X`` holds m shared images [m, n_in - n_t] and
     each one heads r = B / m consecutive rows.
     """
     if tail is None:
-        return _bias_relu(layer, layer.check_batch(X) @ layer.weights.T)
+        return np.maximum(layer.check_batch(X) @ layer.weights.T, 0.0)
     tail = np.asarray(tail, dtype=np.float64)
     if tail.ndim != 2:
         raise ConfigError(f"tail has shape {tail.shape}, expected [B, n_t]")
@@ -128,7 +123,7 @@ def forward_batch(
         raise ConfigError(f"a tail of {len(tail)} rows does not split over {len(projected)} images")
     product = np.repeat(projected, len(tail) // len(projected), axis=0)
     product += tail @ w_tail.T
-    return _bias_relu(layer, product)
+    return np.maximum(product, 0.0)
 
 
 def forward_labelled(
@@ -143,7 +138,7 @@ def forward_labelled(
     projected, w_code = _project_images(layer, images, codebook.length)
     code_table = codebook.vectors @ w_code.T
     for labels in label_sets:
-        yield _bias_relu(layer, projected + code_table[check_labels(labels)])[1]
+        yield np.maximum(projected + code_table[check_labels(labels)], 0.0)
 
 
 def layer_gradient(
@@ -152,16 +147,17 @@ def layer_gradient(
     codes: np.ndarray,
     prob_fn: ProbabilityFn,
     tail: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form mean loss gradient over the rows of :func:`forward_batch` with +1/-1 ``codes``.
 
     The rows are ``X`` [B, n_in] itself, or with a ``tail`` [B, n_t] the
     rows ``[X[b // r] ; tail[b]]`` of m shared images.  Returns ``(grad_w,
-    grad_b, p, latent)``: the weight and bias (None without a bias)
-    gradients and the per-row probabilities and latents.  Per row d L / d
-    w_ij is ``-(modulation_j) * relu'(a_j) * 2*latent_j * x_i`` (the
-    modulation is a descent direction, hence the leading minus), so neurons
-    left inactive by the ReLU contribute exactly zero.  The image block of
+    p, latent)``: the weight gradient and the per-row probabilities and
+    latents.  Per row d L / d w_ij is ``-(modulation_j) * relu'(a_j) *
+    2*latent_j * x_i`` (the modulation is a descent direction, hence the
+    leading minus), so neurons left inactive by the ReLU contribute exactly
+    zero; ``relu'(a_j)`` is ``latent_j > 0``, since the latent is
+    ``max(a_j, 0)``.  The image block of
     ``post.T @ rows`` is ``(sum of each image's post rows).T @ X``: each
     image enters the product once.
     """
@@ -170,9 +166,9 @@ def layer_gradient(
     rows = len(X) if tail is None else len(tail)
     if rows == 0:
         raise ConfigError("gradient of an empty batch is undefined")
-    preact, latent = forward_batch(layer, X, tail)
+    latent = forward_batch(layer, X, tail)
     p, modulation = modulation_batch(latent, codes, prob_fn, layer.partition)
-    post = modulation * (preact > 0.0) * 2.0 * latent
+    post = modulation * (latent > 0.0) * 2.0 * latent
     # the mean's 1/B and the descent sign go on this [B, n_out] factor, not on the gradient
     post /= -rows
     n_img = layer.n_in if tail is None else layer.n_in - tail.shape[1]
@@ -180,8 +176,7 @@ def layer_gradient(
     np.matmul(post.reshape(len(X), -1, layer.n_out).sum(axis=1).T, X, out=grad_w[:, :n_img])
     if tail is not None:
         np.matmul(post.T, tail, out=grad_w[:, n_img:])
-    grad_b = post.sum(axis=0) if layer.bias is not None else None
-    return grad_w, grad_b, p, latent
+    return grad_w, p, latent
 
 
 ADAM_BETA1 = 0.9
@@ -219,7 +214,7 @@ class AdamState:
 
 
 def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float) -> None:
-    """One bias-corrected ADAM descent step on ``tensor`` (weights or bias), in place.
+    """One bias-corrected ADAM descent step on ``tensor``, in place.
 
     ``m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
     tensor -= eta * (m / c1) / (sqrt(v / c2) + eps)`` with ``c = 1 - b^step``,
@@ -368,7 +363,6 @@ def train_analog(
     data: ExperimentData,
     eval_fn: Optional[Callable[[DenseLayer, int], float]] = None,
     n_out: int = 200,
-    use_bias: bool = False,
 ) -> tuple[DenseLayer, list[EpochStats]]:
     """Train a single dense ReLU layer with layer-local gradients and ADAM.
 
@@ -377,17 +371,14 @@ def train_analog(
     seed.
     """
     partition = partition_for(config.prob_fn, n_out)
-    layer = DenseLayer.initialize(data.input_dim, n_out, partition, config.seed, use_bias)
+    layer = DenseLayer.initialize(data.input_dim, n_out, partition, config.seed)
     adam = AdamState.zeros_like(layer.weights)
-    adam_bias = AdamState.zeros_like(layer.bias) if use_bias else None
 
     def update(batch, codes, rng, stats):
-        grad, grad_b, p, latent = layer_gradient(
+        grad, p, latent = layer_gradient(
             layer, batch.images, codes, config.prob_fn, batch.codewords(data.codebook)
         )
         adam_step(layer.weights, grad, adam, config.eta)
-        if grad_b is not None:
-            adam_step(layer.bias, grad_b, adam_bias, config.eta)
         stats.update(latent, codes, p)
 
     return run_epochs(config, data, layer, update, eval_fn, "analog")

@@ -4,7 +4,7 @@ Layout (all little-endian):
 
     magic  "FFAW"
     u32    version (currently 1)
-    u32    flags (bit 0: bias vector present)
+    u32    flags (must be 0; bit 0 was "bias vector after the weights")
     u32    n_in
     u32    n_out
     u8[n_out]          polarity mask (1 = positive neuron)
@@ -13,7 +13,9 @@ Layout (all little-endian):
     i64    codebook seed
     u8[ceil(10*E/8)]   codebook bits, packed row-major
     f64[n_out * n_in]  weights, row-major
-    f64[n_out]         bias (only when flagged)
+
+A nonzero flags word is refused: the layer has no bias, and no other bit
+was ever defined.
 """
 
 from __future__ import annotations
@@ -31,22 +33,18 @@ from .errors import CheckpointError
 
 MAGIC = b"FFAW"
 VERSION = 1
-_FLAG_BIAS = 1
 
 
 def save_checkpoint(path, layer: DenseLayer, codebook: LabelCodebook) -> None:
     path = Path(path)
-    flags = _FLAG_BIAS if layer.bias is not None else 0
     bits = np.packbits(codebook.vectors.astype(np.uint8).ravel())
     with atomic_write(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<IIII", VERSION, flags, layer.n_in, layer.n_out))
+        f.write(struct.pack("<IIII", VERSION, 0, layer.n_in, layer.n_out))
         f.write(layer.partition.pos_mask.astype(np.uint8).tobytes())
         f.write(struct.pack("<Idq", codebook.length, codebook.density, codebook.seed))
         f.write(bits.tobytes())
         f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        if layer.bias is not None:
-            f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
 
 def _take(buf: bytes, offset: int, count: int, path: Path, what: str) -> tuple[bytes, int]:
@@ -68,6 +66,11 @@ def load_checkpoint(path) -> tuple[DenseLayer, LabelCodebook]:
     version, flags, n_in, n_out = struct.unpack("<IIII", raw)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
+    if flags:
+        raise CheckpointError(
+            f"{path}: carries a bias vector; the layer bias was removed" if flags == 1
+            else f"{path}: unsupported flags {flags:#x}"
+        )
     raw, off = _take(buf, off, n_out, path, "polarity mask")
     mask = np.frombuffer(raw, dtype=np.uint8).astype(bool)
     raw, off = _take(buf, off, struct.calcsize("<Idq"), path, "codebook header")
@@ -78,15 +81,10 @@ def load_checkpoint(path) -> tuple[DenseLayer, LabelCodebook]:
     vectors = bits.reshape(10, length).astype(np.float64)
     raw, off = _take(buf, off, 8 * n_out * n_in, path, "weights")
     weights = np.frombuffer(raw, dtype="<f8").reshape(n_out, n_in).copy()
-    bias = None
-    if flags & _FLAG_BIAS:
-        raw, off = _take(buf, off, 8 * n_out, path, "bias")
-        bias = np.frombuffer(raw, dtype="<f8").copy()
     if off != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
-    for name, values in (("weights", weights), ("bias", bias)):
-        if values is not None and not np.isfinite(values).all():
-            raise CheckpointError(f"{path}: non-finite {name}")
-    layer = DenseLayer(weights, PolarityPartition(mask), bias)
+    if not np.isfinite(weights).all():
+        raise CheckpointError(f"{path}: non-finite weights")
+    layer = DenseLayer(weights, PolarityPartition(mask))
     codebook = LabelCodebook.from_vectors(vectors, density, seed)
     return layer, codebook

@@ -58,9 +58,7 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData, eval_each_epoch: bo
             return metrics.accuracy(layer, data.test, data.codebook, runner, prob_fn)
 
     if cfg.model == "analog":
-        return analog.train_analog(
-            cfg.train_config(), data, eval_fn, n_out=cfg.n_hidden, use_bias=cfg.use_bias
-        )
+        return analog.train_analog(cfg.train_config(), data, eval_fn, n_out=cfg.n_hidden)
     return spiking.train_hebbian(
         cfg.train_config(), data, cfg.mode(), cfg.spiking_config(), eval_fn
     )
@@ -112,11 +110,6 @@ def _load_for_eval(cfg: ExperimentConfig, checkpoint_path) -> tuple:
         )
     if layer.partition != analog.partition_for(cfg.prob_fn(), cfg.n_hidden):
         raise CheckpointError(f"{checkpoint_path}: polarity split does not match prob {cfg.prob!r}")
-    if (layer.bias is not None) != cfg.use_bias:
-        raise CheckpointError(
-            f"{checkpoint_path}: checkpoint {'has' if layer.bias is not None else 'has no'} "
-            f"bias, config says use_bias={str(cfg.use_bias).lower()}"
-        )
     train, test = load_mnist(cfg.data_dir)
     data = ExperimentData(train, test, codebook)
     if data.input_dim != layer.n_in:

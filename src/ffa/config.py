@@ -25,15 +25,6 @@ MODELS = ("analog", "hebbian", "hebbian_online")
 PROBS = ("sigmoid", "symmetric")
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -49,12 +40,10 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 # Parser by the type of a field's default; any other type parses itself.
-_PARSERS = {bool: _parse_bool, float: _parse_float, tuple: _parse_float_list}
+_PARSERS = {float: _parse_float, tuple: _parse_float_list}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(repr(v) for v in value)
     if isinstance(value, float):
@@ -79,7 +68,6 @@ class ExperimentConfig:
     batch_size: int = _ini("experiment.batch_size", TrainConfig.batch_size)
     seed: int = _ini("experiment.seed", TrainConfig.seed)
     n_hidden: int = _ini("experiment.n_hidden", SpikingConfig.n_out)
-    use_bias: bool = _ini("experiment.use_bias", False)
     alpha: float = _ini("probability.alpha", SigmoidProb.alpha)
     theta: float = _ini("probability.theta", SigmoidProb.theta)
     epsilon: float = _ini("probability.epsilon", SymmetricProb.epsilon)
@@ -143,8 +131,6 @@ class ExperimentConfig:
             f"model must be one of {MODELS}, got {self.model!r}": self.model in MODELS,
             f"prob must be one of {PROBS}, got {self.prob!r}": self.prob in PROBS,
             "n_hidden must be >= 2": self.n_hidden >= 2,
-            "use_bias is only available for the analog model":
-                not self.use_bias or self.model == "analog",
             "grid eta values must be nonempty": len(self.grid_eta) > 0,
             "grid tau_e values must be nonempty": len(self.grid_tau_e) > 0,
         })

@@ -25,7 +25,7 @@ from .analog import DenseLayer, forward_labelled
 from .atomic import atomic_write
 from .core import ProbabilityFn, SigmoidProb
 from .data import Dataset, LabelCodebook, check_labels, embed_batch
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .forks import fork_map
 from .spiking import SpikingConfig, simulate
 
@@ -47,8 +47,8 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
 
     The encoder is stochastic, so the runner owns a generator keyed by
     ``(seed, epoch)``; a given sequence of calls is reproducible, and each
-    epoch's evaluation gets its own stream.  The spiking layer has no bias,
-    so a layer that carries one is refused.
+    epoch's evaluation gets its own stream.  The analog and spiking layers
+    are the same weights, so any layer runs here, trained on either substrate.
 
     The entries of a call run in :func:`~ffa.forks.fork_map` over the usable
     cores, on the stream a single process would draw: the encoder draws one
@@ -60,8 +60,6 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
 
     def run(layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook,
             label_sets: Iterable) -> Iterator[np.ndarray]:
-        if layer.bias is not None:
-            raise ConfigError("the spiking runner has no bias; this layer carries one")
         label_sets = [check_labels(labels) for labels in label_sets]
         image_events = np.count_nonzero(images)
         code_events = np.count_nonzero(codebook.vectors, axis=1)

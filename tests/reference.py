@@ -132,8 +132,6 @@ def forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.shape != (layer.n_in,):
         raise ConfigError(f"input has shape {x.shape}, layer expects ({layer.n_in},)")
     preact = layer.weights @ x
-    if layer.bias is not None:
-        preact = preact + layer.bias
     return preact, np.maximum(preact, 0.0)
 
 
@@ -209,11 +207,11 @@ def scalar_factorized_gradient(layer, x, polarity, prob_fn) -> np.ndarray:
     return out
 
 
-def x_form_gradient(layer, X, polarities, prob_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Mean weight and bias gradients over the rows of ``X``, each row's factor from
+def x_form_gradient(layer, X, polarities, prob_fn) -> np.ndarray:
+    """Mean weight gradient over the rows of ``X``, each row's factor from
     :func:`scalar_post`, summed over the embedded rows as one plain product."""
     post = np.array([scalar_post(layer, x, pol, prob_fn) for x, pol in zip(X, polarities)])
-    return post.T @ X / len(X), post.mean(axis=0)
+    return post.T @ X / len(X)
 
 
 def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta) -> np.ndarray:

@@ -3,8 +3,8 @@
 Criteria 4-8 are self-contained and always run.  Criteria 1-3 train on the
 real MNIST dataset and are skipped with an explanatory message when the IDX
 files are absent (see README for how to provide them); with data present
-they are long: batch spiking runs take tens of minutes each, online runs
-roughly an hour each on a desktop.
+they are long: batch spiking runs take about ten minutes each, online runs
+about 45 minutes each on two cores.
 """
 
 import numpy as np
@@ -166,7 +166,7 @@ def test_criterion4_equivalence_oracle():
             continue  # keep finite differences away from the ReLU kink
         draws += 1
         codes = np.array([polarity.value], dtype=np.int8)
-        grad, _, _, _ = layer_gradient(layer, x[None, :], codes, prob_fn)
+        grad, _, _ = layer_gradient(layer, x[None, :], codes, prob_fn)
 
         factorized = scalar_factorized_gradient(layer, x, polarity, prob_fn)
         worst_closed = max(worst_closed, relative_error(grad, factorized))

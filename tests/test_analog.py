@@ -40,6 +40,16 @@ def gradient(layer, rows, polarities, prob):
     return layer_gradient(layer, np.atleast_2d(rows), codes_of(*polarities), prob)[0]
 
 
+class TestDenseLayer:
+    def test_bias_is_a_read_only_none(self):
+        # the layer has no bias term; the property remains for the benchmark's round-trip check
+        layer = make_layer(4, 3)
+        assert layer.bias is None
+        with pytest.raises(AttributeError):
+            layer.bias = np.zeros(3)
+        assert layer.bias is None
+
+
 class TestForward:
     def test_zero_weights(self):
         layer = DenseLayer(np.zeros((4, 3)), PolarityPartition.all_positive(4))
@@ -74,10 +84,9 @@ class TestForward:
         rng = np.random.default_rng(3)
         layer = make_layer(6, 4, seed=1)
         X = rng.uniform(0, 1, size=(5, 6))
-        preact_b, latent_b = forward_batch(layer, X)
+        latent_b = forward_batch(layer, X)
         for b in range(5):
-            preact, latent = forward(layer, X[b])
-            assert np.allclose(preact_b[b], preact, rtol=1e-13)
+            _, latent = forward(layer, X[b])
             assert np.allclose(latent_b[b], latent, rtol=1e-13)
 
 
@@ -164,16 +173,14 @@ class TestLayerGradient:
         images = rng.uniform(0.0, 1.0, size=(50, 784)) * (rng.random((50, 784)) < 0.19)
         book = LabelCodebook(length=100, density=0.3, seed=101)
         batch = next(batches(Dataset(images, rng.integers(0, 10, 50)), 50, seed=4, epoch=0))
-        layer = DenseLayer.initialize(884, 200, partition_for(prob, 200), seed=5, use_bias=True)
-        layer.bias = rng.uniform(-0.05, 0.05, size=200)
+        layer = DenseLayer.initialize(884, 200, partition_for(prob, 200), seed=5)
         codes = pair_codes(len(batch))
-        grad_w, grad_b, _, latent = layer_gradient(layer, batch.images, codes, prob,
-                                                   batch.codewords(book))
+        grad_w, _, latent = layer_gradient(layer, batch.images, codes, prob,
+                                           batch.codewords(book))
         X = batch.rows(book)
-        want_w, want_b = x_form_gradient(layer, X, [Polarity(int(c)) for c in codes], prob)
+        want_w = x_form_gradient(layer, X, [Polarity(int(c)) for c in codes], prob)
         assert 0 < np.count_nonzero(latent) < latent.size
         assert np.max(np.abs(grad_w - want_w)) <= 1e-12 * np.max(np.abs(want_w))
-        assert np.max(np.abs(grad_b - want_b)) <= 1e-12 * np.max(np.abs(want_b))
         for row, x in zip(latent, X):
             assert np.allclose(row, forward(layer, x)[1], rtol=1e-12, atol=1e-15)
 
@@ -227,7 +234,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("shape", [
         (7, 5), (5,), (ADAM_TILE - 1,), (ADAM_TILE,), (ADAM_TILE + 1,), (200, 884), (200,),
-    ], ids=["weights", "bias", "tile-1", "tile", "tile+1", "bench_weights", "bench_bias"])
+    ], ids=["weights", "vector", "tile-1", "tile", "tile+1", "bench_weights", "bench_vector"])
     def test_matches_textbook_expression_bitwise(self, shape):
         # the in-place step rounds every operation as the plain expression does
         rng = np.random.default_rng(23)
@@ -294,37 +301,6 @@ class TestTrainAnalog:
         layer_a, _ = train_analog(cfg, synthetic_data, n_out=20)
         layer_b, _ = train_analog(cfg, synthetic_data, n_out=20)
         assert np.array_equal(layer_a.weights, layer_b.weights)
-
-    def test_bias_training(self, synthetic_data):
-        prob = SigmoidProb()
-        cfg = TrainConfig(eta=0.01, batch_size=50, epochs=2, seed=3, prob_fn=prob)
-        layer, _ = train_analog(cfg, synthetic_data, n_out=20, use_bias=True)
-        assert layer.bias is not None
-        assert np.any(layer.bias != 0.0), "bias never moved off its zero init"
-        assert np.all(np.isfinite(layer.bias))
-
-    def test_bias_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(14)
-        prob = SigmoidProb(theta=1.0)
-        layer = DenseLayer(
-            rng.uniform(-0.5, 0.5, size=(4, 6)),
-            PolarityPartition.all_positive(4),
-            bias=rng.uniform(-0.2, 0.2, size=4),
-        )
-        x = rng.uniform(0.05, 1.0, size=6)
-        _, grad_b, _, _ = layer_gradient(layer, x[None, :], codes_of(Polarity.NEGATIVE), prob)
-
-        def loss(bias):
-            biased = DenseLayer(layer.weights, layer.partition, bias)
-            return sample_loss(biased, x, Polarity.NEGATIVE, prob)
-
-        for j in range(4):
-            h = 1e-6
-            up, down = layer.bias.copy(), layer.bias.copy()
-            up[j] += h
-            down[j] -= h
-            fd = (loss(up) - loss(down)) / (2 * h)
-            assert grad_b[j] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     def test_divergence_detected(self, synthetic_data):
         # an absurd learning rate overflows the goodness and poisons ADAM

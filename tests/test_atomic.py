@@ -64,7 +64,7 @@ WRITERS = {
         lambda path: save_checkpoint(path, _layer(), LabelCodebook(length=9, seed=3)),
         lambda path: save_checkpoint(
             path,
-            SimpleNamespace(bias=None, n_in=7, n_out=4, partition=PolarityPartition.split_halves(4),
+            SimpleNamespace(n_in=7, n_out=4, partition=PolarityPartition.split_halves(4),
                             weights=np.full((4, 7), "x", dtype=object)),
             LabelCodebook(length=9, seed=3),
         ),

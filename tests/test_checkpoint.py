@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,17 +26,8 @@ class TestRoundTrip:
         loaded, book2 = load_checkpoint(path)
         assert np.array_equal(loaded.weights, layer.weights)
         assert loaded.partition == layer.partition
-        assert loaded.bias is None
         assert book2 == book
         assert book2.length == 17 and book2.seed == 42
-
-    def test_bias_round_trip(self, tmp_path, layer_and_book):
-        layer, book = layer_and_book
-        layer.bias = np.linspace(-1, 1, 6)
-        path = tmp_path / "model.ffaw"
-        save_checkpoint(path, layer, book)
-        loaded, _ = load_checkpoint(path)
-        assert np.array_equal(loaded.bias, layer.bias)
 
     def test_save_is_deterministic(self, tmp_path, layer_and_book):
         layer, book = layer_and_book
@@ -83,14 +76,29 @@ class TestErrors:
             load_checkpoint(tmp_path / "absent.ffaw")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("part", ["weights", "bias"])
-    def test_non_finite_parameters(self, tmp_path, layer_and_book, part, value):
+    def test_non_finite_weights(self, tmp_path, layer_and_book, value):
         layer, book = layer_and_book
-        layer.bias = np.zeros(6)
-        getattr(layer, part).flat[3] = value
+        layer.weights.flat[3] = value
         path = tmp_path / "model.ffaw"
         save_checkpoint(path, layer, book)
-        with pytest.raises(CheckpointError, match=f"model.ffaw: non-finite {part}"):
+        with pytest.raises(CheckpointError, match="model.ffaw: non-finite weights"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("flags, message", [
+        (1, "carries a bias vector; the layer bias was removed"),
+        (2, "unsupported flags 0x2"),
+        (6, "unsupported flags 0x6"),
+        (0x80000001, "unsupported flags 0x80000001"),
+    ], ids=["bias_bit", "unknown_bit", "several_bits", "bias_and_high_bit"])
+    def test_nonzero_flags_refused(self, tmp_path, layer_and_book, flags, message):
+        # a bias-bit file from before the bias was removed still has its vector after the weights
+        path = tmp_path / "model.ffaw"
+        save_checkpoint(path, *layer_and_book)
+        data = bytearray(path.read_bytes())
+        assert data[8:12] == bytes(4)
+        data[8:12] = struct.pack("<I", flags)
+        path.write_bytes(bytes(data) + bytes(8 * 6) * (flags == 1))
+        with pytest.raises(CheckpointError, match=f"model.ffaw: {message}"):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path, layer_and_book):

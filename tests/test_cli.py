@@ -175,6 +175,49 @@ class TestEval:
         assert code == 4
         assert "error:checkpoint:" in capsys.readouterr().err
 
+    def test_bias_flagged_checkpoint_refused(self, base_config, capsys):
+        # a file written while layers could carry a bias: flag bit 0 and the vector after W
+        config, out_dir = base_config
+        run_cli("train", "--config", config, "--set", "experiment.epochs=1")
+        path = out_dir / "model.ffaw"
+        data = bytearray(path.read_bytes())
+        data[8] = 1
+        path.write_bytes(bytes(data) + bytes(8 * 16))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", config, "--checkpoint", path) == 4
+        captured = capsys.readouterr()
+        assert (f"error:checkpoint: {path}: carries a bias vector; the layer bias was removed"
+                in captured.err)
+        assert "accuracy:" not in captured.out
+
+    def test_analog_checkpoint_runs_on_the_spiking_runner(self, base_config, tmp_path, capsys):
+        # the two substrates share one layer, so an analog checkpoint needs no conversion
+        config, out_dir = base_config
+        assert run_cli("train", "--config", config, "--set", "experiment.model=analog") == 0
+        spiking = ["--config", config, "--checkpoint", out_dir / "model.ffaw",
+                   "--set", "experiment.model=hebbian"]
+        capsys.readouterr()
+        assert run_cli("eval", *spiking) == 0
+        out = capsys.readouterr().out
+        assert "model: hebbian/symmetric" in out and "\naccuracy: " in out
+        target = tmp_path / "latents.csv"
+        assert run_cli("export", *spiking, "--output", target) == 0
+        assert "wrote 80 latents" in capsys.readouterr().out
+        assert read_latents(target).latents.shape == (80, 16)
+
+    def test_use_bias_in_an_old_snapshot_is_an_unknown_key(self, base_config, capsys):
+        # config.ini snapshots written while the option existed carry "use_bias = false"
+        config, out_dir = base_config
+        run_cli("train", "--config", config, "--set", "experiment.epochs=1")
+        snapshot = out_dir / "config.ini"
+        text = snapshot.read_text()
+        snapshot.write_text(text.replace("n_hidden = 16\n", "n_hidden = 16\nuse_bias = false\n"))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", snapshot,
+                       "--checkpoint", out_dir / "model.ffaw") == 2
+        assert "error:config: invalid config: unknown key experiment.use_bias" in (
+            capsys.readouterr().err)
+
 
 class TestExport:
     def test_latent_csv(self, base_config, tmp_path, capsys):
@@ -336,17 +379,23 @@ class TestReproduce:
         assert started == [1] * 5
 
     def test_invalid_rows_rejected_before_training(self, base_config, capsys, monkeypatch):
+        # no rule depends on a row's model or prob, so a base config that validates
+        # is valid for every row; the spiking rows bring their own tau_e out of range
         config, _ = base_config
         trained = []
         monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: trained.append(args))
-        code = run_cli("reproduce", "--table", "table1", "--config", config,
-                       "--set", "experiment.use_bias=true")
+        rows = cli.load_reference_table("table1")
+        for row in rows:
+            if "experiment.tau_e" in row["hyper"]:
+                row["hyper"]["experiment.tau_e"] = "1.5"
+        monkeypatch.setattr(cli, "load_reference_table", lambda name: rows)
+        code = run_cli("reproduce", "--table", "table1", "--config", config)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:config:")
         for row in ("hebbian/sigmoid", "hebbian/symmetric",
                     "hebbian_online/sigmoid", "hebbian_online/symmetric"):
-            assert f"{row}: use_bias" in captured.err
+            assert f"{row}: tau_e must be in [0, 1)" in captured.err
         assert "analog/" not in captured.err
         assert captured.out == ""
         assert trained == []
@@ -431,28 +480,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:checkpoint:" in err and "polarity" in err
 
-    @pytest.mark.parametrize("command", ["eval", "export"])
-    @pytest.mark.parametrize("trained, evaluated", [
-        ("true", ["experiment.model=hebbian", "experiment.use_bias=false"]),
-        ("true", ["experiment.use_bias=false"]),
-        ("false", ["experiment.use_bias=true"]),
-    ], ids=["biased_on_spiking_runner", "biased_as_unbiased", "unbiased_as_biased"])
-    def test_checkpoint_bias_must_match_use_bias(self, base_config, tmp_path, capsys, command,
-                                                 trained, evaluated):
-        # the spiking runner has no bias term, and the analog one must not drop or invent one
-        config, out_dir = base_config
-        run_cli("train", "--config", config, "--set", "experiment.epochs=1",
-                "--set", f"experiment.use_bias={trained}")
-        capsys.readouterr()
-        extra = ["--output", tmp_path / "latents.csv"] if command == "export" else []
-        checkpoint = ["--config", config, "--checkpoint", out_dir / "model.ffaw", *extra]
-        assert run_cli(command, *checkpoint, "--set", f"experiment.use_bias={trained}") == 0
-        capsys.readouterr()
-        overrides = [arg for item in evaluated for arg in ("--set", item)]
-        assert run_cli(command, *checkpoint, *overrides) == 4
-        err = capsys.readouterr().err
-        assert "error:checkpoint:" in err and "bias" in err
-
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("train", "--config", tmp_path / "absent.ini")
         assert code == 2
@@ -474,11 +501,3 @@ class TestErrorPaths:
         assert code == 6
         err = capsys.readouterr().err
         assert "error:io:" in err and "latents.csv" in err
-
-    def test_bias_requires_analog(self, base_config, capsys):
-        config, _ = base_config
-        code = run_cli("train", "--config", config,
-                       "--set", "experiment.model=hebbian",
-                       "--set", "experiment.use_bias=true")
-        assert code == 2
-        assert "use_bias" in capsys.readouterr().err

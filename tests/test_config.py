@@ -45,7 +45,6 @@ epochs = 10
 batch_size = 50
 seed = 0
 n_hidden = 200
-use_bias = false
 
 [probability]
 alpha = 1.0
@@ -95,7 +94,6 @@ epochs = 10
 batch_size = 1
 seed = 0
 n_hidden = 200
-use_bias = false
 
 [probability]
 alpha = 1.0
@@ -210,7 +208,6 @@ class TestValidation:
         ({"epochs": -1}, "epochs"),
         ({"batch_size": 0}, "batch_size"),
         ({"n_hidden": 1}, "n_hidden"),
-        ({"model": "hebbian", "use_bias": True}, "use_bias"),
         ({"prob": "sigmoid", "alpha": -1.0}, "alpha"),
         ({"alpha": math.nan}, "alpha"),
         ({"epsilon": 0.0}, "epsilon"),

@@ -399,18 +399,15 @@ class TestFactoredScan:
     """The analog runner adds a ten-row label table to one image projection per chunk."""
 
     @pytest.mark.parametrize("chunk", [16, 2000], ids=["ragged_chunks", "one_chunk"])
-    @pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
     @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()], ids=["sigmoid", "symmetric"])
-    def test_analog_matches_full_forward_per_label(self, synthetic_data, prob, bias, chunk):
+    def test_analog_matches_full_forward_per_label(self, synthetic_data, prob, chunk):
         rng = np.random.default_rng(17)
         layer = trained_like_layer(rng, 14, 120)
-        if bias:
-            layer.bias = rng.uniform(-0.3, 0.3, size=14)
         sub = Dataset(synthetic_data.test.images[:40], synthetic_data.test.labels[:40])
         book = synthetic_data.codebook
         predictions, latents = scan(layer, sub, book, analog_runner(), prob, chunk=chunk)
         want_predictions, want_latents = per_label_scan(
-            layer, sub, book, lambda X: forward_batch(layer, X)[1], prob, chunk)
+            layer, sub, book, lambda X: forward_batch(layer, X), prob, chunk)
         assert np.array_equal(predictions, want_predictions)
         assert len(set(predictions.tolist())) > 1
         assert np.count_nonzero(latents) > latents.size // 4
@@ -436,13 +433,12 @@ class TestFactoredScan:
     def test_entries_may_label_each_row(self, synthetic_data):
         rng = np.random.default_rng(19)
         layer = trained_like_layer(rng, 14, 120)
-        layer.bias = rng.uniform(-0.3, 0.3, size=14)
         images, book = synthetic_data.test.images[:25], synthetic_data.codebook
         per_row = rng.integers(0, 10, size=25)
         blocks = list(forward_labelled(layer, images, book, [per_row, 7]))
         assert len(blocks) == 2
         for got, labels in zip(blocks, [per_row, 7]):
-            want = forward_batch(layer, embed_batch(images, labels, book))[1]
+            want = forward_batch(layer, embed_batch(images, labels, book))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("labels", [-1, 10, [0, 3, 12]])
@@ -464,14 +460,6 @@ class TestFactoredScan:
         empty = Dataset(np.zeros((0, 100)), [])
         with pytest.raises(DataError, match="empty"):
             score(layer, empty, synthetic_data.codebook, analog_runner(), SigmoidProb())
-
-    def test_spiking_runner_refuses_a_bias(self, synthetic_data):
-        layer = trained_like_layer(np.random.default_rng(22), 14, 120)
-        layer.bias = np.zeros(14)
-        sub = Dataset(synthetic_data.test.images[:5], synthetic_data.test.labels[:5])
-        with pytest.raises(ConfigError, match="bias"):
-            scan(layer, sub, synthetic_data.codebook, spiking_runner(TestScan.SPIKING, seed=1),
-                 SigmoidProb())
 
 
 class TestCollectAndEvaluate:

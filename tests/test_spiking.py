@@ -435,7 +435,7 @@ class TestHebbianImpulse:
         eligibility_step(el, np.zeros_like(layer.weights), 1.0)
         impulse = el.e
         codes = np.array([polarity.value], dtype=np.int8)
-        grad, _, _, _ = layer_gradient(layer, x[None, :], codes, prob)
+        grad, _, _ = layer_gradient(layer, x[None, :], codes, prob)
         descent = -grad.ravel()
         cos = np.dot(impulse.ravel(), descent) / (
             np.linalg.norm(impulse) * np.linalg.norm(descent)
