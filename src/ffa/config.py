@@ -71,9 +71,6 @@ class ExperimentConfig:
     alpha: float = _ini("probability.alpha", SigmoidProb.alpha)
     theta: float = _ini("probability.theta", SigmoidProb.theta)
     epsilon: float = _ini("probability.epsilon", SymmetricProb.epsilon)
-    symmetric_denominator: str = _ini(
-        "probability.symmetric_denominator", SymmetricProb.denominator
-    )
     label_length: int = _ini("labels.length", 100)
     label_density: float = _ini("labels.density", 0.3)
     codebook_seed: int = _ini("labels.codebook_seed", 101)
@@ -86,7 +83,6 @@ class ExperimentConfig:
     encoder_scale: float = _ini("encoder.scale", SpikeEncoderConfig.scale)
     encoder_steps: int = _ini("encoder.steps", SpikeEncoderConfig.steps)
     active_window: int = _ini("encoder.active_window", SpikeEncoderConfig.active_window)
-    modulation_window: str = _ini("encoder.modulation_window", SpikingConfig.modulation_window)
     grid_eta: tuple[float, ...] = _ini("grid.eta", (0.001, 0.01, 0.1, 1.0, 10.0))
     grid_tau_e: tuple[float, ...] = _ini("grid.tau_e", (0.999, 0.99, 0.9))
     data_dir: str = _ini("paths.data_dir", "data/mnist")
@@ -113,7 +109,7 @@ class ExperimentConfig:
         """
         problems: list[str] = []
         builders = (
-            self._own_rules, self.train_config, self.spiking_config, self.codebook,
+            self._own_rules, self.train_config, self.codebook,
             self._lif, self._trace, self._encoder, lambda: EligibilityTrace(np.zeros(0), self.tau_e),
             # both probability forms, whichever one is selected
             *(replace(self, prob=prob).prob_fn for prob in PROBS),
@@ -136,13 +132,13 @@ class ExperimentConfig:
         })
 
     # --- builders for the module-level configs -------------------------
-    # The composite configs check their own fields before their parts are
-    # built, so a bad part cannot hide them from validate().
+    # TrainConfig checks its own fields before its prob_fn part is built, so
+    # a bad part cannot hide them from validate().
 
     def prob_fn(self) -> ProbabilityFn:
         if self.prob == "sigmoid":
             return SigmoidProb(alpha=self.alpha, theta=self.theta)
-        return SymmetricProb(epsilon=self.epsilon, denominator=self.symmetric_denominator)
+        return SymmetricProb(epsilon=self.epsilon)
 
     def train_config(self) -> TrainConfig:
         config = TrainConfig(
@@ -167,10 +163,10 @@ class ExperimentConfig:
         )
 
     def spiking_config(self) -> SpikingConfig:
-        config = SpikingConfig(
-            tau_e=self.tau_e, n_out=self.n_hidden, modulation_window=self.modulation_window
+        return SpikingConfig(
+            lif=self._lif(), trace=self._trace(), encoder=self._encoder(),
+            tau_e=self.tau_e, n_out=self.n_hidden,
         )
-        return replace(config, lif=self._lif(), trace=self._trace(), encoder=self._encoder())
 
     def codebook(self) -> LabelCodebook:
         return LabelCodebook(self.label_length, self.label_density, self.codebook_seed)

@@ -91,20 +91,12 @@ class SymmetricProb:
     partition's goodness passes through zero, which stalls the analog
     optimizer and collapses spiking runs.  The default keeps both trainers
     in their stable regime.
-
-    ``denominator`` selects the potentiation normalizer: "match" divides by
-    the matching partition's goodness (the default), "total" by the whole
-    layer's activity.
     """
 
     epsilon: float = 0.5
-    denominator: str = "match"
 
     def __post_init__(self):
-        require({
-            "epsilon must be positive": self.epsilon > 0,
-            "denominator must be 'match' or 'total'": self.denominator in ("match", "total"),
-        })
+        require({"epsilon must be positive": self.epsilon > 0})
 
 
 ProbabilityFn = Union[SigmoidProb, SymmetricProb]
@@ -159,8 +151,9 @@ def modulation_batch(
     ``M[b, j]`` is the descent-direction third factor for neuron ``j`` under
     sample ``b``.  Neurons whose partition side matches the sample's
     polarity are potentiated, the others depressed.  Under the symmetric
-    probability both are the exact gradient of ``-log p_match``: the epsilon
-    terms mirror the probability's halved-epsilon regularization.
+    probability both are the exact gradient of ``-log p_match``: potentiation
+    divides by the matching partition's goodness, and the epsilon terms mirror
+    the probability's halved-epsilon regularization.
     """
     latents = np.atleast_2d(np.asarray(latents, dtype=float))
     n = latents.shape[1]
@@ -172,12 +165,8 @@ def modulation_batch(
     g_match = np.where(codes > 0, g_pos, g_neg)
     p_match = np.where(codes > 0, p, 1.0 - p)
     eps = prob_fn.epsilon
-    total = g_pos + g_neg + eps
-    if prob_fn.denominator == "total":
-        pot = (1.0 - p_match) / total
-    else:
-        pot = (1.0 - p_match) / (g_match + 0.5 * eps)
-    dep = -1.0 / total
+    pot = (1.0 - p_match) / (g_match + 0.5 * eps)
+    dep = -1.0 / (g_pos + g_neg + eps)
     # Neuron j matches sample b when its partition side equals the sample's
     # polarity: pos_mask for positive samples, ~pos_mask for negative ones.
     match_mask = (codes[:, None] > 0) == partition.pos_mask[None, :]

@@ -127,12 +127,18 @@ def load_mnist(path) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+# A codebook gives up after this many draws (under a second at length 100):
+# a density too sparse for ten distinct codewords would otherwise redraw forever.
+MAX_CODEBOOK_DRAWS = 10_000
+
+
 class LabelCodebook:
     """Ten fixed binary codewords appended to the image to embed a label.
 
     Codewords are drawn once, Bernoulli(p) per bit; if any two classes
     collide the whole book is redrawn with the seed incremented, so the
-    label embedding is always injective.
+    label embedding is always injective.  After ``MAX_CODEBOOK_DRAWS``
+    draws without ten distinct codewords it is a DataError.
     """
 
     def __init__(self, length: int = 100, density: float = 0.3, seed: int = 101):
@@ -142,14 +148,16 @@ class LabelCodebook:
             raise DataError("codeword density must be in (0, 1)")
         self.length = length
         self.density = density
-        self.seed = seed
-        while True:
-            rng = np.random.default_rng(self.seed)
+        for draw_seed in range(seed, seed + MAX_CODEBOOK_DRAWS):
+            rng = np.random.default_rng(draw_seed)
             vectors = (rng.random((10, length)) < density).astype(np.float64)
             if len({v.tobytes() for v in vectors}) == 10:
-                break
-            self.seed += 1
-        self.vectors = vectors
+                self.seed, self.vectors = draw_seed, vectors
+                return
+        raise DataError(
+            f"no ten distinct codewords of length {length} at density {density} "
+            f"in {MAX_CODEBOOK_DRAWS} draws from seed {seed}"
+        )
 
     @classmethod
     def from_vectors(cls, vectors: np.ndarray, density: float, seed: int) -> "LabelCodebook":

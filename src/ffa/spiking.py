@@ -314,20 +314,16 @@ def hebbian_impulse(
 
 @dataclass(frozen=True)
 class SpikingConfig:
-    """All spiking-side knobs bundled for the trainer."""
+    """All spiking-side knobs bundled for the trainer.
+
+    Every part checks its own fields; the bundle adds no rule of its own.
+    """
 
     lif: LIFConfig = field(default_factory=LIFConfig)
     trace: TraceConfig = field(default_factory=TraceConfig)
     encoder: SpikeEncoderConfig = field(default_factory=SpikeEncoderConfig)
     tau_e: float = 0.999
     n_out: int = 200
-    modulation_window: str = "instantaneous"
-
-    def __post_init__(self):
-        require({
-            "modulation_window must be 'instantaneous' or 'window_mean'":
-                self.modulation_window in ("instantaneous", "window_mean"),
-        })
 
 
 def simulate(
@@ -349,8 +345,9 @@ def simulate(
     is off unless the polarity ``codes`` (+1/-1 per row), ``prob_fn``, the
     ``eligibility`` trace and ``eta`` are all given; then each of the last
     ``active_window`` timesteps folds the row-mean Hebbian impulse through the
-    eligibility trace into ``layer.weights``.  Outside that window the weights
-    are untouched.
+    eligibility trace into ``layer.weights``.  The impulse reads that step's
+    output trace for both the modulation and the post factor.  Outside that
+    window the weights are untouched.
 
     A plastic call needs ``layer.weights`` and ``eligibility.e``
     presynaptic-major (Fortran-ordered), else it is a ConfigError.  With one
@@ -374,8 +371,6 @@ def simulate(
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
     active_start = enc.steps - enc.active_window if plastic else enc.steps
-    window_mean = spiking.modulation_window == "window_mean"
-    win_sum = np.zeros(shape) if window_mean else None
     event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
     # scipy's sparse product reads W.T by rows and would copy a strided view
@@ -391,15 +386,10 @@ def simulate(
         trace_step(trace, lif_fire(lif, synapses.current(cols[fired])) if event
                    else lif_step(lif, weights, spikes))
         if t >= active_start:
-            if window_mean:
-                win_sum += trace.value
-                effective = win_sum / (t - active_start + 1)
-            else:
-                effective = trace.value
             if event:
-                synapses.step(hebbian_post(effective, codes, prob_fn, layer.partition)[0])
+                synapses.step(hebbian_post(trace.value, codes, prob_fn, layer.partition)[0])
             else:
-                hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+                hebbian_impulse(trace.value, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
                 eligibility_step(eligibility, layer.weights, eta)
     if event:
         synapses.fold()

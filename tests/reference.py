@@ -105,7 +105,6 @@ def modulation_symmetric(
     g_other: float,
     partition: str,
     epsilon: float,
-    denominator: str = "match",
 ) -> float:
     """Third factor of the symmetric-probability update, as a descent direction.
 
@@ -118,8 +117,6 @@ def modulation_symmetric(
     """
     total = g_match + g_other + epsilon
     if partition == "match":
-        if denominator == "total":
-            return (1.0 - p) / total
         return (1.0 - p) / (g_match + 0.5 * epsilon)
     if partition == "other":
         return -1.0 / total
@@ -233,17 +230,12 @@ def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta)
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
     active_start = enc.steps - enc.active_window
-    win_sum = np.zeros(shape)
     weights_t = np.ascontiguousarray(layer.weights.T)
     for t in range(enc.steps):
         spikes = _fired_spikes(cols, starts, rate_encode(p, rng), X.shape)
         trace_step(trace, lif_step(lif, weights_t.T, spikes))
         if t >= active_start:
-            effective = trace.value
-            if spiking.modulation_window == "window_mean":
-                win_sum += trace.value
-                effective = win_sum / (t - active_start + 1)
-            hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            hebbian_impulse(trace.value, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
             eligibility_step(eligibility, layer.weights, eta)
             np.copyto(weights_t, layer.weights.T)
     return trace.value

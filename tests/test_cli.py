@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,15 @@ class TestTrain:
         assert layer.n_out == 16
         accuracy = float(capsys.readouterr().out.split("final test accuracy:")[1])
         assert 0.0 <= accuracy <= 0.35  # untrained: chance-ish
+
+    def test_codebook_too_sparse_to_draw_is_a_config_error(self, base_config, capsys):
+        # an uncapped redraw loop never finished on this density
+        config, out_dir = base_config
+        start = time.monotonic()
+        assert run_cli("train", "--config", config, "--set", "labels.density=0.001") == 2
+        assert time.monotonic() - start < 10.0
+        assert "no ten distinct codewords of length 8 at density 0.001" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_spiking_model_trains(self, base_config, tmp_path):
         config, _ = base_config
@@ -205,18 +215,25 @@ class TestEval:
         assert "wrote 80 latents" in capsys.readouterr().out
         assert read_latents(target).latents.shape == (80, 16)
 
-    def test_use_bias_in_an_old_snapshot_is_an_unknown_key(self, base_config, capsys):
-        # config.ini snapshots written while the option existed carry "use_bias = false"
+    @pytest.mark.parametrize("after,line,key", [
+        ("n_hidden = 16", "use_bias = false", "experiment.use_bias"),
+        ("epsilon = 0.5", "symmetric_denominator = match", "probability.symmetric_denominator"),
+        ("active_window = 3", "modulation_window = instantaneous", "encoder.modulation_window"),
+    ], ids=["use_bias", "symmetric_denominator", "modulation_window"])
+    def test_use_bias_in_an_old_snapshot_is_an_unknown_key(
+        self, base_config, capsys, after, line, key
+    ):
+        # config.ini snapshots written while an option existed carry its default line
         config, out_dir = base_config
         run_cli("train", "--config", config, "--set", "experiment.epochs=1")
         snapshot = out_dir / "config.ini"
         text = snapshot.read_text()
-        snapshot.write_text(text.replace("n_hidden = 16\n", "n_hidden = 16\nuse_bias = false\n"))
+        assert f"{after}\n" in text
+        snapshot.write_text(text.replace(f"{after}\n", f"{after}\n{line}\n"))
         capsys.readouterr()
         assert run_cli("eval", "--config", snapshot,
                        "--checkpoint", out_dir / "model.ffaw") == 2
-        assert "error:config: invalid config: unknown key experiment.use_bias" in (
-            capsys.readouterr().err)
+        assert f"error:config: invalid config: unknown key {key}" in capsys.readouterr().err
 
 
 class TestExport:

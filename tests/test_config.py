@@ -1,8 +1,11 @@
+import ast
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+from ffa import cli, config
 from ffa.analog import TrainConfig
 from ffa.config import (
     PROBS,
@@ -50,7 +53,6 @@ n_hidden = 200
 alpha = 1.0
 theta = 2.0
 epsilon = 0.5
-symmetric_denominator = match
 
 [labels]
 length = 100
@@ -71,7 +73,6 @@ tau_o = 0.9
 scale = 0.25
 steps = 24
 active_window = 9
-modulation_window = instantaneous
 
 [grid]
 eta = 0.001, 0.01, 0.1, 1.0, 10.0
@@ -99,7 +100,6 @@ n_hidden = 200
 alpha = 1.0
 theta = 2.0
 epsilon = 0.5
-symmetric_denominator = match
 
 [labels]
 length = 100
@@ -120,7 +120,6 @@ tau_o = 0.9
 scale = 0.25
 steps = 24
 active_window = 9
-modulation_window = instantaneous
 
 [grid]
 eta = 0.001, 0.01, 0.1, 1.0, 10.0
@@ -184,6 +183,24 @@ class TestParsing:
         assert all(key.count(".") == 1 for key in keys)
         assert len(set(keys)) == len(keys)
 
+    def test_every_field_is_read(self):
+        # A knob read neither by a config method (as self.<field>) nor by the
+        # driver (as any attribute) changes nothing a run computes.
+        def attribute_reads(node, owner=None):
+            return {
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                and (owner is None or isinstance(sub.value, ast.Name) and sub.value.id == owner)
+            }
+
+        source = ast.parse(Path(config.__file__).read_text())
+        cls = next(node for node in source.body
+                   if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+        read = set().union(*(attribute_reads(node, "self") for node in cls.body
+                             if isinstance(node, ast.FunctionDef)))
+        read |= attribute_reads(ast.parse(Path(cli.__file__).read_text()))
+        assert [f.name for f in fields(ExperimentConfig) if f.name not in read] == []
+
 
 class TestValidation:
     def test_all_problems_in_one_message(self):
@@ -212,7 +229,6 @@ class TestValidation:
         ({"alpha": math.nan}, "alpha"),
         ({"epsilon": 0.0}, "epsilon"),
         ({"epsilon": math.nan}, "epsilon"),
-        ({"symmetric_denominator": "half"}, "denominator"),
         ({"label_length": 3}, "length"),
         ({"label_density": 1.0}, "density"),
         ({"lif_decay": 1.5}, "decay"),
@@ -227,7 +243,6 @@ class TestValidation:
         ({"encoder_scale": 1.5}, "scale"),
         ({"encoder_steps": 0}, "steps"),
         ({"active_window": 30}, "active_window"),
-        ({"modulation_window": "sliding"}, "modulation_window"),
         ({"grid_eta": ()}, "grid eta"),
         ({"grid_tau_e": ()}, "grid tau_e"),
     ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
@@ -243,11 +258,11 @@ class TestValidation:
 
     def test_bad_part_hides_no_other_field(self):
         cfg = ExperimentConfig(prob="sigmoid", alpha=-1.0, eta=-1.0, lif_decay=2.0,
-                               trace="square", encoder_steps=0, modulation_window="sliding")
+                               trace="square", encoder_steps=0)
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         text = str(err.value)
-        for fragment in ("alpha", "eta", "decay", "trace kind", "steps", "modulation_window"):
+        for fragment in ("alpha", "eta", "decay", "trace kind", "steps"):
             assert fragment in text
 
     def test_each_problem_reported_once(self):
@@ -304,8 +319,8 @@ class TestBuilders:
         assert cfg.prob_fn() == SigmoidProb(alpha=2.0, theta=1.5)
 
     def test_prob_fn_symmetric(self):
-        cfg = ExperimentConfig(prob="symmetric", epsilon=0.25, symmetric_denominator="total")
-        assert cfg.prob_fn() == SymmetricProb(epsilon=0.25, denominator="total")
+        cfg = ExperimentConfig(prob="symmetric", epsilon=0.25)
+        assert cfg.prob_fn() == SymmetricProb(epsilon=0.25)
 
     def test_train_config_carries_seed(self):
         cfg = ExperimentConfig(seed=77, eta=0.5, batch_size=3, epochs=2)

@@ -197,13 +197,6 @@ class TestModulationSymmetric:
         assert modulation_symmetric(p, g_m, g_o, "match", 1e-6) >= 0.0
         assert modulation_symmetric(p, g_m, g_o, "other", 1e-6) < 0.0
 
-    def test_total_denominator_variant(self):
-        # alternative normalizer: potentiation divided by total activity
-        pot = modulation_symmetric(0.25, 2.0, 6.0, "match", 0.5, denominator="total")
-        assert pot == pytest.approx(0.75 / 8.5, rel=1e-12)
-        dep = modulation_symmetric(0.25, 2.0, 6.0, "other", 0.5, denominator="total")
-        assert dep == pytest.approx(-1.0 / 8.5, rel=1e-12)
-
     def test_invalid_partition_side(self):
         with pytest.raises(ValueError):
             modulation_symmetric(0.5, 1.0, 1.0, "middle", 1e-6)
@@ -280,8 +273,7 @@ class TestBatchedForms:
                 assert mod[b, j] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("prob", [SigmoidProb(alpha=1.2, theta=1.5),
-                                      SymmetricProb(epsilon=0.25),
-                                      SymmetricProb(denominator="total")])
+                                      SymmetricProb(epsilon=0.25)])
     def test_modulation_probability_is_probability_batch_bitwise(self, prob):
         rng = np.random.default_rng(8)
         part = PolarityPartition.split_halves(7)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from ffa.data import (
+    MAX_CODEBOOK_DRAWS,
     Dataset,
     LabelCodebook,
     batches,
@@ -131,9 +132,20 @@ class TestLabelCodebook:
         assert len({v.tobytes() for v in book.vectors}) == 10
         assert book.seed >= 0
 
+    @pytest.mark.parametrize("seed,drawn", [(0, 33), (34, 59), (101, 308), (12345, 12345)])
+    def test_redraw_seeds_are_pinned(self, seed, drawn):
+        # the seed each book settles on; a change here changes every label embedding
+        assert LabelCodebook(length=4, density=0.5, seed=seed).seed == drawn
+
     def test_impossible_codebook_rejected(self):
         with pytest.raises(DataError):
             LabelCodebook(length=3, density=0.5, seed=0)
+
+    @pytest.mark.parametrize("length,density", [(4, 0.01), (100, 0.001)])
+    def test_too_sparse_codebook_gives_up(self, length, density):
+        with pytest.raises(DataError, match=rf"length {length} at density {density} in "
+                                            rf"{MAX_CODEBOOK_DRAWS} draws from seed 0"):
+            LabelCodebook(length=length, density=density, seed=0)
 
     def test_round_trip_from_vectors(self):
         book = LabelCodebook(length=30, density=0.3, seed=2)

@@ -10,6 +10,7 @@ from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb, modulation_b
 from ffa.data import Dataset, ExperimentData, LabelCodebook
 from ffa.errors import ConfigError, DataError
 from ffa.spiking import (
+    TRACE_KINDS,
     EligibilityTrace,
     LIFConfig,
     LIFState,
@@ -615,16 +616,11 @@ def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
     active_start = enc.steps - enc.active_window
-    win_sum = np.zeros(shape)
     for t in range(enc.steps):
         spikes = drawn_spikes(X, enc.scale, rng)
         spiking_mod.trace_step(trace, lif_step(lif, layer.weights, spikes))
         if t >= active_start:
-            effective = trace.value
-            if spiking.modulation_window == "window_mean":
-                win_sum += trace.value
-                effective = win_sum / (t - active_start + 1)
-            hebbian_impulse(effective, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            hebbian_impulse(trace.value, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
             eligibility_step(eligibility, layer.weights, eta)
     return trace.value
 
@@ -645,14 +641,14 @@ class TestEventDrivenPlasticity:
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "silent_steps"])
     @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
-    @pytest.mark.parametrize("window", ["instantaneous", "window_mean"])
+    @pytest.mark.parametrize("trace", TRACE_KINDS)
     @pytest.mark.parametrize("prob", [SigmoidProb(theta=1.0), SymmetricProb()], ids=["sigmoid", "symmetric"])
     @pytest.mark.parametrize("tau_e", [0.0, 0.3, 0.9, 0.999])
-    def test_matches_dense_rule(self, monkeypatch, tau_e, prob, window, reset_mode, sparse):
+    def test_matches_dense_rule(self, monkeypatch, tau_e, prob, trace, reset_mode, sparse):
         n_in, n_out, eta = 40, 12, 0.2
         spk = SpikingConfig(
-            n_out=n_out, tau_e=tau_e, modulation_window=window,
-            lif=LIFConfig(reset_mode=reset_mode),
+            n_out=n_out, tau_e=tau_e,
+            lif=LIFConfig(reset_mode=reset_mode), trace=TraceConfig(kind=trace),
             encoder=SpikeEncoderConfig(scale=0.25, steps=12, active_window=8),
         )
         data_rng = np.random.default_rng(30)
@@ -722,12 +718,12 @@ class TestEventDrivenPlasticity:
 class TestPresynapticMajor:
     """Plastic synapses are stored Fortran-ordered, so W.T and e.T are C-contiguous rows per input."""
 
-    @pytest.mark.parametrize("window", ["instantaneous", "window_mean"])
+    @pytest.mark.parametrize("trace", TRACE_KINDS)
     @pytest.mark.parametrize("prob", [SigmoidProb(theta=1.0), SymmetricProb()], ids=["sigmoid", "symmetric"])
     @pytest.mark.parametrize("rows,tau_e", [(2, 0.99), (7, 0.9), (1, 0.3)])
     def test_dense_plastic_calls_equal_the_row_major_reference_bitwise(self, rows, tau_e, prob,
-                                                                       window):
-        layer, spk = tiny_model(prob, n_in=40, tau_e=tau_e, modulation_window=window)
+                                                                       trace):
+        layer, spk = tiny_model(prob, n_in=40, tau_e=tau_e, trace=TraceConfig(kind=trace))
         ref_layer = DenseLayer(np.ascontiguousarray(layer.weights), layer.partition)
         e0 = 0.1 * np.random.default_rng(40).standard_normal(layer.weights.shape)
         el = EligibilityTrace(np.array(e0, order="F"), tau_e)
@@ -884,13 +880,6 @@ class TestTrainHebbian:
         layer, log = train_hebbian(cfg, small_data, "batch", spk)
         assert np.all(np.isfinite(layer.weights))
         assert np.isfinite(log[-1].train_loss)
-
-    def test_window_mean_modulation_runs(self, small_data):
-        prob = SymmetricProb()
-        cfg = TrainConfig(eta=0.1, batch_size=50, epochs=1, seed=6, prob_fn=prob)
-        spk = SpikingConfig(n_out=20, modulation_window="window_mean")
-        layer, _ = train_hebbian(cfg, small_data, "batch", spk)
-        assert np.all(np.isfinite(layer.weights))
 
     @pytest.mark.parametrize("mode", ["batch", "online"])
     def test_deterministic(self, small_data, mode):
