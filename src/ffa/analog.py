@@ -222,7 +222,9 @@ def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float
     The step runs over flat tiles of ``ADAM_TILE`` elements, so a tile's
     operands stay in cache from the first operation to the last; elementwise
     operations give the same bits in any tiling.  ``tensor`` must be
-    C-contiguous.
+    C-contiguous.  On C-contiguous float64 arrays the step runs as one
+    compiled pass per element (:mod:`ffa._kernels`) when the kernels have
+    loaded; it performs the same operations in the same order.
     """
     if grad.shape != tensor.shape:
         raise ConfigError(f"gradient shape {grad.shape} != tensor {tensor.shape}")
@@ -231,6 +233,14 @@ def adam_step(tensor: np.ndarray, grad: np.ndarray, state: AdamState, eta: float
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
+    from . import _kernels
+
+    if _kernels.library() is not None and all(
+        x.dtype == np.float64 and x.flags.c_contiguous for x in (tensor, grad, state.m, state.v)
+    ):
+        _kernels.adam(tensor, grad, state.m, state.v, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2,
+                      c1, c2, eta, ADAM_EPS)
+        return
     flat = [x.reshape(-1) for x in (tensor, grad, state.m, state.v)]
     for start in range(0, tensor.size, ADAM_TILE):
         w, g, m, v = (x[start : start + ADAM_TILE] for x in flat)

@@ -27,7 +27,13 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .analog import DenseLayer, EpochStats, TrainConfig, partition_for, run_epochs
-from .core import PolarityPartition, ProbabilityFn, modulation_batch, probability_batch
+from .core import (
+    PolarityPartition,
+    ProbabilityFn,
+    SymmetricProb,
+    modulation_batch,
+    probability_batch,
+)
 from .data import ExperimentData
 from .errors import ConfigError, DataError, require
 
@@ -326,6 +332,16 @@ class SpikingConfig:
     n_out: int = 200
 
 
+def kernel_covers(spiking: SpikingConfig, prob_fn: ProbabilityFn, tau_e: float) -> bool:
+    """Whether a B = 1 plastic call runs as the compiled sample once the kernels have loaded.
+
+    The kernel implements the event path under the symmetric probability,
+    the relu trace and the to_zero reset; every other call runs numpy.
+    """
+    return (tau_e >= _FOLD_BELOW and isinstance(prob_fn, SymmetricProb)
+            and spiking.trace.kind == "relu" and spiking.lif.reset_mode == "to_zero")
+
+
 def simulate(
     layer: DenseLayer,
     X: np.ndarray,
@@ -355,6 +371,10 @@ def simulate(
     updates touch only the synapses of inputs that spiked, and
     ``layer.weights`` and ``eligibility.e`` hold the real values again when
     the call returns.  Every other call runs the dense rule.
+
+    An event-driven call that :func:`kernel_covers` runs as one compiled
+    sample (:mod:`ffa._kernels`) when the kernels have loaded; it gives the
+    same bits as this loop.
     """
     given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
     plastic = all(given)
@@ -367,11 +387,20 @@ def simulate(
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x
+    event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
+    if event and kernel_covers(spiking, prob_fn, eligibility.tau_e):
+        from . import _kernels
+
+        if _kernels.library() is not None:
+            # One draw of every step's uniforms: the stream of one draw per step.
+            return _kernels.online_sample(
+                layer.weights, eligibility.e, eligibility.tau_e, eta, spiking,
+                layer.partition.pos_mask, bool(codes[0] > 0), prob_fn.epsilon, p, cols,
+                rng.random(enc.steps * p.size), _FOLD_BELOW)
     shape = (X.shape[0], layer.n_out)
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
     active_start = enc.steps - enc.active_window if plastic else enc.steps
-    event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
     # scipy's sparse product reads W.T by rows and would copy a strided view
     # each step.  Plastic weights are presynaptic-major, so this is the live

@@ -19,6 +19,22 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled kernels into a directory of this session, never the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+@pytest.fixture()
+def numpy_path(monkeypatch):
+    """Run the numpy rules: the compiled kernels count as unavailable."""
+    from ffa import _kernels
+
+    monkeypatch.setattr(_kernels, "library", lambda: None)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left_running():
     """Fail a test that leaves a child process running, after stopping the children."""
@@ -49,6 +65,13 @@ def make_synthetic(
         return Dataset(np.clip(images, 0.0, 1.0), labels)
 
     return draw(n_train), draw(n_test)
+
+
+@pytest.fixture(scope="session")
+def small_data() -> ExperimentData:
+    train, test = make_synthetic(800, 300, dim=60, seed=4)
+    book = LabelCodebook(length=16, density=0.3, seed=9)
+    return ExperimentData(train, test, book)
 
 
 @pytest.fixture(scope="session")

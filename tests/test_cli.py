@@ -55,6 +55,21 @@ class TestTrain:
         assert len(log_lines) == 3  # header + 2 epochs
         assert "final test accuracy:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("model,compiled", [
+        ("analog", True), ("hebbian_online", True), ("hebbian", False),
+    ])
+    def test_logs_the_backend_once(self, base_config, caplog, model, compiled):
+        from ffa import _kernels
+
+        config, out_dir = base_config
+        with caplog.at_level("INFO", logger="ffa.cli"):
+            assert run_cli("train", "--config", config, "--set", f"experiment.model={model}",
+                           "--set", "experiment.epochs=1") == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("backend")]
+        assert lines == [f"backend: {_kernels.backend() if compiled else 'numpy'}"]
+        for artifact in ("model.ffaw", "log.csv"):
+            assert b"backend" not in (out_dir / artifact).read_bytes()
+
     def test_byte_identical_reruns(self, base_config, tmp_path):
         # the config snapshot records the differing out_dir, so the
         # determinism contract covers the checkpoint and the epoch log

@@ -26,7 +26,6 @@ from ffa.spiking import (
     train_hebbian,
 )
 from ffa import metrics
-from tests.conftest import make_synthetic
 from tests.reference import Polarity, forward, row_major_simulate
 
 
@@ -548,13 +547,14 @@ class TestRunSample:
         with pytest.raises(ConfigError):
             simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), eta=0.1)
 
-    def test_plasticity_gated_to_active_window(self, monkeypatch):
+    def test_plasticity_gated_to_active_window(self, monkeypatch, numpy_path):
         # Record every timestep's input spikes and output trace, then replay
         # the dense rule over the last active_window steps only.  e starts
         # nonzero, so an update outside the window decays it once too often
         # and a missing update inside it once too rarely.  One row runs
         # event-driven, four run the dense rule.  The recorded spikes are the
-        # positions the encoder fired among the nonzero inputs.
+        # positions the encoder fired among the nonzero inputs.  The recorders
+        # sit in the numpy loop, so the compiled sample is switched off.
         spikes_seen, traces_seen = [], []
         real_encode, real_trace_step = spiking_mod.rate_encode, spiking_mod.trace_step
 
@@ -644,7 +644,9 @@ class TestEventDrivenPlasticity:
     @pytest.mark.parametrize("trace", TRACE_KINDS)
     @pytest.mark.parametrize("prob", [SigmoidProb(theta=1.0), SymmetricProb()], ids=["sigmoid", "symmetric"])
     @pytest.mark.parametrize("tau_e", [0.0, 0.3, 0.9, 0.999])
-    def test_matches_dense_rule(self, monkeypatch, tau_e, prob, trace, reset_mode, sparse):
+    def test_matches_dense_rule(self, monkeypatch, numpy_path, tau_e, prob, trace, reset_mode,
+                                sparse):
+        # the counters sit in the numpy event path, so the compiled sample is off
         n_in, n_out, eta = 40, 12, 0.2
         spk = SpikingConfig(
             n_out=n_out, tau_e=tau_e,
@@ -842,13 +844,6 @@ class TestSimulateLatents:
         with pytest.raises(ConfigError, match=r"batch has shape .*, layer expects \[B, 15\]"):
             simulate(layer, np.full((rows, width), 0.5), spk, np.random.default_rng(0), *plastic)
         assert np.array_equal(layer.weights, before)
-
-
-@pytest.fixture(scope="module")
-def small_data():
-    train, test = make_synthetic(800, 300, dim=60, seed=4)
-    book = LabelCodebook(length=16, density=0.3, seed=9)
-    return ExperimentData(train, test, book)
 
 
 class TestTrainHebbian:
