@@ -63,7 +63,7 @@ def compiler() -> str:
 
 
 def _cache_dir() -> Path:
-    """``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``), else ``ffa-<uid>`` in the temp directory."""
+    """``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``), else ``ffa-<uid>`` under the temp dir."""
     base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     candidates = (Path(base) / "ffa", Path(tempfile.gettempdir()) / f"ffa-{os.getuid()}")
     for directory in candidates:
