@@ -64,8 +64,10 @@ def compiler() -> str:
 
 def _cache_dir() -> Path:
     """``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``), else ``ffa-<uid>`` under the temp dir."""
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    candidates = (Path(base) / "ffa", Path(tempfile.gettempdir()) / f"ffa-{os.getuid()}")
+    candidates = [Path(tempfile.gettempdir()) / f"ffa-{os.getuid()}"]
+    with contextlib.suppress(RuntimeError):  # no home directory to default to
+        base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+        candidates.insert(0, Path(base) / "ffa")
     for directory in candidates:
         with contextlib.suppress(OSError):
             directory.mkdir(mode=0o700, parents=True, exist_ok=True)

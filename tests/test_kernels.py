@@ -281,6 +281,15 @@ class TestLoader:
         monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path / "tmp"))
         assert _kernels._cache_dir() == tmp_path / "tmp" / f"ffa-{os.getuid()}"
 
+    def test_cache_without_a_home_directory_uses_the_temp_directory(self, tmp_path, monkeypatch):
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(_kernels.Path, "home", no_home)
+        monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path))
+        assert _kernels._cache_dir() == tmp_path / f"ffa-{os.getuid()}"
+
 
 def python_env(**extra):
     path = os.pathsep.join([str(REPO / "src"), str(REPO)])
