@@ -59,6 +59,7 @@ _SIGNATURES = {
 
 
 def compiler() -> str:
+    """The C compiler command: ``$CC``, default ``cc``."""
     return os.environ.get("CC") or "cc"
 
 
