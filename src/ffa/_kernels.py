@@ -9,7 +9,12 @@ gives the numpy path's bits.
 The source is compiled on first use with the system C compiler (``$CC``,
 default ``cc``) into ``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``, else a
 per-user directory under the temp directory), one library per source,
-compiler and flags.  ``-ffp-contract=off`` is required: without it the
+compiler command, flags and target.  The target is what the compiler
+predefines under ``-march=native``: the CPU features a build may use and the
+compiler's version, so a cache shared between machines never hands one
+machine a library built for another CPU.  A cache directory is used only if
+it is a real directory of this user that no other user can write, since a
+library in it is loaded and run.  ``-ffp-contract=off`` is required: without it the
 compiler fuses a multiply and an add into one FMA, which rounds once where
 numpy rounds twice.  ``-ffast-math`` would reorder sums and is never used.
 ``-fno-math-errno`` only stops ``sqrt`` from setting ``errno``, which lets
@@ -30,8 +35,8 @@ import functools
 import hashlib
 import logging
 import os
-import platform
 import shlex
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
@@ -46,6 +51,9 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120
 _DIGEST_BYTES = 32
+
+runs = 0
+"""How many compiled kernel calls this process has made."""
 
 _doubles = ndpointer(np.float64, flags="C_CONTIGUOUS")
 _synapses = ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
@@ -72,16 +80,30 @@ def _cache_dir() -> Path:
     for directory in candidates:
         with contextlib.suppress(OSError):
             directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-            if os.access(directory, os.W_OK):
+            if _private(directory) and os.access(directory, os.W_OK):
                 return directory
-    raise OSError(f"no writable cache directory among {[str(d) for d in candidates]}")
+    raise OSError(f"no private writable cache directory among {[str(d) for d in candidates]}")
+
+
+def _private(directory: Path) -> bool:
+    """Whether ``directory`` is a directory, not a symlink, of this user, writable by no other."""
+    st = os.lstat(directory)
+    return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+@functools.cache
+def target(cc: str) -> str:
+    """The macros ``cc`` predefines under ``-march=native``, sorted: the CPU
+    features a native build may use and the compiler's version."""
+    done = subprocess.run([*shlex.split(cc), "-march=native", "-dM", "-E", "-x", "c", os.devnull],
+                          check=True, capture_output=True, timeout=COMPILE_TIMEOUT_S)
+    return "\n".join(sorted(done.stdout.decode(errors="replace").splitlines()))
 
 
 def library_path(directory: Path, cc: str) -> Path:
-    """Where the library built by ``cc`` from the current source is cached."""
+    """Where the library built by ``cc`` from the current source for this target is cached."""
     key = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(),
-                 platform.machine().encode()):
+    for part in (SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(), target(cc).encode()):
         key.update(hashlib.sha256(part).digest())
     return directory / f"_kernels-{key.hexdigest()[:24]}.so"
 
@@ -161,6 +183,8 @@ def online_sample(weights: np.ndarray, e: np.ndarray, tau_e: float, eta: float, 
             and u.shape == (enc.steps * nnz,)
             and (nnz == 0 or (cols.min() >= 0 and cols.max() < n_in))):
         raise ValueError("online_sample arguments do not fit the layer")
+    global runs
+    runs += 1
     trace = np.zeros((1, n_out))
     lif = spiking.lif
     library().ffa_online_sample(
@@ -177,4 +201,6 @@ def adam(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, one_minus_b
     """One fused ADAM step over C-contiguous float64 arrays of one size, in place."""
     if not w.size == g.size == m.size == v.size:
         raise ValueError("adam arrays differ in size")
+    global runs
+    runs += 1
     library().ffa_adam(w.size, w, g, m, v, one_minus_b1, one_minus_b2, c1, c2, eta, eps)

@@ -64,21 +64,6 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData, eval_each_epoch: bo
     )
 
 
-def training_backend(cfg: ExperimentConfig) -> str:
-    """What runs the configured trainer's inner loop: ``c (<compiler>)`` or ``numpy``.
-
-    The analog ADAM step and the online trainer's samples under a
-    configuration that :func:`spiking.kernel_covers` run compiled when the
-    kernels load; the batch trainer always runs numpy.
-    """
-    from . import _kernels
-
-    if cfg.model == "analog" or (cfg.mode() == "online" and spiking.kernel_covers(
-            cfg.spiking_config(), cfg.prob_fn(), cfg.tau_e)):
-        return _kernels.backend()
-    return "numpy"
-
-
 def write_epoch_log(path, log) -> None:
     with atomic_write(path) as f:
         f.write("epoch,mean_goodness_pos,mean_goodness_neg,train_loss,test_accuracy\n")
@@ -98,9 +83,12 @@ def final_accuracy(cfg: ExperimentConfig, data: ExperimentData, layer, log) -> f
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
+    from . import _kernels
+
     data = prepare_data(cfg)
-    logger.info("backend: %s", training_backend(cfg))
+    runs = _kernels.runs
     layer, log = train_model(cfg, data)
+    logger.info("backend: %s", _kernels.backend() if _kernels.runs > runs else "numpy")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "model.ffaw", layer, data.codebook)

@@ -5,6 +5,8 @@ can pass by comparing numpy with itself.
 """
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,9 +53,11 @@ def kernels():
 
 
 def test_kernels_load_here():
-    # the default compiler must work, so the kernel tests never skip unasked
+    # a compiler that is present must work, so the kernel tests never skip unasked
     if os.environ.get("CC") and _kernels.library() is None:
         pytest.skip(f"CC={os.environ['CC']} was chosen and does not build the kernels")
+    if shutil.which(shlex.split(_kernels.compiler())[0]) is None:
+        pytest.skip(f"no C compiler {_kernels.compiler()!r} here; the numpy path runs")
     assert _kernels.library() is not None
     assert _kernels.backend() == f"c ({_kernels.compiler()})"
 
@@ -225,6 +229,9 @@ class TestBuildRules:
     @pytest.mark.usefixtures("kernels")
     def test_contracted_build_breaks_bit_equality(self, tmp_path, monkeypatch):
         # what -ffp-contract=off prevents: FMA contraction changes ADAM's bits
+        macros = _kernels.target(_kernels.compiler())
+        if not any(f"#define {m} " in macros for m in ("__FMA__", "__ARM_FEATURE_FMA")):
+            pytest.skip("the native target has no FMA instruction to contract into")
         fused = tuple("-ffp-contract=fast" if f == "-ffp-contract=off" else f
                       for f in _kernels.FLAGS)
         monkeypatch.setattr(_kernels, "FLAGS", fused)
@@ -257,8 +264,20 @@ class TestLoader:
 
     def test_failed_build_leaves_no_file(self, tmp_path):
         with pytest.raises(subprocess.CalledProcessError):
-            _kernels.open_library(tmp_path, "false")
+            _kernels._compile(tmp_path / "_kernels.so", "false")
         assert list(tmp_path.iterdir()) == []
+
+    def test_key_follows_the_native_target(self, tmp_path, monkeypatch):
+        # a cache shared by two CPUs must not hand one the other's -march=native build
+        paths = []
+        for macros in ("#define __AVX2__ 1", "#define __AVX2__ 1", "#define __AVX512F__ 1"):
+            monkeypatch.setattr(_kernels, "target", lambda cc, m=macros: m)
+            paths.append(_kernels.library_path(tmp_path, "cc"))
+        assert paths[0] == paths[1] != paths[2]
+
+    @pytest.mark.usefixtures("kernels")
+    def test_target_names_the_compiler_version(self):
+        assert "__VERSION__" in _kernels.target(_kernels.compiler())
 
     def test_failed_compile_logs_once_and_runs_numpy(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("CC", "false")
@@ -280,6 +299,39 @@ class TestLoader:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
         monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path / "tmp"))
         assert _kernels._cache_dir() == tmp_path / "tmp" / f"ffa-{os.getuid()}"
+
+    @pytest.mark.parametrize("mode", [0o777, 0o775, 0o757])
+    def test_cache_refuses_a_directory_others_can_write(self, tmp_path, monkeypatch, mode):
+        # another user could make <tmp>/ffa-<uid> first and plant a library in it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path))
+        planted = tmp_path / f"ffa-{os.getuid()}"
+        planted.mkdir()
+        planted.chmod(mode)
+        with pytest.raises(OSError, match="no private writable cache directory"):
+            _kernels._cache_dir()
+        _kernels.library.cache_clear()
+        try:
+            assert _kernels.library() is None
+        finally:
+            _kernels.library.cache_clear()
+        assert list(planted.iterdir()) == []
+
+    def test_cache_refuses_a_symlink(self, tmp_path, monkeypatch):
+        (tmp_path / "elsewhere").mkdir(mode=0o700)
+        (tmp_path / "xdg").mkdir()
+        (tmp_path / "xdg" / "ffa").symlink_to(tmp_path / "elsewhere")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path / "tmp"))
+        assert _kernels._cache_dir() == tmp_path / "tmp" / f"ffa-{os.getuid()}"
+
+    def test_cache_refuses_a_directory_of_another_user(self, tmp_path, monkeypatch):
+        directory = tmp_path / "ffa"
+        directory.mkdir(mode=0o700)
+        assert _kernels._private(directory)
+        monkeypatch.setattr(_kernels.os, "getuid", lambda: os.stat(directory).st_uid + 1)
+        assert not _kernels._private(directory)
 
     def test_cache_without_a_home_directory_uses_the_temp_directory(self, tmp_path, monkeypatch):
         def no_home():
