@@ -160,11 +160,6 @@ def library() -> Optional[ctypes.CDLL]:
     return None
 
 
-def backend() -> str:
-    """``c (<compiler>)`` when the compiled kernels load, else ``numpy``."""
-    return "numpy" if library() is None else f"c ({compiler()})"
-
-
 def online_sample(weights: np.ndarray, e: np.ndarray, tau_e: float, eta: float, spiking,
                   pos_mask: np.ndarray, positive: bool, epsilon: float, p: np.ndarray,
                   cols: np.ndarray, u: np.ndarray, fold_below: float) -> np.ndarray:

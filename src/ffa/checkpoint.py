@@ -29,7 +29,7 @@ from .analog import DenseLayer
 from .atomic import atomic_write
 from .core import PolarityPartition
 from .data import LabelCodebook
-from .errors import CheckpointError
+from .errors import CheckpointError, DataError
 
 MAGIC = b"FFAW"
 VERSION = 1
@@ -85,6 +85,8 @@ def load_checkpoint(path) -> tuple[DenseLayer, LabelCodebook]:
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
     if not np.isfinite(weights).all():
         raise CheckpointError(f"{path}: non-finite weights")
-    layer = DenseLayer(weights, PolarityPartition(mask))
-    codebook = LabelCodebook.from_vectors(vectors, density, seed)
-    return layer, codebook
+    try:
+        codebook = LabelCodebook.from_vectors(vectors, density, seed)
+    except DataError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return DenseLayer(weights, PolarityPartition(mask)), codebook

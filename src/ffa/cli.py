@@ -38,7 +38,7 @@ def prepare_data(cfg: ExperimentConfig) -> ExperimentData:
 
 
 def build_runner(cfg: ExperimentConfig, epoch: int = 0) -> metrics.LatentRunner:
-    """The configured latent runner; a spiking one draws the stream keyed by (seed, epoch)."""
+    """The configured latent runner; a spiking one draws streams keyed by (seed, epoch)."""
     if cfg.model == "analog":
         return metrics.analog_runner()
     return metrics.spiking_runner(cfg.spiking_config(), cfg.seed, epoch)
@@ -88,7 +88,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     data = prepare_data(cfg)
     runs = _kernels.runs
     layer, log = train_model(cfg, data)
-    logger.info("backend: %s", _kernels.backend() if _kernels.runs > runs else "numpy")
+    logger.info("backend: %s", f"c ({_kernels.compiler()})" if _kernels.runs > runs else "numpy")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "model.ffaw", layer, data.codebook)

@@ -132,6 +132,12 @@ def load_mnist(path) -> tuple[Dataset, Dataset]:
 MAX_CODEBOOK_DRAWS = 10_000
 
 
+def _repeated_codeword(vectors: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j), j < i, with codeword i equal to codeword j; None if all differ."""
+    rows = [v.tobytes() for v in vectors]
+    return next(((i, rows.index(row)) for i, row in enumerate(rows) if rows.index(row) < i), None)
+
+
 class LabelCodebook:
     """Ten fixed binary codewords appended to the image to embed a label.
 
@@ -151,7 +157,7 @@ class LabelCodebook:
         for draw_seed in range(seed, seed + MAX_CODEBOOK_DRAWS):
             rng = np.random.default_rng(draw_seed)
             vectors = (rng.random((10, length)) < density).astype(np.float64)
-            if len({v.tobytes() for v in vectors}) == 10:
+            if _repeated_codeword(vectors) is None:
                 self.seed, self.vectors = draw_seed, vectors
                 return
         raise DataError(
@@ -165,6 +171,10 @@ class LabelCodebook:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.shape[0] != 10:
             raise DataError(f"codebook must have 10 codewords, got {vectors.shape[0]}")
+        repeat = _repeated_codeword(vectors)
+        if repeat is not None:
+            raise DataError("codeword {} repeats codeword {}; labels must embed distinctly"
+                            .format(*repeat))
         book.length = vectors.shape[1]
         book.density = density
         book.seed = seed

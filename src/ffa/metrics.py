@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import count
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -37,51 +37,29 @@ def analog_runner() -> LatentRunner:
     return forward_labelled
 
 
-def _advance(bits: np.random.BitGenerator, draws: int) -> np.random.BitGenerator:
-    """``bits`` moved on as if ``draws`` 64-bit outputs were drawn; numpy refuses 0."""
-    return bits.advance(draws) if draws else bits
-
-
 def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentRunner:
     """Latents via a plasticity-free spiking simulation, one per entry of ``label_sets``.
 
-    The encoder is stochastic, so the runner owns a generator keyed by
-    ``(seed, epoch)``; a given sequence of calls is reproducible, and each
-    epoch's evaluation gets its own stream.  The analog and spiking layers
-    are the same weights, so any layer runs here, trained on either substrate.
-
-    The entries of a call run in :func:`~ffa.forks.fork_map` over the usable
-    cores, on the stream a single process would draw: the encoder draws one
-    uniform per nonzero input per step, so entry e starts from the call's
-    state advanced past ``steps * nnz`` draws of each entry before it, and the
-    runner's generator ends the call advanced past them all.
+    The encoder is stochastic, so entry e of the runner's k-th call draws from
+    its own generator, keyed by ``(seed, epoch, k, e)``: a given sequence of
+    calls is reproducible, and each epoch's evaluation gets its own streams.
+    The analog and spiking layers are the same weights, so any layer runs
+    here, trained on either substrate.  The entries of a call run in
+    :func:`~ffa.forks.fork_map` over the usable cores; each needs only its
+    index, so the latents do not depend on how many cores ran them.
     """
-    rng = np.random.default_rng([seed, epoch, 0xE7A1])
+    calls = count()
 
     def run(layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook,
             label_sets: Iterable) -> Iterator[np.ndarray]:
         label_sets = [check_labels(labels) for labels in label_sets]
-        image_events = np.count_nonzero(images)
-        code_events = np.count_nonzero(codebook.vectors, axis=1)
-        # Python ints: advance() rejects numpy integers
-        draws = [
-            int(spiking.encoder.steps * (image_events + np.broadcast_to(
-                code_events[labels], len(images)).sum()))
-            for labels in label_sets
-        ]
-        offsets = list(accumulate(draws, initial=0))
-        state = rng.bit_generator.state
-        _advance(rng.bit_generator, offsets[-1])
+        key = [seed, epoch, 0xE7A1, next(calls)]
 
         def latents(entry: int) -> np.ndarray:
-            bits = type(rng.bit_generator)()
-            bits.state = state
-            generator = np.random.Generator(_advance(bits, offsets[entry]))
             return simulate(layer, embed_batch(images, label_sets[entry], codebook), spiking,
-                            generator)
+                            np.random.default_rng([*key, entry]))
 
-        workers = len(os.sched_getaffinity(0))
-        yield from fork_map(latents, range(len(label_sets)), workers)
+        return fork_map(latents, range(len(label_sets)), len(os.sched_getaffinity(0)))
 
     return run
 

@@ -3,8 +3,8 @@
 Criteria 4-8 are self-contained and always run.  Criteria 1-3 train on the
 real MNIST dataset and are skipped with an explanatory message when the IDX
 files are absent (see README for how to provide them); with data present
-they are long: batch spiking runs take about ten minutes each, online runs
-about 45 minutes each on two cores.
+they are long: an estimated 4 hours on two cores, most of it in the five
+online cells that run numpy (README "Tests" derives the estimate).
 """
 
 import numpy as np

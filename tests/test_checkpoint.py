@@ -1,4 +1,5 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +83,24 @@ class TestErrors:
         path = tmp_path / "model.ffaw"
         save_checkpoint(path, layer, book)
         with pytest.raises(CheckpointError, match="model.ffaw: non-finite weights"):
+            load_checkpoint(path)
+
+    def test_repeated_codeword_refused(self, tmp_path, layer_and_book):
+        # ties go to the lower label, so label 7 would never be predicted
+        layer, book = layer_and_book
+        book.vectors[7] = book.vectors[3]
+        path = tmp_path / "model.ffaw"
+        save_checkpoint(path, layer, book)
+        with pytest.raises(CheckpointError, match="model.ffaw: codeword 7 repeats codeword 3"):
+            load_checkpoint(path)
+
+    def test_zero_length_codebook_refused(self, tmp_path, layer_and_book):
+        # ten empty codewords are all equal
+        layer, _ = layer_and_book
+        book = SimpleNamespace(length=0, density=0.3, seed=42, vectors=np.zeros((10, 0)))
+        path = tmp_path / "model.ffaw"
+        save_checkpoint(path, layer, book)
+        with pytest.raises(CheckpointError, match="model.ffaw: codeword 1 repeats codeword 0"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("flags, message", [

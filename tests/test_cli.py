@@ -66,7 +66,8 @@ class TestTrain:
             assert run_cli("train", "--config", config, "--set", f"experiment.model={model}",
                            "--set", "experiment.epochs=1") == 0
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("backend")]
-        assert lines == [f"backend: {_kernels.backend() if compiled else 'numpy'}"]
+        ran = compiled and _kernels.library() is not None
+        assert lines == [f"backend: c ({_kernels.compiler()})" if ran else "backend: numpy"]
         for artifact in ("model.ffaw", "log.csv"):
             assert b"backend" not in (out_dir / artifact).read_bytes()
 
@@ -189,6 +190,19 @@ class TestEval:
         assert code == 4
         captured = capsys.readouterr()
         assert f"error:checkpoint: {path}: non-finite weights" in captured.err
+        assert "accuracy:" not in captured.out
+
+    def test_repeated_codeword_checkpoint_refused(self, base_config, capsys):
+        config, out_dir = base_config
+        run_cli("train", "--config", config, "--set", "experiment.epochs=1")
+        path = out_dir / "model.ffaw"
+        layer, book = load_checkpoint(path)
+        book.vectors[7] = book.vectors[3]
+        save_checkpoint(path, layer, book)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", config, "--checkpoint", path) == 4
+        captured = capsys.readouterr()
+        assert f"error:checkpoint: {path}: codeword 7 repeats codeword 3" in captured.err
         assert "accuracy:" not in captured.out
 
     def test_mismatched_codebook_refused(self, base_config, capsys):

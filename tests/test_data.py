@@ -152,6 +152,12 @@ class TestLabelCodebook:
         clone = LabelCodebook.from_vectors(book.vectors.copy(), book.density, book.seed)
         assert book == clone
 
+    def test_from_vectors_refuses_a_repeated_codeword(self):
+        vectors = LabelCodebook(length=30, density=0.3, seed=2).vectors.copy()
+        vectors[9] = vectors[4]
+        with pytest.raises(DataError, match="codeword 9 repeats codeword 4"):
+            LabelCodebook.from_vectors(vectors, 0.3, 2)
+
 
 class TestEmbedding:
     def test_zero_image_nonzeros_only_in_suffix(self):

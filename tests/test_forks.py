@@ -1,6 +1,5 @@
 """The fork map and the spiking runner's forked label passes."""
 
-import copy
 import multiprocessing
 import os
 import time
@@ -9,14 +8,14 @@ import numpy as np
 import pytest
 
 from ffa import forks
-from ffa import metrics as metrics_mod
+from ffa import spiking as spiking_mod
 from ffa.analog import DenseLayer
 from ffa.core import PolarityPartition, SymmetricProb
 from ffa.data import Dataset, LabelCodebook, embed_batch
 from ffa.errors import DataError
-from ffa.metrics import scan, spiking_runner
+from ffa.metrics import collect_latents, scan, spiking_runner
 from ffa.spiking import SpikeEncoderConfig, SpikingConfig, simulate
-from tests.test_metrics import per_label_scan
+from tests.test_metrics import keyed, per_label_scan
 
 SPIKING = SpikingConfig(n_out=14, encoder=SpikeEncoderConfig(steps=12, active_window=4))
 
@@ -45,18 +44,6 @@ def started(monkeypatch):
 
     monkeypatch.setattr(forks, "_start_worker", spy)
     return counts
-
-
-def parent_generators(monkeypatch):
-    """Copies of the generator of every ``simulate`` call made in this process, in order."""
-    seen, real = [], metrics_mod.simulate
-
-    def spy(layer, X, spiking, rng, *args):
-        seen.append(copy.deepcopy(rng))
-        return real(layer, X, spiking, rng, *args)
-
-    monkeypatch.setattr(metrics_mod, "simulate", spy)
-    return seen
 
 
 class TestForkMap:
@@ -106,47 +93,74 @@ class TestForkMap:
 
 
 class TestForkedScan:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_forked_equals_serial_bitwise(self, synthetic_data, cores, started, monkeypatch,
-                                          workers):
-        sub = Dataset(synthetic_data.test.images[:40], synthetic_data.test.labels[:40])
-        book, prob = synthetic_data.codebook, SymmetricProb()
+    @staticmethod
+    def forked_and_replayed(data, workers, cores, started):
+        """A forked scan of 40 rows in ragged chunks of 16, and the serial keyed replay."""
+        sub = Dataset(data.test.images[:40], data.test.labels[:40])
+        book, prob = data.codebook, SymmetricProb()
         layer = layer_for(sub.images.shape[1] + book.length)
-        seen = parent_generators(monkeypatch)
         cores(workers)
         got = scan(layer, sub, book, spiking_runner(SPIKING, seed=9), prob, chunk=16)
         # per ragged chunk, child w of W runs passes w, w + W, ...
         assert started == {1: [], 2: [5], 3: [3, 3]}[workers] * 3
-        serial = copy.deepcopy(seen[0])
-        want = per_label_scan(layer, sub, book, lambda X: simulate(layer, X, SPIKING, serial),
+        generators = keyed(9)
+        want = per_label_scan(layer, sub, book,
+                              lambda X: simulate(layer, X, SPIKING, next(generators)),
                               prob, chunk=16)
+        return got, want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forked_equals_serial_bitwise(self, synthetic_data, cores, started, workers):
+        got, want = self.forked_and_replayed(synthetic_data, workers, cores, started)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.any(got[1] > 0)
 
-    def test_generator_state_after_a_call_equals_serial(self, synthetic_data, cores, started,
-                                                        monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forked_equals_serial_under_another_encoder(self, synthetic_data, cores, started,
+                                                        monkeypatch, workers):
+        # the runner knows nothing of how many uniforms the encoder draws per step
+        real = spiking_mod.rate_encode
+
+        def one_extra_draw(p, rng):
+            rng.random()
+            return real(p, rng)
+
+        before, _ = self.forked_and_replayed(synthetic_data, workers, cores, started)
+        started.clear()
+        monkeypatch.setattr(spiking_mod, "rate_encode", one_extra_draw)
+        got, want = self.forked_and_replayed(synthetic_data, workers, cores, started)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert not np.array_equal(got[1], before[1])
+
+    def test_calls_and_entries_are_keyed_in_order(self, synthetic_data, cores, started):
         images, book = synthetic_data.test.images[:23], synthetic_data.codebook
         layer = layer_for(images.shape[1] + book.length)
         per_row = np.arange(23) % 10
-        seen = parent_generators(monkeypatch)
         cores(3)
         run = spiking_runner(SPIKING, seed=10)
         first = list(run(layer, images, book, [per_row, *range(10)]))
         second = list(run(layer, images, book, [4, 7]))
         # eleven entries over three workers, then two entries over two
         assert started == [4, 3, 1]
-        # the serial stream: one generator through every entry of both calls
-        serial = copy.deepcopy(seen[0])
-        for labels, got in zip([per_row, *range(10)], first, strict=True):
-            assert np.array_equal(got, simulate(layer, embed_batch(images, labels, book),
-                                                SPIKING, serial))
-        # entries 0, 3, 6 and 9 of the first call ran here; the second call's first
-        # entry starts from the runner's state after the first call
-        assert seen[4].bit_generator.state == serial.bit_generator.state
-        for labels, got in zip([4, 7], second, strict=True):
-            assert np.array_equal(got, simulate(layer, embed_batch(images, labels, book),
-                                                SPIKING, serial))
+        for k, (label_sets, blocks) in enumerate([([per_row, *range(10)], first),
+                                                  ([4, 7], second)]):
+            for e, (labels, got) in enumerate(zip(label_sets, blocks, strict=True)):
+                generator = np.random.default_rng([10, 0, 0xE7A1, k, e])
+                assert np.array_equal(got, simulate(layer, embed_batch(images, labels, book),
+                                                    SPIKING, generator))
+        # collect_latents makes one single-entry call per ragged chunk: calls 0, 1 and 2
+        sub = Dataset(images, synthetic_data.test.labels[:23])
+        dump = collect_latents(layer, sub, book, spiking_runner(SPIKING, seed=10), chunk=10)
+        generators = keyed(10, entries=1)
+        want = np.concatenate([
+            simulate(layer, embed_batch(sub.images[s : s + 10], sub.labels[s : s + 10], book),
+                     SPIKING, next(generators))
+            for s in range(0, 23, 10)
+        ])
+        assert np.array_equal(dump.latents, want)
+        assert np.any(want > 0)
 
     def test_nan_in_a_child_entry_is_a_data_error(self, synthetic_data, cores, started):
         images = synthetic_data.test.images[:12]

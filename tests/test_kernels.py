@@ -59,7 +59,6 @@ def test_kernels_load_here():
     if shutil.which(shlex.split(_kernels.compiler())[0]) is None:
         pytest.skip(f"no C compiler {_kernels.compiler()!r} here; the numpy path runs")
     assert _kernels.library() is not None
-    assert _kernels.backend() == f"c ({_kernels.compiler()})"
 
 
 def plastic_model(prob, n_in=884, n_out=200, tau_e=0.999, **spiking):
@@ -286,7 +285,6 @@ class TestLoader:
         try:
             with caplog.at_level("WARNING", logger="ffa._kernels"):
                 assert _kernels.library() is None
-                assert _kernels.backend() == "numpy"
         finally:
             _kernels.library.cache_clear()
         assert len(caplog.records) == 1
@@ -363,7 +361,7 @@ data = ExperimentData(train, test, LabelCodebook(length=12, density=0.3, seed=9)
 cfg = TrainConfig(eta=0.03, batch_size=1, epochs=1, seed=6, prob_fn=SymmetricProb())
 layer, _ = train_hebbian(cfg, data, "online", SpikingConfig(n_out=30, tau_e=0.999))
 save_checkpoint(sys.argv[1], layer, data.codebook)
-print(_kernels.backend())
+print(f"c ({_kernels.compiler()})" if _kernels.runs else "numpy")
 """
 
 
@@ -386,12 +384,12 @@ class TestFallbackProcess:
     @pytest.mark.usefixtures("kernels")
     def test_two_processes_building_one_key_both_load(self, tmp_path):
         env = python_env(XDG_CACHE_HOME=str(tmp_path))
-        code = "from ffa import _kernels; print(_kernels.backend())"
+        code = "from ffa import _kernels; print(_kernels.library() is not None)"
         procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True) for _ in range(2)]
         outs = [proc.communicate(timeout=300) for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0], outs
-        assert [out.strip() for out, _ in outs] == [f"c ({_kernels.compiler()})"] * 2
+        assert [out.strip() for out, _ in outs] == ["True"] * 2
         names = [p.name for p in (tmp_path / "ffa").iterdir()]
         assert len(names) == 1 and names[0].endswith(".so"), names
 

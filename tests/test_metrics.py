@@ -1,11 +1,10 @@
-import copy
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffa import metrics as metrics_mod
 from ffa.analog import DenseLayer, forward_batch, forward_labelled
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
 from ffa.data import Dataset, LabelCodebook, embed_batch
@@ -382,17 +381,11 @@ def per_label_scan(layer, dataset, book, latents_of, prob, chunk):
     return predictions, true_latents
 
 
-def first_generator(monkeypatch):
-    """A list that receives a copy of the generator ``simulate`` is first called with."""
-    seen, real = [], metrics_mod.simulate
-
-    def spy(layer, X, spiking, rng, *args):
-        if not seen:
-            seen.append(copy.deepcopy(rng))
-        return real(layer, X, spiking, rng, *args)
-
-    monkeypatch.setattr(metrics_mod, "simulate", spy)
-    return seen
+def keyed(seed, epoch=0, entries=10):
+    """The generators of a spiking runner's passes in call order, for calls of ``entries``
+    entries each: entry e of the k-th call draws from the key (seed, epoch, k, e)."""
+    return (np.random.default_rng([seed, epoch, 0xE7A1, k, e])
+            for k in count() for e in range(entries))
 
 
 class TestFactoredScan:
@@ -416,16 +409,15 @@ class TestFactoredScan:
 
     @pytest.mark.parametrize("chunk", [16, 2000], ids=["ragged_chunks", "one_chunk"])
     @pytest.mark.parametrize("prob", [SigmoidProb(), SymmetricProb()], ids=["sigmoid", "symmetric"])
-    def test_spiking_equals_per_label_simulate_bitwise(self, synthetic_data, monkeypatch,
-                                                       prob, chunk):
+    def test_spiking_equals_per_label_simulate_bitwise(self, synthetic_data, prob, chunk):
         layer = trained_like_layer(np.random.default_rng(18), 14, 120)
         sub = Dataset(synthetic_data.test.images[:40], synthetic_data.test.labels[:40])
         book, spk = synthetic_data.codebook, TestScan.SPIKING
-        generator = first_generator(monkeypatch)
         predictions, latents = scan(layer, sub, book, spiking_runner(spk, seed=8), prob,
                                     chunk=chunk)
+        generators = keyed(8)
         want_predictions, want_latents = per_label_scan(
-            layer, sub, book, lambda X: simulate(layer, X, spk, generator[0]), prob, chunk)
+            layer, sub, book, lambda X: simulate(layer, X, spk, next(generators)), prob, chunk)
         assert np.array_equal(predictions, want_predictions)
         assert np.array_equal(latents, want_latents)
         assert np.any(latents > 0)
