@@ -1,4 +1,4 @@
-/* Compiled forms of two overhead-bound loops of the ffa package.
+/* Compiled forms of three overhead-bound loops of the ffa package.
  *
  * Each function performs the IEEE operations of its numpy rule in the same
  * order, so its results are bitwise equal to that rule's:
@@ -6,7 +6,15 @@
  *   ffa_online_sample  one plastic B = 1 sample of ffa.spiking.simulate on
  *                      the event path (symmetric probability, relu trace,
  *                      to_zero reset, tau_e >= 1/2);
+ *   ffa_lockstep_step  one timestep of simulate's lockstep path over B rows
+ *                      (relu trace, to_zero reset; plastic steps under the
+ *                      symmetric probability);
  *   ffa_adam           one step of ffa.analog.adam_step.
+ *
+ * numpy sums one row of a partition pairwise (pairwise_sum) but a stack of
+ * rows column by column, so each row of a stack is summed left to right;
+ * scipy's sparse products add the rows of W.T, or the rows' impulses, one
+ * after another from 0.0.
  *
  * Build with -ffp-contract=off (a fused multiply-add rounds once where
  * numpy rounds twice) and never with -ffast-math (it reorders sums).
@@ -156,6 +164,122 @@ void ffa_online_sample(ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz, ptrdiff_t
         }
     }
     fold(w, e, n_in * n_out, eta, decay, decay_sum);
+}
+
+/* One timestep of simulate's lockstep path over `rows` instances.  w is the
+ * presynaptic-major [n_in][n_out] weights; p, cols and u hold the events'
+ * spike probabilities, input columns and this step's uniforms, row b's at
+ * [starts[b], starts[b + 1]); potential and trace [rows][n_out] carry the LIF
+ * and trace state.  work holds 2 * n_out doubles and fired as many offsets
+ * as the longest row has events.  A plastic step also adds each row's
+ * impulse at its fired inputs into impulse [n_in][n_out], marking them in
+ * touched (n_in zeroed flags, cleared again), then folds the row mean
+ * through the eligibility e into w; keep is 1 - tau_e, and positive[b]
+ * row b's polarity. */
+void ffa_lockstep_step(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, const double *p,
+                       const ptrdiff_t *cols, const ptrdiff_t *starts, double lif_decay,
+                       double threshold, double gain, double mu, double *w, double *potential,
+                       double *trace, double *work, ptrdiff_t *fired,
+                       const unsigned char *pos_mask, const unsigned char *positive,
+                       double epsilon, double keep, double eta, double *e, double *impulse,
+                       unsigned char *touched, const double *u, int plastic)
+{
+    double *current = work, *gathered = work + n_out;
+    const double half_eps = 0.5 * epsilon;
+
+    for (ptrdiff_t b = 0; b < rows; b++) {
+        /* rate_encode, then csr_matvecs' current: W.T rows in column order */
+        ptrdiff_t n_fired = 0;
+        for (ptrdiff_t k = starts[b]; k < starts[b + 1]; k++)
+            if (u[k] < p[k])
+                fired[n_fired++] = cols[k] * n_out;
+        row_sum(current, w, fired, n_fired, n_out);
+
+        /* lif_fire (to_zero reset) and the relu trace_step */
+        double *pot = potential + b * n_out, *tr = trace + b * n_out;
+        for (ptrdiff_t j = 0; j < n_out; j++) {
+            pot[j] *= lif_decay;
+            pot[j] += gain * current[j];
+            const double spike = pot[j] >= threshold ? 1.0 : 0.0;
+            if (spike != 0.0)
+                pot[j] = 0.0;
+            tr[j] = mu * spike + tr[j];
+        }
+        if (!plastic)
+            continue;
+
+        /* hebbian_post: the symmetric modulation_batch times the trace */
+        double g_pos = 0.0, g_neg = 0.0;
+        if (rows == 1) {
+            ptrdiff_t n_pos = 0;
+            for (ptrdiff_t j = 0; j < n_out; j++)
+                if (pos_mask[j])
+                    gathered[n_pos++] = tr[j] * tr[j];
+            ptrdiff_t n_neg = n_pos;
+            for (ptrdiff_t j = 0; j < n_out; j++)
+                if (!pos_mask[j])
+                    gathered[n_neg++] = tr[j] * tr[j];
+            g_pos += pairwise_sum(gathered, n_pos);
+            g_neg += pairwise_sum(gathered + n_pos, n_out - n_pos);
+        } else {
+            for (ptrdiff_t j = 0; j < n_out; j++) {
+                const double sq = tr[j] * tr[j];
+                if (pos_mask[j])
+                    g_pos += sq;
+                else
+                    g_neg += sq;
+            }
+        }
+        const int pos_row = positive[b] != 0;
+        const double p_pos = (g_pos + half_eps) / (g_pos + g_neg + epsilon);
+        const double g_match = pos_row ? g_pos : g_neg;
+        const double p_match = pos_row ? p_pos : 1.0 - p_pos;
+        const double pot_f = (1.0 - p_match) / (g_match + half_eps);
+        const double dep = -1.0 / (g_pos + g_neg + epsilon);
+        for (ptrdiff_t j = 0; j < n_out; j++)
+            current[j] = ((!pos_mask[j] == !pos_row) ? pot_f : dep) * tr[j];
+
+        /* hebbian_impulse: csc_matvecs adds the rows' posts in row order */
+        for (ptrdiff_t k = 0; k < n_fired; k++) {
+            double *row = impulse + fired[k];
+            unsigned char *seen = touched + fired[k] / n_out;
+            if (*seen) {
+                for (ptrdiff_t j = 0; j < n_out; j++)
+                    row[j] += current[j];
+            } else {
+                *seen = 1;
+                for (ptrdiff_t j = 0; j < n_out; j++)
+                    row[j] = 0.0 + current[j];
+            }
+        }
+    }
+    if (!plastic)
+        return;
+
+    /* np.divide(impulse, rows) and eligibility_step in one pass; an input
+     * that fired in no row has the impulse 0.0 */
+    const double count = (double)rows, zero = 0.0 / count;
+    for (ptrdiff_t i = 0; i < n_in; i++) {
+        const double *imp = impulse + i * n_out;
+        double *e_row = e + i * n_out, *w_row = w + i * n_out;
+        if (touched[i]) {
+            touched[i] = 0;
+            for (ptrdiff_t j = 0; j < n_out; j++) {
+                double s = imp[j] / count;
+                s -= e_row[j];
+                s *= keep;
+                e_row[j] += s;
+                w_row[j] += e_row[j] * eta;
+            }
+        } else {
+            for (ptrdiff_t j = 0; j < n_out; j++) {
+                double s = zero - e_row[j];
+                s *= keep;
+                e_row[j] += s;
+                w_row[j] += e_row[j] * eta;
+            }
+        }
+    }
 }
 
 /* One bias-corrected ADAM step over n elements, in adam_step's ufunc order. */

@@ -1,10 +1,16 @@
-"""Compiled forms of two overhead-bound loops, bitwise equal to their numpy rules.
+"""Compiled forms of three overhead-bound loops, bitwise equal to their numpy rules.
 
 ``_kernels.c`` holds one plastic B = 1 sample of the event-driven spiking path
-of :func:`ffa.spiking.simulate` and one fused :func:`ffa.analog.adam_step`.
-numpy stays the rule and the oracle: each C loop performs the same IEEE
-operations in the same order, numpy's pairwise summation included, so it
-gives the numpy path's bits.
+of :func:`ffa.spiking.simulate`, one timestep of its lockstep path over B rows
+and one fused :func:`ffa.analog.adam_step`.  numpy stays the rule and the
+oracle: each C loop performs the same IEEE operations in the same order,
+numpy's summation orders included, so it gives the numpy path's bits.  numpy
+sums a partition of one row pairwise but the rows of a stack left to right,
+and scipy's sparse products add rows one after another from 0.0; the
+lockstep step follows each.
+
+The wrappers check each array's dtype, memory layout and shape themselves and
+pass raw addresses; an array that does not fit is a ValueError.
 
 The source is compiled on first use with the system C compiler (``$CC``,
 default ``cc``) into ``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``, else a
@@ -43,7 +49,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 logger = logging.getLogger(__name__)
 
@@ -55,15 +60,25 @@ _DIGEST_BYTES = 32
 runs = 0
 """How many compiled kernel calls this process has made."""
 
-_doubles = ndpointer(np.float64, flags="C_CONTIGUOUS")
-_synapses = ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
-_offsets = ndpointer(np.intp, flags="C_CONTIGUOUS")
+_SIZE, _ADDRESS, _DOUBLE = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _SIGNATURES = {
-    "ffa_online_sample": [ctypes.c_ssize_t] * 5 + [
-        _doubles, _offsets, _doubles, ndpointer(np.bool_, flags="C_CONTIGUOUS"), ctypes.c_int,
-    ] + [ctypes.c_double] * 8 + [_synapses, _synapses, _doubles, _doubles, _offsets],
-    "ffa_adam": [ctypes.c_ssize_t] + [_doubles] * 4 + [ctypes.c_double] * 6,
+    "ffa_online_sample": [_SIZE] * 5 + [_ADDRESS] * 4 + [ctypes.c_int] + [_DOUBLE] * 8
+    + [_ADDRESS] * 5,
+    "ffa_lockstep_step": [_SIZE] * 3 + [_ADDRESS] * 3 + [_DOUBLE] * 4 + [_ADDRESS] * 7
+    + [_DOUBLE] * 3 + [_ADDRESS] * 4 + [ctypes.c_int],
+    "ffa_adam": [_SIZE] + [_ADDRESS] * 4 + [_DOUBLE] * 6,
 }
+
+
+def _address(a: np.ndarray, dtype: type, shape: tuple, layout: str = "C_CONTIGUOUS",
+             writes: bool = False) -> int:
+    """The address of ``a``'s data once it is an ndarray of ``dtype``, ``shape`` and
+    ``layout`` (and writeable, when the kernel ``writes`` it); else a ValueError."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags[layout] and (a.flags.writeable or not writes)):
+        raise ValueError(f"kernel arguments do not fit the layer: one is not a "
+                         f"{layout.lower()} {np.dtype(dtype)} array of shape {shape}")
+    return a.ctypes.data
 
 
 def compiler() -> str:
@@ -171,31 +186,98 @@ def online_sample(weights: np.ndarray, e: np.ndarray, tau_e: float, eta: float, 
     inputs' spike probabilities and columns, and ``u`` the sample's
     ``steps * p.size`` uniforms, step by step.
     """
-    n_out, n_in = weights.shape
+    n_out, n_in = shape = weights.shape
     enc = spiking.encoder
     nnz = p.size
-    if not (e.shape == weights.shape and pos_mask.shape == (n_out,) and cols.shape == (nnz,)
-            and u.shape == (enc.steps * nnz,)
-            and (nnz == 0 or (cols.min() >= 0 and cols.max() < n_in))):
-        raise ValueError("online_sample arguments do not fit the layer")
+    args = (
+        _address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
+        _address(u, np.float64, (enc.steps * nnz,)), _address(pos_mask, np.bool_, (n_out,)),
+    )
+    synapses = tuple(_address(a, np.float64, shape, "F_CONTIGUOUS", True) for a in (weights, e))
+    if nnz and not (cols.min() >= 0 and cols.max() < n_in):
+        raise ValueError("online_sample arguments do not fit the layer: a column is out of range")
     global runs
     runs += 1
     trace = np.zeros((1, n_out))
+    work, fired = np.zeros(4 * n_out), np.empty(nnz, dtype=np.intp)
     lif = spiking.lif
     library().ffa_online_sample(
-        n_in, n_out, nnz, enc.steps, enc.steps - enc.active_window, p, cols, u, pos_mask,
-        positive, lif.decay, lif.threshold, lif.input_gain, spiking.trace.mu, epsilon,
-        tau_e, eta, fold_below, weights, e, trace, np.zeros(4 * n_out),
-        np.empty(nnz, dtype=np.intp),
+        n_in, n_out, nnz, enc.steps, enc.steps - enc.active_window, *args, positive,
+        lif.decay, lif.threshold, lif.input_gain, spiking.trace.mu, epsilon, tau_e, eta,
+        fold_below, *synapses, trace.ctypes.data, work.ctypes.data, fired.ctypes.data,
     )
     return trace
 
 
+class Lockstep:
+    """The compiled timesteps of one ``simulate`` call over B rows.
+
+    ``weights`` [n_out, n_in] is Fortran-ordered; ``p``, ``cols`` and
+    ``starts`` are the nonzero inputs' spike probabilities, their columns and
+    the [B + 1] offsets where each row's events start.  :attr:`trace` holds
+    the output traces [B, n_out].  A plastic call also passes the
+    Fortran-ordered eligibility ``e`` and its ``impulse`` buffer, ``tau_e``,
+    ``eta``, the layer's ``pos_mask``, each row's polarity ``positive`` [B]
+    and the symmetric ``epsilon``; its plastic steps update ``weights`` and
+    ``e`` in place.  Every argument is checked here, once per call.
+    """
+
+    def __init__(self, weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray,
+                 starts: np.ndarray, e: Optional[np.ndarray] = None,
+                 impulse: Optional[np.ndarray] = None, tau_e: float = 0.0, eta: float = 0.0,
+                 pos_mask: Optional[np.ndarray] = None, positive: Optional[np.ndarray] = None,
+                 epsilon: float = 0.0):
+        n_out, n_in = shape = weights.shape
+        rows, nnz = starts.size - 1, p.size
+        events = (_address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
+                  _address(starts, np.intp, (rows + 1,)))
+        lengths = np.diff(starts)
+        if not (rows >= 0 and starts[0] == 0 and starts[-1] == nnz and np.all(lengths >= 0)
+                and (nnz == 0 or (cols.min() >= 0 and cols.max() < n_in))):
+            raise ValueError("lockstep arguments do not fit the layer: events out of range")
+        self.plastic = e is not None
+        self.trace, potential = np.zeros((rows, n_out)), np.zeros((rows, n_out))
+        work = np.empty(2 * n_out)
+        fired = np.empty(int(lengths.max(initial=0)), dtype=np.intp)
+        plasticity, touched = (None, None, 0.0, 0.0, 0.0, None, None, None), None
+        if self.plastic:
+            if rows == 0:
+                raise ValueError("lockstep arguments do not fit the layer: a plastic call "
+                                 "needs at least one row")
+            touched = np.zeros(n_in, dtype=np.uint8)
+            plasticity = (
+                _address(pos_mask, np.bool_, (n_out,)), _address(positive, np.bool_, (rows,)),
+                epsilon, 1.0 - tau_e, eta,
+                _address(e, np.float64, shape, "F_CONTIGUOUS", True),
+                _address(impulse, np.float64, shape, "F_CONTIGUOUS", True), touched.ctypes.data,
+            )
+        lif = spiking.lif
+        self._args = (
+            rows, n_in, n_out, *events, lif.decay, lif.threshold, lif.input_gain,
+            spiking.trace.mu, _address(weights, np.float64, shape, "F_CONTIGUOUS", self.plastic),
+            potential.ctypes.data, self.trace.ctypes.data, work.ctypes.data, fired.ctypes.data,
+            *plasticity,
+        )
+        # the kernel reads and writes these through the addresses above
+        self._arrays = (weights, p, cols, starts, potential, work, fired, e, impulse, pos_mask,
+                        positive, touched)
+        self._nnz = nnz
+
+    def step(self, u: np.ndarray, plastic: bool) -> None:
+        """One timestep from its uniforms ``u``, one per event; ``plastic`` steps also learn."""
+        if plastic and not self.plastic:
+            raise ValueError("lockstep arguments do not fit the layer: a plastic step needs "
+                             "the eligibility")
+        address = _address(u, np.float64, (self._nnz,))
+        global runs
+        runs += 1
+        library().ffa_lockstep_step(*self._args, address, bool(plastic))
+
+
 def adam(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, one_minus_b1: float,
          one_minus_b2: float, c1: float, c2: float, eta: float, eps: float) -> None:
-    """One fused ADAM step over C-contiguous float64 arrays of one size, in place."""
-    if not w.size == g.size == m.size == v.size:
-        raise ValueError("adam arrays differ in size")
+    """One fused ADAM step over C-contiguous float64 arrays of one shape, in place."""
+    addresses = [_address(a, np.float64, w.shape, writes=a is not g) for a in (w, g, m, v)]
     global runs
     runs += 1
-    library().ffa_adam(w.size, w, g, m, v, one_minus_b1, one_minus_b2, c1, c2, eta, eps)
+    library().ffa_adam(w.size, *addresses, one_minus_b1, one_minus_b2, c1, c2, eta, eps)

@@ -85,9 +85,6 @@ def fork_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator
     if workers <= 1 or _in_worker:
         yield from map(fn, items)
         return
-    # Loaded once here rather than in every child that simulates spikes.
-    import scipy.sparse  # noqa: F401
-
     ctx = multiprocessing.get_context("fork")
     children = []
     finished = False

@@ -27,7 +27,7 @@ from .core import ProbabilityFn, SigmoidProb
 from .data import Dataset, LabelCodebook, check_labels, embed_batch
 from .errors import DataError
 from .forks import fork_map
-from .spiking import SpikingConfig, simulate
+from .spiking import SpikingConfig, kernel_covers, simulate
 
 LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook, Iterable], Iterator[np.ndarray]]
 
@@ -46,7 +46,9 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
     The analog and spiking layers are the same weights, so any layer runs
     here, trained on either substrate.  The entries of a call run in
     :func:`~ffa.forks.fork_map` over the usable cores; each needs only its
-    index, so the latents do not depend on how many cores ran them.
+    index, so the latents do not depend on how many cores ran them.  The
+    compiled kernels (when :func:`~ffa.spiking.kernel_covers` the call) or
+    else ``scipy.sparse`` are loaded before the fork.
     """
     calls = count()
 
@@ -59,6 +61,14 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
             return simulate(layer, embed_batch(images, label_sets[entry], codebook), spiking,
                             np.random.default_rng([*key, entry]))
 
+        # What simulate runs on is loaded here, once, not in every forked child.
+        compiled = False
+        if kernel_covers(spiking, None):
+            from . import _kernels
+
+            compiled = _kernels.library() is not None
+        if not compiled:
+            import scipy.sparse  # noqa: F401
         return fork_map(latents, range(len(label_sets)), len(os.sched_getaffinity(0)))
 
     return run

@@ -332,14 +332,19 @@ class SpikingConfig:
     n_out: int = 200
 
 
-def kernel_covers(spiking: SpikingConfig, prob_fn: ProbabilityFn, tau_e: float) -> bool:
-    """Whether a B = 1 plastic call runs as the compiled sample once the kernels have loaded.
+def kernel_covers(spiking: SpikingConfig, prob_fn: Optional[ProbabilityFn]) -> bool:
+    """Whether a :func:`simulate` call runs compiled once the kernels have loaded;
+    ``prob_fn`` is None for a plasticity-free call.
 
-    The kernel implements the event path under the symmetric probability,
-    the relu trace and the to_zero reset; every other call runs numpy.
+    The kernels implement the relu trace and the to_zero reset, and plasticity
+    under the symmetric probability: a plasticity-free call (the spiking
+    scan) under either probability, and a plastic call at any batch size and
+    tau_e.  A plastic row that runs event-driven is one compiled sample; every
+    other covered call makes one compiled lockstep step per timestep.  Every
+    other call runs numpy.
     """
-    return (tau_e >= _FOLD_BELOW and isinstance(prob_fn, SymmetricProb)
-            and spiking.trace.kind == "relu" and spiking.lif.reset_mode == "to_zero")
+    return (spiking.trace.kind == "relu" and spiking.lif.reset_mode == "to_zero"
+            and (prob_fn is None or isinstance(prob_fn, SymmetricProb)))
 
 
 def simulate(
@@ -365,16 +370,18 @@ def simulate(
     output trace for both the modulation and the post factor.  Outside that
     window the weights are untouched.
 
-    A plastic call needs ``layer.weights`` and ``eligibility.e``
-    presynaptic-major (Fortran-ordered), else it is a ConfigError.  With one
-    row and ``tau_e >= 1/2`` it runs event-driven: the LIF current and the
-    updates touch only the synapses of inputs that spiked, and
-    ``layer.weights`` and ``eligibility.e`` hold the real values again when
-    the call returns.  Every other call runs the dense rule.
+    A plastic call needs one code per row of a nonempty batch and
+    ``layer.weights`` and ``eligibility.e`` presynaptic-major
+    (Fortran-ordered), else it is a ConfigError.  With one row and
+    ``tau_e >= 1/2`` it runs event-driven: the LIF current and the updates
+    touch only the synapses of inputs that spiked, and ``layer.weights`` and
+    ``eligibility.e`` hold the real values again when the call returns.
+    Every other call runs the dense rule.
 
-    An event-driven call that :func:`kernel_covers` runs as one compiled
-    sample (:mod:`ffa._kernels`) when the kernels have loaded; it gives the
-    same bits as this loop.
+    A call that :func:`kernel_covers` runs compiled (:mod:`ffa._kernels`) when
+    the kernels have loaded, and gives the same bits as this loop: an
+    event-driven call as one compiled sample, any other as one compiled
+    lockstep step per timestep, each drawing that step's uniforms here.
     """
     given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
     plastic = all(given)
@@ -384,28 +391,40 @@ def simulate(
         raise ConfigError("plasticity needs presynaptic-major (Fortran-ordered) weights and "
                           "eligibility; see EligibilityTrace.zeros_like")
     X = layer.check_batch(X)
+    rows = X.shape[0]
+    if plastic and (rows == 0 or np.shape(codes) != (rows,)):
+        raise ConfigError(f"plasticity needs one polarity code per row of a nonempty batch; "
+                          f"got codes of shape {np.shape(codes)} for {rows} rows")
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x
-    event = plastic and X.shape[0] == 1 and eligibility.tau_e >= _FOLD_BELOW
-    if event and kernel_covers(spiking, prob_fn, eligibility.tau_e):
+    event = plastic and rows == 1 and eligibility.tau_e >= _FOLD_BELOW
+    active_start = enc.steps - enc.active_window if plastic else enc.steps
+    # Plastic weights are presynaptic-major, so this is the live layer; a
+    # row-major layer (a loaded checkpoint) is copied once per call.  scipy's
+    # sparse product and the compiled step read W.T by rows.
+    weights = None if event else np.asfortranarray(layer.weights)
+    if kernel_covers(spiking, prob_fn if plastic else None):
         from . import _kernels
 
         if _kernels.library() is not None:
-            # One draw of every step's uniforms: the stream of one draw per step.
-            return _kernels.online_sample(
-                layer.weights, eligibility.e, eligibility.tau_e, eta, spiking,
-                layer.partition.pos_mask, bool(codes[0] > 0), prob_fn.epsilon, p, cols,
-                rng.random(enc.steps * p.size), _FOLD_BELOW)
-    shape = (X.shape[0], layer.n_out)
+            if event:
+                # One draw of every step's uniforms: the stream of one draw per step.
+                return _kernels.online_sample(
+                    layer.weights, eligibility.e, eligibility.tau_e, eta, spiking,
+                    layer.partition.pos_mask, bool(codes[0] > 0), prob_fn.epsilon, p, cols,
+                    rng.random(enc.steps * p.size), _FOLD_BELOW)
+            plasticity = {} if not plastic else dict(
+                e=eligibility.e, impulse=eligibility.impulse, tau_e=eligibility.tau_e, eta=eta,
+                pos_mask=layer.partition.pos_mask, positive=codes > 0, epsilon=prob_fn.epsilon)
+            run = _kernels.Lockstep(weights, spiking, p, cols, starts, **plasticity)
+            for t in range(enc.steps):
+                run.step(rng.random(p.size), t >= active_start)  # the draw of rate_encode
+            return run.trace
+    shape = (rows, layer.n_out)
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
-    active_start = enc.steps - enc.active_window if plastic else enc.steps
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
-    # scipy's sparse product reads W.T by rows and would copy a strided view
-    # each step.  Plastic weights are presynaptic-major, so this is the live
-    # layer; a row-major layer (a loaded checkpoint) is copied once per call.
-    weights = None if event else np.asfortranarray(layer.weights)
     for t in range(enc.steps):
         fired = rate_encode(p, rng)
         if not event:

@@ -55,15 +55,17 @@ class TestTrain:
         assert len(log_lines) == 3  # header + 2 epochs
         assert "final test accuracy:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("model,compiled", [
-        ("analog", True), ("hebbian_online", True), ("hebbian", False),
-    ])
-    def test_logs_the_backend_once(self, base_config, caplog, model, compiled):
+    @pytest.mark.parametrize("model,trace,compiled", [
+        ("analog", "relu", True), ("hebbian_online", "relu", True), ("hebbian", "relu", True),
+        ("hebbian", "li", False),
+    ], ids=["analog-True", "hebbian_online-True", "hebbian-True", "hebbian-li-False"])
+    def test_logs_the_backend_once(self, base_config, caplog, model, trace, compiled):
         from ffa import _kernels
 
         config, out_dir = base_config
         with caplog.at_level("INFO", logger="ffa.cli"):
             assert run_cli("train", "--config", config, "--set", f"experiment.model={model}",
+                           "--set", f"experiment.trace={trace}",
                            "--set", "experiment.epochs=1") == 0
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("backend")]
         ran = compiled and _kernels.library() is not None

@@ -118,7 +118,7 @@ class TestForkedScan:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forked_equals_serial_under_another_encoder(self, synthetic_data, cores, started,
-                                                        monkeypatch, workers):
+                                                        monkeypatch, numpy_path, workers):
         # the runner knows nothing of how many uniforms the encoder draws per step
         real = spiking_mod.rate_encode
 
@@ -177,7 +177,10 @@ class TestForkedScan:
         assert not multiprocessing.active_children()
 
     def test_dropped_scan_leaves_no_child(self, synthetic_data, cores, started):
-        images, book = synthetic_data.test.images[:30], synthetic_data.codebook
+        # each pass's latents (1,200 x 14 doubles) outgrow a pipe's 64 KiB buffer, so
+        # every child is still blocked in its first send when the scan is dropped
+        images = np.tile(synthetic_data.test.images, (2, 1))
+        book = synthetic_data.codebook
         layer = layer_for(images.shape[1] + book.length)
         cores(3)
         passes = spiking_runner(SPIKING, seed=12)(layer, images, book, range(10))

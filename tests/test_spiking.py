@@ -67,7 +67,7 @@ def record_lif_inputs(monkeypatch, check=None):
 
 
 class TestRateEncode:
-    def test_zero_rate_never_spikes(self, monkeypatch):
+    def test_zero_rate_never_spikes(self, monkeypatch, numpy_path):
         rng = np.random.default_rng(0)
         for _ in range(200):
             assert rate_encode(np.zeros(50), rng).size == 0
@@ -82,7 +82,7 @@ class TestRateEncode:
         assert np.all(total[X == 0.0] == 0.0)
         assert total.sum() > 0
 
-    def test_zero_scale_silent(self, monkeypatch):
+    def test_zero_scale_silent(self, monkeypatch, numpy_path):
         rng = np.random.default_rng(0)
         seen = record_lif_inputs(monkeypatch)
         layer, spk = tiny_model(encoder=SpikeEncoderConfig(scale=0.0, steps=6, active_window=2))
@@ -99,7 +99,7 @@ class TestRateEncode:
             assert np.all(np.diff(fired) > 0) and np.all((fired >= 0) & (fired < p.size))
         assert rate_encode(np.ones(9), rng).tolist() == list(range(9))
 
-    def test_spike_counts_fit_binomial(self, monkeypatch):
+    def test_spike_counts_fit_binomial(self, monkeypatch, numpy_path):
         # Over one simulate call each input spikes Binomial(steps, scale * x)
         # times.  Chi-square per distinct rate, bins pooled to >= 5 expected.
         rates = np.array([0.1, 0.35, 0.7, 1.0])
@@ -213,7 +213,7 @@ class TestLIF:
         assert state.potential[0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 7, 300])
-    def test_csr_current_matches_dense_gemm(self, monkeypatch, rows):
+    def test_csr_current_matches_dense_gemm(self, monkeypatch, numpy_path, rows):
         # every timestep of an eval call drives the layer with CSR spikes whose
         # current equals the dense GEMM of the same spikes
         def check(spikes, weights):
@@ -230,8 +230,8 @@ class TestLIF:
 
     @pytest.mark.parametrize("tau_e", [None, 0.9, 0.3], ids=["eval", "plastic", "plastic_tau_0.3"])
     @pytest.mark.parametrize("rows", [1, 5])
-    def test_current_reads_a_contiguous_copy_of_the_current_weights(self, monkeypatch, rows,
-                                                                     tau_e):
+    def test_current_reads_a_contiguous_copy_of_the_current_weights(self, monkeypatch, numpy_path,
+                                                                     rows, tau_e):
         # a C-ordered W.T spares scipy a copy per step; presynaptic-major
         # weights are read live, so every plastic step's move is seen at once
         layer, spk = tiny_model(n_in=60)
@@ -603,6 +603,36 @@ class TestRunSample:
         before = layer.weights.copy()
         simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), el, 0.5)
         assert np.array_equal(layer.weights, before)
+
+
+class TestMalformedPlasticCalls:
+    """A plastic call needs one polarity code per row of a nonempty batch, on every path."""
+
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    @pytest.mark.parametrize("rows,codes", [
+        (4, [1]), (4, [1, -1, 1]), (4, [[1, -1, 1, -1]]), (1, [1, -1]), (0, []),
+    ], ids=["one_code_for_four_rows", "three_codes_for_four_rows", "codes_of_two_dims",
+            "two_codes_for_one_row", "no_rows"])
+    @pytest.mark.parametrize("tau_e", [0.3, 0.99])
+    def test_refused_before_either_path(self, request, path, rows, codes, tau_e):
+        if path == "numpy":
+            request.getfixturevalue("numpy_path")
+        layer, spk = tiny_model()
+        el = EligibilityTrace.zeros_like(layer.weights, tau_e)
+        el.e += 0.01
+        before = layer.weights.copy(), el.e.copy()
+        X = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 15))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="one polarity code per row of a nonempty batch"):
+            simulate(layer, X, spk, rng, np.array(codes, dtype=np.int8), SymmetricProb(), el,
+                     0.1)
+        assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
+        assert rng.bit_generator.state == state
+
+    def test_plasticity_free_calls_take_any_row_count(self):
+        layer, spk = tiny_model()
+        assert simulate(layer, np.zeros((0, 15)), spk, np.random.default_rng(1)).shape == (0, 10)
 
 
 def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
