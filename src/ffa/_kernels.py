@@ -1,16 +1,21 @@
-"""Compiled forms of three overhead-bound loops, bitwise equal to their numpy rules.
+"""Compiled forms of two overhead-bound loops, bitwise equal to their numpy rules.
 
-``_kernels.c`` holds one plastic B = 1 sample of the event-driven spiking path
-of :func:`ffa.spiking.simulate`, one timestep of its lockstep path over B rows
-and one fused :func:`ffa.analog.adam_step`.  numpy stays the rule and the
-oracle: each C loop performs the same IEEE operations in the same order,
-numpy's summation orders included, so it gives the numpy path's bits.  numpy
-sums a partition of one row pairwise but the rows of a stack left to right,
-and scipy's sparse products add rows one after another from 0.0; the
-lockstep step follows each.
+``_kernels.c`` holds one whole call of :func:`ffa.spiking.simulate` over B
+rows, on its lockstep path or its event-driven B = 1 path, and one fused
+:func:`ffa.analog.adam_step`.  numpy stays the rule and the oracle: each C
+loop performs the same IEEE operations in the same order, numpy's summation
+orders included, so it gives the numpy path's bits.  numpy sums a partition
+of one row pairwise but the rows of a stack left to right, and scipy's
+sparse products add rows one after another from 0.0; the simulate kernel
+follows each.  It draws its uniforms through the generator's public
+``bit_generator.ctypes.next_double`` with the generator's lock held, one per
+event in event order each step: the stream and end state of
+``rate_encode``'s ``rng.random(nnz)``.
 
 The wrappers check each array's dtype, memory layout and shape themselves and
-pass raw addresses; an array that does not fit is a ValueError.
+pass raw addresses, and the simulate kernel checks the events against the
+layer before it draws or writes; an argument that does not fit is a
+ValueError.
 
 The source is compiled on first use with the system C compiler (``$CC``,
 default ``cc``) into ``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``, else a
@@ -61,12 +66,12 @@ runs = 0
 """How many compiled kernel calls this process has made."""
 
 _SIZE, _ADDRESS, _DOUBLE = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-_SIGNATURES = {
-    "ffa_online_sample": [_SIZE] * 5 + [_ADDRESS] * 4 + [ctypes.c_int] + [_DOUBLE] * 8
-    + [_ADDRESS] * 5,
-    "ffa_lockstep_step": [_SIZE] * 3 + [_ADDRESS] * 3 + [_DOUBLE] * 4 + [_ADDRESS] * 7
-    + [_DOUBLE] * 3 + [_ADDRESS] * 4 + [ctypes.c_int],
-    "ffa_adam": [_SIZE] + [_ADDRESS] * 4 + [_DOUBLE] * 6,
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(_DOUBLE, _ADDRESS)  # the type of bit_generator.ctypes.next_double
+_SIGNATURES = {  # name: (restype, argtypes)
+    "ffa_simulate": (ctypes.c_int, [_SIZE] * 6 + [_ADDRESS] * 3 + [_DOUBLE] * 4 + [_ADDRESS] * 4
+                     + [_DOUBLE] * 3 + [_ADDRESS] * 2 + [ctypes.c_int, _DOUBLE, _NEXT_DOUBLE,
+                                                         _ADDRESS]),
+    "ffa_adam": (None, [_SIZE] + [_ADDRESS] * 4 + [_DOUBLE] * 6),
 }
 
 
@@ -155,9 +160,9 @@ def open_library(directory: Path, cc: str) -> ctypes.CDLL:
     if not _intact(path):
         _compile(path, cc)
     lib = ctypes.CDLL(str(path))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
 
 
@@ -175,103 +180,57 @@ def library() -> Optional[ctypes.CDLL]:
     return None
 
 
-def online_sample(weights: np.ndarray, e: np.ndarray, tau_e: float, eta: float, spiking,
-                  pos_mask: np.ndarray, positive: bool, epsilon: float, p: np.ndarray,
-                  cols: np.ndarray, u: np.ndarray, fold_below: float) -> np.ndarray:
-    """One plastic sample of ``simulate``'s event path; returns the final trace [1, n_out].
-
-    ``weights`` and the eligibility ``e`` [n_out, n_in] are Fortran-ordered and
-    updated in place; ``pos_mask`` and ``positive`` are the layer's polarity
-    split and the sample's polarity; ``p`` and ``cols`` are the nonzero
-    inputs' spike probabilities and columns, and ``u`` the sample's
-    ``steps * p.size`` uniforms, step by step.
-    """
-    n_out, n_in = shape = weights.shape
-    enc = spiking.encoder
-    nnz = p.size
-    args = (
-        _address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
-        _address(u, np.float64, (enc.steps * nnz,)), _address(pos_mask, np.bool_, (n_out,)),
-    )
-    synapses = tuple(_address(a, np.float64, shape, "F_CONTIGUOUS", True) for a in (weights, e))
-    if nnz and not (cols.min() >= 0 and cols.max() < n_in):
-        raise ValueError("online_sample arguments do not fit the layer: a column is out of range")
-    global runs
-    runs += 1
-    trace = np.zeros((1, n_out))
-    work, fired = np.zeros(4 * n_out), np.empty(nnz, dtype=np.intp)
-    lif = spiking.lif
-    library().ffa_online_sample(
-        n_in, n_out, nnz, enc.steps, enc.steps - enc.active_window, *args, positive,
-        lif.decay, lif.threshold, lif.input_gain, spiking.trace.mu, epsilon, tau_e, eta,
-        fold_below, *synapses, trace.ctypes.data, work.ctypes.data, fired.ctypes.data,
-    )
-    return trace
-
-
-class Lockstep:
-    """The compiled timesteps of one ``simulate`` call over B rows.
+def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, starts: np.ndarray,
+             rng: np.random.Generator, e: Optional[np.ndarray] = None,
+             impulse: Optional[np.ndarray] = None, tau_e: float = 0.0, eta: float = 0.0,
+             pos_mask: Optional[np.ndarray] = None, positive: Optional[np.ndarray] = None,
+             epsilon: float = 0.0, fold_below: Optional[float] = None) -> np.ndarray:
+    """One whole ``simulate`` call over B rows; returns the final traces [B, n_out].
 
     ``weights`` [n_out, n_in] is Fortran-ordered; ``p``, ``cols`` and
     ``starts`` are the nonzero inputs' spike probabilities, their columns and
-    the [B + 1] offsets where each row's events start.  :attr:`trace` holds
-    the output traces [B, n_out].  A plastic call also passes the
-    Fortran-ordered eligibility ``e`` and its ``impulse`` buffer, ``tau_e``,
-    ``eta``, the layer's ``pos_mask``, each row's polarity ``positive`` [B]
-    and the symmetric ``epsilon``; its plastic steps update ``weights`` and
-    ``e`` in place.  Every argument is checked here, once per call.
+    the [B + 1] offsets where each row's events start, and ``rng`` draws
+    every step's uniforms.  A plastic call also passes the Fortran-ordered
+    eligibility ``e`` and its ``impulse`` buffer, ``tau_e``, ``eta``, the
+    layer's ``pos_mask``, each row's polarity ``positive`` [B] and the
+    symmetric ``epsilon``; its last ``active_window`` steps update
+    ``weights`` and ``e`` in place.  Given ``fold_below``, a plastic call of
+    one row runs event-driven and folds once the decay product drops below
+    it.  Every argument is checked before anything is drawn or written.
     """
-
-    def __init__(self, weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray,
-                 starts: np.ndarray, e: Optional[np.ndarray] = None,
-                 impulse: Optional[np.ndarray] = None, tau_e: float = 0.0, eta: float = 0.0,
-                 pos_mask: Optional[np.ndarray] = None, positive: Optional[np.ndarray] = None,
-                 epsilon: float = 0.0):
-        n_out, n_in = shape = weights.shape
-        rows, nnz = starts.size - 1, p.size
-        events = (_address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
-                  _address(starts, np.intp, (rows + 1,)))
-        lengths = np.diff(starts)
-        if not (rows >= 0 and starts[0] == 0 and starts[-1] == nnz and np.all(lengths >= 0)
-                and (nnz == 0 or (cols.min() >= 0 and cols.max() < n_in))):
-            raise ValueError("lockstep arguments do not fit the layer: events out of range")
-        self.plastic = e is not None
-        self.trace, potential = np.zeros((rows, n_out)), np.zeros((rows, n_out))
-        work = np.empty(2 * n_out)
-        fired = np.empty(int(lengths.max(initial=0)), dtype=np.intp)
-        plasticity, touched = (None, None, 0.0, 0.0, 0.0, None, None, None), None
-        if self.plastic:
-            if rows == 0:
-                raise ValueError("lockstep arguments do not fit the layer: a plastic call "
-                                 "needs at least one row")
-            touched = np.zeros(n_in, dtype=np.uint8)
-            plasticity = (
-                _address(pos_mask, np.bool_, (n_out,)), _address(positive, np.bool_, (rows,)),
-                epsilon, 1.0 - tau_e, eta,
-                _address(e, np.float64, shape, "F_CONTIGUOUS", True),
-                _address(impulse, np.float64, shape, "F_CONTIGUOUS", True), touched.ctypes.data,
-            )
-        lif = spiking.lif
-        self._args = (
-            rows, n_in, n_out, *events, lif.decay, lif.threshold, lif.input_gain,
-            spiking.trace.mu, _address(weights, np.float64, shape, "F_CONTIGUOUS", self.plastic),
-            potential.ctypes.data, self.trace.ctypes.data, work.ctypes.data, fired.ctypes.data,
-            *plasticity,
+    n_out, n_in = shape = weights.shape
+    rows, nnz = starts.size - 1, p.size
+    plastic = any(a is not None for a in (e, impulse, pos_mask, positive))
+    event = fold_below is not None
+    if rows < 0 or (plastic and rows == 0) or (event and not (plastic and rows == 1)):
+        raise ValueError(f"simulate arguments do not fit the layer: {rows} rows for a "
+                         f"{'plastic ' if plastic else ''}{'event-driven ' if event else ''}call")
+    events = (_address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
+              _address(starts, np.intp, (rows + 1,)))
+    w = _address(weights, np.float64, shape, "F_CONTIGUOUS", plastic)
+    plasticity = (None, None, 0.0, 0.0, 0.0, None, None)
+    if plastic:
+        plasticity = (
+            _address(pos_mask, np.bool_, (n_out,)), _address(positive, np.bool_, (rows,)),
+            epsilon, tau_e, eta, _address(e, np.float64, shape, "F_CONTIGUOUS", True),
+            _address(impulse, np.float64, shape, "F_CONTIGUOUS", True),
         )
-        # the kernel reads and writes these through the addresses above
-        self._arrays = (weights, p, cols, starts, potential, work, fired, e, impulse, pos_mask,
-                        positive, touched)
-        self._nnz = nnz
-
-    def step(self, u: np.ndarray, plastic: bool) -> None:
-        """One timestep from its uniforms ``u``, one per event; ``plastic`` steps also learn."""
-        if plastic and not self.plastic:
-            raise ValueError("lockstep arguments do not fit the layer: a plastic step needs "
-                             "the eligibility")
-        address = _address(u, np.float64, (self._nnz,))
-        global runs
-        runs += 1
-        library().ffa_lockstep_step(*self._args, address, bool(plastic))
+    enc, lif = spiking.encoder, spiking.lif
+    trace = np.zeros((rows, n_out))
+    bits = rng.bit_generator
+    with bits.lock:
+        status = library().ffa_simulate(
+            rows, n_in, n_out, nnz, enc.steps, enc.steps - (enc.active_window if plastic else 0),
+            *events, lif.decay, lif.threshold, lif.input_gain, spiking.trace.mu, w,
+            trace.ctypes.data, *plasticity, event, fold_below or 0.0, bits.ctypes.next_double,
+            bits.ctypes.state_address)
+    if status == -2:
+        raise MemoryError("simulate's kernel could not allocate its scratch memory")
+    if status:
+        raise ValueError("simulate arguments do not fit the layer: events out of range")
+    global runs
+    runs += 1
+    return trace
 
 
 def adam(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, one_minus_b1: float,

@@ -339,8 +339,7 @@ def kernel_covers(spiking: SpikingConfig, prob_fn: Optional[ProbabilityFn]) -> b
     The kernels implement the relu trace and the to_zero reset, and plasticity
     under the symmetric probability: a plasticity-free call (the spiking
     scan) under either probability, and a plastic call at any batch size and
-    tau_e.  A plastic row that runs event-driven is one compiled sample; every
-    other covered call makes one compiled lockstep step per timestep.  Every
+    tau_e, event-driven or not.  Each covered call is one compiled call; every
     other call runs numpy.
     """
     return (spiking.trace.kind == "relu" and spiking.lif.reset_mode == "to_zero"
@@ -378,11 +377,13 @@ def simulate(
     ``eligibility.e`` hold the real values again when the call returns.
     Every other call runs the dense rule.
 
-    A call that :func:`kernel_covers` runs compiled (:mod:`ffa._kernels`) when
-    the kernels have loaded, and gives the same bits as this loop: an
-    event-driven call as one compiled sample, any other as one compiled
-    lockstep step per timestep, each drawing that step's uniforms here.
+    ``rng`` must be a numpy Generator, else it is a ConfigError.  A call that
+    :func:`kernel_covers` runs compiled (:mod:`ffa._kernels`) when the
+    kernels have loaded, as one kernel call that draws this loop's uniforms
+    from ``rng`` itself and gives the same bits.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"simulate needs a numpy Generator; got {type(rng).__name__}")
     given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
     plastic = all(given)
     if any(given) and not plastic:
@@ -402,25 +403,17 @@ def simulate(
     active_start = enc.steps - enc.active_window if plastic else enc.steps
     # Plastic weights are presynaptic-major, so this is the live layer; a
     # row-major layer (a loaded checkpoint) is copied once per call.  scipy's
-    # sparse product and the compiled step read W.T by rows.
-    weights = None if event else np.asfortranarray(layer.weights)
+    # sparse product and the kernel read W.T by rows.
+    weights = np.asfortranarray(layer.weights)
     if kernel_covers(spiking, prob_fn if plastic else None):
         from . import _kernels
 
         if _kernels.library() is not None:
-            if event:
-                # One draw of every step's uniforms: the stream of one draw per step.
-                return _kernels.online_sample(
-                    layer.weights, eligibility.e, eligibility.tau_e, eta, spiking,
-                    layer.partition.pos_mask, bool(codes[0] > 0), prob_fn.epsilon, p, cols,
-                    rng.random(enc.steps * p.size), _FOLD_BELOW)
             plasticity = {} if not plastic else dict(
                 e=eligibility.e, impulse=eligibility.impulse, tau_e=eligibility.tau_e, eta=eta,
-                pos_mask=layer.partition.pos_mask, positive=codes > 0, epsilon=prob_fn.epsilon)
-            run = _kernels.Lockstep(weights, spiking, p, cols, starts, **plasticity)
-            for t in range(enc.steps):
-                run.step(rng.random(p.size), t >= active_start)  # the draw of rate_encode
-            return run.trace
+                pos_mask=layer.partition.pos_mask, positive=codes > 0, epsilon=prob_fn.epsilon,
+                fold_below=_FOLD_BELOW if event else None)
+            return _kernels.simulate(weights, spiking, p, cols, starts, rng, **plasticity)
     shape = (rows, layer.n_out)
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)

@@ -14,15 +14,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ffa
 from ffa import _kernels
 from ffa.analog import ADAM_TILE, AdamState, DenseLayer, TrainConfig, adam_step, partition_for
 from ffa.checkpoint import save_checkpoint
-from ffa.core import SigmoidProb, SymmetricProb
+from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
+from ffa.errors import ConfigError
 from ffa.spiking import (
     EligibilityTrace,
     LIFConfig,
+    SpikeEncoderConfig,
     SpikingConfig,
     TraceConfig,
     kernel_covers,
@@ -37,27 +41,16 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Count the calls that reach the compiled online sample."""
-    calls, real = [], _kernels.online_sample
+    """The kind of each compiled ``simulate`` call, one per covered call of any
+    length: "event" (the event path), "plastic" or "eval" (the lockstep path)."""
+    calls, real = [], _kernels.simulate
 
-    def counting(*args):
-        calls.append(True)
-        return real(*args)
+    def counting(*args, **kwargs):
+        calls.append("event" if kwargs.get("fold_below") is not None
+                     else "plastic" if kwargs.get("e") is not None else "eval")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "online_sample", counting)
-    return calls
-
-
-@pytest.fixture()
-def lockstep_calls(monkeypatch):
-    """Count the compiled lockstep steps: one per timestep of a covered call."""
-    calls, real = [], _kernels.Lockstep.step
-
-    def counting(self, u, plastic):
-        calls.append(plastic)
-        return real(self, u, plastic)
-
-    monkeypatch.setattr(_kernels.Lockstep, "step", counting)
+    monkeypatch.setattr(_kernels, "simulate", counting)
     return calls
 
 
@@ -111,8 +104,34 @@ def input_rows(kind, n=6, n_in=884):
     return X
 
 
+ARRAY_ARGUMENTS = ["weights", "p", "cols", "starts", "e", "impulse", "pos_mask", "positive"]
+
+
+class KernelCall:
+    """The arguments of a plastic ``_kernels.simulate`` call over ``rows`` (1 or
+    2) rows of a 10-input, 4-output layer."""
+
+    def __init__(self, rows, **extra):
+        self.layer, self.el, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
+        self.args = dict(
+            weights=self.layer.weights, spiking=spk, p=np.full(rows + 1, 0.5),
+            cols=np.array([3, 7, 2][: rows + 1]), starts=np.array([0, 2, 3][: rows + 1]),
+            rng=np.random.default_rng(1), e=self.el.e, impulse=self.el.impulse, tau_e=0.99,
+            eta=0.1, pos_mask=self.layer.partition.pos_mask,
+            positive=np.array([True, False][:rows]), epsilon=0.5, **extra)
+
+    def assert_refused(self):
+        """The call raises a ValueError before it draws a uniform or writes a synapse."""
+        weights, e = self.layer.weights.copy(), self.el.e.copy()
+        state = self.args["rng"].bit_generator.state
+        with pytest.raises(ValueError, match="do not fit"):
+            _kernels.simulate(**self.args)
+        assert np.array_equal(self.layer.weights, weights) and np.array_equal(self.el.e, e)
+        assert self.args["rng"].bit_generator.state == state
+
+
 class TestOnlineSample:
-    """The compiled sample equals ``simulate``'s numpy event path bitwise."""
+    """A compiled event-driven call equals ``simulate``'s numpy event path bitwise."""
 
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("tau_e", [0.999, 0.9, 0.5])
@@ -121,9 +140,9 @@ class TestOnlineSample:
         # tau_e = 0.9 folds mid-window (0.9**7 < 1/2), 0.5 after every step
         rows = input_rows(kind)
         got = run_calls(rows, SymmetricProb(), True, monkeypatch, tau_e)
-        assert len(kernel_calls) == len(rows)
+        assert kernel_calls == ["event"] * len(rows)
         want = run_calls(rows, SymmetricProb(), False, monkeypatch, tau_e)
-        assert len(kernel_calls) == len(rows)
+        assert kernel_calls == ["event"] * len(rows)
         for call, (g, w) in enumerate(zip(got, want)):
             trace, weights, e, state = g
             assert np.array_equal(trace, w[0]), call
@@ -140,7 +159,7 @@ class TestOnlineSample:
         rows = input_rows("dense", n=4, n_in=120)
         got = run_calls(rows, SymmetricProb(), True, monkeypatch, n_out=n_out)
         want = run_calls(rows, SymmetricProb(), False, monkeypatch, n_out=n_out)
-        assert len(kernel_calls) == len(rows)
+        assert kernel_calls == ["event"] * len(rows)
         for g, w in zip(got, want):
             assert all(np.array_equal(a, b) for a, b in zip(g[:3], w[:3]))
             assert g[3] == w[3]
@@ -151,7 +170,7 @@ class TestOnlineSample:
         cfg = TrainConfig(eta=0.03, batch_size=1, epochs=1, seed=6, prob_fn=SymmetricProb())
         spk = SpikingConfig(n_out=40, tau_e=0.999)
         layer, log = train_hebbian(cfg, small_data, "online", spk)
-        assert len(kernel_calls) == 2 * len(small_data.train)
+        assert kernel_calls == ["event"] * 2 * len(small_data.train)
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "library", lambda: None)
             ref_layer, ref_log = train_hebbian(cfg, small_data, "online", spk)
@@ -169,23 +188,20 @@ class TestOnlineSample:
         (SymmetricProb(), {"trace": TraceConfig(kind="hard_li")}),
         (SymmetricProb(), {"lif": LIFConfig(reset_mode="subtract")}),
     ], ids=["sigmoid", "li", "hard_li", "subtract"])
-    def test_uncovered_configurations_run_numpy(self, kernel_calls, lockstep_calls, prob,
-                                                spiking):
+    def test_uncovered_configurations_run_numpy(self, kernel_calls, prob, spiking):
         layer, el, spk = plastic_model(prob, n_in=60, n_out=20, **spiking)
         X = np.random.default_rng(2).random((1, 60))
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(3), np.array([1], dtype=np.int8), prob,
                  el, 0.1)
         assert not kernel_covers(spk, prob)
-        assert kernel_calls == [] and lockstep_calls == []
+        assert kernel_calls == []
         assert not np.array_equal(layer.weights, before)
 
-    def test_plasticity_free_calls_run_the_lockstep_step(self, kernel_calls, lockstep_calls):
+    def test_plasticity_free_calls_run_the_lockstep_step(self, kernel_calls):
         layer, _, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
         simulate(layer, np.random.default_rng(2).random((1, 60)), spk, np.random.default_rng(3))
-        assert kernel_calls == []
-        ran = _kernels.library() is not None
-        assert lockstep_calls == ([False] * spk.encoder.steps if ran else [])
+        assert kernel_calls == (["eval"] if _kernels.library() is not None else [])
 
     def test_unloaded_kernels_run_numpy(self, kernel_calls, numpy_path):
         layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
@@ -194,25 +210,19 @@ class TestOnlineSample:
                  codes, SymmetricProb(), el, 0.1)
         assert kernel_calls == []
 
-    @pytest.mark.parametrize("arg", ["weights", "e", "pos_mask", "p", "cols", "u"])
+    # a one-element polarity is contiguous at any stride
+    @pytest.mark.parametrize("arg", [a for a in ARRAY_ARGUMENTS if a != "positive"])
     @pytest.mark.parametrize("fault", ["dtype", "layout"])
     def test_refuses_arguments_that_do_not_fit(self, fault, arg):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
-        args = dict(weights=layer.weights, e=el.e, pos_mask=layer.partition.pos_mask,
-                    p=np.full(2, 0.5), cols=np.array([3, 7]), u=np.zeros(spk.encoder.steps * 2))
-        args[arg] = misfit(args[arg], fault)
-        before = layer.weights.copy(), el.e.copy()
-        with pytest.raises(ValueError, match="do not fit"):
-            _kernels.online_sample(args["weights"], args["e"], 0.999, 0.1, spk, args["pos_mask"],
-                                   True, 0.5, args["p"], args["cols"], args["u"], 0.5)
-        assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
+        call = KernelCall(rows=1, fold_below=0.5)
+        call.args[arg] = misfit(call.args[arg], fault)
+        call.assert_refused()
 
+    @pytest.mark.usefixtures("kernels")
     def test_refuses_a_column_out_of_range(self):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
-        p, cols = np.full(2, 0.5), np.array([3, 10])
-        with pytest.raises(ValueError, match="do not fit"):
-            _kernels.online_sample(layer.weights, el.e, 0.999, 0.1, spk, layer.partition.pos_mask,
-                                   True, 0.5, p, cols, np.zeros(spk.encoder.steps * 2), 0.5)
+        call = KernelCall(rows=1, fold_below=0.5)
+        call.args["cols"] = np.array([3, 10])
+        call.assert_refused()
 
 
 def misfit(a, fault):
@@ -267,21 +277,101 @@ def test_numpy_sums_one_row_pairwise_and_a_stack_left_to_right(n):
         assert pairwise_sum(sq[0, mask]) != left_to_right_sum(sq[0, mask])
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_next_double_draws_the_stream_of_generator_random(n):
+    # the draws of the simulate kernel (numpy 2.4): successive calls of the generator's
+    # next_double give Generator.random(n) and leave the generator in its end state
+    drawn, ref = np.random.default_rng(n), np.random.default_rng(n)
+    bits = drawn.bit_generator.ctypes
+    assert [bits.next_double(bits.state_address) for _ in range(n)] == ref.random(n).tolist()
+    assert drawn.bit_generator.state == ref.bit_generator.state
+    assert drawn.random(3).tolist() == ref.random(3).tolist()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("rng", [np.random.RandomState(3), np.random.PCG64(3)],
+                         ids=["RandomState", "PCG64"])
+def test_simulate_refuses_a_generator_that_is_not_numpys(monkeypatch, compiled, rng):
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
+    X, before = np.random.default_rng(2).random((1, 60)), layer.weights.copy()
+    for plastic in ((), (np.array([1], dtype=np.int8), SymmetricProb(), el, 0.1)):
+        with pytest.raises(ConfigError, match="numpy Generator"):
+            simulate(layer, X, spk, rng, *plastic)
+    assert np.array_equal(layer.weights, before)
+
+
+@st.composite
+def simulate_calls(draw):
+    """A ``simulate`` call: its path and rows, shape, inputs, polarity, tau_e and window."""
+    path, rows = draw(st.sampled_from([("eval", 0), ("eval", 1), ("eval", 3), ("lockstep", 1),
+                                       ("lockstep", 2), ("lockstep", 3)] + [("event", 1)] * 3))
+    # one row runs event-driven from tau_e = 1/2 on
+    taus = {"event": [0.5, 0.6, 0.9, 0.999], "lockstep": [0.3, 0.49] if rows == 1 else
+            [0.3, 0.49, 0.5, 0.9, 0.999], "eval": [0.9]}[path]
+    steps = draw(st.integers(1, 24))
+    return dict(
+        rows=rows, plastic=path != "eval", n_in=draw(st.integers(1, 40)),
+        n_out=draw(st.sampled_from([14, 16, 18, 254, 256, 258])),
+        density=draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])),
+        scale=draw(st.sampled_from([0.25, 1.0])),
+        mask=draw(st.sampled_from(["positive", "negative", "split"])),
+        tau_e=draw(st.sampled_from(taus)), steps=steps,
+        window=draw(st.integers(0, steps)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def run_drawn_call(call, compiled):
+    """The trace, weights, eligibility and generator state after ``call``."""
+    rng = np.random.default_rng(call["seed"])
+    n_in, n_out = call["n_in"], call["n_out"]
+    mask = {"positive": np.ones(n_out, dtype=bool), "negative": np.zeros(n_out, dtype=bool),
+            "split": rng.random(n_out) < 0.5}[call["mask"]]
+    layer = DenseLayer.initialize(n_in, n_out, PolarityPartition(mask), seed=call["seed"])
+    layer.weights = np.asfortranarray(layer.weights)
+    el = EligibilityTrace(np.asfortranarray(0.01 * rng.standard_normal((n_out, n_in))),
+                          call["tau_e"])
+    X = rng.random((call["rows"], n_in)) * (rng.random((call["rows"], n_in)) < call["density"])
+    X[X == 0.0] = 0.0  # no -0.0
+    codes = rng.choice(np.array([1, -1], dtype=np.int8), call["rows"])
+    spk = SpikingConfig(n_out=n_out, tau_e=call["tau_e"], encoder=SpikeEncoderConfig(
+        call["scale"], call["steps"], call["window"]))
+    plastic = (codes, SymmetricProb(), el, 0.05) if call["plastic"] else ()
+    with pytest.MonkeyPatch.context() as mp:
+        if not compiled:
+            mp.setattr(_kernels, "library", lambda: None)
+        runs = _kernels.runs
+        trace = simulate(layer, X, spk, rng, *plastic)
+        assert _kernels.runs == runs + compiled
+    return trace, layer.weights, el.e, rng.bit_generator.state
+
+
+@pytest.mark.usefixtures("kernels")
+@settings(max_examples=200)
+@given(call=simulate_calls())
+def test_drawn_calls_equal_the_numpy_path(call):
+    # B 0-3 and event-driven B = 1, widths at numpy's block edges, densities from none
+    # to all, all-positive, all-negative and split masks, tau_e on both sides of 1/2
+    got, want = run_drawn_call(call, True), run_drawn_call(call, False)
+    for name, a, b in zip(("trace", "weights", "e"), got[:3], want[:3]):
+        assert np.array_equal(a, b), name
+    assert got[3] == want[3]
+
+
 class TestLockstepStep:
-    """A compiled lockstep step per timestep equals ``simulate``'s numpy lockstep path bitwise."""
+    """A compiled call equals ``simulate``'s numpy lockstep path bitwise."""
 
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("rows,tau_e", [
         (0, None), (1, None), (1, 0.3), (2, 0.99), (3, 0.99), (100, 0.99), (1000, 0.99),
         (1000, None),
     ], ids=["0", "1-eval", "1-tau_e_0.3", "2", "3", "100", "1000", "1000-eval"])
-    def test_calls_equal_the_numpy_path(self, monkeypatch, kernel_calls, lockstep_calls, rows,
-                                        tau_e):
+    def test_calls_equal_the_numpy_path(self, monkeypatch, kernel_calls, rows, tau_e):
         got = lockstep_calls_of(rows, 200, tau_e, True, monkeypatch)
-        steps = SpikingConfig().encoder.steps
-        assert len(lockstep_calls) == 2 * steps
+        kind = "eval" if tau_e is None else "plastic"
+        assert kernel_calls == [kind] * 2
         want = lockstep_calls_of(rows, 200, tau_e, False, monkeypatch)
-        assert len(lockstep_calls) == 2 * steps and kernel_calls == []
+        assert kernel_calls == [kind] * 2
         assert_same_states(got, want)
         if rows:
             assert got[-1][0].sum() > 0
@@ -290,40 +380,40 @@ class TestLockstepStep:
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n_out", [14, 16, 18, 254, 256, 258, 300])
-    def test_partition_sums_follow_numpy_at_every_width(self, monkeypatch, lockstep_calls, rows,
+    def test_partition_sums_follow_numpy_at_every_width(self, monkeypatch, kernel_calls, rows,
                                                         n_out):
         # halves of 7, 8 and 9 (numpy's 8-accumulator block), 127, 128 and 129 (its
         # 128-element block) and 150; one row sums pairwise, a stack left to right
         got = lockstep_calls_of(rows, n_out, 0.3, True, monkeypatch, n_in=60)
         want = lockstep_calls_of(rows, n_out, 0.3, False, monkeypatch, n_in=60)
-        assert len(lockstep_calls) == 2 * SpikingConfig().encoder.steps
+        assert kernel_calls == ["plastic"] * 2
         assert_same_states(got, want)
         assert not np.array_equal(got[0][1], got[-1][1])
 
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("tau_e", [None, 0.99])
-    def test_a_call_with_no_events_equals_the_numpy_path(self, monkeypatch, lockstep_calls,
+    def test_a_call_with_no_events_equals_the_numpy_path(self, monkeypatch, kernel_calls,
                                                           tau_e):
         # no input spikes: a zero current, and plastic steps that only decay e into W
         X = np.zeros((4, 60))
         got = lockstep_calls_of(4, 20, tau_e, True, monkeypatch, n_in=60, X=X)
         want = lockstep_calls_of(4, 20, tau_e, False, monkeypatch, n_in=60, X=X)
-        assert len(lockstep_calls) == 2 * SpikingConfig().encoder.steps
+        assert kernel_calls == ["eval" if tau_e is None else "plastic"] * 2
         assert_same_states(got, want)
         assert np.all(got[-1][0] == 0.0)
 
     @pytest.mark.usefixtures("kernels")
     def test_batch_epoch_checkpoint_is_byte_identical(self, small_data, tmp_path, monkeypatch,
-                                                      lockstep_calls):
+                                                      kernel_calls):
         cfg = TrainConfig(eta=0.3, batch_size=20, epochs=1, seed=6, prob_fn=SymmetricProb())
         spk = SpikingConfig(n_out=40, tau_e=0.99)
         layer, log = train_hebbian(cfg, small_data, "batch", spk)
         batches = -(-len(small_data.train) // cfg.batch_size)
-        assert len(lockstep_calls) == batches * spk.encoder.steps
+        assert kernel_calls == ["plastic"] * batches
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "library", lambda: None)
             ref_layer, ref_log = train_hebbian(cfg, small_data, "batch", spk)
-        assert len(lockstep_calls) == batches * spk.encoder.steps
+        assert len(kernel_calls) == batches
         paths = [tmp_path / name for name in ("c.ffaw", "numpy.ffaw")]
         for path, trained in zip(paths, (layer, ref_layer)):
             save_checkpoint(path, trained, small_data.codebook)
@@ -332,17 +422,13 @@ class TestLockstepStep:
         assert fields == [(e.mean_goodness_pos, e.mean_goodness_neg, e.train_loss) for e in ref_log]
 
     @pytest.mark.parametrize("tau_e,rows", [(0.3, 1), (0.999, 4)], ids=["tau_e_0.3", "four_rows"])
-    def test_other_plastic_calls_run_the_lockstep_step(self, kernel_calls, lockstep_calls, tau_e,
-                                                       rows):
+    def test_other_plastic_calls_run_the_lockstep_step(self, kernel_calls, tau_e, rows):
         layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20, tau_e=tau_e)
         X = np.random.default_rng(2).random((rows, 60))
         codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(3), codes, SymmetricProb(), el, 0.1)
-        assert kernel_calls == []
-        enc = spk.encoder
-        want = [False] * (enc.steps - enc.active_window) + [True] * enc.active_window
-        assert lockstep_calls == (want if _kernels.library() is not None else [])
+        assert kernel_calls == (["plastic"] if _kernels.library() is not None else [])
         assert not np.array_equal(layer.weights, before)
 
     @pytest.mark.parametrize("prob,spiking,plastic", [
@@ -353,7 +439,7 @@ class TestLockstepStep:
         (SymmetricProb(), {"trace": TraceConfig(kind="li")}, False),
         (SymmetricProb(), {"lif": LIFConfig(reset_mode="subtract")}, False),
     ], ids=["sigmoid", "li", "hard_li", "subtract", "li-eval", "subtract-eval"])
-    def test_uncovered_configurations_make_no_lockstep_call(self, lockstep_calls, prob, spiking,
+    def test_uncovered_configurations_make_no_lockstep_call(self, kernel_calls, prob, spiking,
                                                             plastic):
         layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99, **spiking)
         X = np.random.default_rng(2).random((4, 60))
@@ -362,53 +448,42 @@ class TestLockstepStep:
         simulate(layer, X, spk, np.random.default_rng(3), *(
             (codes, prob, el, 0.1) if plastic else ()))
         assert not kernel_covers(spk, prob if plastic else None)
-        assert lockstep_calls == []
+        assert kernel_calls == []
         assert np.array_equal(layer.weights, before) != plastic
 
-    def test_unloaded_kernels_run_numpy(self, lockstep_calls, numpy_path):
+    def test_unloaded_kernels_run_numpy(self, kernel_calls, numpy_path):
         layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
         codes = np.array([1, -1], dtype=np.int8)
         X = np.random.default_rng(2).random((2, 60))
         simulate(layer, X, spk, np.random.default_rng(3), codes, SymmetricProb(), el, 0.1)
         simulate(layer, X, spk, np.random.default_rng(3))
-        assert lockstep_calls == []
+        assert kernel_calls == []
 
-    @pytest.mark.parametrize("arg", ["weights", "p", "cols", "starts", "e", "impulse",
-                                     "pos_mask", "positive", "u"])
+    @pytest.mark.parametrize("arg", ARRAY_ARGUMENTS)
     @pytest.mark.parametrize("fault", ["dtype", "layout"])
     def test_refuses_arguments_that_do_not_fit(self, fault, arg):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
-        args = dict(weights=layer.weights, p=np.full(3, 0.5), cols=np.array([3, 7, 2]),
-                    starts=np.array([0, 2, 3]), e=el.e, impulse=el.impulse,
-                    pos_mask=layer.partition.pos_mask, positive=np.array([True, False]),
-                    u=np.zeros(3))
-        args[arg] = misfit(args[arg], fault)
-        u = args.pop("u")
-        before = layer.weights.copy(), el.e.copy()
-        with pytest.raises(ValueError, match="do not fit"):
-            run = _kernels.Lockstep(spiking=spk, tau_e=0.99, eta=0.1, epsilon=0.5, **args)
-            run.step(u, True)
-        assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
+        call = KernelCall(rows=2)
+        call.args[arg] = misfit(call.args[arg], fault)
+        call.assert_refused()
 
-    @pytest.mark.parametrize("fault", ["column", "starts", "no_rows", "no_eligibility"])
-    def test_refuses_events_and_steps_that_do_not_fit(self, fault):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
-        args = dict(weights=layer.weights, spiking=spk, p=np.full(3, 0.5),
-                    cols=np.array([3, 7, 2]), starts=np.array([0, 2, 3]), e=el.e,
-                    impulse=el.impulse, tau_e=0.99, eta=0.1, pos_mask=layer.partition.pos_mask,
-                    positive=np.array([True, False]), epsilon=0.5)
+    @pytest.mark.parametrize("fault", ["column", "starts", "no_rows", "no_eligibility",
+                                       "event_rows"])
+    def test_refuses_events_and_steps_that_do_not_fit(self, request, fault):
+        call = KernelCall(rows=2)
+        if fault in ("column", "starts"):  # checked by the kernel itself
+            request.getfixturevalue("kernels")
         if fault == "column":
-            args["cols"] = np.array([3, 10, 2])
+            call.args["cols"] = np.array([3, 10, 2])
         elif fault == "starts":
-            args["starts"] = np.array([0, 4, 3])
+            call.args["starts"] = np.array([0, 4, 3])
         elif fault == "no_rows":
-            args.update(p=np.zeros(0), cols=np.zeros(0, dtype=np.intp),
-                        starts=np.zeros(1, dtype=np.intp), positive=np.zeros(0, dtype=bool))
-        else:
-            for name in ("e", "impulse", "pos_mask", "positive"):
-                del args[name]
-        with pytest.raises(ValueError, match="do not fit"):
-            _kernels.Lockstep(**args).step(np.zeros(args["p"].size), True)
+            call.args.update(p=np.zeros(0), cols=np.zeros(0, dtype=np.intp),
+                             starts=np.zeros(1, dtype=np.intp), positive=np.zeros(0, dtype=bool))
+        elif fault == "no_eligibility":
+            del call.args["e"], call.args["impulse"]
+        else:  # the event path runs one row
+            call.args["fold_below"] = 0.5
+        call.assert_refused()
 
 
 class TestFusedAdam:
@@ -672,6 +747,46 @@ class TestFallbackProcess:
         assert [out.strip() for out, _ in outs] == ["True"] * 2
         names = [p.name for p in (tmp_path / "ffa").iterdir()]
         assert len(names) == 1 and names[0].endswith(".so"), names
+
+
+def gcc_runtime(name):
+    """The path of gcc's runtime library ``name``, or None when gcc finds none."""
+    try:
+        done = subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                              text=True, timeout=60)
+    except OSError:
+        return None
+    found = Path(done.stdout.strip())
+    return found if found.is_absolute() and found.is_file() else None
+
+
+# the simulate kernel's oracle and refusal tests
+SANITIZED = "equal_the_numpy_path or follow_numpy or refuses or drawn_calls"
+
+
+def test_oracle_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
+    # the kernels take raw addresses: an off-by-one in C reads or writes outside an
+    # array silently unless a sanitizer watches every access
+    asan = gcc_runtime("libasan.so")
+    if asan is None:
+        pytest.skip("gcc -print-file-name=libasan.so finds no AddressSanitizer runtime")
+    runtimes = [str(path) for path in (asan, gcc_runtime("libubsan.so")) if path]
+    env = python_env(CC="gcc -fsanitize=address,undefined -fno-sanitize-recover=all",
+                     LD_PRELOAD=":".join(runtimes),
+                     ASAN_OPTIONS="detect_leaks=0", XDG_CACHE_HOME=str(tmp_path / "xdg"))
+    # --capture=sys leaves the sanitizers' reports on the child's stderr
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--capture=sys", "--basetemp", str(tmp_path / "run"), "-k", SANITIZED,
+                           __file__],
+                          cwd=REPO, env=env, capture_output=True, text=True, timeout=600)
+    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    assert " passed" in summary and "skipped" not in summary, summary
+    # the library those tests loaded is the sanitized build
+    built = list((tmp_path / "run").rglob("_kernels-*.so"))
+    assert len(built) == 1, built
+    assert b"__asan_report_load8" in built[0].read_bytes()
+    assert b"__ubsan_handle" in built[0].read_bytes()
 
 
 def test_import_leaves_the_loader_unloaded_and_the_cache_untouched(tmp_path):
