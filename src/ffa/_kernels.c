@@ -11,10 +11,9 @@
  *                 the stream and end state of rate_encode's rng.random;
  *   ffa_adam      one step of ffa.analog.adam_step.
  *
- * numpy sums one row of a partition pairwise (pairwise_sum) but a stack of
- * rows column by column, so each row of a stack is summed left to right;
- * scipy's sparse products add the rows of W.T, or the rows' impulses, one
- * after another from 0.0.
+ * Each row's partition goodness is summed left to right, as ffa.core.row_sums
+ * sums it; scipy's sparse products add the rows of W.T, or the rows'
+ * impulses, one after another from 0.0.
  *
  * Build with -ffp-contract=off (a fused multiply-add rounds once where
  * numpy rounds twice) and never with -ffast-math (it reorders sums).
@@ -24,34 +23,6 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdlib.h>
-
-/* numpy's pairwise summation of a contiguous float64 run: eight
- * accumulators per block of at most 128 elements, halves above that. */
-static double pairwise_sum(const double *a, ptrdiff_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (ptrdiff_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        ptrdiff_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    ptrdiff_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
 
 /* numpy's axis-0 sum of the rows at offsets rows[0..count) of m: from 0.0,
  * one row after another.  Kept out of line: inlined into ffa_simulate,
@@ -85,33 +56,18 @@ static void fold(double *w, double *e, ptrdiff_t size, double eta, double decay,
 typedef double (*next_double_fn)(void *state);
 
 /* hebbian_post of one row into post: the symmetric modulation_batch times
- * the trace.  A batch of one sums each partition pairwise, a row of a stack
- * left to right; gathered holds n_out doubles. */
+ * the trace, each partition's goodness summed left to right. */
 static void hebbian_post(double *post, const double *tr, ptrdiff_t n_out,
-                         const unsigned char *pos_mask, int positive, double epsilon,
-                         int pairwise, double *gathered)
+                         const unsigned char *pos_mask, int positive, double epsilon)
 {
     const double half_eps = 0.5 * epsilon;
     double g_pos = 0.0, g_neg = 0.0;
-    if (pairwise) {
-        ptrdiff_t n_pos = 0;
-        for (ptrdiff_t j = 0; j < n_out; j++)
-            if (pos_mask[j])
-                gathered[n_pos++] = tr[j] * tr[j];
-        ptrdiff_t n_neg = n_pos;
-        for (ptrdiff_t j = 0; j < n_out; j++)
-            if (!pos_mask[j])
-                gathered[n_neg++] = tr[j] * tr[j];
-        g_pos += pairwise_sum(gathered, n_pos);
-        g_neg += pairwise_sum(gathered + n_pos, n_out - n_pos);
-    } else {
-        for (ptrdiff_t j = 0; j < n_out; j++) {
-            const double sq = tr[j] * tr[j];
-            if (pos_mask[j])
-                g_pos += sq;
-            else
-                g_neg += sq;
-        }
+    for (ptrdiff_t j = 0; j < n_out; j++) {
+        const double sq = tr[j] * tr[j];
+        if (pos_mask[j])
+            g_pos += sq;
+        else
+            g_neg += sq;
     }
     const double p_pos = (g_pos + half_eps) / (g_pos + g_neg + epsilon);
     const double g_match = positive ? g_pos : g_neg;
@@ -150,9 +106,9 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
     for (ptrdiff_t k = 0; k < nnz; k++)
         if (cols[k] < 0 || cols[k] >= n_in)
             return -1;
-    /* potential [rows][n_out], then current, gathered and e_sum [n_out];
-     * fired holds a row's W.T offsets, touched flags the impulse rows set */
-    double *work = calloc((size_t)((rows + 3) * n_out), sizeof *work);
+    /* potential [rows][n_out], then current and e_sum [n_out]; fired holds
+     * a row's W.T offsets, touched flags the impulse rows set */
+    double *work = calloc((size_t)((rows + 2) * n_out), sizeof *work);
     ptrdiff_t *fired = malloc((size_t)n_in * sizeof *fired);
     unsigned char *touched = calloc((size_t)n_in, 1);
     if ((n_out && !work) || (n_in && (!fired || !touched))) { /* a size 0 may give NULL */
@@ -161,8 +117,7 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
         free(touched);
         return -2;
     }
-    double *potential = work, *current = work + rows * n_out;
-    double *gathered = current + n_out, *e_sum = gathered + n_out;
+    double *potential = work, *current = work + rows * n_out, *e_sum = current + n_out;
     double decay = 1.0, decay_sum = 0.0;
 
     for (ptrdiff_t t = 0; t < steps; t++) {
@@ -196,8 +151,7 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
                 continue;
 
             /* current now holds the row's post factor */
-            hebbian_post(current, tr, n_out, pos_mask, positive[b], epsilon, rows == 1,
-                         gathered);
+            hebbian_post(current, tr, n_out, pos_mask, positive[b], epsilon);
             if (event) { /* _EventSynapses.step */
                 decay *= tau_e;
                 const double a = (1.0 - tau_e) / decay, scale = eta * decay_sum;

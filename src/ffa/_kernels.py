@@ -3,11 +3,11 @@
 ``_kernels.c`` holds one whole call of :func:`ffa.spiking.simulate` over B
 rows, on its lockstep path or its event-driven B = 1 path, and one fused
 :func:`ffa.analog.adam_step`.  numpy stays the rule and the oracle: each C
-loop performs the same IEEE operations in the same order, numpy's summation
-orders included, so it gives the numpy path's bits.  numpy sums a partition
-of one row pairwise but the rows of a stack left to right, and scipy's
-sparse products add rows one after another from 0.0; the simulate kernel
-follows each.  It draws its uniforms through the generator's public
+loop performs the same IEEE operations in the same order, summation orders
+included, so it gives the numpy path's bits.  :func:`ffa.core.row_sums`
+adds each row's partition goodness left to right at every batch size, and
+scipy's sparse products add rows one after another from 0.0; the simulate
+kernel follows each.  It draws its uniforms through the generator's public
 ``bit_generator.ctypes.next_double`` with the generator's lock held, one per
 event in event order each step: the stream and end state of
 ``rate_encode``'s ``rng.random(nnz)``.

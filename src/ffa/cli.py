@@ -44,24 +44,40 @@ def build_runner(cfg: ExperimentConfig, epoch: int = 0) -> metrics.LatentRunner:
     return metrics.spiking_runner(cfg.spiking_config(), cfg.seed, epoch)
 
 
-def train_model(cfg: ExperimentConfig, data: ExperimentData, eval_each_epoch: bool = True):
+def train_model(cfg: ExperimentConfig, data: ExperimentData, eval_each_epoch: bool = True,
+                log_backend: bool = False):
     """Run the configured trainer; returns (layer, per-epoch stats).
 
     Each epoch's test accuracy depends only on the config and the epoch's weights.
+    With ``log_backend``, logs whether the trainer's own loop made a compiled
+    kernel call; the per-epoch evaluation's calls do not count.
     """
+    from . import _kernels
+
     prob_fn = cfg.prob_fn()
+    eval_runs = 0
 
     eval_fn = None
     if eval_each_epoch:
         def eval_fn(layer, epoch):
+            nonlocal eval_runs
+            runs = _kernels.runs
             runner = build_runner(cfg, epoch)
-            return metrics.accuracy(layer, data.test, data.codebook, runner, prob_fn)
+            acc = metrics.accuracy(layer, data.test, data.codebook, runner, prob_fn)
+            eval_runs += _kernels.runs - runs
+            return acc
 
+    runs = _kernels.runs
     if cfg.model == "analog":
-        return analog.train_analog(cfg.train_config(), data, eval_fn, n_out=cfg.n_hidden)
-    return spiking.train_hebbian(
-        cfg.train_config(), data, cfg.mode(), cfg.spiking_config(), eval_fn
-    )
+        trained = analog.train_analog(cfg.train_config(), data, eval_fn, n_out=cfg.n_hidden)
+    else:
+        trained = spiking.train_hebbian(
+            cfg.train_config(), data, cfg.mode(), cfg.spiking_config(), eval_fn
+        )
+    if log_backend:
+        compiled = _kernels.runs - runs > eval_runs
+        logger.info("backend: %s", f"c ({_kernels.compiler()})" if compiled else "numpy")
+    return trained
 
 
 def write_epoch_log(path, log) -> None:
@@ -83,12 +99,8 @@ def final_accuracy(cfg: ExperimentConfig, data: ExperimentData, layer, log) -> f
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    from . import _kernels
-
     data = prepare_data(cfg)
-    runs = _kernels.runs
-    layer, log = train_model(cfg, data)
-    logger.info("backend: %s", f"c ({_kernels.compiler()})" if _kernels.runs > runs else "numpy")
+    layer, log = train_model(cfg, data, log_backend=True)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "model.ffaw", layer, data.codebook)

@@ -27,6 +27,7 @@ __all__ = [
     "probability_batch",
     "modulation_batch",
     "bce_batch",
+    "row_sums",
 ]
 
 # Clamp applied to probabilities before taking logs.
@@ -107,11 +108,23 @@ ProbabilityFn = Union[SigmoidProb, SymmetricProb]
 # holds its int8 polarity, +1 for a positive and -1 for a negative sample.
 
 
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum [B] of ``a`` [B, n], added left to right at every B.
+
+    numpy sums along an array's fast axis pairwise, so a row is summed as a
+    prefix sum and a stack along the slow axis of its Fortran-ordered copy
+    (a masked selection of columns already is one).  An empty row sums to 0.0.
+    """
+    if a.shape[0] == 1 and a.shape[1] > 1:
+        return np.add.accumulate(a, axis=1)[:, -1]
+    return np.asfortranarray(a).sum(axis=1)
+
+
 def _symmetric_terms(latents: np.ndarray, prob_fn: SymmetricProb, partition: PolarityPartition):
     """Per-row ``(g_pos, g_neg, p)``: partition goodness and the symmetric probability."""
     sq = latents * latents
-    g_pos = sq[:, partition.pos_mask].sum(axis=1)
-    g_neg = sq[:, ~partition.pos_mask].sum(axis=1)
+    g_pos = row_sums(sq[:, partition.pos_mask])
+    g_neg = row_sums(sq[:, ~partition.pos_mask])
     eps = prob_fn.epsilon
     return g_pos, g_neg, (g_pos + 0.5 * eps) / (g_pos + g_neg + eps)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analog import DenseLayer, forward_labelled
 from .atomic import atomic_write
-from .core import ProbabilityFn, SigmoidProb
+from .core import ProbabilityFn, SigmoidProb, row_sums
 from .data import Dataset, LabelCodebook, check_labels, embed_batch
 from .errors import DataError
 from .forks import fork_map
@@ -77,11 +77,12 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
 def goodness_scores(
     latents: np.ndarray, prob_fn: ProbabilityFn, layer: DenseLayer
 ) -> np.ndarray:
-    """Per-row classification score: total or positive-partition goodness."""
+    """Per-row classification score: total or positive-partition goodness, the
+    latter summed as the symmetric probability sums it (:func:`~ffa.core.row_sums`)."""
     sq = latents * latents
     if isinstance(prob_fn, SigmoidProb):
         return sq.sum(axis=1)
-    return sq[:, layer.partition.pos_mask].sum(axis=1)
+    return row_sums(sq[:, layer.partition.pos_mask])
 
 
 def scan(

@@ -9,8 +9,8 @@ here; the package carries it as int8 codes with the same values.
 :func:`read_latents` reads back the CSV that ``ffa.metrics.export_latents``
 writes.  :func:`row_major_simulate` is the dense plastic loop as it ran on
 row-major synapse storage, the oracle of the presynaptic-major one.
-:func:`pairwise_sum` and :func:`left_to_right_sum` are the two summation
-orders numpy uses for a row's partition goodness.
+:func:`left_to_right_sum` is the summation order of a row's partition
+goodness and of scipy's sparse products.
 """
 
 from __future__ import annotations
@@ -250,25 +250,3 @@ def left_to_right_sum(values) -> float:
         total += float(v)
     return total
 
-
-def pairwise_sum(values) -> float:
-    """numpy's pairwise summation of a contiguous float64 run: eight
-    accumulators per block of at most 128 elements, halves above that."""
-    a = [float(v) for v in values]
-    n = len(a)
-    if n < 8:
-        return left_to_right_sum(a)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
-    acc = a[:8]
-    i = 8
-    while i < n - n % 8:
-        for j in range(8):
-            acc[j] += a[i + j]
-        i += 8
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in a[i:]:
-        total += v
-    return total

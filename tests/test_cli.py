@@ -55,17 +55,21 @@ class TestTrain:
         assert len(log_lines) == 3  # header + 2 epochs
         assert "final test accuracy:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("model,trace,compiled", [
-        ("analog", "relu", True), ("hebbian_online", "relu", True), ("hebbian", "relu", True),
-        ("hebbian", "li", False),
-    ], ids=["analog-True", "hebbian_online-True", "hebbian-True", "hebbian-li-False"])
-    def test_logs_the_backend_once(self, base_config, caplog, model, trace, compiled):
+    @pytest.mark.parametrize("model,trace,prob,compiled", [
+        ("analog", "relu", "symmetric", True), ("hebbian_online", "relu", "symmetric", True),
+        ("hebbian", "relu", "symmetric", True), ("hebbian", "li", "symmetric", False),
+        ("hebbian", "relu", "sigmoid", False), ("hebbian_online", "relu", "sigmoid", False),
+    ], ids=["analog-True", "hebbian_online-True", "hebbian-True", "hebbian-li-False",
+            "hebbian-sigmoid-False", "hebbian_online-sigmoid-False"])
+    def test_logs_the_backend_once(self, base_config, caplog, model, trace, prob, compiled):
+        # a sigmoid run trains on numpy, though its per-epoch spiking eval runs compiled
         from ffa import _kernels
 
         config, out_dir = base_config
         with caplog.at_level("INFO", logger="ffa.cli"):
             assert run_cli("train", "--config", config, "--set", f"experiment.model={model}",
                            "--set", f"experiment.trace={trace}",
+                           "--set", f"experiment.prob={prob}",
                            "--set", "experiment.epochs=1") == 0
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("backend")]
         ran = compiled and _kernels.library() is not None

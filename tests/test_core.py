@@ -15,13 +15,16 @@ from ffa.core import (
     PolarityPartition,
     SigmoidProb,
     SymmetricProb,
+    _symmetric_terms,
     modulation_batch,
     probability_batch,
+    row_sums,
 )
 from tests.reference import (
     Polarity,
     bce_loss,
     goodness,
+    left_to_right_sum,
     modulation_sigmoid,
     modulation_symmetric,
     partition_goodness,
@@ -281,6 +284,33 @@ class TestBatchedForms:
         codes = np.resize(np.array([1, -1], dtype=np.int8), 11)
         p, _ = modulation_batch(latents, codes, prob, part)
         assert np.array_equal(p, probability_batch(latents, prob, part))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 100, 1000])
+    def test_partition_sums_add_left_to_right(self, rows):
+        # numpy sums a contiguous run pairwise (eight accumulators, 128-element blocks);
+        # each partition's goodness is added left to right at every batch size
+        rng = np.random.default_rng(rows)
+        orders_differ = False
+        for width in (1, 7, 8, 9, 127, 128, 129, 150, 300):
+            part = PolarityPartition(np.arange(2 * width) % 2 == 0)
+            latents = rng.uniform(0, 30, size=(rows, 2 * width))
+            sq = latents * latents
+            want = [[left_to_right_sum(row[mask]) for row in sq]
+                    for mask in (part.pos_mask, ~part.pos_mask)]
+            for order in "CF":
+                g_pos, g_neg, _ = _symmetric_terms(np.asarray(latents, order=order),
+                                                   SymmetricProb(), part)
+                assert [g_pos.tolist(), g_neg.tolist()] == want, (width, order)
+                assert row_sums(np.asarray(sq[:, part.pos_mask], order=order)).tolist() == want[0]
+            orders_differ |= sq[0, part.pos_mask].sum() != want[0][0]
+        assert orders_differ  # numpy's pairwise sum of a row differs on this data
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_an_empty_partition_has_zero_goodness(self, rows):
+        assert row_sums(np.empty((rows, 0))).tolist() == [0.0] * rows
+        part = PolarityPartition.all_positive(5)
+        g_pos, g_neg, _ = _symmetric_terms(np.full((rows, 5), 2.0), SymmetricProb(), part)
+        assert g_pos.tolist() == [20.0] * rows and g_neg.tolist() == [0.0] * rows
 
     def test_probability_batch_bounds(self):
         rng = np.random.default_rng(7)

@@ -34,7 +34,7 @@ from ffa.spiking import (
     train_hebbian,
 )
 
-from tests.reference import left_to_right_sum, pairwise_sum
+from tests.reference import left_to_right_sum
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -155,7 +155,7 @@ class TestOnlineSample:
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("n_out", [12, 40, 300])
     def test_partition_sums_follow_numpy_at_every_width(self, monkeypatch, kernel_calls, n_out):
-        # halves of 6 (below numpy's 8-accumulator block), 20 and 150 (split in two)
+        # halves of 6, 20 and 150, on both sides of numpy's pairwise blocks (8 and 128)
         rows = input_rows("dense", n=4, n_in=120)
         got = run_calls(rows, SymmetricProb(), True, monkeypatch, n_out=n_out)
         want = run_calls(rows, SymmetricProb(), False, monkeypatch, n_out=n_out)
@@ -265,16 +265,30 @@ def assert_same_states(got, want):
         assert g[3] == w[3], call
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 150])
-def test_numpy_sums_one_row_pairwise_and_a_stack_left_to_right(n):
-    # the order the kernels' partition sums follow (numpy 2.4): sq[:, mask].sum(axis=1)
-    # is pairwise per row for one row, but column by column for a stack of rows
-    sq = np.random.default_rng(n).random((3, 2 * n)) ** 2 * 1e3
-    mask = np.arange(2 * n) % 2 == 0
-    assert sq[:1, mask].sum(axis=1)[0] == pairwise_sum(sq[0, mask])
-    assert sq[:, mask].sum(axis=1).tolist() == [left_to_right_sum(row) for row in sq[:, mask]]
-    if n == 150:  # the two orders differ here, so the checks above tell them apart
-        assert pairwise_sum(sq[0, mask]) != left_to_right_sum(sq[0, mask])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("width", [7, 8, 9, 127, 128, 129, 150])
+def test_scipy_sparse_products_add_left_to_right(rows, width):
+    # the kernel's two sparse sums (scipy 1.17): simulate's spikes @ W.T adds the fired
+    # rows of W.T in ascending column order, and hebbian_impulse's post.T @ spikes adds
+    # each input's row posts in row order b = 0..B-1, each from 0.0
+    from scipy.sparse import csr_array
+
+    rng = np.random.default_rng(width)
+    dense = rng.random((rows, width)) < 0.9
+    dense[0] = True  # a row whose current adds all `width` rows of W.T
+    spikes = csr_array(dense.astype(np.float64))
+    weights = np.asfortranarray(rng.standard_normal((width, width)))
+    post = rng.standard_normal((rows, width))
+    terms = {
+        "current": (spikes @ weights.T, [[weights[j, dense[b]] for j in range(width)]
+                                         for b in range(rows)]),
+        "impulse": (post.T @ spikes, [[post[dense[:, i], j] for i in range(width)]
+                                      for j in range(width)]),
+    }
+    for name, (got, sums) in terms.items():
+        assert got.tolist() == [[left_to_right_sum(t) for t in row] for row in sums], name
+        if name == "current" or rows > 1:  # another order gives other bits on this data
+            assert got.tolist() != [[left_to_right_sum(t[::-1]) for t in row] for row in sums]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
@@ -347,6 +361,18 @@ def run_drawn_call(call, compiled):
 
 
 @pytest.mark.usefixtures("kernels")
+@pytest.mark.parametrize("rows,tau_e", [(1, 0.999), (1, 0.3), (3, 0.99)],
+                         ids=["event", "1", "3"])
+def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_calls, rows, tau_e):
+    # split_halves(1) leaves the negative half empty: its goodness is 0.0 on both paths
+    got = lockstep_calls_of(rows, 1, tau_e, True, monkeypatch, n_in=60)
+    want = lockstep_calls_of(rows, 1, tau_e, False, monkeypatch, n_in=60)
+    assert kernel_calls == ["event" if rows == 1 and tau_e >= 0.5 else "plastic"] * 2
+    assert_same_states(got, want)
+    assert not np.array_equal(got[0][1], got[-1][1])
+
+
+@pytest.mark.usefixtures("kernels")
 @settings(max_examples=200)
 @given(call=simulate_calls())
 def test_drawn_calls_equal_the_numpy_path(call):
@@ -382,8 +408,8 @@ class TestLockstepStep:
     @pytest.mark.parametrize("n_out", [14, 16, 18, 254, 256, 258, 300])
     def test_partition_sums_follow_numpy_at_every_width(self, monkeypatch, kernel_calls, rows,
                                                         n_out):
-        # halves of 7, 8 and 9 (numpy's 8-accumulator block), 127, 128 and 129 (its
-        # 128-element block) and 150; one row sums pairwise, a stack left to right
+        # halves of 7, 8 and 9, 127, 128 and 129 (the edges of numpy's pairwise blocks)
+        # and 150; one row and a stack both sum each half left to right
         got = lockstep_calls_of(rows, n_out, 0.3, True, monkeypatch, n_in=60)
         want = lockstep_calls_of(rows, n_out, 0.3, False, monkeypatch, n_in=60)
         assert kernel_calls == ["plastic"] * 2
@@ -771,6 +797,12 @@ def test_oracle_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
     if asan is None:
         pytest.skip("gcc -print-file-name=libasan.so finds no AddressSanitizer runtime")
     runtimes = [str(path) for path in (asan, gcc_runtime("libubsan.so")) if path]
+    # every test the subset selects unsanitized must pass sanitized: none may error or skip
+    collected = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                "--collect-only", "-k", SANITIZED, __file__], cwd=REPO,
+                               env=python_env(), capture_output=True, text=True, timeout=300,
+                               check=True)
+    selected = sum("::" in line for line in collected.stdout.splitlines())
     env = python_env(CC="gcc -fsanitize=address,undefined -fno-sanitize-recover=all",
                      LD_PRELOAD=":".join(runtimes),
                      ASAN_OPTIONS="detect_leaks=0", XDG_CACHE_HOME=str(tmp_path / "xdg"))
@@ -781,7 +813,7 @@ def test_oracle_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
                           cwd=REPO, env=env, capture_output=True, text=True, timeout=600)
     summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
-    assert " passed" in summary and "skipped" not in summary, summary
+    assert summary.startswith(f"{selected} passed, ") and "skipped" not in summary, summary
     # the library those tests loaded is the sanitized build
     built = list((tmp_path / "run").rglob("_kernels-*.so"))
     assert len(built) == 1, built

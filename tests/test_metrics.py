@@ -23,7 +23,7 @@ from ffa.metrics import (
     spiking_runner,
 )
 from ffa.spiking import SpikeEncoderConfig, SpikingConfig, simulate
-from tests.reference import forward, goodness, partition_goodness, read_latents
+from tests.reference import forward, goodness, left_to_right_sum, partition_goodness, read_latents
 
 
 class TestHoyerIndex:
@@ -348,6 +348,21 @@ class TestScan:
         ])
         assert np.any(scored > 0)
         assert np.array_equal(goodness_scores(dump.latents, prob, layer), scored)
+
+    def test_a_one_row_dataset_scores_its_positive_goodness_left_to_right(self):
+        # a one-row chunk sums its partition as a stack of rows does, not pairwise
+        rng = np.random.default_rng(16)
+        book = LabelCodebook(length=8, density=0.3, seed=3)
+        layer = trained_like_layer(rng, 300, 18)
+        runner, calls = recording(analog_runner())
+        scan(layer, Dataset(rng.uniform(0, 1, size=(1, 10)), [2]), book, runner, SymmetricProb())
+        pairwise_differs = False
+        for latents in calls[0]:
+            sq = latents[0, layer.partition.pos_mask] ** 2
+            want = left_to_right_sum(sq)
+            assert goodness_scores(latents, SymmetricProb(), layer).tolist() == [want]
+            pairwise_differs |= sq.sum() != want
+        assert pairwise_differs
 
     def test_evaluate_accuracy_equals_accuracy_spiking(self, synthetic_data):
         layer = trained_like_layer(np.random.default_rng(15), 14, 120)
