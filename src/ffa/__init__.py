@@ -25,6 +25,7 @@ from .data import (
     batches,
     embed_batch,
     load_mnist,
+    load_split,
     pair_codes,
 )
 from .errors import (

@@ -21,7 +21,7 @@ from . import analog, metrics, spiking
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, apply_overrides, load_config, serialize_config
-from .data import ExperimentData, load_mnist
+from .data import ExperimentData, load_mnist, load_split
 from .errors import CheckpointError, ConfigError, DivergenceError, FFAError, SilentLayerError
 from .forks import fork_map
 
@@ -111,8 +111,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_for_eval(cfg: ExperimentConfig, checkpoint_path) -> tuple:
-    """Checkpoint layer and dataset, checked against each other and the config."""
+def _load_for_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> tuple:
+    """Checkpoint layer, its codebook and the one split scored, checked against each
+    other and the config."""
     layer, codebook = load_checkpoint(checkpoint_path)
     if layer.n_out != cfg.n_hidden:
         raise CheckpointError(
@@ -126,20 +127,19 @@ def _load_for_eval(cfg: ExperimentConfig, checkpoint_path) -> tuple:
         )
     if layer.partition != analog.partition_for(cfg.prob_fn(), cfg.n_hidden):
         raise CheckpointError(f"{checkpoint_path}: polarity split does not match prob {cfg.prob!r}")
-    train, test = load_mnist(cfg.data_dir)
-    data = ExperimentData(train, test, codebook)
-    if data.input_dim != layer.n_in:
+    dataset = load_split(cfg.data_dir, split)
+    input_dim = dataset.images.shape[1] + codebook.length
+    if input_dim != layer.n_in:
         raise CheckpointError(
-            f"{checkpoint_path}: expects {layer.n_in} inputs, dataset+codebook give "
-            f"{data.input_dim}"
+            f"{checkpoint_path}: expects {layer.n_in} inputs, dataset+codebook give {input_dim}"
         )
-    return layer, data
+    return layer, codebook, dataset
 
 
 def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
-    layer, data = _load_for_eval(cfg, checkpoint_path)
+    layer, codebook, dataset = _load_for_eval(cfg, checkpoint_path, split)
     report, _ = metrics.evaluate(
-        layer, getattr(data, split), data.codebook, build_runner(cfg), cfg.prob_fn(),
+        layer, dataset, codebook, build_runner(cfg), cfg.prob_fn(),
         model_tag=f"{cfg.model}/{cfg.prob}",
     )
     print(report.format())
@@ -147,9 +147,9 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
 
 
 def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> int:
-    layer, data = _load_for_eval(cfg, checkpoint_path)
+    layer, codebook, dataset = _load_for_eval(cfg, checkpoint_path, split)
     dump = metrics.collect_latents(
-        layer, getattr(data, split), data.codebook, build_runner(cfg),
+        layer, dataset, codebook, build_runner(cfg),
         model_tag=f"{cfg.model}/{cfg.prob}",
     )
     metrics.export_latents(dump, output)

@@ -1,6 +1,7 @@
 """Dataset ingestion and contrastive batch construction.
 
-MNIST is read from the standard IDX files (raw or gzipped).  Labels are
+MNIST is read from the standard IDX files (raw or gzipped) and its pixels
+are kept as bytes; a batch turns only its own rows into floats.  Labels are
 embedded into the input by appending a fixed random binary codeword per
 class; positive rows carry the true label's codeword, negative rows a
 deliberately wrong one.
@@ -29,13 +30,19 @@ _TEST_LABELS = ("t10k-labels-idx1-ubyte", "t10k-labels.idx1-ubyte")
 
 @dataclass
 class Dataset:
-    """Flat images in [0, 1] plus integer labels in 0-9."""
+    """Flat images in [0, 1] plus integer labels in 0-9.
 
-    images: np.ndarray  # [N, D] float64
+    ``images`` is stored as given when it is uint8, a byte p standing for
+    p / 255 as in the IDX files; any other array is stored as float64.  Read
+    float rows through :meth:`images_at`.
+    """
+
+    images: np.ndarray  # [N, D] uint8 (p / 255) or float64
     labels: np.ndarray  # [N] int64
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        images = np.asarray(self.images)
+        self.images = images if images.dtype == np.uint8 else np.asarray(images, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 2 or self.images.shape[0] != self.labels.shape[0]:
             raise DataError(
@@ -46,6 +53,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
+
+    def images_at(self, index) -> np.ndarray:
+        """The float64 rows ``index`` selects: bytes become ``p / 255``, floats read as stored."""
+        rows = self.images[index]
+        return np.divide(rows, 255.0, dtype=np.float64) if rows.dtype == np.uint8 else rows
 
 
 def _open_maybe_gzip(path: Path):
@@ -64,18 +76,28 @@ def _read_header(f, path: Path, n_fields: int) -> tuple[int, ...]:
 
 
 def read_idx_images(path: Path) -> np.ndarray:
-    """Parse an IDX3 image file into a [N, rows*cols] float64 array in [0, 1]."""
+    """Parse an IDX3 image file into its [N, rows*cols] uint8 pixels, read in place."""
     path = Path(path)
     with _open_maybe_gzip(path) as f:
         magic, count, rows, cols = _read_header(f, path, 4)
         if magic != IMAGE_MAGIC:
             raise DataError(f"{path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-        payload = f.read()
-    expected = count * rows * cols
-    if len(payload) != expected:
-        raise DataError(f"{path}: expected {expected} pixel bytes, found {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(np.float64) / 255.0
+        if min(count, rows, cols) < 0:
+            raise DataError(f"{path}: negative image count or size {count}x{rows}x{cols}")
+        expected = count * rows * cols
+        try:
+            pixels = np.empty(expected, dtype=np.uint8)
+        except (MemoryError, ValueError) as exc:
+            raise DataError(f"{path}: cannot hold the {expected} pixel bytes the header "
+                            "claims") from exc
+        view, filled = memoryview(pixels), 0
+        while filled < expected and (n := f.readinto(view[filled:])):
+            filled += n
+        if filled == expected:
+            filled += len(f.read())
+    if filled != expected:
+        raise DataError(f"{path}: expected {expected} pixel bytes, found {filled}")
+    return pixels.reshape(count, rows * cols)
 
 
 def read_idx_labels(path: Path) -> np.ndarray:
@@ -102,9 +124,25 @@ def _find_file(directory: Path, names: tuple[str, ...]) -> Path:
     raise DataError(f"none of {names} (or .gz) found in {directory}")
 
 
-def _load_split(directory: Path, image_names, label_names) -> Dataset:
-    image_path = _find_file(directory, image_names)
-    label_path = _find_file(directory, label_names)
+_SPLITS = {
+    "train": (_TRAIN_IMAGES, _TRAIN_LABELS),
+    "test": (_TEST_IMAGES, _TEST_LABELS),
+}
+
+
+def _split_files(directory: Path, split: str) -> tuple[Path, Path]:
+    """The image and label files of ``split`` ("train" or "test") in ``directory``."""
+    if split not in _SPLITS:
+        raise DataError(f"unknown split {split!r}; expected one of {sorted(_SPLITS)}")
+    if not directory.is_dir():
+        raise DataError(f"dataset directory not found: {directory}")
+    image_names, label_names = _SPLITS[split]
+    return _find_file(directory, image_names), _find_file(directory, label_names)
+
+
+def load_split(path, split: str) -> Dataset:
+    """Load one split ("train" or "test") from a directory of IDX files, its pixels as bytes."""
+    image_path, label_path = _split_files(Path(path), split)
     images = read_idx_images(image_path)
     labels = read_idx_labels(label_path)
     if images.shape[0] != labels.shape[0]:
@@ -118,12 +156,14 @@ def _load_split(directory: Path, image_names, label_names) -> Dataset:
 
 
 def load_mnist(path) -> tuple[Dataset, Dataset]:
-    """Load the train and test splits from a directory of IDX files."""
-    directory = Path(path)
-    if not directory.is_dir():
-        raise DataError(f"dataset directory not found: {directory}")
-    train = _load_split(directory, _TRAIN_IMAGES, _TRAIN_LABELS)
-    test = _load_split(directory, _TEST_IMAGES, _TEST_LABELS)
+    """Load the train and test splits from a directory of IDX files; their widths must agree."""
+    train, test = load_split(path, "train"), load_split(path, "test")
+    if train.images.shape[1] != test.images.shape[1]:
+        train_file, test_file = (_split_files(Path(path), split)[0] for split in ("train", "test"))
+        raise DataError(
+            f"{train_file} has images of {train.images.shape[1]} pixels but {test_file} "
+            f"has images of {test.images.shape[1]}; both splits must have the same size"
+        )
     return train, test
 
 
@@ -253,7 +293,7 @@ def batches(dataset: Dataset, k: int, seed: int, epoch: int) -> Iterator[PairBat
         labels = dataset.labels[chunk]
         draw = rng.integers(9, size=chunk.size)
         wrong = draw + (draw >= labels)
-        yield PairBatch(dataset.images[chunk], np.stack([labels, wrong], axis=1))
+        yield PairBatch(dataset.images_at(chunk), np.stack([labels, wrong], axis=1))
 
 
 @dataclass

@@ -103,7 +103,7 @@ def scan(
     true_latents = np.empty((len(dataset), layer.n_out))
     for start in range(0, len(dataset), chunk):
         rows = slice(start, start + chunk)
-        images, labels = dataset.images[rows], dataset.labels[rows]
+        images, labels = dataset.images_at(rows), dataset.labels[rows]
         scores = np.empty((images.shape[0], 10))
         for c, latents in zip(range(10), runner(layer, images, codebook, range(10)), strict=True):
             scores[:, c] = goodness_scores(latents, prob_fn, layer)
@@ -154,7 +154,7 @@ def collect_latents(
     latents = np.empty((len(dataset), layer.n_out))
     for start in range(0, len(dataset), chunk):
         rows = slice(start, start + chunk)
-        (latents[rows],) = runner(layer, dataset.images[rows], codebook, [dataset.labels[rows]])
+        (latents[rows],) = runner(layer, dataset.images_at(rows), codebook, [dataset.labels[rows]])
     return LatentDump(latents, dataset.labels.copy(), model_tag)
 
 

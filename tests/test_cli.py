@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffa import cli, forks, metrics
+from ffa import _kernels, cli, forks, metrics
 from ffa.checkpoint import load_checkpoint, save_checkpoint
 from ffa.config import apply_overrides, load_config
+from ffa.data import Dataset, ExperimentData, load_mnist
 from tests.conftest import write_idx_images, write_idx_labels
 from tests.reference import read_latents
 
@@ -88,6 +89,30 @@ class TestTrain:
             outs.append(out)
         for artifact in ("model.ffaw", "log.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
+    @pytest.mark.parametrize("model", ["analog", "hebbian", "hebbian_online"])
+    def test_idx_bytes_train_the_checkpoint_of_their_float_twin(self, base_config, tmp_path,
+                                                                monkeypatch, model):
+        # the files' bytes and the floats p / 255 they stand for give the same model.ffaw,
+        # compiled and on numpy
+        config, _ = base_config
+        cfg = apply_overrides(load_config(config), {
+            "experiment.model": model, "experiment.epochs": "1"}).normalized()
+        train, test = load_mnist(cfg.data_dir)
+        twin = ExperimentData(Dataset(train.images / 255.0, train.labels),
+                              Dataset(test.images / 255.0, test.labels), cfg.codebook())
+        checkpoints = []
+        for backend in ("compiled", "numpy"):
+            if backend == "numpy":
+                monkeypatch.setattr(_kernels, "library", lambda: None)
+            out = tmp_path / backend
+            assert run_cli("train", "--config", config, "--out-dir", out,
+                           "--set", f"experiment.model={model}",
+                           "--set", "experiment.epochs=1") == 0
+            layer, _ = cli.train_model(cfg, twin)
+            save_checkpoint(out / "twin.ffaw", layer, twin.codebook)
+            checkpoints += [(out / name).read_bytes() for name in ("model.ffaw", "twin.ffaw")]
+        assert all(checkpoint == checkpoints[0] for checkpoint in checkpoints)
 
     @pytest.mark.parametrize("model", ["hebbian", "hebbian_online"])
     def test_silent_layer_fails_the_run(self, base_config, capsys, model):
@@ -179,6 +204,33 @@ class TestEval:
                        "--set", "experiment.n_hidden=32")
         assert code == 4
         assert "error:checkpoint:" in capsys.readouterr().err
+
+    def test_test_split_is_scored_without_the_train_files(self, base_config, idx_dataset_dir,
+                                                          tmp_path, capsys):
+        config, out_dir = base_config
+        run_cli("train", "--config", config)
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            (idx_dataset_dir / name).unlink()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", config,
+                       "--checkpoint", out_dir / "model.ffaw", "--split", "test") == 0
+        assert "accuracy:" in capsys.readouterr().out
+        assert run_cli("export", "--config", config, "--checkpoint", out_dir / "model.ffaw",
+                       "--split", "test", "--output", tmp_path / "latents.csv") == 0
+        assert "wrote 80 latents" in capsys.readouterr().out
+        assert run_cli("eval", "--config", config,
+                       "--checkpoint", out_dir / "model.ffaw", "--split", "train") == 3
+        assert "train-images-idx3-ubyte" in capsys.readouterr().err
+
+    def test_scored_split_must_fit_the_checkpoint(self, base_config, idx_dataset_dir, capsys):
+        config, out_dir = base_config
+        run_cli("train", "--config", config)
+        write_idx_images(idx_dataset_dir / "t10k-images-idx3-ubyte",
+                         np.zeros((80, 5, 5), dtype=np.uint8))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", config,
+                       "--checkpoint", out_dir / "model.ffaw", "--split", "test") == 4
+        assert "expects 44 inputs, dataset+codebook give 33" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["analog", "hebbian"])
     def test_non_finite_checkpoint_refused(self, base_config, capsys, model):
@@ -495,6 +547,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:data:" in err and f"{split}-images-idx3-ubyte" in err
         assert not (out_dir / "model.ffaw").exists()
+
+    def test_splits_of_different_widths_are_a_data_error_before_training(
+            self, base_config, idx_dataset_dir, capsys, monkeypatch):
+        config, out_dir = base_config
+        write_idx_images(idx_dataset_dir / "t10k-images-idx3-ubyte",
+                         np.zeros((80, 5, 5), dtype=np.uint8))
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: pytest.fail("trained"))
+        assert run_cli("train", "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "error:data:" in err
+        for name in ("train-images-idx3-ubyte", "t10k-images-idx3-ubyte"):
+            assert str(idx_dataset_dir / name) in err
+        assert not out_dir.exists()
 
     def test_invalid_config_enumerates_fields(self, base_config, capsys):
         config, _ = base_config

@@ -1,4 +1,6 @@
 import gzip
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +9,18 @@ from scipy import stats
 from ffa.data import (
     MAX_CODEBOOK_DRAWS,
     Dataset,
+    ExperimentData,
     LabelCodebook,
     batches,
     embed_batch,
     load_mnist,
+    load_split,
     pair_codes,
     read_idx_images,
     read_idx_labels,
 )
+from ffa.analog import TrainConfig, train_analog
+from ffa.core import SymmetricProb
 from ffa.errors import DataError
 from tests.conftest import write_idx_images, write_idx_labels
 
@@ -30,9 +36,11 @@ class TestIdxParsing:
         path = tmp_path / "imgs"
         write_idx_images(path, small_images)
         loaded = read_idx_images(path)
-        assert loaded.shape == (12, 25)
-        assert loaded.min() >= 0.0 and loaded.max() <= 1.0
-        assert np.array_equal(loaded, small_images.reshape(12, 25) / 255.0)
+        assert loaded.shape == (12, 25) and loaded.dtype == np.uint8
+        assert np.array_equal(loaded, small_images.reshape(12, 25))
+        floats = Dataset(loaded, np.zeros(12)).images_at(slice(None))
+        assert floats.dtype == np.float64
+        assert floats.tobytes() == (small_images.reshape(12, 25) / 255.0).tobytes()
 
     def test_label_round_trip(self, tmp_path):
         path = tmp_path / "labels"
@@ -60,6 +68,24 @@ class TestIdxParsing:
         with pytest.raises(DataError, match="expected"):
             read_idx_images(path)
 
+    def test_trailing_payload_names_file(self, tmp_path, small_images):
+        path = tmp_path / "imgs"
+        write_idx_images(path, small_images)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(DataError, match="expected 300 pixel bytes, found 303") as raised:
+            read_idx_images(path)
+        assert str(path) in str(raised.value)
+
+    @pytest.mark.parametrize("count,rows,cols", [(-1, 5, 5), (2**31 - 1, 2**15, 2**15)],
+                             ids=["negative", "beyond_memory"])
+    def test_header_size_that_cannot_be_held(self, tmp_path, count, rows, cols):
+        # a lying header is refused before or at its allocation, never read into
+        path = tmp_path / "imgs"
+        path.write_bytes(struct.pack(">iiii", 0x00000803, count, rows, cols) + b"\x00" * 25)
+        with pytest.raises(DataError) as raised:
+            read_idx_images(path)
+        assert str(path) in str(raised.value)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "imgs"
         path.write_bytes(b"\x00\x00")
@@ -82,7 +108,34 @@ class TestIdxParsing:
         train, test = load_mnist(idx_dataset_dir)
         assert len(train) == 160 and len(test) == 80
         assert train.images.shape[1] == 36
-        assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+        for split in (train, test):
+            assert split.images.dtype == np.uint8
+            floats = split.images_at(slice(None))
+            assert floats.tobytes() == (split.images / 255.0).tobytes()
+            assert floats.min() >= 0.0 and floats.max() <= 1.0
+
+    def test_load_split_reads_only_its_own_files(self, idx_dataset_dir):
+        train, test = load_mnist(idx_dataset_dir)
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            (idx_dataset_dir / name).unlink()
+        alone = load_split(idx_dataset_dir, "test")
+        assert np.array_equal(alone.images, test.images)
+        assert np.array_equal(alone.labels, test.labels)
+        with pytest.raises(DataError, match="train-images"):
+            load_split(idx_dataset_dir, "train")
+
+    def test_unknown_split_rejected(self, idx_dataset_dir):
+        with pytest.raises(DataError, match="unknown split 'valid'"):
+            load_split(idx_dataset_dir, "valid")
+
+    def test_splits_of_different_widths_are_refused(self, idx_dataset_dir, small_images):
+        # 6x6 train images with 5x5 test images would train a layer the test split cannot feed
+        test_file = idx_dataset_dir / "t10k-images-idx3-ubyte"
+        write_idx_images(test_file, np.resize(small_images, (80, 5, 5)))
+        with pytest.raises(DataError, match="36 pixels .* 25; both splits") as raised:
+            load_mnist(idx_dataset_dir)
+        assert str(idx_dataset_dir / "train-images-idx3-ubyte") in str(raised.value)
+        assert str(test_file) in str(raised.value)
 
     def test_count_mismatch_between_files(self, tmp_path, small_images):
         write_idx_images(tmp_path / "train-images-idx3-ubyte", small_images)
@@ -105,6 +158,80 @@ class TestIdxParsing:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_mnist(tmp_path / "absent")
+
+
+class TestBytePixels:
+    def test_every_byte_reads_as_its_float(self):
+        pixels = np.arange(256, dtype=np.uint8)
+        dataset = Dataset(pixels[:, None], pixels % 10)
+        assert dataset.images.dtype == np.uint8
+        want = np.arange(256) / 255.0
+        assert dataset.images_at(slice(None)).ravel().tobytes() == want.tobytes()
+        order = np.random.default_rng(0).permutation(256)
+        assert dataset.images_at(order).ravel().tobytes() == want[order].tobytes()
+
+    def test_other_images_are_stored_as_float(self):
+        floats = np.random.default_rng(1).uniform(0, 1, size=(6, 4))
+        dataset = Dataset(floats, np.arange(6))
+        assert dataset.images is floats
+        assert np.shares_memory(dataset.images_at(slice(1, 3)), floats)
+        assert dataset.images_at([4, 0]).tobytes() == floats[[4, 0]].tobytes()
+        # any dtype but uint8 keeps its values: these ints are not bytes standing for p / 255
+        ints = Dataset(np.full((2, 3), 255, dtype=np.int64), [0, 1])
+        assert ints.images.dtype == np.float64
+        assert ints.images_at(slice(None)).max() == 255.0
+
+    def test_batches_of_bytes_equal_batches_of_their_float_twin(self):
+        rng = np.random.default_rng(2)
+        pixels = rng.integers(0, 256, size=(23, 8), dtype=np.uint8)
+        labels = rng.integers(0, 10, 23)
+        got = list(batches(Dataset(pixels, labels), 5, seed=1, epoch=3))
+        want = list(batches(Dataset(pixels / 255.0, labels), 5, seed=1, epoch=3))
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.images.dtype == np.float64
+            assert a.images.tobytes() == b.images.tobytes()
+            assert np.array_equal(a.labels, b.labels)
+
+
+class TestPixelMemory:
+    """numpy reports its buffers to tracemalloc, so a traced peak shows every pixel copy."""
+
+    N, SIDE = 2000, 28
+
+    @pytest.fixture()
+    def split_dir(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for prefix in ("train", "t10k"):
+            write_idx_images(tmp_path / f"{prefix}-images-idx3-ubyte",
+                             rng.integers(0, 256, size=(self.N, self.SIDE, self.SIDE)))
+            write_idx_labels(tmp_path / f"{prefix}-labels-idx1-ubyte",
+                             rng.integers(0, 10, size=self.N))
+        return tmp_path
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_loading_a_split_holds_its_bytes_once(self, split_dir):
+        # a float copy would trace 8x the pixel bytes, a read through an interim buffer 2x
+        pixel_bytes = self.N * self.SIDE * self.SIDE
+        train, peak = self.traced_peak(load_split, split_dir, "train")
+        assert train.images.nbytes == pixel_bytes
+        assert peak < 1.25 * pixel_bytes, peak
+
+    def test_an_analog_epoch_converts_only_its_batches(self, split_dir):
+        train, test = load_mnist(split_dir)
+        data = ExperimentData(train, test, LabelCodebook(length=10, density=0.3, seed=1))
+        config = TrainConfig(eta=0.01, batch_size=50, epochs=1, seed=0, prob_fn=SymmetricProb())
+        (layer, log), peak = self.traced_peak(train_analog, config, data, None, 20)
+        assert len(log) == 1
+        assert peak < train.images.size * 8, peak
 
 
 class TestLabelCodebook:

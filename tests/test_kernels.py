@@ -133,6 +133,7 @@ class KernelCall:
 class TestOnlineSample:
     """A compiled event-driven call equals ``simulate``'s numpy event path bitwise."""
 
+    @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("tau_e", [0.999, 0.9, 0.5])
     @pytest.mark.parametrize("kind", ["sparse", "dense", "black"])
@@ -152,6 +153,7 @@ class TestOnlineSample:
         assert got[-1][0].sum() > 0
         assert not np.array_equal(got[0][1], got[-1][1])
 
+    @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("n_out", [12, 40, 300])
     def test_partition_sums_follow_numpy_at_every_width(self, monkeypatch, kernel_calls, n_out):
@@ -211,6 +213,7 @@ class TestOnlineSample:
         assert kernel_calls == []
 
     # a one-element polarity is contiguous at any stride
+    @pytest.mark.sanitized
     @pytest.mark.parametrize("arg", [a for a in ARRAY_ARGUMENTS if a != "positive"])
     @pytest.mark.parametrize("fault", ["dtype", "layout"])
     def test_refuses_arguments_that_do_not_fit(self, fault, arg):
@@ -218,6 +221,7 @@ class TestOnlineSample:
         call.args[arg] = misfit(call.args[arg], fault)
         call.assert_refused()
 
+    @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
     def test_refuses_a_column_out_of_range(self):
         call = KernelCall(rows=1, fold_below=0.5)
@@ -302,6 +306,7 @@ def test_next_double_draws_the_stream_of_generator_random(n):
     assert drawn.random(3).tolist() == ref.random(3).tolist()
 
 
+@pytest.mark.sanitized
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
 @pytest.mark.parametrize("rng", [np.random.RandomState(3), np.random.PCG64(3)],
                          ids=["RandomState", "PCG64"])
@@ -360,6 +365,7 @@ def run_drawn_call(call, compiled):
     return trace, layer.weights, el.e, rng.bit_generator.state
 
 
+@pytest.mark.sanitized
 @pytest.mark.usefixtures("kernels")
 @pytest.mark.parametrize("rows,tau_e", [(1, 0.999), (1, 0.3), (3, 0.99)],
                          ids=["event", "1", "3"])
@@ -372,6 +378,7 @@ def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_call
     assert not np.array_equal(got[0][1], got[-1][1])
 
 
+@pytest.mark.sanitized
 @pytest.mark.usefixtures("kernels")
 @settings(max_examples=200)
 @given(call=simulate_calls())
@@ -387,6 +394,7 @@ def test_drawn_calls_equal_the_numpy_path(call):
 class TestLockstepStep:
     """A compiled call equals ``simulate``'s numpy lockstep path bitwise."""
 
+    @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("rows,tau_e", [
         (0, None), (1, None), (1, 0.3), (2, 0.99), (3, 0.99), (100, 0.99), (1000, 0.99),
@@ -403,6 +411,7 @@ class TestLockstepStep:
             assert got[-1][0].sum() > 0
         assert np.array_equal(got[0][1], got[-1][1]) == (tau_e is None)
 
+    @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n_out", [14, 16, 18, 254, 256, 258, 300])
@@ -485,6 +494,7 @@ class TestLockstepStep:
         simulate(layer, X, spk, np.random.default_rng(3))
         assert kernel_calls == []
 
+    @pytest.mark.sanitized
     @pytest.mark.parametrize("arg", ARRAY_ARGUMENTS)
     @pytest.mark.parametrize("fault", ["dtype", "layout"])
     def test_refuses_arguments_that_do_not_fit(self, fault, arg):
@@ -492,6 +502,7 @@ class TestLockstepStep:
         call.args[arg] = misfit(call.args[arg], fault)
         call.assert_refused()
 
+    @pytest.mark.sanitized
     @pytest.mark.parametrize("fault", ["column", "starts", "no_rows", "no_eligibility",
                                        "event_rows"])
     def test_refuses_events_and_steps_that_do_not_fit(self, request, fault):
@@ -626,6 +637,7 @@ class TestLoader:
         monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path / "tmp"))
         assert _kernels._cache_dir() == tmp_path / "tmp" / f"ffa-{os.getuid()}"
 
+    @pytest.mark.sanitized
     @pytest.mark.parametrize("mode", [0o777, 0o775, 0o757])
     def test_cache_refuses_a_directory_others_can_write(self, tmp_path, monkeypatch, mode):
         # another user could make <tmp>/ffa-<uid> first and plant a library in it
@@ -644,6 +656,7 @@ class TestLoader:
             _kernels.library.cache_clear()
         assert list(planted.iterdir()) == []
 
+    @pytest.mark.sanitized
     def test_cache_refuses_a_symlink(self, tmp_path, monkeypatch):
         (tmp_path / "elsewhere").mkdir(mode=0o700)
         (tmp_path / "xdg").mkdir()
@@ -652,6 +665,7 @@ class TestLoader:
         monkeypatch.setattr(_kernels.tempfile, "tempdir", str(tmp_path / "tmp"))
         assert _kernels._cache_dir() == tmp_path / "tmp" / f"ffa-{os.getuid()}"
 
+    @pytest.mark.sanitized
     def test_cache_refuses_a_directory_of_another_user(self, tmp_path, monkeypatch):
         directory = tmp_path / "ffa"
         directory.mkdir(mode=0o700)
@@ -786,10 +800,6 @@ def gcc_runtime(name):
     return found if found.is_absolute() and found.is_file() else None
 
 
-# the simulate kernel's oracle and refusal tests
-SANITIZED = "equal_the_numpy_path or follow_numpy or refuses or drawn_calls"
-
-
 def test_oracle_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
     # the kernels take raw addresses: an off-by-one in C reads or writes outside an
     # array silently unless a sanitizer watches every access
@@ -797,9 +807,10 @@ def test_oracle_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
     if asan is None:
         pytest.skip("gcc -print-file-name=libasan.so finds no AddressSanitizer runtime")
     runtimes = [str(path) for path in (asan, gcc_runtime("libubsan.so")) if path]
-    # every test the subset selects unsanitized must pass sanitized: none may error or skip
+    # the tests marked sanitized are the simulate kernel's oracle and refusal tests; every
+    # one the marker selects unsanitized must pass sanitized: none may error or skip
     collected = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                "--collect-only", "-k", SANITIZED, __file__], cwd=REPO,
+                                "--collect-only", "-m", "sanitized", __file__], cwd=REPO,
                                env=python_env(), capture_output=True, text=True, timeout=300,
                                check=True)
     selected = sum("::" in line for line in collected.stdout.splitlines())
@@ -808,7 +819,7 @@ def test_oracle_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
                      ASAN_OPTIONS="detect_leaks=0", XDG_CACHE_HOME=str(tmp_path / "xdg"))
     # --capture=sys leaves the sanitizers' reports on the child's stderr
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--capture=sys", "--basetemp", str(tmp_path / "run"), "-k", SANITIZED,
+                           "--capture=sys", "--basetemp", str(tmp_path / "run"), "-m", "sanitized",
                            __file__],
                           cwd=REPO, env=env, capture_output=True, text=True, timeout=600)
     summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""

@@ -372,6 +372,26 @@ class TestScan:
         same_seed = spiking_runner(self.SPIKING, seed=6)
         assert report.accuracy == accuracy(layer, sub, book, same_seed, prob)
 
+    @pytest.mark.parametrize("runner", ["analog", "spiking"])
+    def test_bytes_score_as_their_float_twin(self, synthetic_data, runner):
+        # a byte split and the floats p / 255 it stands for: the same predictions and latents
+        def runner_of():
+            return analog_runner() if runner == "analog" else spiking_runner(self.SPIKING, seed=7)
+
+        layer = trained_like_layer(np.random.default_rng(18), 14, 120)
+        test, book = synthetic_data.test, synthetic_data.codebook
+        pixels = np.round(test.images[:70] * 255.0).astype(np.uint8)
+        labels = test.labels[:70]
+        as_bytes, twin = Dataset(pixels, labels), Dataset(pixels / 255.0, labels)
+        for prob in (SigmoidProb(), SymmetricProb()):
+            got = scan(layer, as_bytes, book, runner_of(), prob, chunk=32)
+            want = scan(layer, twin, book, runner_of(), prob, chunk=32)
+            assert np.array_equal(got[0], want[0]) and len(set(got[0].tolist())) > 1
+            assert got[1].tobytes() == want[1].tobytes()
+        got = collect_latents(layer, as_bytes, book, runner_of(), chunk=32)
+        want = collect_latents(layer, twin, book, runner_of(), chunk=32)
+        assert got.latents.tobytes() == want.latents.tobytes() and np.any(got.latents > 0)
+
     def test_analog_latents_equal_collect_latents(self, synthetic_data):
         layer = trained_like_layer(np.random.default_rng(16), 14, 120)
         sub = Dataset(synthetic_data.test.images[:90], synthetic_data.test.labels[:90])

@@ -60,7 +60,7 @@ def embedded_batches(dataset, codebook, k, seed, epoch):
         draw = rng.integers(9, size=chunk.size)
         wrong = draw + (draw >= labels)
         rows = np.stack([labels, wrong], axis=1).ravel()
-        yield embed_batch(np.repeat(dataset.images[chunk], 2, axis=0), rows, codebook)
+        yield embed_batch(np.repeat(dataset.images_at(chunk), 2, axis=0), rows, codebook)
 
 
 @pytest.mark.parametrize("trainer", TRAINERS)
