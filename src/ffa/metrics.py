@@ -56,10 +56,13 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
             label_sets: Iterable) -> Iterator[np.ndarray]:
         label_sets = [check_labels(labels) for labels in label_sets]
         key = [seed, epoch, 0xE7A1, next(calls)]
+        # One row buffer per call, its code columns rewritten by each entry: a fresh
+        # [Q, n_in] array per entry costs a new mapping and its page faults every pass.
+        rows = embed_batch(images, 0, codebook)
 
         def latents(entry: int) -> np.ndarray:
-            return simulate(layer, embed_batch(images, label_sets[entry], codebook), spiking,
-                            np.random.default_rng([*key, entry]))
+            rows[:, -codebook.length:] = codebook.vectors[label_sets[entry]]
+            return simulate(layer, rows, spiking, np.random.default_rng([*key, entry]))
 
         # What simulate runs on is loaded here, once, not in every forked child.
         compiled = False

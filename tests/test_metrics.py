@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ffa.metrics
 from ffa.analog import DenseLayer, forward_batch, forward_labelled
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
 from ffa.data import Dataset, LabelCodebook, embed_batch
@@ -456,6 +457,21 @@ class TestFactoredScan:
         assert np.array_equal(predictions, want_predictions)
         assert np.array_equal(latents, want_latents)
         assert np.any(latents > 0)
+
+    def test_spiking_call_embeds_its_images_once(self, synthetic_data, monkeypatch):
+        # the entries rewrite the code columns of one row buffer instead of building
+        # fresh rows, and a fresh mapping with its page faults, every pass
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return embed_batch(*args)
+
+        monkeypatch.setattr(ffa.metrics, "embed_batch", counting)
+        layer = trained_like_layer(np.random.default_rng(22), 14, 120)
+        images, book = synthetic_data.test.images[:12], synthetic_data.codebook
+        blocks = list(spiking_runner(TestScan.SPIKING, seed=9)(layer, images, book, range(10)))
+        assert len(blocks) == 10 and len(built) == 1
 
     def test_entries_may_label_each_row(self, synthetic_data):
         rng = np.random.default_rng(19)
