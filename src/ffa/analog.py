@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .core import (
     bce_batch,
     modulation_batch,
 )
-from .data import ExperimentData, LabelCodebook, PairBatch, batches, check_labels, pair_codes
+from .data import ExperimentData, LabelCodebook, PairBatch, batches, pair_codes
 from .errors import ConfigError, DivergenceError, SilentLayerError, require
 
 logger = logging.getLogger(__name__)
@@ -127,18 +127,16 @@ def forward_batch(
 
 
 def forward_labelled(
-    layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook, label_sets: Iterable
+    layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook
 ) -> Iterator[np.ndarray]:
-    """ReLU latents [Q, n_out] of ``[images ; codeword]`` for each entry of ``label_sets``.
+    """ReLU latents [Q, n_out] of ``[images ; codeword c]`` for each label c in order.
 
-    An entry is one label for every row or one label per row.  The images
-    are projected once and the ten codewords once, so each entry costs one
-    gather and add, not a GEMM.
+    The images are projected once and the ten codewords once, so each label
+    costs one add, not a GEMM.
     """
     projected, w_code = _project_images(layer, images, codebook.length)
-    code_table = codebook.vectors @ w_code.T
-    for labels in label_sets:
-        yield np.maximum(projected + code_table[check_labels(labels)], 0.0)
+    for code_row in codebook.vectors @ w_code.T:
+        yield np.maximum(projected + code_row, 0.0)
 
 
 def layer_gradient(
@@ -276,6 +274,7 @@ class TrainConfig:
             "eta must be positive": self.eta > 0,
             "batch_size must be >= 1": self.batch_size >= 1,
             "epochs must be >= 0": self.epochs >= 0,
+            "seed must be >= 0": self.seed >= 0,
         })
 
 

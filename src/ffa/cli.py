@@ -148,10 +148,8 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path, split: str) -> int:
 
 def cmd_export(cfg: ExperimentConfig, checkpoint_path, split: str, output) -> int:
     layer, codebook, dataset = _load_for_eval(cfg, checkpoint_path, split)
-    dump = metrics.collect_latents(
-        layer, dataset, codebook, build_runner(cfg),
-        model_tag=f"{cfg.model}/{cfg.prob}",
-    )
+    _, latents = metrics.scan(layer, dataset, codebook, build_runner(cfg), cfg.prob_fn())
+    dump = metrics.LatentDump(latents, dataset.labels)
     metrics.export_latents(dump, output)
     print(f"wrote {dump.latents.shape[0]} latents to {output}")
     return 0
@@ -167,6 +165,8 @@ def _sweep(cfg: ExperimentConfig, cells: dict[str, ExperimentConfig | ConfigErro
     comes back as its error.  Every cell passes the component rules before
     any cell trains; a ConfigError cell did not parse.
     """
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     problems = [
         f"{name}: " + "; ".join(broken)
         for name, cell in cells.items()

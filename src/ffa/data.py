@@ -192,6 +192,8 @@ class LabelCodebook:
             raise DataError("codeword length must be >= 4 (ten distinct codewords needed)")
         if not 0.0 < density < 1.0:
             raise DataError("codeword density must be in (0, 1)")
+        if seed < 0:
+            raise DataError("codebook seed must be >= 0")
         self.length = length
         self.density = density
         for draw_seed in range(seed, seed + MAX_CODEBOOK_DRAWS):
@@ -225,19 +227,13 @@ class LabelCodebook:
         return isinstance(other, LabelCodebook) and np.array_equal(self.vectors, other.vectors)
 
 
-def check_labels(labels) -> np.ndarray:
-    """``labels`` (one or an array) as an array, after checking each lies in 0-9."""
+def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarray:
+    """Append to every row of an image stack the codeword of one label, or of its own label."""
+    images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.size and not 0 <= labels.min() <= labels.max() <= 9:
         bad = labels[(labels < 0) | (labels > 9)].flat[0]
         raise DataError(f"label {bad} outside 0-9")
-    return labels
-
-
-def embed_batch(images: np.ndarray, labels, codebook: LabelCodebook) -> np.ndarray:
-    """Append to every row of an image stack the codeword of one label, or of its own label."""
-    images = np.asarray(images, dtype=np.float64)
-    labels = check_labels(labels)
     suffix = np.broadcast_to(codebook.vectors[labels], (images.shape[0], codebook.length))
     return np.hstack([images, suffix])
 

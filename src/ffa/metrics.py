@@ -4,11 +4,11 @@ Inference embeds each of the ten candidate labels in turn and predicts the
 label whose latent scores highest: total goodness under the sigmoid
 probability, positive-partition goodness under the symmetric one.
 
-A latent runner computes those latents.  ``run(layer, images, codebook,
-label_sets)`` yields one [Q, n_out] block per entry of ``label_sets``, the
-latents of ``[images ; codeword]`` with an entry's label embedded; an entry
-is one label for every row or a [Q] array of per-row labels.  The scan
-passes ``range(10)``, :func:`collect_latents` the true labels alone.
+A latent runner computes those latents.  ``run(layer, images, codebook)``
+yields the ten label passes in label order: pass c is the [Q, n_out] latents
+of ``[images ; codeword c]``.  :func:`scan` is the one consumer, so the
+latents that :func:`evaluate` scores and ``ffa export`` writes are the ones
+each row's true-label pass gave.
 """
 
 from __future__ import annotations
@@ -17,19 +17,19 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .analog import DenseLayer, forward_labelled
 from .atomic import atomic_write
 from .core import ProbabilityFn, SigmoidProb, row_sums
-from .data import Dataset, LabelCodebook, check_labels, embed_batch
+from .data import Dataset, LabelCodebook, embed_batch
 from .errors import DataError
 from .forks import fork_map
 from .spiking import SpikingConfig, kernel_covers, simulate
 
-LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook, Iterable], Iterator[np.ndarray]]
+LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook], Iterator[np.ndarray]]
 
 
 def analog_runner() -> LatentRunner:
@@ -38,13 +38,13 @@ def analog_runner() -> LatentRunner:
 
 
 def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentRunner:
-    """Latents via a plasticity-free spiking simulation, one per entry of ``label_sets``.
+    """Latents via a plasticity-free spiking simulation, one per label pass.
 
-    The encoder is stochastic, so entry e of the runner's k-th call draws from
+    The encoder is stochastic, so pass e of the runner's k-th call draws from
     its own generator, keyed by ``(seed, epoch, k, e)``: a given sequence of
     calls is reproducible, and each epoch's evaluation gets its own streams.
     The analog and spiking layers are the same weights, so any layer runs
-    here, trained on either substrate.  The entries of a call run in
+    here, trained on either substrate.  The passes of a call run in
     :func:`~ffa.forks.fork_map` over the usable cores; each needs only its
     index, so the latents do not depend on how many cores ran them.  The
     compiled kernels (when :func:`~ffa.spiking.kernel_covers` the call) or
@@ -52,17 +52,16 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
     """
     calls = count()
 
-    def run(layer: DenseLayer, images: np.ndarray, codebook: LabelCodebook,
-            label_sets: Iterable) -> Iterator[np.ndarray]:
-        label_sets = [check_labels(labels) for labels in label_sets]
+    def run(layer: DenseLayer, images: np.ndarray,
+            codebook: LabelCodebook) -> Iterator[np.ndarray]:
         key = [seed, epoch, 0xE7A1, next(calls)]
-        # One row buffer per call, its code columns rewritten by each entry: a fresh
-        # [Q, n_in] array per entry costs a new mapping and its page faults every pass.
+        # One row buffer per call, its code columns rewritten by each pass: a fresh
+        # [Q, n_in] array per pass costs a new mapping and its page faults every pass.
         rows = embed_batch(images, 0, codebook)
 
-        def latents(entry: int) -> np.ndarray:
-            rows[:, -codebook.length:] = codebook.vectors[label_sets[entry]]
-            return simulate(layer, rows, spiking, np.random.default_rng([*key, entry]))
+        def latents(label: int) -> np.ndarray:
+            rows[:, -codebook.length:] = codebook.vectors[label]
+            return simulate(layer, rows, spiking, np.random.default_rng([*key, label]))
 
         # What simulate runs on is loaded here, once, not in every forked child.
         compiled = False
@@ -72,7 +71,7 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
             compiled = _kernels.library() is not None
         if not compiled:
             import scipy.sparse  # noqa: F401
-        return fork_map(latents, range(len(label_sets)), len(os.sched_getaffinity(0)))
+        return fork_map(latents, range(10), len(os.sched_getaffinity(0)))
 
     return run
 
@@ -108,7 +107,7 @@ def scan(
         rows = slice(start, start + chunk)
         images, labels = dataset.images_at(rows), dataset.labels[rows]
         scores = np.empty((images.shape[0], 10))
-        for c, latents in zip(range(10), runner(layer, images, codebook, range(10)), strict=True):
+        for c, latents in zip(range(10), runner(layer, images, codebook), strict=True):
             scores[:, c] = goodness_scores(latents, prob_fn, layer)
             true_latents[rows][labels == c] = latents[labels == c]
         predictions[rows] = np.argmax(scores, axis=1)
@@ -133,32 +132,12 @@ class LatentDump:
 
     latents: np.ndarray  # [Q, n]
     labels: np.ndarray  # [Q]
-    model_tag: str = ""
 
     def __post_init__(self):
         self.latents = np.atleast_2d(np.asarray(self.latents, dtype=np.float64))
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.latents.shape[0] != self.labels.shape[0]:
             raise DataError("latents/labels length mismatch")
-
-
-def collect_latents(
-    layer: DenseLayer,
-    dataset: Dataset,
-    codebook: LabelCodebook,
-    runner: LatentRunner,
-    model_tag: str = "",
-    chunk: int = 2000,
-) -> LatentDump:
-    """Latents of every sample with its true label embedded, in one runner pass per chunk.
-
-    The scan's chunks are the same, so analog latents equal the ones it scores bit for bit.
-    """
-    latents = np.empty((len(dataset), layer.n_out))
-    for start in range(0, len(dataset), chunk):
-        rows = slice(start, start + chunk)
-        (latents[rows],) = runner(layer, dataset.images_at(rows), codebook, [dataset.labels[rows]])
-    return LatentDump(latents, dataset.labels.copy(), model_tag)
 
 
 def hoyer_summary(latents: np.ndarray) -> tuple[float, float, int]:
@@ -293,7 +272,7 @@ def evaluate(
     """Accuracy plus the geometry metrics of the true-label latents that one scan scored."""
     predictions, latents = scan(layer, dataset, codebook, runner, prob_fn)
     acc = int((predictions == dataset.labels).sum()) / len(dataset)
-    dump = LatentDump(latents, dataset.labels.copy(), model_tag)
+    dump = LatentDump(latents, dataset.labels.copy())
     h_mean, h_std, n_dead = hoyer_summary(dump.latents)
     si = separability_index(dump)
     return MetricReport(acc, h_mean, h_std, si, n_dead, model_tag), dump

@@ -18,7 +18,7 @@ from ffa.data import ExperimentData, LabelCodebook, load_mnist
 from ffa.metrics import (
     LatentDump,
     accuracy,
-    collect_latents,
+    evaluate,
     hoyer_summary,
     separability_index,
 )
@@ -124,8 +124,8 @@ ALL_REFERENCE_MODELS = [("analog", "sigmoid", "relu"), ("analog", "symmetric", "
 def test_criterion3_latent_geometry(mnist_models, model, prob, trace):
     """Every trained model: mean Hoyer > 0.90 and separability >= 0.93."""
     cfg, layer, _ = mnist_models.get(model, prob, trace)
-    runner = cli.build_runner(cfg)
-    dump = collect_latents(layer, mnist_models.data.test, mnist_models.data.codebook, runner)
+    data = mnist_models.data
+    _, dump = evaluate(layer, data.test, data.codebook, cli.build_runner(cfg), cfg.prob_fn())
     h_mean, h_std, n_dead = hoyer_summary(dump.latents)
     si = separability_index(dump, k_nn=5)
     print(

@@ -179,8 +179,8 @@ class TestTrain:
             assert log[k].test_accuracy == acc, k
         # the key is the epoch: two epochs' streams draw different latents
         images = np.full((4, layer.n_in - data.codebook.length), 0.5)
-        latents = [next(metrics.spiking_runner(cfg.spiking_config(), cfg.seed, k)(
-                       layer, images, data.codebook, [0]))
+        latents = [np.stack(list(metrics.spiking_runner(cfg.spiking_config(), cfg.seed, k)(
+                       layer, images, data.codebook)))
                    for k in (0, 1)]
         assert not np.array_equal(*latents)
 
@@ -334,6 +334,24 @@ class TestExport:
         dump = read_latents(target)
         assert dump.latents.shape == (80, 16)
         assert "wrote 80 latents" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", ["analog", "hebbian"])
+    def test_csv_holds_the_latents_eval_scores(self, base_config, tmp_path, model):
+        config, out_dir = base_config
+        overrides = {"experiment.model": model, "experiment.epochs": "1"}
+        flags = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+        assert run_cli("train", "--config", config, *flags) == 0
+        target = tmp_path / "latents.csv"
+        assert run_cli("export", "--config", config, "--checkpoint", out_dir / "model.ffaw",
+                       *flags, "--output", target) == 0
+        cfg = apply_overrides(load_config(config), overrides)
+        layer, codebook, dataset = cli._load_for_eval(cfg, out_dir / "model.ffaw", "test")
+        _, dump = metrics.evaluate(layer, dataset, codebook, cli.build_runner(cfg), cfg.prob_fn())
+        assert np.any(dump.latents > 0)
+        assert target.read_text().splitlines()[1:] == [
+            f"{label}," + ",".join(f"{v:.9g}" for v in row)
+            for label, row in zip(dump.labels, dump.latents)
+        ]
 
 
 class TestGrid:
@@ -530,6 +548,30 @@ class TestErrorPaths:
             run_cli("train", "--config", config, "--threads", 2)
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ["--seed", -1], "seed must be >= 0"),
+        ("grid", ["--set", "experiment.seed=-2"], "seed must be >= 0"),
+        ("grid", ["--set", "labels.codebook_seed=-5"], "codebook seed must be >= 0"),
+        ("train", ["--seed", -1, "--set", "labels.codebook_seed=-5"],
+         "seed must be >= 0; codebook seed must be >= 0"),
+    ], ids=["train-seed", "grid-seed", "grid-codebook_seed", "train-both"])
+    def test_negative_seed_is_a_config_error(self, base_config, capsys, command, flags, message):
+        config, out_dir = base_config
+        assert run_cli(command, "--config", config, *flags) == 2
+        assert f"error:config: invalid config: {message}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    @pytest.mark.parametrize("command", [["grid"], ["reproduce", "--table", "table1"]],
+                             ids=["grid", "reproduce"])
+    def test_threads_below_one_is_a_config_error(self, base_config, capsys, monkeypatch,
+                                                 command, threads):
+        config, out_dir = base_config
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: pytest.fail("trained"))
+        assert run_cli(*command, "--config", config, "--threads", threads) == 2
+        assert f"error:config: --threads must be >= 1, got {threads}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_data_dir(self, base_config, tmp_path, capsys):
         config, _ = base_config

@@ -13,7 +13,7 @@ from ffa.analog import DenseLayer
 from ffa.core import PolarityPartition, SymmetricProb
 from ffa.data import Dataset, LabelCodebook, embed_batch
 from ffa.errors import DataError
-from ffa.metrics import collect_latents, scan, spiking_runner
+from ffa.metrics import scan, spiking_runner
 from ffa.spiking import SpikeEncoderConfig, SpikingConfig, simulate
 from tests.test_metrics import keyed, per_label_scan
 
@@ -134,33 +134,32 @@ class TestForkedScan:
         assert np.array_equal(got[1], want[1])
         assert not np.array_equal(got[1], before[1])
 
-    def test_calls_and_entries_are_keyed_in_order(self, synthetic_data, cores, started):
+    def test_calls_and_passes_are_keyed_in_order(self, synthetic_data, cores, started):
         images, book = synthetic_data.test.images[:23], synthetic_data.codebook
         layer = layer_for(images.shape[1] + book.length)
-        per_row = np.arange(23) % 10
-        cores(3)
         run = spiking_runner(SPIKING, seed=10)
-        first = list(run(layer, images, book, [per_row, *range(10)]))
-        second = list(run(layer, images, book, [4, 7]))
-        # eleven entries over three workers, then two entries over two
-        assert started == [4, 3, 1]
-        for k, (label_sets, blocks) in enumerate([([per_row, *range(10)], first),
-                                                  ([4, 7], second)]):
-            for e, (labels, got) in enumerate(zip(label_sets, blocks, strict=True)):
+        cores(3)
+        first = list(run(layer, images, book))
+        cores(2)
+        second = list(run(layer, images[:7], book))
+        # ten passes over three workers, then ten over two
+        assert started == [3, 3, 5]
+        for k, (rows, blocks) in enumerate([(images, first), (images[:7], second)]):
+            assert len(blocks) == 10
+            for e, got in enumerate(blocks):
                 generator = np.random.default_rng([10, 0, 0xE7A1, k, e])
-                assert np.array_equal(got, simulate(layer, embed_batch(images, labels, book),
+                assert np.array_equal(got, simulate(layer, embed_batch(rows, e, book),
                                                     SPIKING, generator))
-        # collect_latents makes one single-entry call per ragged chunk: calls 0, 1 and 2
+        # the scan makes one ten-pass call per ragged chunk: calls 0, 1 and 2
         sub = Dataset(images, synthetic_data.test.labels[:23])
-        dump = collect_latents(layer, sub, book, spiking_runner(SPIKING, seed=10), chunk=10)
-        generators = keyed(10, entries=1)
-        want = np.concatenate([
-            simulate(layer, embed_batch(sub.images[s : s + 10], sub.labels[s : s + 10], book),
-                     SPIKING, next(generators))
-            for s in range(0, 23, 10)
-        ])
-        assert np.array_equal(dump.latents, want)
-        assert np.any(want > 0)
+        prob = SymmetricProb()
+        got = scan(layer, sub, book, spiking_runner(SPIKING, seed=10), prob, chunk=10)
+        generators = keyed(10)
+        want = per_label_scan(layer, sub, book,
+                              lambda X: simulate(layer, X, SPIKING, next(generators)),
+                              prob, chunk=10)
+        assert np.array_equal(got[1], want[1])
+        assert np.any(want[1] > 0)
 
     def test_nan_in_a_child_entry_is_a_data_error(self, synthetic_data, cores, started):
         images = synthetic_data.test.images[:12]
@@ -169,11 +168,11 @@ class TestForkedScan:
         book = LabelCodebook.from_vectors(vectors, density=0.3, seed=0)
         layer = layer_for(images.shape[1] + book.length)
         cores(2)
-        passes = spiking_runner(SPIKING, seed=11)(layer, images, book, [0, 1])
+        passes = spiking_runner(SPIKING, seed=11)(layer, images, book)
         assert np.all(np.isfinite(next(passes)))
         with pytest.raises(DataError, match="must lie in"):
             next(passes)
-        assert started == [1]
+        assert started == [5]
         assert not multiprocessing.active_children()
 
     def test_dropped_scan_leaves_no_child(self, synthetic_data, cores, started):
@@ -183,7 +182,7 @@ class TestForkedScan:
         book = synthetic_data.codebook
         layer = layer_for(images.shape[1] + book.length)
         cores(3)
-        passes = spiking_runner(SPIKING, seed=12)(layer, images, book, range(10))
+        passes = spiking_runner(SPIKING, seed=12)(layer, images, book)
         next(passes)
         assert len(multiprocessing.active_children()) == 2
         passes.close()

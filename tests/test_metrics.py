@@ -14,7 +14,6 @@ from ffa.metrics import (
     LatentDump,
     accuracy,
     analog_runner,
-    collect_latents,
     evaluate,
     export_latents,
     goodness_scores,
@@ -315,9 +314,9 @@ def recording(runner):
     """The runner, plus one entry per call: the list of latent blocks that call yielded."""
     calls = []
 
-    def run(layer, images, codebook, label_sets):
+    def run(layer, images, codebook):
         calls.append([])
-        for latents in runner(layer, images, codebook, label_sets):
+        for latents in runner(layer, images, codebook):
             calls[-1].append(latents)
             yield latents
 
@@ -388,18 +387,7 @@ class TestScan:
             got = scan(layer, as_bytes, book, runner_of(), prob, chunk=32)
             want = scan(layer, twin, book, runner_of(), prob, chunk=32)
             assert np.array_equal(got[0], want[0]) and len(set(got[0].tolist())) > 1
-            assert got[1].tobytes() == want[1].tobytes()
-        got = collect_latents(layer, as_bytes, book, runner_of(), chunk=32)
-        want = collect_latents(layer, twin, book, runner_of(), chunk=32)
-        assert got.latents.tobytes() == want.latents.tobytes() and np.any(got.latents > 0)
-
-    def test_analog_latents_equal_collect_latents(self, synthetic_data):
-        layer = trained_like_layer(np.random.default_rng(16), 14, 120)
-        sub = Dataset(synthetic_data.test.images[:90], synthetic_data.test.labels[:90])
-        _, dump = evaluate(layer, sub, synthetic_data.codebook, analog_runner(), SigmoidProb())
-        direct = collect_latents(layer, sub, synthetic_data.codebook, analog_runner())
-        assert np.array_equal(dump.latents, direct.latents)
-        assert np.array_equal(dump.labels, direct.labels)
+            assert got[1].tobytes() == want[1].tobytes() and np.any(got[1] > 0)
 
 
 def per_label_scan(layer, dataset, book, latents_of, prob, chunk):
@@ -417,11 +405,11 @@ def per_label_scan(layer, dataset, book, latents_of, prob, chunk):
     return predictions, true_latents
 
 
-def keyed(seed, epoch=0, entries=10):
-    """The generators of a spiking runner's passes in call order, for calls of ``entries``
-    entries each: entry e of the k-th call draws from the key (seed, epoch, k, e)."""
+def keyed(seed, epoch=0):
+    """The generators of a spiking runner's passes in call order: pass e of the k-th
+    call draws from the key (seed, epoch, k, e)."""
     return (np.random.default_rng([seed, epoch, 0xE7A1, k, e])
-            for k in count() for e in range(entries))
+            for k in count() for e in range(10))
 
 
 class TestFactoredScan:
@@ -470,32 +458,23 @@ class TestFactoredScan:
         monkeypatch.setattr(ffa.metrics, "embed_batch", counting)
         layer = trained_like_layer(np.random.default_rng(22), 14, 120)
         images, book = synthetic_data.test.images[:12], synthetic_data.codebook
-        blocks = list(spiking_runner(TestScan.SPIKING, seed=9)(layer, images, book, range(10)))
+        blocks = list(spiking_runner(TestScan.SPIKING, seed=9)(layer, images, book))
         assert len(blocks) == 10 and len(built) == 1
 
-    def test_entries_may_label_each_row(self, synthetic_data):
-        rng = np.random.default_rng(19)
-        layer = trained_like_layer(rng, 14, 120)
+    def test_passes_equal_the_unfactored_forward_in_label_order(self, synthetic_data):
+        layer = trained_like_layer(np.random.default_rng(19), 14, 120)
         images, book = synthetic_data.test.images[:25], synthetic_data.codebook
-        per_row = rng.integers(0, 10, size=25)
-        blocks = list(forward_labelled(layer, images, book, [per_row, 7]))
-        assert len(blocks) == 2
-        for got, labels in zip(blocks, [per_row, 7]):
-            want = forward_batch(layer, embed_batch(images, labels, book))
+        blocks = list(forward_labelled(layer, images, book))
+        assert len(blocks) == 10
+        for label, got in enumerate(blocks):
+            want = forward_batch(layer, embed_batch(images, label, book))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-    @pytest.mark.parametrize("labels", [-1, 10, [0, 3, 12]])
-    def test_labels_outside_0_9_rejected(self, synthetic_data, labels):
-        layer = trained_like_layer(np.random.default_rng(20), 14, 120)
-        images = synthetic_data.test.images[:3]
-        with pytest.raises(DataError, match="outside 0-9"):
-            list(forward_labelled(layer, images, synthetic_data.codebook, [labels]))
 
     def test_image_width_checked(self, synthetic_data):
         layer = trained_like_layer(np.random.default_rng(21), 14, 120)
         images = synthetic_data.test.images[:3, :-1]
         with pytest.raises(ConfigError, match="code bits"):
-            list(forward_labelled(layer, images, synthetic_data.codebook, [0]))
+            list(forward_labelled(layer, images, synthetic_data.codebook))
 
     @pytest.mark.parametrize("score", [scan, accuracy, evaluate])
     def test_empty_dataset_is_a_data_error(self, synthetic_data, score):
@@ -505,17 +484,17 @@ class TestFactoredScan:
             score(layer, empty, synthetic_data.codebook, analog_runner(), SigmoidProb())
 
 
-class TestCollectAndEvaluate:
+class TestEvaluate:
     def test_latents_match_direct_forward(self, synthetic_data):
         rng = np.random.default_rng(11)
         layer = trained_like_layer(rng, 14, 120)
         sub = Dataset(synthetic_data.test.images[:30], synthetic_data.test.labels[:30])
-        dump = collect_latents(layer, sub, synthetic_data.codebook, analog_runner(), "tag")
+        _, dump = evaluate(layer, sub, synthetic_data.codebook, analog_runner(), SigmoidProb())
         for q in (0, 7, 29):
             x = embed_batch(sub.images[q : q + 1], int(sub.labels[q]), synthetic_data.codebook)[0]
             _, latent = forward(layer, x)
             assert np.allclose(dump.latents[q], latent, rtol=1e-13)
-        assert dump.model_tag == "tag"
+        assert np.array_equal(dump.labels, sub.labels)
 
     def test_evaluate_report_fields(self, synthetic_data):
         rng = np.random.default_rng(12)
