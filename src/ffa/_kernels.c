@@ -5,10 +5,11 @@
  *
  *   ffa_simulate  one whole call of ffa.spiking.simulate over B rows (relu
  *                 trace, to_zero reset; plasticity under the symmetric
- *                 probability), on the lockstep path or, for a plastic
- *                 B = 1 call with tau_e >= 1/2, on the event path.  It draws
- *                 each step's uniforms through the generator's next_double,
- *                 the stream and end state of rate_encode's rng.random;
+ *                 probability) on the lockstep path, or, with tau_e >= 1/2,
+ *                 B plastic B = 1 calls on the event path, one row after
+ *                 another (ffa.spiking.simulate_online).  It draws each
+ *                 step's uniforms through the generator's next_double, the
+ *                 stream and end state of rate_encode's rng.random;
  *   ffa_adam      one step of ffa.analog.adam_step.
  *
  * Each row's partition goodness is summed left to right, as ffa.core.row_sums
@@ -84,10 +85,12 @@ static void hebbian_post(double *post, const double *tr, ptrdiff_t n_out,
  * state are the generator's.  trace [rows][n_out] (zeroed) receives the
  * final traces.  Steps from active_start on are plastic: they use the
  * eligibility e, the layer's pos_mask, each row's polarity positive[b],
- * epsilon, tau_e and eta.  With event set (one row) they run
- * _EventSynapses, folding once the decay product drops below fold_below;
- * else each row's impulse is added at its fired inputs into impulse
- * [n_in][n_out] and the row mean is folded through e into w.  Returns 0;
+ * epsilon, tau_e and eta.  With event set the rows run one after another,
+ * each as a one-row call of its own: fresh LIF and trace state, plastic
+ * steps through _EventSynapses, folding once the decay product drops below
+ * fold_below and at the row's end.  Else the rows run in lockstep, each
+ * row's impulse is added at its fired inputs into impulse [n_in][n_out]
+ * and the row mean is folded through e into w.  Returns 0;
  * -1 when the events do not fit, or -2 when scratch memory cannot be had,
  * having drawn and written nothing. */
 int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz, ptrdiff_t steps,
@@ -118,104 +121,109 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
         return -2;
     }
     double *potential = work, *current = work + rows * n_out, *e_sum = current + n_out;
-    double decay = 1.0, decay_sum = 0.0;
+    /* the lockstep path runs all rows in one block, the event path one row
+     * after another; each block starts from fresh LIF and trace state */
+    const ptrdiff_t block = event ? 1 : rows;
 
-    for (ptrdiff_t t = 0; t < steps; t++) {
-        const int plastic = t >= active_start;
-        for (ptrdiff_t b = 0; b < rows; b++) {
-            /* rate_encode, one uniform per event in order as rng.random draws
-             * them, then the current: W.T rows in column order */
-            ptrdiff_t n_fired = 0;
-            for (ptrdiff_t k = starts[b]; k < starts[b + 1]; k++)
-                if (next_double(state) < p[k])
-                    fired[n_fired++] = cols[k] * n_out;
-            row_sum(current, w, fired, n_fired, n_out);
-            if (event && decay_sum != 0.0) { /* _EventSynapses.current */
-                row_sum(e_sum, e, fired, n_fired, n_out);
-                const double scale = eta * decay_sum;
-                for (ptrdiff_t j = 0; j < n_out; j++)
-                    current[j] += scale * e_sum[j];
-            }
+    for (ptrdiff_t first = 0; first < rows; first += block) {
+        double decay = 1.0, decay_sum = 0.0;
+        for (ptrdiff_t t = 0; t < steps; t++) {
+            const int plastic = t >= active_start;
+            for (ptrdiff_t b = first; b < first + block; b++) {
+                /* rate_encode, one uniform per event in order as rng.random draws
+                 * them, then the current: W.T rows in column order */
+                ptrdiff_t n_fired = 0;
+                for (ptrdiff_t k = starts[b]; k < starts[b + 1]; k++)
+                    if (next_double(state) < p[k])
+                        fired[n_fired++] = cols[k] * n_out;
+                row_sum(current, w, fired, n_fired, n_out);
+                if (event && decay_sum != 0.0) { /* _EventSynapses.current */
+                    row_sum(e_sum, e, fired, n_fired, n_out);
+                    const double scale = eta * decay_sum;
+                    for (ptrdiff_t j = 0; j < n_out; j++)
+                        current[j] += scale * e_sum[j];
+                }
 
-            /* lif_fire (to_zero reset) and the relu trace_step */
-            double *pot = potential + b * n_out, *tr = trace + b * n_out;
-            for (ptrdiff_t j = 0; j < n_out; j++) {
-                pot[j] *= lif_decay;
-                pot[j] += gain * current[j];
-                const double spike = pot[j] >= threshold ? 1.0 : 0.0;
-                if (spike != 0.0)
-                    pot[j] = 0.0;
-                tr[j] = mu * spike + tr[j];
-            }
-            if (!plastic)
-                continue;
+                /* lif_fire (to_zero reset) and the relu trace_step */
+                double *pot = potential + b * n_out, *tr = trace + b * n_out;
+                for (ptrdiff_t j = 0; j < n_out; j++) {
+                    pot[j] *= lif_decay;
+                    pot[j] += gain * current[j];
+                    const double spike = pot[j] >= threshold ? 1.0 : 0.0;
+                    if (spike != 0.0)
+                        pot[j] = 0.0;
+                    tr[j] = mu * spike + tr[j];
+                }
+                if (!plastic)
+                    continue;
 
-            /* current now holds the row's post factor */
-            hebbian_post(current, tr, n_out, pos_mask, positive[b], epsilon);
-            if (event) { /* _EventSynapses.step */
-                decay *= tau_e;
-                const double a = (1.0 - tau_e) / decay, scale = eta * decay_sum;
-                for (ptrdiff_t j = 0; j < n_out; j++)
-                    current[j] = a * current[j];
+                /* current now holds the row's post factor */
+                hebbian_post(current, tr, n_out, pos_mask, positive[b], epsilon);
+                if (event) { /* _EventSynapses.step */
+                    decay *= tau_e;
+                    const double a = (1.0 - tau_e) / decay, scale = eta * decay_sum;
+                    for (ptrdiff_t j = 0; j < n_out; j++)
+                        current[j] = a * current[j];
+                    for (ptrdiff_t k = 0; k < n_fired; k++) {
+                        double *w_row = w + fired[k], *e_row = e + fired[k];
+                        for (ptrdiff_t j = 0; j < n_out; j++) {
+                            e_row[j] += current[j];
+                            w_row[j] -= scale * current[j];
+                        }
+                    }
+                    decay_sum += decay;
+                    if (decay < fold_below) {
+                        fold(w, e, n_in * n_out, eta, decay, decay_sum);
+                        decay = 1.0;
+                        decay_sum = 0.0;
+                    }
+                    continue;
+                }
+                /* hebbian_impulse: csc_matvecs adds the rows' posts in row order */
                 for (ptrdiff_t k = 0; k < n_fired; k++) {
-                    double *w_row = w + fired[k], *e_row = e + fired[k];
-                    for (ptrdiff_t j = 0; j < n_out; j++) {
-                        e_row[j] += current[j];
-                        w_row[j] -= scale * current[j];
+                    double *row = impulse + fired[k];
+                    unsigned char *seen = touched + fired[k] / n_out;
+                    if (*seen) {
+                        for (ptrdiff_t j = 0; j < n_out; j++)
+                            row[j] += current[j];
+                    } else {
+                        *seen = 1;
+                        for (ptrdiff_t j = 0; j < n_out; j++)
+                            row[j] = 0.0 + current[j];
                     }
                 }
-                decay_sum += decay;
-                if (decay < fold_below) {
-                    fold(w, e, n_in * n_out, eta, decay, decay_sum);
-                    decay = 1.0;
-                    decay_sum = 0.0;
-                }
+            }
+            if (!plastic || event)
                 continue;
-            }
-            /* hebbian_impulse: csc_matvecs adds the rows' posts in row order */
-            for (ptrdiff_t k = 0; k < n_fired; k++) {
-                double *row = impulse + fired[k];
-                unsigned char *seen = touched + fired[k] / n_out;
-                if (*seen) {
-                    for (ptrdiff_t j = 0; j < n_out; j++)
-                        row[j] += current[j];
-                } else {
-                    *seen = 1;
-                    for (ptrdiff_t j = 0; j < n_out; j++)
-                        row[j] = 0.0 + current[j];
-                }
-            }
-        }
-        if (!plastic || event)
-            continue;
 
-        /* np.divide(impulse, rows) and eligibility_step in one pass; an input
-         * that fired in no row has the impulse 0.0 */
-        const double count = (double)rows, zero = 0.0 / count;
-        for (ptrdiff_t i = 0; i < n_in; i++) {
-            const double *imp = impulse + i * n_out;
-            double *e_row = e + i * n_out, *w_row = w + i * n_out;
-            if (touched[i]) {
-                touched[i] = 0;
-                for (ptrdiff_t j = 0; j < n_out; j++) {
-                    double s = imp[j] / count;
-                    s -= e_row[j];
-                    s *= 1.0 - tau_e;
-                    e_row[j] += s;
-                    w_row[j] += e_row[j] * eta;
-                }
-            } else {
-                for (ptrdiff_t j = 0; j < n_out; j++) {
-                    double s = zero - e_row[j];
-                    s *= 1.0 - tau_e;
-                    e_row[j] += s;
-                    w_row[j] += e_row[j] * eta;
+            /* np.divide(impulse, rows) and eligibility_step in one pass; an input
+             * that fired in no row has the impulse 0.0 */
+            const double count = (double)rows, zero = 0.0 / count;
+            for (ptrdiff_t i = 0; i < n_in; i++) {
+                const double *imp = impulse + i * n_out;
+                double *e_row = e + i * n_out, *w_row = w + i * n_out;
+                if (touched[i]) {
+                    touched[i] = 0;
+                    for (ptrdiff_t j = 0; j < n_out; j++) {
+                        double s = imp[j] / count;
+                        s -= e_row[j];
+                        s *= 1.0 - tau_e;
+                        e_row[j] += s;
+                        w_row[j] += e_row[j] * eta;
+                    }
+                } else {
+                    for (ptrdiff_t j = 0; j < n_out; j++) {
+                        double s = zero - e_row[j];
+                        s *= 1.0 - tau_e;
+                        e_row[j] += s;
+                        w_row[j] += e_row[j] * eta;
+                    }
                 }
             }
         }
+        if (event)
+            fold(w, e, n_in * n_out, eta, decay, decay_sum);
     }
-    if (event)
-        fold(w, e, n_in * n_out, eta, decay, decay_sum);
     free(work);
     free(fired);
     free(touched);

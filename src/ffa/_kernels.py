@@ -1,7 +1,8 @@
 """Compiled forms of two overhead-bound loops, bitwise equal to their numpy rules.
 
 ``_kernels.c`` holds one whole call of :func:`ffa.spiking.simulate` over B
-rows, on its lockstep path or its event-driven B = 1 path, and one fused
+rows on its lockstep path, or a block of B event-driven one-row calls run one
+after another (:func:`ffa.spiking.simulate_online`), and one fused
 :func:`ffa.analog.adam_step`.  numpy stays the rule and the oracle: each C
 loop performs the same IEEE operations in the same order, summation orders
 included, so it gives the numpy path's bits.  :func:`ffa.core.row_sums`
@@ -194,17 +195,19 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
     eligibility ``e`` and its ``impulse`` buffer, ``tau_e``, ``eta``, the
     layer's ``pos_mask``, each row's polarity ``positive`` [B] and the
     symmetric ``epsilon``; its last ``active_window`` steps update
-    ``weights`` and ``e`` in place.  Given ``fold_below``, a plastic call of
-    one row runs event-driven and folds once the decay product drops below
-    it.  Every argument is checked before anything is drawn or written.
+    ``weights`` and ``e`` in place.  Given ``fold_below``, a plastic call
+    runs its rows event-driven one after another, each as a one-row call
+    that folds once the decay product drops below it and at its end.  Every
+    argument is checked before anything is drawn or written.
     """
     n_out, n_in = shape = weights.shape
     rows, nnz = starts.size - 1, p.size
     plastic = any(a is not None for a in (e, impulse, pos_mask, positive))
     event = fold_below is not None
-    if rows < 0 or (plastic and rows == 0) or (event and not (plastic and rows == 1)):
+    if rows < 0 or (plastic and rows == 0) or (event and not plastic):
         raise ValueError(f"simulate arguments do not fit the layer: {rows} rows for a "
-                         f"{'plastic ' if plastic else ''}{'event-driven ' if event else ''}call")
+                         f"{'plastic' if plastic else 'plasticity-free'}"
+                         f"{' event-driven' if event else ''} call")
     events = (_address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
               _address(starts, np.intp, (rows + 1,)))
     w = _address(weights, np.float64, shape, "F_CONTIGUOUS", plastic)

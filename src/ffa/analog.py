@@ -304,6 +304,18 @@ class _RunningStats:
         self.loss += bce_batch(p, codes).sum()
         self.n_loss += len(p)
 
+    def update_each_row(self, latents: np.ndarray, codes: np.ndarray, p: np.ndarray) -> None:
+        """:meth:`update` once per row in row order, in one pass: each total
+        adds its rows one at a time, where :meth:`update` adds a row sum."""
+        g = np.einsum("bj,bj->b", latents, latents)
+        pos = codes > 0
+        self.g_pos = _add_in_turn(self.g_pos, g[pos])
+        self.n_pos += int(pos.sum())
+        self.g_neg = _add_in_turn(self.g_neg, g[~pos])
+        self.n_neg += int((~pos).sum())
+        self.loss = _add_in_turn(self.loss, bce_batch(p, codes))
+        self.n_loss += len(p)
+
     def finish(self, epoch: int, test_accuracy: float) -> EpochStats:
         return EpochStats(
             epoch=epoch,
@@ -314,14 +326,19 @@ class _RunningStats:
         )
 
 
+def _add_in_turn(total: float, terms: np.ndarray) -> float:
+    """``total`` plus each of ``terms`` in turn, left to right (``np.add.accumulate``)."""
+    return np.add.accumulate(np.concatenate(([total], terms)))[-1]
+
+
 def check_finite(weights: np.ndarray, context: str) -> None:
     if not np.all(np.isfinite(weights)):
         raise DivergenceError(f"non-finite weights after {context}")
 
 
-# run_epochs checks the weights for non-finite values after every this many
-# updates as well as at epoch end, so a long online epoch stops soon after it
-# diverges.
+# run_epochs checks the weights for non-finite values each time this many
+# more training images have gone through updates, as well as at epoch end, so
+# a long epoch stops soon after it diverges.
 FINITE_CHECK_EVERY = 1000
 
 
@@ -344,7 +361,8 @@ def run_epochs(
     Each epoch hands every shuffled contrastive batch of ``data.train`` to
     ``update(batch, codes, rng, stats)``, which moves ``layer`` in place,
     with a generator seeded by (seed, epoch), and checks the weights are
-    finite after every ``FINITE_CHECK_EVERY`` updates; at the end it checks
+    finite after each update that takes the epoch's image count past a
+    multiple of ``FINITE_CHECK_EVERY``; at the end it checks
     them again and that some latent was not zero (a silent layer cannot learn),
     reports ``eval_fn(layer, epoch)`` (NaN in the log when omitted) and logs
     one line under ``name``.
@@ -353,9 +371,11 @@ def run_epochs(
     for epoch in range(config.epochs):
         stats = _RunningStats()
         rng = np.random.default_rng([config.seed, epoch, 0x5E1])
+        images = 0
         for step, batch in enumerate(batches(data.train, config.batch_size, config.seed, epoch), 1):
             update(batch, pair_codes(len(batch)), rng, stats)
-            if step % FINITE_CHECK_EVERY == 0:
+            seen, images = images, images + len(batch.images)
+            if images // FINITE_CHECK_EVERY > seen // FINITE_CHECK_EVERY:
                 check_finite(layer.weights, f"epoch {epoch}, update {step}")
         check_finite(layer.weights, f"epoch {epoch}")
         check_active(stats, f"epoch {epoch}")

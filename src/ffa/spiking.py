@@ -11,7 +11,9 @@ per-synapse eligibility trace that low-passes the updates into the weights.
 
 One lockstep loop, :func:`simulate`, serves evaluation, batch training and
 online training (a batch of one).  A plastic batch of one runs the same rule
-event-driven: only the synapses of inputs that spiked are touched.
+event-driven: only the synapses of inputs that spiked are touched.  Online
+training hands :func:`simulate_online` a block of rows, each of which is such
+a call in turn; compiled, the whole block is one kernel call.
 
 Plastic weights and eligibility are stored presynaptic-major, as
 address-event hardware stores its synapses: Fortran-ordered [n_out, n_in],
@@ -339,8 +341,9 @@ def kernel_covers(spiking: SpikingConfig, prob_fn: Optional[ProbabilityFn]) -> b
     The kernels implement the relu trace and the to_zero reset, and plasticity
     under the symmetric probability: a plasticity-free call (the spiking
     scan) under either probability, and a plastic call at any batch size and
-    tau_e, event-driven or not.  Each covered call is one compiled call; every
-    other call runs numpy.
+    tau_e, event-driven or not.  Each covered call is one compiled call, and so
+    is a covered :func:`simulate_online` block with tau_e >= 1/2; every other
+    call runs numpy.
     """
     return (spiking.trace.kind == "relu" and spiking.lif.reset_mode == "to_zero"
             and (prob_fn is None or isinstance(prob_fn, SymmetricProb)))
@@ -382,20 +385,8 @@ def simulate(
     kernels have loaded, as one kernel call that draws this loop's uniforms
     from ``rng`` itself and gives the same bits.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise ConfigError(f"simulate needs a numpy Generator; got {type(rng).__name__}")
-    given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
-    plastic = all(given)
-    if any(given) and not plastic:
-        raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
-    if plastic and not (layer.weights.flags.f_contiguous and eligibility.e.flags.f_contiguous):
-        raise ConfigError("plasticity needs presynaptic-major (Fortran-ordered) weights and "
-                          "eligibility; see EligibilityTrace.zeros_like")
-    X = layer.check_batch(X)
+    X, plastic = _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta)
     rows = X.shape[0]
-    if plastic and (rows == 0 or np.shape(codes) != (rows,)):
-        raise ConfigError(f"plasticity needs one polarity code per row of a nonempty batch; "
-                          f"got codes of shape {np.shape(codes)} for {rows} rows")
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x
@@ -405,15 +396,11 @@ def simulate(
     # row-major layer (a loaded checkpoint) is copied once per call.  scipy's
     # sparse product and the kernel read W.T by rows.
     weights = np.asfortranarray(layer.weights)
-    if kernel_covers(spiking, prob_fn if plastic else None):
-        from . import _kernels
-
-        if _kernels.library() is not None:
-            plasticity = {} if not plastic else dict(
-                e=eligibility.e, impulse=eligibility.impulse, tau_e=eligibility.tau_e, eta=eta,
-                pos_mask=layer.partition.pos_mask, positive=codes > 0, epsilon=prob_fn.epsilon,
-                fold_below=_FOLD_BELOW if event else None)
-            return _kernels.simulate(weights, spiking, p, cols, starts, rng, **plasticity)
+    kernels = _loaded_kernels(spiking, prob_fn if plastic else None)
+    if kernels is not None:
+        plasticity = {} if not plastic else _kernel_plasticity(
+            layer, codes, prob_fn, eligibility, eta, event)
+        return kernels.simulate(weights, spiking, p, cols, starts, rng, **plasticity)
     shape = (rows, layer.n_out)
     lif = LIFState.zeros(shape, spiking.lif)
     trace = OutputTrace.zeros(shape, spiking.trace)
@@ -437,6 +424,80 @@ def simulate(
     return trace.value
 
 
+def simulate_online(
+    layer: DenseLayer,
+    X: np.ndarray,
+    spiking: SpikingConfig,
+    rng: np.random.Generator,
+    codes: np.ndarray,
+    prob_fn: ProbabilityFn,
+    eligibility: EligibilityTrace,
+    eta: float,
+) -> np.ndarray:
+    """Online training over the rows of ``X`` [B, n_in], one after another;
+    returns the final traces [B, n_out].
+
+    The rule is a loop of one-row plastic :func:`simulate` calls, row b with
+    polarity ``codes[b]``, each updating ``layer.weights`` and ``eligibility``
+    before the next starts, and that loop is what runs on numpy and for
+    configurations the kernels do not cover.  A covered block with
+    ``tau_e >= 1/2`` is checked once and runs as one kernel call with the
+    same bits.  The checks and errors are :func:`simulate`'s; plasticity is
+    not optional here.
+    """
+    X, _ = _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plasticity=True)
+    kernels = _loaded_kernels(spiking, prob_fn)
+    if kernels is None or eligibility.tau_e < _FOLD_BELOW:
+        return np.concatenate([
+            simulate(layer, X[b : b + 1], spiking, rng, codes[b : b + 1], prob_fn, eligibility, eta)
+            for b in range(len(X))])
+    x, cols, starts = _input_events(X)
+    return kernels.simulate(layer.weights, spiking, spiking.encoder.scale * x, cols, starts, rng,
+                            **_kernel_plasticity(layer, codes, prob_fn, eligibility, eta, True))
+
+
+def _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plasticity=False):
+    """``X`` as a checked batch [B, n_in] and whether the call is plastic; a
+    ConfigError when the arguments do not make a :func:`simulate` call (a
+    plastic one, with ``require_plasticity``)."""
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"simulate needs a numpy Generator; got {type(rng).__name__}")
+    given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
+    if (any(given) or require_plasticity) and not all(given):
+        raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
+    plastic = all(given)
+    if plastic and not (layer.weights.flags.f_contiguous and eligibility.e.flags.f_contiguous):
+        raise ConfigError("plasticity needs presynaptic-major (Fortran-ordered) weights and "
+                          "eligibility; see EligibilityTrace.zeros_like")
+    X = layer.check_batch(X)
+    rows = X.shape[0]
+    if plastic and (rows == 0 or np.shape(codes) != (rows,)):
+        raise ConfigError(f"plasticity needs one polarity code per row of a nonempty batch; "
+                          f"got codes of shape {np.shape(codes)} for {rows} rows")
+    return X, plastic
+
+
+def _loaded_kernels(spiking: SpikingConfig, prob_fn: Optional[ProbabilityFn]):
+    """:mod:`ffa._kernels` when it covers the call and has loaded, else None."""
+    if not kernel_covers(spiking, prob_fn):
+        return None
+    from . import _kernels
+
+    return _kernels if _kernels.library() is not None else None
+
+
+def _kernel_plasticity(layer, codes, prob_fn, eligibility, eta, event) -> dict:
+    """The plasticity arguments of a kernel call, event-driven when ``event`` is set."""
+    return dict(e=eligibility.e, impulse=eligibility.impulse, tau_e=eligibility.tau_e, eta=eta,
+                pos_mask=layer.partition.pos_mask, positive=codes > 0, epsilon=prob_fn.epsilon,
+                fold_below=_FOLD_BELOW if event else None)
+
+
+# Images per update of online training: each update is one simulate_online
+# call over the block's 2 x ONLINE_BLOCK rows (0.7 MB of rows at MNIST shape).
+ONLINE_BLOCK = 50
+
+
 def train_hebbian(
     config: TrainConfig,
     data: ExperimentData,
@@ -449,8 +510,11 @@ def train_hebbian(
     ``mode`` is "batch" (the 2 * config.batch_size instances of a batch run
     in lockstep and their impulses are averaged, mirroring the batch mean of
     the analog gradient) or "online" (every instance runs alone and updates
-    the weights itself; config.batch_size is ignored).  ``eval_fn`` reports
-    test accuracy after each epoch when provided.
+    the weights itself; config.batch_size is ignored).  Online training takes
+    its images ``ONLINE_BLOCK`` at a time, one :func:`simulate_online` call
+    per block; the epoch's shuffle, wrong labels, draws and statistics are
+    those of one image at a time.  ``eval_fn`` reports test accuracy after
+    each epoch when provided.
     """
     if mode not in ("batch", "online"):
         raise ConfigError("mode must be 'batch' or 'online'")
@@ -464,12 +528,13 @@ def train_hebbian(
 
     def update(batch, codes, rng, stats):
         X = batch.rows(data.codebook)
-        rows = 1 if online else len(X)
-        for i in range(0, len(X), rows):
-            x, c = X[i : i + rows], codes[i : i + rows]
-            final = simulate(layer, x, spiking, rng, c, prob_fn, eligibility, config.eta)
-            stats.update(final, c, probability_batch(final, prob_fn, partition))
+        run = simulate_online if online else simulate
+        final = run(layer, X, spiking, rng, codes, prob_fn, eligibility, config.eta)
+        p = probability_batch(final, prob_fn, partition)
+        if online:
+            stats.update_each_row(final, codes, p)
+        else:
+            stats.update(final, codes, p)
 
-    # Online pairs one image per batch, each row of which updates alone.
-    loop_config = replace(config, batch_size=1) if online else config
+    loop_config = replace(config, batch_size=ONLINE_BLOCK) if online else config
     return run_epochs(loop_config, data, layer, update, eval_fn, f"hebbian({mode})")

@@ -401,6 +401,24 @@ class TestBatches:
             seen.extend(X[0::2, :8].tolist())
         assert sorted(seen) == sorted(dataset.images.tolist())
 
+    @pytest.mark.parametrize("k", [7, 50])
+    def test_blocks_draw_the_stream_of_single_images(self, monkeypatch, k):
+        # online training takes its images in blocks: any k gives the images, labels
+        # and generator end state of k = 1, a short last block included
+        rng = np.random.default_rng(8)
+        dataset = Dataset(rng.integers(0, 256, size=(123, 8), dtype=np.uint8),
+                          rng.integers(0, 10, 123))
+        made, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
+        singles = list(batches(dataset, 1, seed=4, epoch=2))
+        blocks = list(batches(dataset, k, seed=4, epoch=2))
+        assert [len(b.images) for b in blocks][-1] == 123 % k
+        for name in ("images", "labels"):
+            assert np.array_equal(np.concatenate([getattr(b, name) for b in singles]),
+                                  np.concatenate([getattr(b, name) for b in blocks])), name
+        assert len(made) == 2 and made[0].bit_generator.state == made[1].bit_generator.state
+        assert made[0].random() == made[1].random()
+
     def test_online_stream(self, dataset, book):
         chunks = list(batches(dataset, 1, seed=1, epoch=0))
         assert len(chunks) == 23

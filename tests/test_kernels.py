@@ -24,6 +24,7 @@ from ffa.checkpoint import save_checkpoint
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
 from ffa.errors import ConfigError
 from ffa.spiking import (
+    ONLINE_BLOCK,
     EligibilityTrace,
     LIFConfig,
     SpikeEncoderConfig,
@@ -31,6 +32,7 @@ from ffa.spiking import (
     TraceConfig,
     kernel_covers,
     simulate,
+    simulate_online,
     train_hebbian,
 )
 
@@ -172,11 +174,12 @@ class TestOnlineSample:
         cfg = TrainConfig(eta=0.03, batch_size=1, epochs=1, seed=6, prob_fn=SymmetricProb())
         spk = SpikingConfig(n_out=40, tau_e=0.999)
         layer, log = train_hebbian(cfg, small_data, "online", spk)
-        assert kernel_calls == ["event"] * 2 * len(small_data.train)
+        blocks = -(-len(small_data.train) // ONLINE_BLOCK)  # one call per block of images
+        assert kernel_calls == ["event"] * blocks
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "library", lambda: None)
             ref_layer, ref_log = train_hebbian(cfg, small_data, "online", spk)
-        assert len(kernel_calls) == 2 * len(small_data.train)
+        assert len(kernel_calls) == blocks
         paths = [tmp_path / name for name in ("c.ffaw", "numpy.ffaw")]
         for path, trained in zip(paths, (layer, ref_layer)):
             save_checkpoint(path, trained, small_data.codebook)
@@ -239,10 +242,11 @@ def misfit(a, fault):
     return doubled[::2]  # the same values, every other element of a longer array
 
 
-def lockstep_calls_of(rows, n_out, tau_e, compiled, monkeypatch, n_in=150, calls=2,
-                      X=None, **spiking):
-    """``calls`` lockstep calls over ``rows`` rows, plastic unless ``tau_e`` is None; the
-    traces, the weights, the eligibility and the generator state after every call."""
+def calls_of(rows, n_out, tau_e, compiled, monkeypatch, n_in=150, calls=2, X=None,
+             run=simulate, **spiking):
+    """``calls`` calls of ``run`` over ``rows`` rows (by default sparse ones, the second
+    all zero), plastic unless ``tau_e`` is None; the traces, the weights, the eligibility
+    and the generator state after every call."""
     prob = SymmetricProb()
     layer, el, spk = plastic_model(prob, n_in=n_in, n_out=n_out, tau_e=tau_e or 0.99, **spiking)
     if X is None:
@@ -257,7 +261,7 @@ def lockstep_calls_of(rows, n_out, tau_e, compiled, monkeypatch, n_in=150, calls
         if not compiled:
             mp.setattr(_kernels, "library", lambda: None)
         for _ in range(calls):
-            trace = simulate(layer, X, spk, rng, *plastic)
+            trace = run(layer, X, spk, rng, *plastic)
             states.append((trace, layer.weights.copy(), el.e.copy(), rng.bit_generator.state))
     return states
 
@@ -267,6 +271,85 @@ def assert_same_states(got, want):
         for name, a, b in zip(("trace", "weights", "e"), g[:3], w[:3]):
             assert np.array_equal(a, b), (call, name)
         assert g[3] == w[3], call
+
+
+class TestOnlineBlock:
+    """A compiled ``simulate_online`` block equals its numpy loop of one-row calls bitwise."""
+
+    @pytest.mark.sanitized
+    @pytest.mark.usefixtures("kernels")
+    @pytest.mark.parametrize("tau_e", [0.5, 0.6, 0.999])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 100])
+    def test_blocks_equal_the_numpy_loop(self, monkeypatch, kernel_calls, rows, tau_e):
+        # 0.5 folds after every plastic step, 0.6 every other one (0.6**2 < 1/2)
+        got = calls_of(rows, 200, tau_e, True, monkeypatch, run=simulate_online)
+        assert kernel_calls == ["event"] * 2
+        want = calls_of(rows, 200, tau_e, False, monkeypatch, run=simulate_online)
+        assert kernel_calls == ["event"] * 2
+        assert_same_states(got, want)
+        assert got[-1][0].shape == (rows, 200) and got[-1][0].sum() > 0
+        if rows > 1:
+            assert np.all(got[-1][0][1] == 0.0)  # the all-zero row never fires
+        assert not np.array_equal(got[0][1], got[-1][1])
+
+    @pytest.mark.sanitized
+    @pytest.mark.usefixtures("kernels")
+    @pytest.mark.parametrize("n_out", [14, 16, 18, 254, 256, 258])
+    def test_partition_sums_follow_numpy_at_every_width(self, monkeypatch, kernel_calls, n_out):
+        got = calls_of(3, n_out, 0.999, True, monkeypatch, n_in=60, run=simulate_online)
+        want = calls_of(3, n_out, 0.999, False, monkeypatch, n_in=60, run=simulate_online)
+        assert kernel_calls == ["event"] * 2
+        assert_same_states(got, want)
+        assert not np.array_equal(got[0][1], got[-1][1])
+
+    def test_the_block_is_a_loop_of_one_row_calls(self, monkeypatch):
+        # the rule itself, whatever runs it: row b is a one-row plastic simulate call
+        got = calls_of(4, 20, 0.99, _kernels.library() is not None, monkeypatch, n_in=60,
+                       run=simulate_online)
+
+        def loop(layer, X, spk, rng, codes, *plastic):
+            return np.concatenate([simulate(layer, X[b : b + 1], spk, rng, codes[b : b + 1],
+                                            *plastic) for b in range(len(X))])
+
+        want = calls_of(4, 20, 0.99, False, monkeypatch, n_in=60, run=loop)
+        assert_same_states(got, want)
+
+    @pytest.mark.parametrize("prob,tau_e", [(SymmetricProb(), 0.3),
+                                            (SigmoidProb(theta=1.0), 0.999)],
+                             ids=["tau_e_0.3", "sigmoid"])
+    def test_other_blocks_loop_over_one_row_calls(self, kernel_calls, prob, tau_e):
+        # tau_e < 1/2 makes one compiled lockstep call per row; sigmoid plasticity runs numpy
+        layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=tau_e)
+        X = np.random.default_rng(2).random((3, 60))
+        codes = np.array([1, -1, 1], dtype=np.int8)
+        before = layer.weights.copy()
+        simulate_online(layer, X, spk, np.random.default_rng(3), codes, prob, el, 0.1)
+        covered = kernel_covers(spk, prob) and _kernels.library() is not None
+        assert kernel_calls == (["plastic"] * 3 if covered else [])
+        assert not np.array_equal(layer.weights, before)
+
+    @pytest.mark.sanitized
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("codes", [[1], [1, -1, 1], [[1, -1]], None],
+                             ids=["short", "long", "2d", "none"])
+    def test_refuses_codes_that_do_not_fit(self, monkeypatch, compiled, codes):
+        if not compiled:
+            monkeypatch.setattr(_kernels, "library", lambda: None)
+        layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
+        X, rng = np.random.default_rng(2).random((2, 60)), np.random.default_rng(3)
+        weights, e, state = layer.weights.copy(), el.e.copy(), rng.bit_generator.state
+        codes = None if codes is None else np.array(codes, dtype=np.int8)
+        with pytest.raises(ConfigError, match="polarity code|plasticity needs"):
+            simulate_online(layer, X, spk, rng, codes, SymmetricProb(), el, 0.1)
+        assert np.array_equal(layer.weights, weights) and np.array_equal(el.e, e)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.sanitized
+    @pytest.mark.parametrize("positive", [[True], [True, False, True]], ids=["short", "long"])
+    def test_kernel_refuses_polarities_that_do_not_fit_the_block(self, positive):
+        call = KernelCall(rows=2, fold_below=0.5)
+        call.args["positive"] = np.array(positive)
+        call.assert_refused()
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -325,13 +408,15 @@ def test_simulate_refuses_a_generator_that_is_not_numpys(monkeypatch, compiled, 
 def simulate_calls(draw):
     """A ``simulate`` call: its path and rows, shape, inputs, polarity, tau_e and window."""
     path, rows = draw(st.sampled_from([("eval", 0), ("eval", 1), ("eval", 3), ("lockstep", 1),
-                                       ("lockstep", 2), ("lockstep", 3)] + [("event", 1)] * 3))
-    # one row runs event-driven from tau_e = 1/2 on
-    taus = {"event": [0.5, 0.6, 0.9, 0.999], "lockstep": [0.3, 0.49] if rows == 1 else
-            [0.3, 0.49, 0.5, 0.9, 0.999], "eval": [0.9]}[path]
+                                       ("lockstep", 2), ("lockstep", 3)] + [("event", 1)] * 3
+                                      + [("online", b) for b in (1, 2, 3, 4)]))
+    # one row runs event-driven from tau_e = 1/2 on, and so does an online block
+    taus = {"event": [0.5, 0.6, 0.9, 0.999], "online": [0.5, 0.6, 0.9, 0.999],
+            "lockstep": [0.3, 0.49] if rows == 1 else [0.3, 0.49, 0.5, 0.9, 0.999],
+            "eval": [0.9]}[path]
     steps = draw(st.integers(1, 24))
     return dict(
-        rows=rows, plastic=path != "eval", n_in=draw(st.integers(1, 40)),
+        rows=rows, plastic=path != "eval", online=path == "online", n_in=draw(st.integers(1, 40)),
         n_out=draw(st.sampled_from([14, 16, 18, 254, 256, 258])),
         density=draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])),
         scale=draw(st.sampled_from([0.25, 1.0])),
@@ -360,7 +445,7 @@ def run_drawn_call(call, compiled):
         if not compiled:
             mp.setattr(_kernels, "library", lambda: None)
         runs = _kernels.runs
-        trace = simulate(layer, X, spk, rng, *plastic)
+        trace = (simulate_online if call["online"] else simulate)(layer, X, spk, rng, *plastic)
         assert _kernels.runs == runs + compiled
     return trace, layer.weights, el.e, rng.bit_generator.state
 
@@ -371,8 +456,8 @@ def run_drawn_call(call, compiled):
                          ids=["event", "1", "3"])
 def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_calls, rows, tau_e):
     # split_halves(1) leaves the negative half empty: its goodness is 0.0 on both paths
-    got = lockstep_calls_of(rows, 1, tau_e, True, monkeypatch, n_in=60)
-    want = lockstep_calls_of(rows, 1, tau_e, False, monkeypatch, n_in=60)
+    got = calls_of(rows, 1, tau_e, True, monkeypatch, n_in=60)
+    want = calls_of(rows, 1, tau_e, False, monkeypatch, n_in=60)
     assert kernel_calls == ["event" if rows == 1 and tau_e >= 0.5 else "plastic"] * 2
     assert_same_states(got, want)
     assert not np.array_equal(got[0][1], got[-1][1])
@@ -383,8 +468,9 @@ def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_call
 @settings(max_examples=200)
 @given(call=simulate_calls())
 def test_drawn_calls_equal_the_numpy_path(call):
-    # B 0-3 and event-driven B = 1, widths at numpy's block edges, densities from none
-    # to all, all-positive, all-negative and split masks, tau_e on both sides of 1/2
+    # B 0-3, event-driven B = 1 and online blocks of B 1-4, widths at numpy's block
+    # edges, densities from none to all, all-positive, all-negative and split masks,
+    # tau_e on both sides of 1/2
     got, want = run_drawn_call(call, True), run_drawn_call(call, False)
     for name, a, b in zip(("trace", "weights", "e"), got[:3], want[:3]):
         assert np.array_equal(a, b), name
@@ -401,10 +487,10 @@ class TestLockstepStep:
         (1000, None),
     ], ids=["0", "1-eval", "1-tau_e_0.3", "2", "3", "100", "1000", "1000-eval"])
     def test_calls_equal_the_numpy_path(self, monkeypatch, kernel_calls, rows, tau_e):
-        got = lockstep_calls_of(rows, 200, tau_e, True, monkeypatch)
+        got = calls_of(rows, 200, tau_e, True, monkeypatch)
         kind = "eval" if tau_e is None else "plastic"
         assert kernel_calls == [kind] * 2
-        want = lockstep_calls_of(rows, 200, tau_e, False, monkeypatch)
+        want = calls_of(rows, 200, tau_e, False, monkeypatch)
         assert kernel_calls == [kind] * 2
         assert_same_states(got, want)
         if rows:
@@ -419,8 +505,8 @@ class TestLockstepStep:
                                                         n_out):
         # halves of 7, 8 and 9, 127, 128 and 129 (the edges of numpy's pairwise blocks)
         # and 150; one row and a stack both sum each half left to right
-        got = lockstep_calls_of(rows, n_out, 0.3, True, monkeypatch, n_in=60)
-        want = lockstep_calls_of(rows, n_out, 0.3, False, monkeypatch, n_in=60)
+        got = calls_of(rows, n_out, 0.3, True, monkeypatch, n_in=60)
+        want = calls_of(rows, n_out, 0.3, False, monkeypatch, n_in=60)
         assert kernel_calls == ["plastic"] * 2
         assert_same_states(got, want)
         assert not np.array_equal(got[0][1], got[-1][1])
@@ -431,8 +517,8 @@ class TestLockstepStep:
                                                           tau_e):
         # no input spikes: a zero current, and plastic steps that only decay e into W
         X = np.zeros((4, 60))
-        got = lockstep_calls_of(4, 20, tau_e, True, monkeypatch, n_in=60, X=X)
-        want = lockstep_calls_of(4, 20, tau_e, False, monkeypatch, n_in=60, X=X)
+        got = calls_of(4, 20, tau_e, True, monkeypatch, n_in=60, X=X)
+        want = calls_of(4, 20, tau_e, False, monkeypatch, n_in=60, X=X)
         assert kernel_calls == ["eval" if tau_e is None else "plastic"] * 2
         assert_same_states(got, want)
         assert np.all(got[-1][0] == 0.0)
@@ -504,7 +590,7 @@ class TestLockstepStep:
 
     @pytest.mark.sanitized
     @pytest.mark.parametrize("fault", ["column", "starts", "no_rows", "no_eligibility",
-                                       "event_rows"])
+                                       "event_no_rows"])
     def test_refuses_events_and_steps_that_do_not_fit(self, request, fault):
         call = KernelCall(rows=2)
         if fault in ("column", "starts"):  # checked by the kernel itself
@@ -513,13 +599,13 @@ class TestLockstepStep:
             call.args["cols"] = np.array([3, 10, 2])
         elif fault == "starts":
             call.args["starts"] = np.array([0, 4, 3])
-        elif fault == "no_rows":
-            call.args.update(p=np.zeros(0), cols=np.zeros(0, dtype=np.intp),
-                             starts=np.zeros(1, dtype=np.intp), positive=np.zeros(0, dtype=bool))
         elif fault == "no_eligibility":
             del call.args["e"], call.args["impulse"]
-        else:  # the event path runs one row
-            call.args["fold_below"] = 0.5
+        else:  # no rows, on the lockstep or the event path
+            call.args.update(p=np.zeros(0), cols=np.zeros(0, dtype=np.intp),
+                             starts=np.zeros(1, dtype=np.intp), positive=np.zeros(0, dtype=bool))
+            if fault == "event_no_rows":
+                call.args["fold_below"] = 0.5
         call.assert_refused()
 
 

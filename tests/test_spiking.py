@@ -25,7 +25,7 @@ from ffa.spiking import (
     simulate,
     train_hebbian,
 )
-from ffa import metrics
+from ffa import _kernels, metrics
 from tests.reference import Polarity, forward, row_major_simulate
 
 
@@ -739,6 +739,8 @@ class TestEventDrivenPlasticity:
         cfg = TrainConfig(eta=0.03, batch_size=1, epochs=1, seed=6, prob_fn=prob)
         spk = SpikingConfig(n_out=40, tau_e=tau_e)
         layer, log = train_hebbian(cfg, small_data, "online", spk)
+        # with the kernels unloaded, online training is a loop of simulate calls
+        monkeypatch.setattr(_kernels, "library", lambda: None)
         monkeypatch.setattr(spiking_mod, "simulate", dense_simulate)
         ref_layer, ref_log = train_hebbian(cfg, small_data, "online", spk)
         init = DenseLayer.initialize(small_data.input_dim, 40, layer.partition, 6)

@@ -7,8 +7,8 @@ import pytest
 
 import ffa.analog as analog_mod
 import ffa.spiking as spiking_mod
-from ffa.analog import DenseLayer, TrainConfig, partition_for, train_analog
-from ffa.core import SymmetricProb
+from ffa.analog import DenseLayer, TrainConfig, _RunningStats, partition_for, train_analog
+from ffa.core import SymmetricProb, probability_batch
 from ffa.data import ExperimentData, LabelCodebook, batches, embed_batch, pair_codes
 from ffa.errors import DivergenceError, SilentLayerError
 from ffa.spiking import (
@@ -31,7 +31,7 @@ SPIKING = SpikingConfig(n_out=N_OUT, tau_e=0.99,
 UPDATE_HOOK = {
     "analog": (analog_mod, "layer_gradient"),
     "hebbian_batch": (spiking_mod, "simulate"),
-    "hebbian_online": (spiking_mod, "simulate"),
+    "hebbian_online": (spiking_mod, "simulate_online"),
 }
 
 
@@ -113,8 +113,9 @@ class TestRunEpochs:
         assert len(evaluated) == 1
 
     def test_nan_stops_the_epoch_at_the_next_check(self, tiny_data, trainer, monkeypatch):
-        # every epoch has at least 4 updates; a NaN written in update 1 stops
-        # the epoch after update 2, the first check, not at the epoch's end
+        # every trainer takes 10 images per update, so every epoch has 4 updates;
+        # a NaN written in update 1 stops the epoch after update 2, the first
+        # check at 20 images, not at the epoch's end
         module, name = UPDATE_HOOK[trainer]
         original = getattr(module, name)
         updates = []
@@ -129,7 +130,8 @@ class TestRunEpochs:
                 layer.weights[0, 0] = np.nan
             return result
 
-        monkeypatch.setattr(analog_mod, "FINITE_CHECK_EVERY", 2)
+        monkeypatch.setattr(analog_mod, "FINITE_CHECK_EVERY", 20)
+        monkeypatch.setattr(spiking_mod, "ONLINE_BLOCK", 10)
         monkeypatch.setattr(analog_mod, "pair_codes", counting_codes)
         monkeypatch.setattr(module, name, poisoning)
         with pytest.raises(DivergenceError, match="after epoch 0, update 2$"), \
@@ -162,24 +164,50 @@ def test_zero_input_gain_is_a_silent_layer(tiny_data, mode):
 
 @pytest.mark.parametrize("mode", ["batch", "online"])
 def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
-    # the spiking trainers embed each pair batch themselves; the weights are
-    # those of the same plastic calls on rows embedded the way batches used to
-    trained, _ = train(f"hebbian_{mode}", tiny_data, epochs=1)
+    # the spiking trainers embed each pair batch themselves; the weights and the
+    # epoch's statistics are those of the same plastic calls on rows embedded the
+    # way batches used to, online one image and one row at a time
+    trained, log = train(f"hebbian_{mode}", tiny_data, epochs=1)
     prob = SymmetricProb()
     layer = DenseLayer.initialize(tiny_data.input_dim, N_OUT, partition_for(prob, N_OUT), SEED)
     layer.weights = np.asfortranarray(layer.weights)
     eligibility = EligibilityTrace.zeros_like(layer.weights, SPIKING.tau_e)
     rng = np.random.default_rng([SEED, 0, 0x5E1])
+    stats = _RunningStats()
     pairs = 1 if mode == "online" else 10
     for X in embedded_batches(tiny_data.train, tiny_data.codebook, pairs, SEED, epoch=0):
         codes = pair_codes(len(X))
         rows = 1 if mode == "online" else len(X)
         for i in range(0, len(X), rows):
-            simulate(layer, X[i : i + rows], SPIKING, rng, codes[i : i + rows], prob,
-                     eligibility, 0.05)
+            c = codes[i : i + rows]
+            final = simulate(layer, X[i : i + rows], SPIKING, rng, c, prob, eligibility, 0.05)
+            stats.update(final, c, probability_batch(final, prob, layer.partition))
     init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
     assert not np.array_equal(layer.weights, init.weights)
     assert np.array_equal(trained.weights, layer.weights)
+    want = stats.finish(0, float("nan"))
+    assert (log[0].mean_goodness_pos, log[0].mean_goodness_neg, log[0].train_loss) == (
+        want.mean_goodness_pos, want.mean_goodness_neg, want.train_loss)
+
+
+def test_rows_added_in_turn_equal_one_update_per_row():
+    # online statistics add a block's rows one at a time, as one update per row
+    # did; on these values a row sum (numpy's pairwise .sum()) gives other bits
+    rng = np.random.default_rng(12)
+    latents = rng.random((100, 7)) * 10.0 ** rng.integers(-8, 8, size=(100, 1))
+    codes = pair_codes(100)
+    p = rng.random(100)
+    blocks, rows, summed = _RunningStats(), _RunningStats(), _RunningStats()
+    for stats in (blocks, rows, summed):  # running totals that are not zero
+        stats.update(latents[:3], codes[:3], p[:3])
+    blocks.update_each_row(latents, codes, p)
+    summed.update(latents, codes, p)
+    for b in range(100):
+        rows.update(latents[b : b + 1], codes[b : b + 1], p[b : b + 1])
+    fields = ("g_pos", "g_neg", "loss", "n_pos", "n_neg", "n_loss")
+    assert [getattr(blocks, f) for f in fields] == [getattr(rows, f) for f in fields]
+    for f in ("g_pos", "g_neg", "loss"):
+        assert getattr(summed, f) != getattr(rows, f), f
 
 
 def test_batch_epoch_equals_the_row_major_reference_bitwise(tiny_data):
