@@ -3,8 +3,8 @@
  * Each function performs the IEEE operations of its numpy rule in the same
  * order, so its results are bitwise equal to that rule's:
  *
- *   ffa_simulate  one whole call of ffa.spiking.simulate over B rows (relu
- *                 trace, to_zero reset; plasticity under the symmetric
+ *   ffa_simulate  one whole call of ffa.spiking.simulate over B rows (any
+ *                 output trace and reset; plasticity under the symmetric
  *                 probability) on the lockstep path, or, with tau_e >= 1/2,
  *                 B plastic B = 1 calls on the event path, one row after
  *                 another (ffa.spiking.simulate_online).  It draws each
@@ -12,12 +12,17 @@
  *                 stream and end state of rate_encode's rng.random;
  *   ffa_adam      one step of ffa.analog.adam_step.
  *
- * Each row's partition goodness is summed left to right, as ffa.core.row_sums
- * sums it; scipy's sparse products add the rows of W.T, or the rows'
- * impulses, one after another from 0.0.
+ * The three output traces are one line, T <- g*I + (d*(1 - h*I))*T, with
+ * (g, d, h) = (mu, tau_o, 0) for li, (1, tau_o, 1) for hard_li and (mu, 1, 0)
+ * for relu.  The spike I is 0.0 or 1.0, so h*I is exact, and a product with
+ * 1.0 or a difference with 0.0 rounds nothing: each kind rounds exactly where
+ * its trace_step does.  Each row's partition goodness is summed left to
+ * right, as ffa.core.row_sums sums it; scipy's sparse products add the rows
+ * of W.T, or the rows' impulses, one after another from 0.0.
  *
- * Build with -ffp-contract=off (a fused multiply-add rounds once where
- * numpy rounds twice) and never with -ffast-math (it reorders sums).
+ * Build with -ffp-contract=off and never with -ffast-math (it reorders
+ * sums).  A fused multiply-add rounds once where numpy rounds twice, as it
+ * would in the trace line, whose product rounds for li and hard_li.
  * ffa/_kernels.py compiles, caches and loads this file.
  */
 
@@ -82,9 +87,10 @@ static void hebbian_post(double *post, const double *tr, ptrdiff_t n_out,
 /* One call of simulate over `rows` instances.  w is the presynaptic-major
  * [n_in][n_out] weights; p and cols hold the events' spike probabilities
  * and input columns, row b's at [starts[b], starts[b + 1]); next_double and
- * state are the generator's.  trace [rows][n_out] (zeroed) receives the
- * final traces.  Steps from active_start on are plastic: they use the
- * eligibility e, the layer's pos_mask, each row's polarity positive[b],
+ * state are the generator's.  subtract selects the LIF reset and trace_g,
+ * trace_d and trace_h the trace's (g, d, h); trace [rows][n_out] (zeroed)
+ * receives the final traces.  Steps from active_start on are plastic: they
+ * use the eligibility e, the layer's pos_mask, each row's polarity positive[b],
  * epsilon, tau_e and eta.  With event set the rows run one after another,
  * each as a one-row call of its own: fresh LIF and trace state, plastic
  * steps through _EventSynapses, folding once the decay product drops below
@@ -96,7 +102,8 @@ static void hebbian_post(double *post, const double *tr, ptrdiff_t n_out,
 int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz, ptrdiff_t steps,
                  ptrdiff_t active_start, const double *p, const ptrdiff_t *cols,
                  const ptrdiff_t *starts, double lif_decay, double threshold, double gain,
-                 double mu, double *w, double *trace, const unsigned char *pos_mask,
+                 int subtract, double trace_g, double trace_d, double trace_h, double *w,
+                 double *trace, const unsigned char *pos_mask,
                  const unsigned char *positive, double epsilon, double tau_e, double eta,
                  double *e, double *impulse, int event, double fold_below,
                  next_double_fn next_double, void *state)
@@ -144,15 +151,15 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
                         current[j] += scale * e_sum[j];
                 }
 
-                /* lif_fire (to_zero reset) and the relu trace_step */
+                /* lif_fire and trace_step */
                 double *pot = potential + b * n_out, *tr = trace + b * n_out;
                 for (ptrdiff_t j = 0; j < n_out; j++) {
                     pot[j] *= lif_decay;
                     pot[j] += gain * current[j];
                     const double spike = pot[j] >= threshold ? 1.0 : 0.0;
                     if (spike != 0.0)
-                        pot[j] = 0.0;
-                    tr[j] = mu * spike + tr[j];
+                        pot[j] = subtract ? pot[j] - threshold : 0.0;
+                    tr[j] = trace_g * spike + (trace_d * (1.0 - trace_h * spike)) * tr[j];
                 }
                 if (!plastic)
                     continue;

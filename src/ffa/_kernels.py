@@ -2,16 +2,20 @@
 
 ``_kernels.c`` holds one whole call of :func:`ffa.spiking.simulate` over B
 rows on its lockstep path, or a block of B event-driven one-row calls run one
-after another (:func:`ffa.spiking.simulate_online`), and one fused
-:func:`ffa.analog.adam_step`.  numpy stays the rule and the oracle: each C
-loop performs the same IEEE operations in the same order, summation orders
-included, so it gives the numpy path's bits.  :func:`ffa.core.row_sums`
-adds each row's partition goodness left to right at every batch size, and
-scipy's sparse products add rows one after another from 0.0; the simulate
-kernel follows each.  It draws its uniforms through the generator's public
-``bit_generator.ctypes.next_double`` with the generator's lock held, one per
-event in event order each step: the stream and end state of
-``rate_encode``'s ``rng.random(nnz)``.
+after another (:func:`ffa.spiking.simulate_online`), for every output trace
+and reset, and one fused :func:`ffa.analog.adam_step`.  numpy stays the rule
+and the oracle: each C loop performs the same IEEE operations in the same
+order, summation orders included, so it gives the numpy path's bits.
+:func:`ffa.core.row_sums` adds each row's partition goodness left to right at
+every batch size, and scipy's sparse products add rows one after another
+from 0.0; the simulate kernel follows each.  It draws its uniforms through
+the generator's public ``bit_generator.ctypes.next_double`` with the
+generator's lock held, one per event in event order each step: the stream
+and end state of ``rate_encode``'s ``rng.random(nnz)``.  Its trace line is
+``T <- g*I + (d*(1 - h*I))*T``; :func:`simulate` passes (g, d, h) =
+(mu, tau_o, 0) for li, (1, tau_o, 1) for hard_li and (mu, 1, 0) for relu.
+The spike I is 0 or 1, and a product with 1.0 or a difference with 0.0 rounds
+nothing, so each kind rounds exactly where its ``trace_step`` does.
 
 The wrappers check each array's dtype, memory layout and shape themselves and
 pass raw addresses, and the simulate kernel checks the events against the
@@ -28,9 +32,10 @@ machine a library built for another CPU.  A cache directory is used only if
 it is a real directory of this user that no other user can write, since a
 library in it is loaded and run.  ``-ffp-contract=off`` is required: without it the
 compiler fuses a multiply and an add into one FMA, which rounds once where
-numpy rounds twice.  ``-ffast-math`` would reorder sums and is never used.
-``-fno-math-errno`` only stops ``sqrt`` from setting ``errno``, which lets
-the ADAM loop vectorize; the square root stays correctly rounded.
+numpy rounds twice, the trace line's rounding product and sum included.
+``-ffast-math`` would reorder sums and is never used.  ``-fno-math-errno``
+only stops ``sqrt`` from setting ``errno``, which lets the ADAM loop
+vectorize; the square root stays correctly rounded.
 A library is written under a temporary name, followed by the sha256 of its
 bytes, and moved into place; a cached file whose trailer does not match is
 rebuilt.  When no compiler works, :func:`library` logs why once and returns
@@ -69,9 +74,9 @@ runs = 0
 _SIZE, _ADDRESS, _DOUBLE = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _NEXT_DOUBLE = ctypes.CFUNCTYPE(_DOUBLE, _ADDRESS)  # the type of bit_generator.ctypes.next_double
 _SIGNATURES = {  # name: (restype, argtypes)
-    "ffa_simulate": (ctypes.c_int, [_SIZE] * 6 + [_ADDRESS] * 3 + [_DOUBLE] * 4 + [_ADDRESS] * 4
-                     + [_DOUBLE] * 3 + [_ADDRESS] * 2 + [ctypes.c_int, _DOUBLE, _NEXT_DOUBLE,
-                                                         _ADDRESS]),
+    "ffa_simulate": (ctypes.c_int, [_SIZE] * 6 + [_ADDRESS] * 3 + [_DOUBLE] * 3 + [ctypes.c_int]
+                     + [_DOUBLE] * 3 + [_ADDRESS] * 4 + [_DOUBLE] * 3 + [_ADDRESS] * 2
+                     + [ctypes.c_int, _DOUBLE, _NEXT_DOUBLE, _ADDRESS]),
     "ffa_adam": (None, [_SIZE] + [_ADDRESS] * 4 + [_DOUBLE] * 6),
 }
 
@@ -218,15 +223,17 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
             epsilon, tau_e, eta, _address(e, np.float64, shape, "F_CONTIGUOUS", True),
             _address(impulse, np.float64, shape, "F_CONTIGUOUS", True),
         )
-    enc, lif = spiking.encoder, spiking.lif
+    enc, lif, tr = spiking.encoder, spiking.lif, spiking.trace
+    coefficients = {"li": (tr.mu, tr.tau_o, 0.0), "hard_li": (1.0, tr.tau_o, 1.0),
+                    "relu": (tr.mu, 1.0, 0.0)}[tr.kind]
     trace = np.zeros((rows, n_out))
     bits = rng.bit_generator
     with bits.lock:
         status = library().ffa_simulate(
             rows, n_in, n_out, nnz, enc.steps, enc.steps - (enc.active_window if plastic else 0),
-            *events, lif.decay, lif.threshold, lif.input_gain, spiking.trace.mu, w,
-            trace.ctypes.data, *plasticity, event, fold_below or 0.0, bits.ctypes.next_double,
-            bits.ctypes.state_address)
+            *events, lif.decay, lif.threshold, lif.input_gain, lif.reset_mode == "subtract",
+            *coefficients, w, trace.ctypes.data, *plasticity, event, fold_below or 0.0,
+            bits.ctypes.next_double, bits.ctypes.state_address)
     if status == -2:
         raise MemoryError("simulate's kernel could not allocate its scratch memory")
     if status:

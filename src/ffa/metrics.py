@@ -27,7 +27,7 @@ from .core import ProbabilityFn, SigmoidProb, row_sums
 from .data import Dataset, LabelCodebook, embed_batch
 from .errors import DataError
 from .forks import fork_map
-from .spiking import SpikingConfig, kernel_covers, simulate
+from .spiking import SpikingConfig, simulate
 
 LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook], Iterator[np.ndarray]]
 
@@ -47,8 +47,8 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
     here, trained on either substrate.  The passes of a call run in
     :func:`~ffa.forks.fork_map` over the usable cores; each needs only its
     index, so the latents do not depend on how many cores ran them.  The
-    compiled kernels (when :func:`~ffa.spiking.kernel_covers` the call) or
-    else ``scipy.sparse`` are loaded before the fork.
+    compiled kernels, which run every plasticity-free pass, or else
+    ``scipy.sparse`` are loaded before the fork.
     """
     calls = count()
 
@@ -64,12 +64,9 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
             return simulate(layer, rows, spiking, np.random.default_rng([*key, label]))
 
         # What simulate runs on is loaded here, once, not in every forked child.
-        compiled = False
-        if kernel_covers(spiking, None):
-            from . import _kernels
+        from . import _kernels
 
-            compiled = _kernels.library() is not None
-        if not compiled:
+        if _kernels.library() is None:
             import scipy.sparse  # noqa: F401
         return fork_map(latents, range(10), len(os.sched_getaffinity(0)))
 

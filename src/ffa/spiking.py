@@ -334,21 +334,6 @@ class SpikingConfig:
     n_out: int = 200
 
 
-def kernel_covers(spiking: SpikingConfig, prob_fn: Optional[ProbabilityFn]) -> bool:
-    """Whether a :func:`simulate` call runs compiled once the kernels have loaded;
-    ``prob_fn`` is None for a plasticity-free call.
-
-    The kernels implement the relu trace and the to_zero reset, and plasticity
-    under the symmetric probability: a plasticity-free call (the spiking
-    scan) under either probability, and a plastic call at any batch size and
-    tau_e, event-driven or not.  Each covered call is one compiled call, and so
-    is a covered :func:`simulate_online` block with tau_e >= 1/2; every other
-    call runs numpy.
-    """
-    return (spiking.trace.kind == "relu" and spiking.lif.reset_mode == "to_zero"
-            and (prob_fn is None or isinstance(prob_fn, SymmetricProb)))
-
-
 def simulate(
     layer: DenseLayer,
     X: np.ndarray,
@@ -380,10 +365,11 @@ def simulate(
     ``eligibility.e`` hold the real values again when the call returns.
     Every other call runs the dense rule.
 
-    ``rng`` must be a numpy Generator, else it is a ConfigError.  A call that
-    :func:`kernel_covers` runs compiled (:mod:`ffa._kernels`) when the
-    kernels have loaded, as one kernel call that draws this loop's uniforms
-    from ``rng`` itself and gives the same bits.
+    ``rng`` must be a numpy Generator, else it is a ConfigError.  Once the
+    kernels have loaded (:mod:`ffa._kernels`), every call runs compiled but a
+    plastic one under the sigmoid probability: one kernel call, for any trace
+    kind and reset, that draws this loop's uniforms from ``rng`` itself and
+    gives the same bits.
     """
     X, plastic = _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta)
     rows = X.shape[0]
@@ -396,7 +382,7 @@ def simulate(
     # row-major layer (a loaded checkpoint) is copied once per call.  scipy's
     # sparse product and the kernel read W.T by rows.
     weights = np.asfortranarray(layer.weights)
-    kernels = _loaded_kernels(spiking, prob_fn if plastic else None)
+    kernels = _loaded_kernels(prob_fn if plastic else None)
     if kernels is not None:
         plasticity = {} if not plastic else _kernel_plasticity(
             layer, codes, prob_fn, eligibility, eta, event)
@@ -439,14 +425,13 @@ def simulate_online(
 
     The rule is a loop of one-row plastic :func:`simulate` calls, row b with
     polarity ``codes[b]``, each updating ``layer.weights`` and ``eligibility``
-    before the next starts, and that loop is what runs on numpy and for
-    configurations the kernels do not cover.  A covered block with
-    ``tau_e >= 1/2`` is checked once and runs as one kernel call with the
-    same bits.  The checks and errors are :func:`simulate`'s; plasticity is
-    not optional here.
+    before the next starts, and that loop is what runs on numpy and under
+    the sigmoid probability.  Any other block with ``tau_e >= 1/2`` is checked
+    once and runs as one kernel call with the same bits.  The checks and
+    errors are :func:`simulate`'s; plasticity is not optional here.
     """
     X, _ = _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plasticity=True)
-    kernels = _loaded_kernels(spiking, prob_fn)
+    kernels = _loaded_kernels(prob_fn)
     if kernels is None or eligibility.tau_e < _FOLD_BELOW:
         return np.concatenate([
             simulate(layer, X[b : b + 1], spiking, rng, codes[b : b + 1], prob_fn, eligibility, eta)
@@ -477,9 +462,10 @@ def _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plast
     return X, plastic
 
 
-def _loaded_kernels(spiking: SpikingConfig, prob_fn: Optional[ProbabilityFn]):
-    """:mod:`ffa._kernels` when it covers the call and has loaded, else None."""
-    if not kernel_covers(spiking, prob_fn):
+def _loaded_kernels(prob_fn: Optional[ProbabilityFn]):
+    """:mod:`ffa._kernels` once it has loaded, else None; None too for a call plastic
+    (``prob_fn`` given) under the sigmoid probability, whose libm ``exp`` is not numpy's."""
+    if prob_fn is not None and not isinstance(prob_fn, SymmetricProb):
         return None
     from . import _kernels
 

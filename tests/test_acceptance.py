@@ -3,8 +3,8 @@
 Criteria 4-8 are self-contained and always run.  Criteria 1-3 train on the
 real MNIST dataset and are skipped with an explanatory message when the IDX
 files are absent (see README for how to provide them); with data present
-they are long: an estimated 4 hours on two cores, most of it in the five
-online cells that run numpy (README "Tests" derives the estimate).
+they are long: an estimated 2 h 45 min on two cores, most of it in the three
+sigmoid online cells that run numpy (README "Tests" derives the estimate).
 """
 
 import numpy as np

@@ -58,9 +58,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("model,trace,prob,compiled", [
         ("analog", "relu", "symmetric", True), ("hebbian_online", "relu", "symmetric", True),
-        ("hebbian", "relu", "symmetric", True), ("hebbian", "li", "symmetric", False),
+        ("hebbian", "relu", "symmetric", True), ("hebbian", "li", "symmetric", True),
         ("hebbian", "relu", "sigmoid", False), ("hebbian_online", "relu", "sigmoid", False),
-    ], ids=["analog-True", "hebbian_online-True", "hebbian-True", "hebbian-li-False",
+    ], ids=["analog-True", "hebbian_online-True", "hebbian-True", "hebbian-li-True",
             "hebbian-sigmoid-False", "hebbian_online-sigmoid-False"])
     def test_logs_the_backend_once(self, base_config, caplog, model, trace, prob, compiled):
         # a sigmoid run trains on numpy, though its per-epoch spiking eval runs compiled

@@ -9,7 +9,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +24,13 @@ from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
 from ffa.errors import ConfigError
 from ffa.spiking import (
     ONLINE_BLOCK,
+    RESET_MODES,
+    TRACE_KINDS,
     EligibilityTrace,
     LIFConfig,
     SpikeEncoderConfig,
     SpikingConfig,
     TraceConfig,
-    kernel_covers,
     simulate,
     simulate_online,
     train_hebbian,
@@ -43,8 +43,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """The kind of each compiled ``simulate`` call, one per covered call of any
-    length: "event" (the event path), "plastic" or "eval" (the lockstep path)."""
+    """The kind of each compiled ``simulate`` call, whatever its length: "event"
+    (the event path), "plastic" or "eval" (the lockstep path)."""
     calls, real = [], _kernels.simulate
 
     def counting(*args, **kwargs):
@@ -107,6 +107,15 @@ def input_rows(kind, n=6, n_in=884):
 
 
 ARRAY_ARGUMENTS = ["weights", "p", "cols", "starts", "e", "impulse", "pos_mask", "positive"]
+
+# every output trace under each reset, named "<trace kind>-<reset mode>"
+DYNAMICS = [f"{kind}-{reset}" for kind in TRACE_KINDS for reset in RESET_MODES]
+
+
+def dynamics_of(name, tau_o=0.9):
+    """The trace and LIF parts of a ``SpikingConfig`` for a DYNAMICS name."""
+    kind, reset = name.split("-")
+    return dict(trace=TraceConfig(kind=kind, tau_o=tau_o), lif=LIFConfig(reset_mode=reset))
 
 
 class KernelCall:
@@ -193,14 +202,14 @@ class TestOnlineSample:
         (SymmetricProb(), {"trace": TraceConfig(kind="hard_li")}),
         (SymmetricProb(), {"lif": LIFConfig(reset_mode="subtract")}),
     ], ids=["sigmoid", "li", "hard_li", "subtract"])
-    def test_uncovered_configurations_run_numpy(self, kernel_calls, prob, spiking):
+    def test_only_sigmoid_plasticity_runs_numpy(self, kernel_calls, prob, spiking):
         layer, el, spk = plastic_model(prob, n_in=60, n_out=20, **spiking)
         X = np.random.default_rng(2).random((1, 60))
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(3), np.array([1], dtype=np.int8), prob,
                  el, 0.1)
-        assert not kernel_covers(spk, prob)
-        assert kernel_calls == []
+        compiled = isinstance(prob, SymmetricProb) and _kernels.library() is not None
+        assert kernel_calls == (["event"] if compiled else [])
         assert not np.array_equal(layer.weights, before)
 
     def test_plasticity_free_calls_run_the_lockstep_step(self, kernel_calls):
@@ -280,11 +289,13 @@ class TestOnlineBlock:
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("tau_e", [0.5, 0.6, 0.999])
     @pytest.mark.parametrize("rows", [1, 2, 3, 100])
-    def test_blocks_equal_the_numpy_loop(self, monkeypatch, kernel_calls, rows, tau_e):
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_blocks_equal_the_numpy_loop(self, monkeypatch, kernel_calls, dynamics, rows, tau_e):
         # 0.5 folds after every plastic step, 0.6 every other one (0.6**2 < 1/2)
-        got = calls_of(rows, 200, tau_e, True, monkeypatch, run=simulate_online)
+        parts = dynamics_of(dynamics)
+        got = calls_of(rows, 200, tau_e, True, monkeypatch, run=simulate_online, **parts)
         assert kernel_calls == ["event"] * 2
-        want = calls_of(rows, 200, tau_e, False, monkeypatch, run=simulate_online)
+        want = calls_of(rows, 200, tau_e, False, monkeypatch, run=simulate_online, **parts)
         assert kernel_calls == ["event"] * 2
         assert_same_states(got, want)
         assert got[-1][0].shape == (rows, 200) and got[-1][0].sum() > 0
@@ -324,8 +335,8 @@ class TestOnlineBlock:
         codes = np.array([1, -1, 1], dtype=np.int8)
         before = layer.weights.copy()
         simulate_online(layer, X, spk, np.random.default_rng(3), codes, prob, el, 0.1)
-        covered = kernel_covers(spk, prob) and _kernels.library() is not None
-        assert kernel_calls == (["plastic"] * 3 if covered else [])
+        compiled = isinstance(prob, SymmetricProb) and _kernels.library() is not None
+        assert kernel_calls == (["plastic"] * 3 if compiled else [])
         assert not np.array_equal(layer.weights, before)
 
     @pytest.mark.sanitized
@@ -406,7 +417,8 @@ def test_simulate_refuses_a_generator_that_is_not_numpys(monkeypatch, compiled, 
 
 @st.composite
 def simulate_calls(draw):
-    """A ``simulate`` call: its path and rows, shape, inputs, polarity, tau_e and window."""
+    """A ``simulate`` call: its path and rows, shape, inputs, polarity, tau_e, window,
+    output trace and reset."""
     path, rows = draw(st.sampled_from([("eval", 0), ("eval", 1), ("eval", 3), ("lockstep", 1),
                                        ("lockstep", 2), ("lockstep", 3)] + [("event", 1)] * 3
                                       + [("online", b) for b in (1, 2, 3, 4)]))
@@ -422,7 +434,11 @@ def simulate_calls(draw):
         scale=draw(st.sampled_from([0.25, 1.0])),
         mask=draw(st.sampled_from(["positive", "negative", "split"])),
         tau_e=draw(st.sampled_from(taus)), steps=steps,
-        window=draw(st.integers(0, steps)), seed=draw(st.integers(0, 2**32 - 1)))
+        window=draw(st.integers(0, steps)), seed=draw(st.integers(0, 2**32 - 1)),
+        trace=TraceConfig(draw(st.sampled_from(TRACE_KINDS)),
+                          draw(st.sampled_from([0.1, 0.37, 1.0])),
+                          draw(st.sampled_from([0.0, 0.5, 0.9]))),
+        reset=draw(st.sampled_from(RESET_MODES)))
 
 
 def run_drawn_call(call, compiled):
@@ -439,7 +455,8 @@ def run_drawn_call(call, compiled):
     X[X == 0.0] = 0.0  # no -0.0
     codes = rng.choice(np.array([1, -1], dtype=np.int8), call["rows"])
     spk = SpikingConfig(n_out=n_out, tau_e=call["tau_e"], encoder=SpikeEncoderConfig(
-        call["scale"], call["steps"], call["window"]))
+        call["scale"], call["steps"], call["window"]), trace=call["trace"],
+        lif=LIFConfig(reset_mode=call["reset"]))
     plastic = (codes, SymmetricProb(), el, 0.05) if call["plastic"] else ()
     with pytest.MonkeyPatch.context() as mp:
         if not compiled:
@@ -470,7 +487,7 @@ def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_call
 def test_drawn_calls_equal_the_numpy_path(call):
     # B 0-3, event-driven B = 1 and online blocks of B 1-4, widths at numpy's block
     # edges, densities from none to all, all-positive, all-negative and split masks,
-    # tau_e on both sides of 1/2
+    # tau_e on both sides of 1/2, every output trace (mu, tau_o) and both resets
     got, want = run_drawn_call(call, True), run_drawn_call(call, False)
     for name, a, b in zip(("trace", "weights", "e"), got[:3], want[:3]):
         assert np.array_equal(a, b), name
@@ -486,11 +503,13 @@ class TestLockstepStep:
         (0, None), (1, None), (1, 0.3), (2, 0.99), (3, 0.99), (100, 0.99), (1000, 0.99),
         (1000, None),
     ], ids=["0", "1-eval", "1-tau_e_0.3", "2", "3", "100", "1000", "1000-eval"])
-    def test_calls_equal_the_numpy_path(self, monkeypatch, kernel_calls, rows, tau_e):
-        got = calls_of(rows, 200, tau_e, True, monkeypatch)
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_calls_equal_the_numpy_path(self, monkeypatch, kernel_calls, dynamics, rows, tau_e):
+        parts = dynamics_of(dynamics)
+        got = calls_of(rows, 200, tau_e, True, monkeypatch, **parts)
         kind = "eval" if tau_e is None else "plastic"
         assert kernel_calls == [kind] * 2
-        want = calls_of(rows, 200, tau_e, False, monkeypatch)
+        want = calls_of(rows, 200, tau_e, False, monkeypatch, **parts)
         assert kernel_calls == [kind] * 2
         assert_same_states(got, want)
         if rows:
@@ -510,6 +529,23 @@ class TestLockstepStep:
         assert kernel_calls == ["plastic"] * 2
         assert_same_states(got, want)
         assert not np.array_equal(got[0][1], got[-1][1])
+
+    @pytest.mark.sanitized
+    @pytest.mark.usefixtures("kernels")
+    @pytest.mark.parametrize("n_out,tau_o", [(14, 0.0), (16, 0.9), (18, 0.0), (254, 0.9),
+                                             (256, 0.0), (258, 0.9)])
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_every_trace_and_reset_follows_numpy_at_the_block_edges(
+            self, monkeypatch, kernel_calls, dynamics, n_out, tau_o):
+        # halves of 7-9 and 127-129 units, each edge at tau_o 0 and 0.9, on the lockstep
+        # path and in an online block
+        parts = dynamics_of(dynamics, tau_o)
+        for run in (simulate, simulate_online):
+            got = calls_of(3, n_out, 0.99, True, monkeypatch, n_in=60, run=run, **parts)
+            want = calls_of(3, n_out, 0.99, False, monkeypatch, n_in=60, run=run, **parts)
+            assert_same_states(got, want)
+            assert not np.array_equal(got[0][1], got[-1][1])
+        assert kernel_calls == ["plastic"] * 2 + ["event"] * 2
 
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("tau_e", [None, 0.99])
@@ -560,7 +596,7 @@ class TestLockstepStep:
         (SymmetricProb(), {"trace": TraceConfig(kind="li")}, False),
         (SymmetricProb(), {"lif": LIFConfig(reset_mode="subtract")}, False),
     ], ids=["sigmoid", "li", "hard_li", "subtract", "li-eval", "subtract-eval"])
-    def test_uncovered_configurations_make_no_lockstep_call(self, kernel_calls, prob, spiking,
+    def test_only_sigmoid_plasticity_makes_no_lockstep_call(self, kernel_calls, prob, spiking,
                                                             plastic):
         layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99, **spiking)
         X = np.random.default_rng(2).random((4, 60))
@@ -568,8 +604,9 @@ class TestLockstepStep:
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(3), *(
             (codes, prob, el, 0.1) if plastic else ()))
-        assert not kernel_covers(spk, prob if plastic else None)
-        assert kernel_calls == []
+        compiled = (isinstance(prob, SymmetricProb) or not plastic) and (
+            _kernels.library() is not None)
+        assert kernel_calls == ([("plastic" if plastic else "eval")] if compiled else [])
         assert np.array_equal(layer.weights, before) != plastic
 
     def test_unloaded_kernels_run_numpy(self, kernel_calls, numpy_path):
@@ -800,12 +837,13 @@ from ffa.analog import TrainConfig
 from ffa.checkpoint import load_checkpoint, save_checkpoint
 from ffa.core import SymmetricProb
 from ffa.data import ExperimentData, LabelCodebook
-from ffa.spiking import SpikingConfig, train_hebbian
+from ffa.spiking import LIFConfig, SpikingConfig, TraceConfig, train_hebbian
 from tests.conftest import make_synthetic
 
 train, test = make_synthetic(150, 60, dim=40, seed=4)
 data = ExperimentData(train, test, LabelCodebook(length=12, density=0.3, seed=9))
-spk = SpikingConfig(n_out=30, tau_e=0.99)
+spk = SpikingConfig(n_out=30, tau_e=0.99, trace=TraceConfig(kind=sys.argv[3]),
+                    lif=LIFConfig(reset_mode=sys.argv[4]))
 if sys.argv[2] == "train":
     cfg = TrainConfig(eta=0.3, batch_size=10, epochs=1, seed=6, prob_fn=SymmetricProb())
     layer, _ = train_hebbian(cfg, data, "batch", spk)
@@ -840,12 +878,13 @@ class TestFallbackProcess:
         assert runs["c"][2] == runs["numpy"][2]
 
     @pytest.mark.usefixtures("kernels")
-    def test_no_compiler_trains_and_evaluates_a_batch_epoch_the_same(self, tmp_path):
+    @pytest.mark.parametrize("dynamics", ["relu-to_zero", "li-subtract"])
+    def test_no_compiler_trains_and_evaluates_a_batch_epoch_the_same(self, tmp_path, dynamics):
         runs = {}
         for name, extra in (("c", {}), ("numpy", {"CC": "false",
                                                   "XDG_CACHE_HOME": str(tmp_path / "fresh")})):
             out = tmp_path / f"{name}.ffaw"
-            done = run_script(BATCH_EPOCH, out, "train", **extra)
+            done = run_script(BATCH_EPOCH, out, "train", *dynamics.split("-"), **extra)
             *report, backend = done.stdout.strip().splitlines()
             runs[name] = (backend, report, out.read_bytes())
         assert runs["c"][0] == f"c ({os.environ.get('CC') or 'cc'})"
@@ -857,8 +896,9 @@ class TestFallbackProcess:
     @pytest.mark.skipif(shutil.which("taskset") is None, reason="no taskset to pin a process")
     def test_a_spiking_eval_on_one_core_prints_the_report_of_all_cores(self, tmp_path):
         model = tmp_path / "model.ffaw"
-        everywhere = run_script(BATCH_EPOCH, model, "train").stdout
-        pinned = run_script(BATCH_EPOCH, model, "eval", prefix=("taskset", "-c", "0")).stdout
+        everywhere = run_script(BATCH_EPOCH, model, "train", "relu", "to_zero").stdout
+        pinned = run_script(BATCH_EPOCH, model, "eval", "relu", "to_zero",
+                            prefix=("taskset", "-c", "0")).stdout
         assert pinned == everywhere
         assert "separability: " in pinned
 
@@ -937,10 +977,20 @@ def test_source_ships_with_the_package():
     assert _kernels.SOURCE.is_file()
 
 
-def test_package_defaults_are_covered():
-    spk = SpikingConfig()
-    assert kernel_covers(spk, SymmetricProb())
-    assert kernel_covers(spk, None)
-    assert kernel_covers(replace(spk, tau_e=0.49), SymmetricProb())
-    assert not kernel_covers(spk, SigmoidProb())
-    assert not kernel_covers(replace(spk, trace=TraceConfig(kind="li")), None)
+@pytest.mark.parametrize("dynamics", DYNAMICS)
+def test_every_trace_and_reset_makes_one_compiled_call(kernel_calls, dynamics):
+    # a call runs compiled unless it is plastic under the sigmoid probability
+    X = np.random.default_rng(2).random((3, 60))
+    codes = np.array([1, -1, 1], dtype=np.int8)
+    for prob in (SymmetricProb(), SigmoidProb(theta=1.0)):
+        layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99,
+                                       **dynamics_of(dynamics))
+        rng = np.random.default_rng(3)
+        kernel_calls.clear()
+        simulate(layer, X, spk, rng)
+        simulate(layer, X, spk, rng, codes, prob, el, 0.1)
+        simulate(layer, X[:1], spk, rng, codes[:1], prob, el, 0.1)
+        simulate_online(layer, X, spk, rng, codes, prob, el, 0.1)
+        want = ["eval", "plastic", "event", "event"] if isinstance(prob, SymmetricProb) else [
+            "eval"]
+        assert kernel_calls == (want if _kernels.library() is not None else []), prob
