@@ -20,6 +20,15 @@
  * right, as ffa.core.row_sums sums it; scipy's sparse products add the rows
  * of W.T, or the rows' impulses, one after another from 0.0.
  *
+ * Where _EventSynapses.fold makes a dense pass over W and e, the event path
+ * queues the fold instead, and applies the queued folds to an input's rows of
+ * W.T and e.T just before they are next read, and to every row at the end of
+ * the call.  Each element still goes through fold's two operations, with the
+ * same operands and in the same order; only when they run changes.  Between
+ * a fold and its application to a row nothing reads or writes that row: the
+ * current and the plastic step touch only the rows of the inputs that fired,
+ * and those are brought up to date first.  The bits are the dense fold's.
+ *
  * Build with -ffp-contract=off and never with -ffast-math (it reorders
  * sums).  A fused multiply-add rounds once where numpy rounds twice, as it
  * would in the trace line, whose product rounds for li and hard_li.
@@ -46,17 +55,30 @@ static void row_sum(double *out, const double *m, const ptrdiff_t *rows, ptrdiff
     }
 }
 
-/* _EventSynapses.fold: W += e * (eta * C); e *= c. */
-static void fold(double *w, double *e, ptrdiff_t size, double eta, double decay,
-                 double decay_sum)
+/* The queued folds from done[i] on, in queue order, applied to input i's rows
+ * of w and e: each is _EventSynapses.fold's W += e * (eta * C); e *= c. */
+static void catch_up(double *w_row, double *e_row, ptrdiff_t n_out, const double *queue,
+                     ptrdiff_t from, ptrdiff_t queued)
+{
+    for (ptrdiff_t q = from; q < queued; q++) {
+        const double scale = queue[2 * q], decay = queue[2 * q + 1];
+        for (ptrdiff_t j = 0; j < n_out; j++) {
+            w_row[j] += e_row[j] * scale;
+            e_row[j] *= decay;
+        }
+    }
+}
+
+/* Queue the fold _EventSynapses.fold makes of (decay, decay_sum), (eta * C, c),
+ * at queue[queued] unless decay_sum is 0.0; returns the new queue length. */
+static ptrdiff_t enqueue(double *queue, ptrdiff_t queued, double eta, double decay,
+                         double decay_sum)
 {
     if (decay_sum == 0.0)
-        return;
-    const double scale = eta * decay_sum;
-    for (ptrdiff_t k = 0; k < size; k++) {
-        w[k] += e[k] * scale;
-        e[k] *= decay;
-    }
+        return queued;
+    queue[2 * queued] = eta * decay_sum;
+    queue[2 * queued + 1] = decay;
+    return queued + 1;
 }
 
 typedef double (*next_double_fn)(void *state);
@@ -85,20 +107,21 @@ static void hebbian_post(double *post, const double *tr, ptrdiff_t n_out,
 }
 
 /* One call of simulate over `rows` instances.  w is the presynaptic-major
- * [n_in][n_out] weights; p and cols hold the events' spike probabilities
- * and input columns, row b's at [starts[b], starts[b + 1]); next_double and
+ * [n_in][n_out] weights; p and cols hold the events' spike probabilities and
+ * input columns, row b's at [starts[b], starts[b + 1]); next_double and
  * state are the generator's.  subtract selects the LIF reset and trace_g,
  * trace_d and trace_h the trace's (g, d, h); trace [rows][n_out] (zeroed)
- * receives the final traces.  Steps from active_start on are plastic: they
- * use the eligibility e, the layer's pos_mask, each row's polarity positive[b],
- * epsilon, tau_e and eta.  With event set the rows run one after another,
- * each as a one-row call of its own: fresh LIF and trace state, plastic
- * steps through _EventSynapses, folding once the decay product drops below
- * fold_below and at the row's end.  Else the rows run in lockstep, each
- * row's impulse is added at its fired inputs into impulse [n_in][n_out]
- * and the row mean is folded through e into w.  Returns 0;
- * -1 when the events do not fit, or -2 when scratch memory cannot be had,
- * having drawn and written nothing. */
+ * receives the final traces.  Steps from active_start (0 to steps) on are
+ * plastic: they use the eligibility e, the layer's pos_mask, each row's
+ * polarity positive[b], epsilon, tau_e and eta.  With event set the rows run
+ * one after another, each as a one-row call of its own: fresh LIF and trace
+ * state, plastic steps through _EventSynapses, folding once the decay
+ * product drops below fold_below and at the row's end; the folds are queued
+ * and applied per input row (see above), so w and e hold the real values on
+ * return.  Else the rows run in lockstep, each row's impulse is added at its
+ * fired inputs into impulse [n_in][n_out] and the row mean is folded through
+ * e into w.  Returns 0; -1 when the events do not fit, or -2 when scratch
+ * memory cannot be had, having drawn and written nothing. */
 int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz, ptrdiff_t steps,
                  ptrdiff_t active_start, const double *p, const ptrdiff_t *cols,
                  const ptrdiff_t *starts, double lif_decay, double threshold, double gain,
@@ -108,7 +131,7 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
                  double *e, double *impulse, int event, double fold_below,
                  next_double_fn next_double, void *state)
 {
-    if (starts[0] != 0 || starts[rows] != nnz)
+    if (starts[0] != 0 || starts[rows] != nnz || active_start < 0 || active_start > steps)
         return -1;
     for (ptrdiff_t b = 0; b < rows; b++)
         if (starts[b + 1] < starts[b] || starts[b + 1] - starts[b] > n_in)
@@ -121,12 +144,27 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
     double *work = calloc((size_t)((rows + 2) * n_out), sizeof *work);
     ptrdiff_t *fired = malloc((size_t)n_in * sizeof *fired);
     unsigned char *touched = calloc((size_t)n_in, 1);
-    if ((n_out && !work) || (n_in && (!fired || !touched))) { /* a size 0 may give NULL */
+    /* the event path's folds, (eta * C, c) each, queued for at most one per plastic
+     * step and one per row end; done[i] of them are applied to input i's rows */
+    double *queue = NULL;
+    ptrdiff_t *done = NULL;
+    size_t entries = 0, bytes = 0;
+    if (event && !__builtin_mul_overflow((size_t)rows, (size_t)(steps - active_start + 1),
+                                         &entries)
+        && !__builtin_mul_overflow(entries, 2 * sizeof *queue, &bytes)) {
+        queue = malloc(bytes);
+        done = calloc((size_t)n_in, sizeof *done);
+    }
+    if ((n_out && !work) || (n_in && (!fired || !touched))  /* a size 0 may give NULL */
+        || (event && (!queue || (n_in && !done)))) {
         free(work);
         free(fired);
         free(touched);
+        free(queue);
+        free(done);
         return -2;
     }
+    ptrdiff_t queued = 0;
     double *potential = work, *current = work + rows * n_out, *e_sum = current + n_out;
     /* the lockstep path runs all rows in one block, the event path one row
      * after another; each block starts from fresh LIF and trace state */
@@ -143,6 +181,12 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
                 for (ptrdiff_t k = starts[b]; k < starts[b + 1]; k++)
                     if (next_double(state) < p[k])
                         fired[n_fired++] = cols[k] * n_out;
+                if (event && queued && n_out) /* the fired inputs' rows, up to date */
+                    for (ptrdiff_t k = 0; k < n_fired; k++) {
+                        ptrdiff_t *applied = done + fired[k] / n_out;
+                        catch_up(w + fired[k], e + fired[k], n_out, queue, *applied, queued);
+                        *applied = queued;
+                    }
                 row_sum(current, w, fired, n_fired, n_out);
                 if (event && decay_sum != 0.0) { /* _EventSynapses.current */
                     row_sum(e_sum, e, fired, n_fired, n_out);
@@ -180,7 +224,7 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
                     }
                     decay_sum += decay;
                     if (decay < fold_below) {
-                        fold(w, e, n_in * n_out, eta, decay, decay_sum);
+                        queued = enqueue(queue, queued, eta, decay, decay_sum);
                         decay = 1.0;
                         decay_sum = 0.0;
                     }
@@ -229,11 +273,16 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
             }
         }
         if (event)
-            fold(w, e, n_in * n_out, eta, decay, decay_sum);
+            queued = enqueue(queue, queued, eta, decay, decay_sum);
     }
+    if (event && queued) /* every row, up to date */
+        for (ptrdiff_t i = 0; i < n_in; i++)
+            catch_up(w + i * n_out, e + i * n_out, n_out, queue, done[i], queued);
     free(work);
     free(fired);
     free(touched);
+    free(queue);
+    free(done);
     return 0;
 }
 

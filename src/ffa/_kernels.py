@@ -2,7 +2,8 @@
 
 ``_kernels.c`` holds one whole call of :func:`ffa.spiking.simulate` over B
 rows on its lockstep path, or a block of B event-driven one-row calls run one
-after another (:func:`ffa.spiking.simulate_online`), for every output trace
+after another (:func:`ffa.spiking.simulate_online`, whose folds it applies
+per input row when that input next fires), for every output trace
 and reset, and one fused :func:`ffa.analog.adam_step`.  numpy stays the rule
 and the oracle: each C loop performs the same IEEE operations in the same
 order, summation orders included, so it gives the numpy path's bits.
@@ -202,8 +203,13 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
     symmetric ``epsilon``; its last ``active_window`` steps update
     ``weights`` and ``e`` in place.  Given ``fold_below``, a plastic call
     runs its rows event-driven one after another, each as a one-row call
-    that folds once the decay product drops below it and at its end.  Every
-    argument is checked before anything is drawn or written.
+    that folds once the decay product drops below it and at its end.  The
+    kernel queues those folds and applies them to an input's rows of ``W.T``
+    and ``e.T`` just before the input next fires, and to every row before it
+    returns.  Each element goes through the dense fold's operations in the
+    same order, and nothing touches a row between a fold and its application
+    there, so the bits are the dense fold's.  Every argument is checked
+    before anything is drawn or written.
     """
     n_out, n_in = shape = weights.shape
     rows, nnz = starts.size - 1, p.size
@@ -237,7 +243,8 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
     if status == -2:
         raise MemoryError("simulate's kernel could not allocate its scratch memory")
     if status:
-        raise ValueError("simulate arguments do not fit the layer: events out of range")
+        raise ValueError("simulate arguments do not fit the layer: events or plastic "
+                         "window out of range")
     global runs
     runs += 1
     return trace

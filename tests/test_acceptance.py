@@ -3,7 +3,7 @@
 Criteria 4-8 are self-contained and always run.  Criteria 1-3 train on the
 real MNIST dataset and are skipped with an explanatory message when the IDX
 files are absent (see README for how to provide them); with data present
-they are long: an estimated 2 h 45 min on two cores, most of it in the three
+they are long: an estimated 2 h 40 min on two cores, most of it in the three
 sigmoid online cells that run numpy (README "Tests" derives the estimate).
 """
 

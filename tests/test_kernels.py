@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,6 +236,16 @@ class TestOnlineSample:
 
     @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
+    def test_refuses_a_plastic_window_longer_than_the_call(self):
+        # the event path sizes its fold queue from the number of plastic steps
+        call = KernelCall(rows=1, fold_below=0.5)
+        spk = call.args["spiking"]
+        encoder = SimpleNamespace(steps=spk.encoder.steps, active_window=spk.encoder.steps + 1)
+        call.args["spiking"] = SimpleNamespace(encoder=encoder, lif=spk.lif, trace=spk.trace)
+        call.assert_refused()
+
+    @pytest.mark.sanitized
+    @pytest.mark.usefixtures("kernels")
     def test_refuses_a_column_out_of_range(self):
         call = KernelCall(rows=1, fold_below=0.5)
         call.args["cols"] = np.array([3, 10])
@@ -312,6 +323,38 @@ class TestOnlineBlock:
         assert kernel_calls == ["event"] * 2
         assert_same_states(got, want)
         assert not np.array_equal(got[0][1], got[-1][1])
+
+    @pytest.mark.sanitized
+    @pytest.mark.usefixtures("kernels")
+    @pytest.mark.parametrize("kind", ["sparse", "zero"])
+    @pytest.mark.parametrize("tau_e", [0.5, 0.55, 0.999])
+    @pytest.mark.parametrize("rows", [1, 2, 100])
+    def test_queued_folds_equal_the_dense_folds(self, monkeypatch, kernel_calls, rows, tau_e,
+                                                kind):
+        # the kernel applies each fold to an input's rows when the input next fires, and
+        # to every row at the end of the call.  0.999 folds at each row's end only, 0.5
+        # and 0.55 also every other plastic step, so a row queues five folds.  Input 0
+        # fires at every step of row 0 (at scale 1.0) and never again, so it is brought
+        # up to date there and at the end; input 1 never fires; in an all-zero block no
+        # input fires and every fold waits for the end of the call
+        X = np.zeros((rows, 60))
+        if kind == "sparse":
+            X = input_rows("sparse", n=rows, n_in=60)
+            X[:, :2] = 0.0
+            X[0, 0] = 1.0
+        parts = dict(encoder=SpikeEncoderConfig(scale=1.0), run=simulate_online, n_in=60)
+        got = calls_of(rows, 200, tau_e, True, monkeypatch, X=X, **parts)
+        assert kernel_calls == ["event"] * 2
+        want = calls_of(rows, 200, tau_e, False, monkeypatch, X=X, **parts)
+        assert kernel_calls == ["event"] * 2
+        assert_same_states(got, want)
+        before = plastic_model(SymmetricProb(), n_in=60, n_out=200)[0].weights
+        assert not np.array_equal(got[0][1][:, 1], before[:, 1])  # folds reach input 1
+        assert (got[-1][0].sum() > 0) == (kind == "sparse")
+        if kind == "sparse":  # input 0's row took plastic steps too, not folds alone
+            X[0, 0] = 0.0
+            silent = calls_of(rows, 200, tau_e, False, monkeypatch, X=X, **parts)
+            assert not np.array_equal(silent[0][1][:, 0], got[0][1][:, 0])
 
     def test_the_block_is_a_loop_of_one_row_calls(self, monkeypatch):
         # the rule itself, whatever runs it: row b is a one-row plastic simulate call
@@ -421,7 +464,9 @@ def simulate_calls(draw):
     output trace and reset."""
     path, rows = draw(st.sampled_from([("eval", 0), ("eval", 1), ("eval", 3), ("lockstep", 1),
                                        ("lockstep", 2), ("lockstep", 3)] + [("event", 1)] * 3
-                                      + [("online", b) for b in (1, 2, 3, 4)]))
+                                      + [("online", 1)] * 4))
+    if path == "online":
+        rows = draw(st.integers(1, 12))
     # one row runs event-driven from tau_e = 1/2 on, and so does an online block
     taus = {"event": [0.5, 0.6, 0.9, 0.999], "online": [0.5, 0.6, 0.9, 0.999],
             "lockstep": [0.3, 0.49] if rows == 1 else [0.3, 0.49, 0.5, 0.9, 0.999],
@@ -485,7 +530,7 @@ def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_call
 @settings(max_examples=200)
 @given(call=simulate_calls())
 def test_drawn_calls_equal_the_numpy_path(call):
-    # B 0-3, event-driven B = 1 and online blocks of B 1-4, widths at numpy's block
+    # B 0-3, event-driven B = 1 and online blocks of B 1-12, widths at numpy's block
     # edges, densities from none to all, all-positive, all-negative and split masks,
     # tau_e on both sides of 1/2, every output trace (mu, tau_o) and both resets
     got, want = run_drawn_call(call, True), run_drawn_call(call, False)
