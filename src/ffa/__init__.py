@@ -46,8 +46,6 @@ from .metrics import (
 from .spiking import (
     EligibilityTrace,
     LIFConfig,
-    LIFState,
-    OutputTrace,
     SpikeEncoderConfig,
     SpikingConfig,
     TraceConfig,

@@ -10,10 +10,12 @@ three-factor product ``modulation * trace * input_spike`` is fed through a
 per-synapse eligibility trace that low-passes the updates into the weights.
 
 One lockstep loop, :func:`simulate`, serves evaluation, batch training and
-online training (a batch of one).  A plastic batch of one runs the same rule
-event-driven: only the synapses of inputs that spiked are touched.  Online
-training hands :func:`simulate_online` a block of rows, each of which is such
-a call in turn; compiled, the whole block is one kernel call.
+online training (a batch of one).  It holds the membrane potentials and the
+output traces as two plain [B, n_out] arrays, as the compiled kernel does.
+A plastic batch of one runs the same rule event-driven: only the synapses of
+inputs that spiked are touched.  Online training hands :func:`simulate_online`
+a block of rows, each of which is such a call in turn; compiled, the whole
+block is one kernel call.
 
 Plastic weights and eligibility are stored presynaptic-major, as
 address-event hardware stores its synapses: Fortran-ordered [n_out, n_in],
@@ -69,39 +71,26 @@ class LIFConfig:
         })
 
 
-@dataclass
-class LIFState:
-    """Membrane potentials plus the dynamics that govern them."""
-
-    potential: np.ndarray
-    config: LIFConfig
-
-    @classmethod
-    def zeros(cls, shape, config: LIFConfig) -> "LIFState":
-        return cls(np.zeros(shape), config)
-
-
 def lif_step(
-    state: LIFState, weights: np.ndarray, in_spikes: np.ndarray | csr_array
+    potential: np.ndarray, weights: np.ndarray, in_spikes: np.ndarray | csr_array, lif: LIFConfig
 ) -> np.ndarray:
     """Integrate one timestep and return the binary output spikes.
 
     Accepts a single spike vector [n_in] or a lockstep batch [B, n_in], dense
     or a CSR array (with a matching [B, n_out] potential).
     """
-    return lif_fire(state, in_spikes @ weights.T)
+    return lif_fire(potential, in_spikes @ weights.T, lif)
 
 
-def lif_fire(state: LIFState, current: np.ndarray) -> np.ndarray:
-    """Leak, add ``input_gain * current``, then fire and reset at the threshold."""
-    cfg = state.config
-    state.potential *= cfg.decay
-    state.potential += cfg.input_gain * current
-    out = state.potential >= cfg.threshold
-    if cfg.reset_mode == "to_zero":
-        state.potential[out] = 0.0
+def lif_fire(potential: np.ndarray, current: np.ndarray, lif: LIFConfig) -> np.ndarray:
+    """Leak ``potential`` in place, add ``input_gain * current``, then fire and reset at the threshold."""
+    potential *= lif.decay
+    potential += lif.input_gain * current
+    out = potential >= lif.threshold
+    if lif.reset_mode == "to_zero":
+        potential[out] = 0.0
     else:
-        state.potential[out] -= cfg.threshold
+        potential[out] -= lif.threshold
     return out.astype(np.float64)
 
 
@@ -121,34 +110,19 @@ class TraceConfig:
         })
 
 
-@dataclass
-class OutputTrace:
-    """Per-neuron smooth summary of recent output spikes."""
-
-    value: np.ndarray
-    config: TraceConfig
-
-    @classmethod
-    def zeros(cls, shape, config: TraceConfig) -> "OutputTrace":
-        return cls(np.zeros(shape), config)
-
-
-def trace_step(trace: OutputTrace, out_spikes: np.ndarray) -> OutputTrace:
-    """Advance the trace one timestep, elementwise.
+def trace_step(trace: np.ndarray, out_spikes: np.ndarray, config: TraceConfig) -> np.ndarray:
+    """The output trace one timestep on, elementwise.
 
     li:      T <- mu * I + tau_o * T         (leaky integration)
     hard_li: T <- I + tau_o * (1 - I) * T    (a spike pins the trace to 1)
     relu:    T <- mu * I + T                 (pure accumulation)
     """
     I = np.asarray(out_spikes, dtype=np.float64)
-    cfg = trace.config
-    if cfg.kind == "li":
-        trace.value = cfg.mu * I + cfg.tau_o * trace.value
-    elif cfg.kind == "hard_li":
-        trace.value = I + cfg.tau_o * (1.0 - I) * trace.value
-    else:
-        trace.value = cfg.mu * I + trace.value
-    return trace
+    if config.kind == "li":
+        return config.mu * I + config.tau_o * trace
+    if config.kind == "hard_li":
+        return I + config.tau_o * (1.0 - I) * trace
+    return config.mu * I + trace
 
 
 @dataclass
@@ -387,9 +361,7 @@ def simulate(
         plasticity = {} if not plastic else _kernel_plasticity(
             layer, codes, prob_fn, eligibility, eta, event)
         return kernels.simulate(weights, spiking, p, cols, starts, rng, **plasticity)
-    shape = (rows, layer.n_out)
-    lif = LIFState.zeros(shape, spiking.lif)
-    trace = OutputTrace.zeros(shape, spiking.trace)
+    potential, trace = np.zeros((rows, layer.n_out)), np.zeros((rows, layer.n_out))
     synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
     for t in range(enc.steps):
         fired = rate_encode(p, rng)
@@ -397,17 +369,18 @@ def simulate(
             spikes = _fired_spikes(cols, starts, fired, X.shape)
         # The output spikes stay a temporary: a [B, n_out] array held across
         # steps would raise eval's peak memory.
-        trace_step(trace, lif_fire(lif, synapses.current(cols[fired])) if event
-                   else lif_step(lif, weights, spikes))
+        trace = trace_step(trace, (lif_fire(potential, synapses.current(cols[fired]), spiking.lif)
+                                   if event else lif_step(potential, weights, spikes, spiking.lif)),
+                           spiking.trace)
         if t >= active_start:
             if event:
-                synapses.step(hebbian_post(trace.value, codes, prob_fn, layer.partition)[0])
+                synapses.step(hebbian_post(trace, codes, prob_fn, layer.partition)[0])
             else:
-                hebbian_impulse(trace.value, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+                hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
                 eligibility_step(eligibility, layer.weights, eta)
     if event:
         synapses.fold()
-    return trace.value
+    return trace
 
 
 def simulate_online(
@@ -454,6 +427,10 @@ def _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plast
     if plastic and not (layer.weights.flags.f_contiguous and eligibility.e.flags.f_contiguous):
         raise ConfigError("plasticity needs presynaptic-major (Fortran-ordered) weights and "
                           "eligibility; see EligibilityTrace.zeros_like")
+    if plastic and eligibility.e.shape != layer.weights.shape:
+        raise ConfigError(f"plasticity needs an eligibility trace of the weights' shape; got an "
+                          f"eligibility trace of shape {eligibility.e.shape} for weights of shape "
+                          f"{layer.weights.shape}")
     X = layer.check_batch(X)
     rows = X.shape[0]
     if plastic and (rows == 0 or np.shape(codes) != (rows,)):

@@ -25,8 +25,6 @@ from ffa.core import EPS_CLAMP, PolarityPartition, SigmoidProb
 from ffa.errors import ConfigError, DataError
 from ffa.metrics import LatentDump
 from ffa.spiking import (
-    LIFState,
-    OutputTrace,
     _fired_spikes,
     _input_events,
     eligibility_step,
@@ -228,19 +226,17 @@ def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta)
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x
-    shape = (X.shape[0], layer.n_out)
-    lif = LIFState.zeros(shape, spiking.lif)
-    trace = OutputTrace.zeros(shape, spiking.trace)
+    potential, trace = np.zeros((X.shape[0], layer.n_out)), np.zeros((X.shape[0], layer.n_out))
     active_start = enc.steps - enc.active_window
     weights_t = np.ascontiguousarray(layer.weights.T)
     for t in range(enc.steps):
         spikes = _fired_spikes(cols, starts, rate_encode(p, rng), X.shape)
-        trace_step(trace, lif_step(lif, weights_t.T, spikes))
+        trace = trace_step(trace, lif_step(potential, weights_t.T, spikes, spiking.lif), spiking.trace)
         if t >= active_start:
-            hebbian_impulse(trace.value, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
             eligibility_step(eligibility, layer.weights, eta)
             np.copyto(weights_t, layer.weights.T)
-    return trace.value
+    return trace
 
 
 def left_to_right_sum(values) -> float:

@@ -22,7 +22,7 @@ from ffa.metrics import (
     hoyer_summary,
     separability_index,
 )
-from ffa.spiking import EligibilityTrace, OutputTrace, TraceConfig, eligibility_step, trace_step
+from ffa.spiking import EligibilityTrace, TraceConfig, eligibility_step, trace_step
 from tests.conftest import require_mnist
 from tests.reference import Polarity, forward, sample_loss, scalar_factorized_gradient
 
@@ -235,16 +235,16 @@ def test_criterion6_trace_oracles(kind):
     n_seq, length = 100_000, 25
     mu, tau_o = 0.1, 0.9
     spikes = (rng.random((length, n_seq)) < 0.35).astype(np.float64)
-    trace = OutputTrace.zeros(n_seq, TraceConfig(kind=kind, mu=mu, tau_o=tau_o))
+    cfg, trace = TraceConfig(kind=kind, mu=mu, tau_o=tau_o), np.zeros(n_seq)
     history = np.empty((length, n_seq))
     for t in range(length):
-        trace_step(trace, spikes[t])
-        history[t] = trace.value
+        trace = trace_step(trace, spikes[t], cfg)
+        history[t] = trace
         if kind == "hard_li":
-            assert trace.value.max() <= 1.0
+            assert trace.max() <= 1.0
         if kind == "li":
-            assert trace.value.max() <= mu / (1.0 - tau_o) * (1.0 + 1e-12)
-        assert trace.value.min() >= 0.0
+            assert trace.max() <= mu / (1.0 - tau_o) * (1.0 + 1e-12)
+        assert trace.min() >= 0.0
     # independent scalar reference, bit-for-bit
     for s in range(n_seq):
         ref = scalar_trace_reference(kind, spikes[:, s].tolist(), mu, tau_o)

@@ -39,6 +39,12 @@ CELLS = {
                                               "lif.reset_mode": reset}
        for model in ("hebbian", "hebbian_online") for trace in TRACE_KINDS
        for reset in RESET_MODES},
+    # At tau_e 0.75 a row folds at the third step of its 4-step plastic window and
+    # again at its end, with a different (scale, decay) each time, so this cell sees
+    # the order the compiled path applies queued folds in.  At the default 0.999
+    # every fold is the same row-end fold.
+    "hebbian_online-symmetric-relu-to_zero-tau_e_0.75": {"experiment.model": "hebbian_online",
+                                                         "experiment.tau_e": 0.75},
 }
 
 CONFIG = """

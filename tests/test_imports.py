@@ -1,4 +1,4 @@
-"""Every import in the package modules is used.
+"""Every import in the package modules and the test modules is used.
 
 The project depends on no linter, so this walks each module's syntax tree:
 an import at module level, or under ``if TYPE_CHECKING:``, binds names that
@@ -12,7 +12,9 @@ import pytest
 
 import ffa
 
-MODULES = sorted(p for p in Path(ffa.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE, TESTS = Path(ffa.__file__).parent, Path(__file__).parent
+MODULES = [*sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+           *sorted(TESTS.glob("*.py"))]
 
 
 def _imports(tree: ast.Module):
@@ -53,7 +55,8 @@ def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,8 +15,6 @@ from ffa.spiking import (
     TRACE_KINDS,
     EligibilityTrace,
     LIFConfig,
-    LIFState,
-    OutputTrace,
     SpikeEncoderConfig,
     SpikingConfig,
     TraceConfig,
@@ -23,6 +23,7 @@ from ffa.spiking import (
     lif_step,
     rate_encode,
     simulate,
+    simulate_online,
     train_hebbian,
 )
 from ffa import _kernels, metrics
@@ -56,11 +57,11 @@ def record_lif_inputs(monkeypatch, check=None):
     """Make ``simulate``'s ``lif_step`` record its input spikes, after ``check(spikes, weights)``."""
     seen, real = [], spiking_mod.lif_step
 
-    def recording(state, weights, spikes):
+    def recording(potential, weights, spikes, lif):
         if check is not None:
             check(spikes, weights)
         seen.append(spikes)
-        return real(state, weights, spikes)
+        return real(potential, weights, spikes, lif)
 
     monkeypatch.setattr(spiking_mod, "lif_step", recording)
     return seen
@@ -148,69 +149,69 @@ class TestRateEncode:
 
 class TestLIF:
     def test_zero_weights_decay_to_rest(self):
-        state = LIFState(np.array([0.8, 0.4]), LIFConfig(decay=0.85, threshold=1.0))
+        potential, cfg = np.array([0.8, 0.4]), LIFConfig(decay=0.85, threshold=1.0)
         W = np.zeros((2, 3))
         spikes = np.ones(3)
         for k in range(1, 30):
-            out = lif_step(state, W, spikes)
+            out = lif_step(potential, W, spikes, cfg)
             assert out.sum() == 0.0
-            assert np.allclose(state.potential, [0.8 * 0.85**k, 0.4 * 0.85**k], rtol=1e-12)
+            assert np.allclose(potential, [0.8 * 0.85**k, 0.4 * 0.85**k], rtol=1e-12)
 
     @pytest.mark.parametrize("drive,fires", [(0.10, False), (0.20, True)])
     def test_constant_drive_fixed_point(self, drive, fires):
         # geometric series: V converges to drive / (1 - decay); with decay
         # 0.85 and threshold 1 the boundary drive is 0.15
         cfg = LIFConfig(decay=0.85, threshold=1.0, input_gain=1.0)
-        state = LIFState.zeros(1, cfg)
+        potential = np.zeros(1)
         W = np.array([[drive]])
         spikes = np.ones(1)
         fired = False
         for _ in range(400):
-            fired = fired or lif_step(state, W, spikes)[0] > 0
+            fired = fired or lif_step(potential, W, spikes, cfg)[0] > 0
         assert fired == fires
         if not fires:
-            assert state.potential[0] == pytest.approx(drive / 0.15, rel=1e-6)
+            assert potential[0] == pytest.approx(drive / 0.15, rel=1e-6)
 
     def test_single_subthreshold_spike_never_fires(self):
         cfg = LIFConfig(decay=0.85, threshold=1.0, input_gain=1.0)
-        state = LIFState.zeros(1, cfg)
+        potential = np.zeros(1)
         W = np.array([[0.9 * 1.0 * (1 - 0.85)]])  # below threshold*(1-decay)
-        out = lif_step(state, W, np.ones(1))
+        out = lif_step(potential, W, np.ones(1), cfg)
         assert out[0] == 0.0
         for _ in range(100):
-            assert lif_step(state, W, np.zeros(1))[0] == 0.0
+            assert lif_step(potential, W, np.zeros(1), cfg)[0] == 0.0
 
     def test_reset_to_zero(self):
-        state = LIFState(np.array([0.0]), LIFConfig(decay=1.0, reset_mode="to_zero", input_gain=1.0))
-        out = lif_step(state, np.array([[1.5]]), np.ones(1))
+        potential, cfg = np.array([0.0]), LIFConfig(decay=1.0, reset_mode="to_zero", input_gain=1.0)
+        out = lif_step(potential, np.array([[1.5]]), np.ones(1), cfg)
         assert out[0] == 1.0
-        assert state.potential[0] == 0.0
+        assert potential[0] == 0.0
 
     def test_reset_subtract(self):
-        state = LIFState(np.array([0.0]), LIFConfig(decay=1.0, reset_mode="subtract", input_gain=1.0))
-        out = lif_step(state, np.array([[1.5]]), np.ones(1))
+        potential, cfg = np.array([0.0]), LIFConfig(decay=1.0, reset_mode="subtract", input_gain=1.0)
+        out = lif_step(potential, np.array([[1.5]]), np.ones(1), cfg)
         assert out[0] == 1.0
-        assert state.potential[0] == pytest.approx(0.5, rel=1e-12)
+        assert potential[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         W = rng.uniform(-0.5, 0.5, size=(4, 6))
         spikes = (rng.random((3, 6)) < 0.4).astype(float)
         cfg = LIFConfig(input_gain=2.0)
-        batch_state = LIFState.zeros((3, 4), cfg)
-        single_states = [LIFState.zeros(4, cfg) for _ in range(3)]
+        batch_potential = np.zeros((3, 4))
+        single_potentials = [np.zeros(4) for _ in range(3)]
         for _ in range(10):
-            out_b = lif_step(batch_state, W, spikes)
+            out_b = lif_step(batch_potential, W, spikes, cfg)
             for b in range(3):
-                out_s = lif_step(single_states[b], W, spikes[b])
+                out_s = lif_step(single_potentials[b], W, spikes[b], cfg)
                 assert np.array_equal(out_b[b], out_s)
-                assert np.allclose(batch_state.potential[b], single_states[b].potential, rtol=1e-13)
+                assert np.allclose(batch_potential[b], single_potentials[b], rtol=1e-13)
 
     def test_gain_scales_current(self):
         cfg = LIFConfig(decay=0.0, threshold=10.0, input_gain=4.0)
-        state = LIFState.zeros(1, cfg)
-        lif_step(state, np.array([[0.5]]), np.ones(1))
-        assert state.potential[0] == pytest.approx(2.0, rel=1e-12)
+        potential = np.zeros(1)
+        lif_step(potential, np.array([[0.5]]), np.ones(1), cfg)
+        assert potential[0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 7, 300])
     def test_csr_current_matches_dense_gemm(self, monkeypatch, numpy_path, rows):
@@ -256,13 +257,13 @@ class TestLIF:
         rng = np.random.default_rng(8)
         W = rng.uniform(-0.5, 0.5, size=(5, 40))
         cfg = LIFConfig(input_gain=2.0)
-        sparse_state, dense_state = LIFState.zeros((7, 5), cfg), LIFState.zeros((7, 5), cfg)
+        sparse_potential, dense_potential = np.zeros((7, 5)), np.zeros((7, 5))
         for _ in range(20):
             spikes = (rng.random((7, 40)) < 0.1).astype(float)
-            got = lif_step(sparse_state, W, csr_array(spikes))
-            want = lif_step(dense_state, W, spikes)
+            got = lif_step(sparse_potential, W, csr_array(spikes), cfg)
+            want = lif_step(dense_potential, W, spikes, cfg)
             assert np.array_equal(got, want)
-            assert np.allclose(sparse_state.potential, dense_state.potential, rtol=0, atol=1e-12)
+            assert np.allclose(sparse_potential, dense_potential, rtol=0, atol=1e-12)
 
 
 def scalar_trace_reference(kind, spikes, mu, tau_o):
@@ -280,61 +281,60 @@ def scalar_trace_reference(kind, spikes, mu, tau_o):
     return out
 
 
-class TestOutputTrace:
+class TestTraceStep:
     @pytest.mark.parametrize("kind", ["li", "hard_li", "relu"])
     def test_matches_scalar_reference_exactly(self, kind):
         rng = np.random.default_rng(2)
         n_seq, length = 500, 40
         spikes = (rng.random((length, n_seq)) < 0.3).astype(float)
-        trace = OutputTrace.zeros(n_seq, TraceConfig(kind=kind, mu=0.1, tau_o=0.9))
+        cfg, trace = TraceConfig(kind=kind, mu=0.1, tau_o=0.9), np.zeros(n_seq)
         history = []
         for t in range(length):
-            spiking_mod.trace_step(trace, spikes[t])
-            history.append(trace.value.copy())
+            trace = spiking_mod.trace_step(trace, spikes[t], cfg)
+            history.append(trace.copy())
         for s in range(n_seq):
             ref = scalar_trace_reference(kind, spikes[:, s], 0.1, 0.9)
             got = [history[t][s] for t in range(length)]
             assert got == ref  # bitwise: same arithmetic, same order
 
     def test_hard_li_spike_pins_to_one(self):
-        trace = OutputTrace.zeros(3, TraceConfig(kind="hard_li", tau_o=0.9))
-        trace.value = np.array([0.2, 0.7, 0.0])
-        spiking_mod.trace_step(trace, np.ones(3))
-        assert np.array_equal(trace.value, np.ones(3))
+        trace = spiking_mod.trace_step(np.array([0.2, 0.7, 0.0]), np.ones(3),
+                                       TraceConfig(kind="hard_li", tau_o=0.9))
+        assert np.array_equal(trace, np.ones(3))
 
     def test_li_geometric_decay(self):
         cfg = TraceConfig(kind="li", mu=0.3, tau_o=0.8)
-        trace = OutputTrace.zeros(1, cfg)
-        trace.value = np.array([1.7])
+        trace = np.array([1.7])
         for _ in range(11):
-            spiking_mod.trace_step(trace, np.zeros(1))
-        assert trace.value[0] == pytest.approx(1.7 * 0.8**11, rel=1e-12)
+            trace = spiking_mod.trace_step(trace, np.zeros(1), cfg)
+        assert trace[0] == pytest.approx(1.7 * 0.8**11, rel=1e-12)
 
     def test_relu_accumulates_mu_per_spike(self):
         rng = np.random.default_rng(3)
         cfg = TraceConfig(kind="relu", mu=0.1)
-        trace = OutputTrace.zeros(1, cfg)
+        trace = np.zeros(1)
         spikes = (rng.random(60) < 0.4).astype(float)
         prev = 0.0
         for s in spikes:
-            spiking_mod.trace_step(trace, np.array([s]))
-            assert trace.value[0] >= prev  # monotone non-decreasing
-            prev = trace.value[0]
-        assert trace.value[0] == pytest.approx(0.1 * spikes.sum(), rel=1e-12)
+            trace = spiking_mod.trace_step(trace, np.array([s]), cfg)
+            assert trace[0] >= prev  # monotone non-decreasing
+            prev = trace[0]
+        assert trace[0] == pytest.approx(0.1 * spikes.sum(), rel=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(4)
         mu, tau_o = 0.25, 0.9
-        li = OutputTrace.zeros(200, TraceConfig(kind="li", mu=mu, tau_o=tau_o))
-        hard = OutputTrace.zeros(200, TraceConfig(kind="hard_li", tau_o=tau_o))
+        li_cfg = TraceConfig(kind="li", mu=mu, tau_o=tau_o)
+        hard_cfg = TraceConfig(kind="hard_li", tau_o=tau_o)
+        li, hard = np.zeros(200), np.zeros(200)
         for _ in range(500):
             spikes = (rng.random(200) < 0.5).astype(float)
-            spiking_mod.trace_step(li, spikes)
-            spiking_mod.trace_step(hard, spikes)
-            assert np.all(li.value >= 0.0)
-            assert np.all(li.value <= mu / (1 - tau_o) * (1 + 1e-12))
-            assert np.all(hard.value >= 0.0)
-            assert np.all(hard.value <= 1.0)
+            li = spiking_mod.trace_step(li, spikes, li_cfg)
+            hard = spiking_mod.trace_step(hard, spikes, hard_cfg)
+            assert np.all(li >= 0.0)
+            assert np.all(li <= mu / (1 - tau_o) * (1 + 1e-12))
+            assert np.all(hard >= 0.0)
+            assert np.all(hard <= 1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -424,13 +424,13 @@ class TestHebbianImpulse:
         )
         x = rng.uniform(0.05, 1.0, size=n_in)
         _, latent = forward(layer, x)
-        trace = OutputTrace.zeros((1, n_out), TraceConfig(kind="relu", mu=1.0))
-        spiking_mod.trace_step(trace, latent[None, :])  # pass-through: spikes := latent
-        assert np.array_equal(trace.value[0], latent)
+        trace = spiking_mod.trace_step(np.zeros((1, n_out)), latent[None, :],
+                                       TraceConfig(kind="relu", mu=1.0))  # pass-through: spikes := latent
+        assert np.array_equal(trace[0], latent)
 
         # the production impulse, folded by the production eligibility step
         el = EligibilityTrace.zeros_like(layer.weights, 0.0)
-        hebbian_impulse(trace.value, x[None, :], np.array([polarity.value]), prob,
+        hebbian_impulse(trace, x[None, :], np.array([polarity.value]), prob,
                         layer.partition, el.impulse)
         eligibility_step(el, np.zeros_like(layer.weights), 1.0)
         impulse = el.e
@@ -564,7 +564,7 @@ class TestRunSample:
 
         def recording_trace_step(*args):
             trace = real_trace_step(*args)
-            traces_seen.append(trace.value.copy())
+            traces_seen.append(trace.copy())
             return trace
 
         monkeypatch.setattr(spiking_mod, "rate_encode", recording_encode)
@@ -630,6 +630,27 @@ class TestMalformedPlasticCalls:
         assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    @pytest.mark.parametrize("run", [simulate, simulate_online], ids=["simulate", "simulate_online"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("e_shape", [(20, 31), (21, 30)])
+    def test_refuses_an_eligibility_trace_of_another_shape_before_drawing(self, request, path, run,
+                                                                          rows, e_shape):
+        if path == "numpy":
+            request.getfixturevalue("numpy_path")
+        layer, spk = tiny_model(n_in=30, n_out=20)
+        el = EligibilityTrace(np.full(e_shape, 0.01, order="F"), 0.99)
+        before = layer.weights.copy(), el.e.copy()
+        X = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 30))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"got an eligibility trace of shape {e_shape} for weights of shape (20, 30)")):
+            run(layer, X, spk, rng, codes, SymmetricProb(), el, 0.1)
+        assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
+        assert rng.bit_generator.state == state
+
     def test_plasticity_free_calls_take_any_row_count(self):
         layer, spk = tiny_model()
         assert simulate(layer, np.zeros((0, 15)), spk, np.random.default_rng(1)).shape == (0, 10)
@@ -642,28 +663,26 @@ def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
     state as dense arrays, and runs dense GEMMs on them.
     """
     enc = spiking.encoder
-    shape = (X.shape[0], layer.n_out)
-    lif = LIFState.zeros(shape, spiking.lif)
-    trace = OutputTrace.zeros(shape, spiking.trace)
+    potential, trace = np.zeros((X.shape[0], layer.n_out)), np.zeros((X.shape[0], layer.n_out))
     active_start = enc.steps - enc.active_window
     for t in range(enc.steps):
         spikes = drawn_spikes(X, enc.scale, rng)
-        spiking_mod.trace_step(trace, lif_step(lif, layer.weights, spikes))
+        trace = spiking_mod.trace_step(trace, lif_step(potential, layer.weights, spikes, spiking.lif),
+                                       spiking.trace)
         if t >= active_start:
-            hebbian_impulse(trace.value, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
+            hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
             eligibility_step(eligibility, layer.weights, eta)
-    return trace.value
+    return trace
 
 
 def dense_eval_simulate(layer, X, spiking, rng):
     """A plasticity-free run on the dense encoder that address events replaced."""
-    shape = (X.shape[0], layer.n_out)
-    lif = LIFState.zeros(shape, spiking.lif)
-    trace = OutputTrace.zeros(shape, spiking.trace)
+    potential, trace = np.zeros((X.shape[0], layer.n_out)), np.zeros((X.shape[0], layer.n_out))
     for _ in range(spiking.encoder.steps):
         spikes = dense_rate_encode(X, spiking.encoder.scale, rng)
-        spiking_mod.trace_step(trace, lif_step(lif, layer.weights, spikes))
-    return trace.value
+        trace = spiking_mod.trace_step(trace, lif_step(potential, layer.weights, spikes, spiking.lif),
+                                       spiking.trace)
+    return trace
 
 
 class TestEventDrivenPlasticity:
