@@ -44,7 +44,6 @@ from .metrics import (
     separability_index,
 )
 from .spiking import (
-    EligibilityTrace,
     LIFConfig,
     SpikeEncoderConfig,
     SpikingConfig,

@@ -29,6 +29,11 @@
  * current and the plastic step touch only the rows of the inputs that fired,
  * and those are brought up to date first.  The bits are the dense fold's.
  *
+ * Callers pass only the state that outlives a call: weights, eligibility and
+ * generator.  ffa_simulate owns its scratch, the LIF potentials, the lockstep
+ * path's impulse and the event path's fold queue: it allocates them on each
+ * call and frees them before it returns.
+ *
  * Build with -ffp-contract=off and never with -ffast-math (it reorders
  * sums).  A fused multiply-add rounds once where numpy rounds twice, as it
  * would in the trace line, whose product rounds for li and hard_li.
@@ -119,16 +124,16 @@ static void hebbian_post(double *post, const double *tr, ptrdiff_t n_out,
  * product drops below fold_below and at the row's end; the folds are queued
  * and applied per input row (see above), so w and e hold the real values on
  * return.  Else the rows run in lockstep, each row's impulse is added at its
- * fired inputs into impulse [n_in][n_out] and the row mean is folded through
- * e into w.  Returns 0; -1 when the events do not fit, or -2 when scratch
- * memory cannot be had, having drawn and written nothing. */
+ * fired inputs into an impulse [n_in][n_out] of the kernel's own and the row
+ * mean is folded through e into w.  Returns 0; -1 when the events do not fit,
+ * or -2 when scratch memory cannot be had, having drawn and written nothing. */
 int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz, ptrdiff_t steps,
                  ptrdiff_t active_start, const double *p, const ptrdiff_t *cols,
                  const ptrdiff_t *starts, double lif_decay, double threshold, double gain,
                  int subtract, double trace_g, double trace_d, double trace_h, double *w,
                  double *trace, const unsigned char *pos_mask,
                  const unsigned char *positive, double epsilon, double tau_e, double eta,
-                 double *e, double *impulse, int event, double fold_below,
+                 double *e, int event, double fold_below,
                  next_double_fn next_double, void *state)
 {
     if (starts[0] != 0 || starts[rows] != nnz || active_start < 0 || active_start > steps)
@@ -155,13 +160,23 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
         queue = malloc(bytes);
         done = calloc((size_t)n_in, sizeof *done);
     }
+    /* the lockstep path's impulse [n_in][n_out]: a row is read only once
+     * touched flags it, and its first write sets it */
+    const int lockstep_plastic = !event && active_start < steps;
+    double *impulse = NULL;
+    size_t cells = 0, impulse_bytes = 0;
+    if (lockstep_plastic && !__builtin_mul_overflow((size_t)n_in, (size_t)n_out, &cells)
+        && !__builtin_mul_overflow(cells, sizeof *impulse, &impulse_bytes))
+        impulse = malloc(impulse_bytes);
     if ((n_out && !work) || (n_in && (!fired || !touched))  /* a size 0 may give NULL */
-        || (event && (!queue || (n_in && !done)))) {
+        || (event && (!queue || (n_in && !done)))
+        || (lockstep_plastic && n_in && n_out && !impulse)) {
         free(work);
         free(fired);
         free(touched);
         free(queue);
         free(done);
+        free(impulse);
         return -2;
     }
     ptrdiff_t queued = 0;
@@ -283,6 +298,7 @@ int ffa_simulate(ptrdiff_t rows, ptrdiff_t n_in, ptrdiff_t n_out, ptrdiff_t nnz,
     free(touched);
     free(queue);
     free(done);
+    free(impulse);
     return 0;
 }
 

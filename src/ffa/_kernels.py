@@ -21,7 +21,11 @@ nothing, so each kind rounds exactly where its ``trace_step`` does.
 The wrappers check each array's dtype, memory layout and shape themselves and
 pass raw addresses, and the simulate kernel checks the events against the
 layer before it draws or writes; an argument that does not fit is a
-ValueError.
+ValueError.  Callers pass only the state that outlives a call (weights,
+eligibility, generator): the simulate kernel owns its scratch, the LIF
+potentials, the lockstep path's [n_in, n_out] impulse and the event path's
+fold queue, allocating it per call and freeing it before it returns; an
+allocation that fails is a MemoryError.
 
 The source is compiled on first use with the system C compiler (``$CC``,
 default ``cc``) into ``$XDG_CACHE_HOME/ffa`` (default ``~/.cache/ffa``, else a
@@ -76,7 +80,7 @@ _SIZE, _ADDRESS, _DOUBLE = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _NEXT_DOUBLE = ctypes.CFUNCTYPE(_DOUBLE, _ADDRESS)  # the type of bit_generator.ctypes.next_double
 _SIGNATURES = {  # name: (restype, argtypes)
     "ffa_simulate": (ctypes.c_int, [_SIZE] * 6 + [_ADDRESS] * 3 + [_DOUBLE] * 3 + [ctypes.c_int]
-                     + [_DOUBLE] * 3 + [_ADDRESS] * 4 + [_DOUBLE] * 3 + [_ADDRESS] * 2
+                     + [_DOUBLE] * 3 + [_ADDRESS] * 4 + [_DOUBLE] * 3 + [_ADDRESS]
                      + [ctypes.c_int, _DOUBLE, _NEXT_DOUBLE, _ADDRESS]),
     "ffa_adam": (None, [_SIZE] + [_ADDRESS] * 4 + [_DOUBLE] * 6),
 }
@@ -188,8 +192,7 @@ def library() -> Optional[ctypes.CDLL]:
 
 
 def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, starts: np.ndarray,
-             rng: np.random.Generator, e: Optional[np.ndarray] = None,
-             impulse: Optional[np.ndarray] = None, tau_e: float = 0.0, eta: float = 0.0,
+             rng: np.random.Generator, e: Optional[np.ndarray] = None, eta: float = 0.0,
              pos_mask: Optional[np.ndarray] = None, positive: Optional[np.ndarray] = None,
              epsilon: float = 0.0, fold_below: Optional[float] = None) -> np.ndarray:
     """One whole ``simulate`` call over B rows; returns the final traces [B, n_out].
@@ -198,22 +201,21 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
     ``starts`` are the nonzero inputs' spike probabilities, their columns and
     the [B + 1] offsets where each row's events start, and ``rng`` draws
     every step's uniforms.  A plastic call also passes the Fortran-ordered
-    eligibility ``e`` and its ``impulse`` buffer, ``tau_e``, ``eta``, the
-    layer's ``pos_mask``, each row's polarity ``positive`` [B] and the
-    symmetric ``epsilon``; its last ``active_window`` steps update
-    ``weights`` and ``e`` in place.  Given ``fold_below``, a plastic call
-    runs its rows event-driven one after another, each as a one-row call
-    that folds once the decay product drops below it and at its end.  The
-    kernel queues those folds and applies them to an input's rows of ``W.T``
-    and ``e.T`` just before the input next fires, and to every row before it
-    returns.  Each element goes through the dense fold's operations in the
+    eligibility ``e``, ``eta``, the layer's ``pos_mask``, each row's
+    polarity ``positive`` [B] and the symmetric ``epsilon``; its last
+    ``active_window`` steps update ``weights`` and ``e`` in place, at the
+    decay ``spiking.tau_e``.  Given ``fold_below``, a plastic call runs its
+    rows event-driven one after another, each as a one-row call that folds
+    once the decay product drops below it and at its end.  The kernel queues
+    those folds and applies them to an input's rows of ``W.T`` and ``e.T``
+    just before the input next fires, and to every row before it returns.  Each element goes through the dense fold's operations in the
     same order, and nothing touches a row between a fold and its application
     there, so the bits are the dense fold's.  Every argument is checked
     before anything is drawn or written.
     """
     n_out, n_in = shape = weights.shape
     rows, nnz = starts.size - 1, p.size
-    plastic = any(a is not None for a in (e, impulse, pos_mask, positive))
+    plastic = any(a is not None for a in (e, pos_mask, positive))
     event = fold_below is not None
     if rows < 0 or (plastic and rows == 0) or (event and not plastic):
         raise ValueError(f"simulate arguments do not fit the layer: {rows} rows for a "
@@ -222,12 +224,11 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
     events = (_address(p, np.float64, (nnz,)), _address(cols, np.intp, (nnz,)),
               _address(starts, np.intp, (rows + 1,)))
     w = _address(weights, np.float64, shape, "F_CONTIGUOUS", plastic)
-    plasticity = (None, None, 0.0, 0.0, 0.0, None, None)
+    plasticity = (None, None, 0.0, 0.0, 0.0, None)
     if plastic:
         plasticity = (
             _address(pos_mask, np.bool_, (n_out,)), _address(positive, np.bool_, (rows,)),
-            epsilon, tau_e, eta, _address(e, np.float64, shape, "F_CONTIGUOUS", True),
-            _address(impulse, np.float64, shape, "F_CONTIGUOUS", True),
+            epsilon, spiking.tau_e, eta, _address(e, np.float64, shape, "F_CONTIGUOUS", True),
         )
     enc, lif, tr = spiking.encoder, spiking.lif, spiking.trace
     coefficients = {"li": (tr.mu, tr.tau_o, 0.0), "hard_li": (1.0, tr.tau_o, 1.0),

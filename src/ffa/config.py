@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .analog import TrainConfig
 from .core import ProbabilityFn, SigmoidProb, SymmetricProb
 from .data import LabelCodebook
 from .errors import ConfigError, FFAError, require
-from .spiking import EligibilityTrace, LIFConfig, SpikeEncoderConfig, SpikingConfig, TraceConfig
+from .spiking import LIFConfig, SpikeEncoderConfig, SpikingConfig, TraceConfig
 
 MODELS = ("analog", "hebbian", "hebbian_online")
 PROBS = ("sigmoid", "symmetric")
@@ -110,7 +108,7 @@ class ExperimentConfig:
         problems: list[str] = []
         builders = (
             self._own_rules, self.train_config, self.codebook,
-            self._lif, self._trace, self._encoder, lambda: EligibilityTrace(np.zeros(0), self.tau_e),
+            self._lif, self._trace, self._encoder, lambda: SpikingConfig(tau_e=self.tau_e),
             # both probability forms, whichever one is selected
             *(replace(self, prob=prob).prob_fn for prob in PROBS),
         )

@@ -11,7 +11,9 @@ per-synapse eligibility trace that low-passes the updates into the weights.
 
 One lockstep loop, :func:`simulate`, serves evaluation, batch training and
 online training (a batch of one).  It holds the membrane potentials and the
-output traces as two plain [B, n_out] arrays, as the compiled kernel does.
+output traces as two plain [B, n_out] arrays, as the compiled kernel does;
+the caller holds the eligibility ``e``, one plain float64 value per synapse,
+whose decay is ``SpikingConfig.tau_e``.
 A plastic batch of one runs the same rule event-driven: only the synapses of
 inputs that spiked are touched.  Online training hands :func:`simulate_online`
 a block of rows, each of which is such a call in turn; compiled, the whole
@@ -125,43 +127,20 @@ def trace_step(trace: np.ndarray, out_spikes: np.ndarray, config: TraceConfig) -
     return config.mu * I + trace
 
 
-@dataclass
-class EligibilityTrace:
-    """Per-synapse low-pass filter over update impulses.
-
-    ``impulse`` is a scratch buffer of the same shape and layout:
-    :func:`hebbian_impulse` writes the next impulse into it and
-    :func:`eligibility_step` consumes it, so plastic timesteps allocate no
-    weight-sized array.
-    """
-
-    e: np.ndarray
-    tau_e: float
-    impulse: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        require({"tau_e must be in [0, 1)": 0.0 <= self.tau_e < 1.0})
-        self.impulse = np.empty_like(self.e)
-
-    @classmethod
-    def zeros_like(cls, weights: np.ndarray, tau_e: float) -> "EligibilityTrace":
-        """A zero trace in the shape and memory layout of ``weights``."""
-        return cls(np.zeros_like(weights), tau_e)
-
-
-def eligibility_step(el: EligibilityTrace, weights: np.ndarray, eta: float) -> None:
-    """Fold ``el.impulse`` into the trace, then the trace into the weights.
+def eligibility_step(
+    e: np.ndarray, impulse: np.ndarray, weights: np.ndarray, tau_e: float, eta: float
+) -> None:
+    """Fold ``impulse`` into the per-synapse eligibility trace ``e``, then ``e`` into the weights.
 
     ``e += (1 - tau_e) * (impulse - e); weights += eta * e``, in place; the
-    impulse buffer is spent as scratch.  Impulses are descent directions, so
-    the weight move is a plain addition.
+    impulse is spent as scratch.  Impulses are descent directions, so the
+    weight move is a plain addition.
     """
-    scratch = el.impulse
-    scratch -= el.e
-    scratch *= 1.0 - el.tau_e
-    el.e += scratch
-    np.multiply(el.e, eta, out=scratch)
-    weights += scratch
+    impulse -= e
+    impulse *= 1.0 - tau_e
+    e += impulse
+    np.multiply(e, eta, out=impulse)
+    weights += impulse
 
 
 # The event-driven form folds once the decay product drops below this.  At
@@ -183,9 +162,9 @@ class _EventSynapses:
     2008).  :meth:`fold` writes the real values back in one dense pass.
     """
 
-    def __init__(self, weights: np.ndarray, el: EligibilityTrace, eta: float):
-        self.rows, self.e_rows, self.scratch = weights.T, el.e.T, el.impulse.T
-        self.tau_e, self.eta = el.tau_e, eta
+    def __init__(self, weights: np.ndarray, e: np.ndarray, tau_e: float, eta: float):
+        self.rows, self.e_rows = weights.T, e.T
+        self.tau_e, self.eta = tau_e, eta
         self.decay, self.decay_sum = 1.0, 0.0
         self.idx = np.empty(0, dtype=np.intp)
 
@@ -211,8 +190,7 @@ class _EventSynapses:
     def fold(self) -> None:
         """Make the arrays hold the real ``W`` and ``e`` again."""
         if self.decay_sum:
-            np.multiply(self.e_rows, self.eta * self.decay_sum, out=self.scratch)
-            self.rows += self.scratch
+            self.rows += self.e_rows * (self.eta * self.decay_sum)
             self.e_rows *= self.decay
         self.decay, self.decay_sum = 1.0, 0.0
 
@@ -278,27 +256,28 @@ def hebbian_impulse(
     codes: np.ndarray,
     prob_fn: ProbabilityFn,
     partition: PolarityPartition,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Three-factor update impulse: the row mean of outer(modulation_b * trace_b, in_spikes_b).
 
     ``trace`` [B, n_out] and ``in_spikes`` [B, n_in] (dense or a CSR array)
     hold one lockstep instance per row and ``codes`` its +1/-1 polarity.  The
-    [n_out, n_in] result is a descent direction, written into ``out`` when
-    given and else into a new presynaptic-major array; with no presynaptic
-    spikes or a fully converged probability it is exactly zero.
+    [n_out, n_in] result is a descent direction, a new array (the product's,
+    divided in place); with no presynaptic spikes or a fully converged
+    probability it is exactly zero.
     """
     post = hebbian_post(trace, codes, prob_fn, partition).T
-    if out is None:
-        out = np.empty((post.shape[0], in_spikes.shape[1]), order="F")
-    return np.divide(post @ in_spikes, post.shape[1], out=out)
+    impulse = post @ in_spikes
+    impulse /= post.shape[1]
+    return impulse
 
 
 @dataclass(frozen=True)
 class SpikingConfig:
     """All spiking-side knobs bundled for the trainer.
 
-    Every part checks its own fields; the bundle adds no rule of its own.
+    Every part checks its own fields.  ``tau_e`` is the decay of the
+    per-synapse eligibility trace, the only one a plastic call reads; the
+    bundle checks it.
     """
 
     lif: LIFConfig = field(default_factory=LIFConfig)
@@ -306,6 +285,9 @@ class SpikingConfig:
     encoder: SpikeEncoderConfig = field(default_factory=SpikeEncoderConfig)
     tau_e: float = 0.999
     n_out: int = 200
+
+    def __post_init__(self):
+        require({"tau_e must be in [0, 1)": 0.0 <= self.tau_e < 1.0})
 
 
 def simulate(
@@ -315,7 +297,7 @@ def simulate(
     rng: np.random.Generator,
     codes: Optional[np.ndarray] = None,
     prob_fn: Optional[ProbabilityFn] = None,
-    eligibility: Optional[EligibilityTrace] = None,
+    e: Optional[np.ndarray] = None,
     eta: Optional[float] = None,
 ) -> np.ndarray:
     """Simulate a stack of inputs [B, n_in] in lockstep; returns the final traces [B, n_out].
@@ -325,19 +307,20 @@ def simulate(
     drawn for nonzero inputs only, and the spikes drive the layer as a
     sparse current.  LIF and trace state start fresh.  Plasticity
     is off unless the polarity ``codes`` (+1/-1 per row), ``prob_fn``, the
-    ``eligibility`` trace and ``eta`` are all given; then each of the last
-    ``active_window`` timesteps folds the row-mean Hebbian impulse through the
-    eligibility trace into ``layer.weights``.  The impulse reads that step's
-    output trace for both the modulation and the post factor.  Outside that
-    window the weights are untouched.
+    eligibility trace ``e`` and ``eta`` are all given; then each of the last
+    ``active_window`` timesteps folds the row-mean Hebbian impulse through
+    ``e``, at the decay ``spiking.tau_e``, into ``layer.weights``.  The
+    impulse reads that step's output trace for both the modulation and the
+    post factor.  Outside that window the weights are untouched.
 
-    A plastic call needs one code per row of a nonempty batch and
-    ``layer.weights`` and ``eligibility.e`` presynaptic-major
-    (Fortran-ordered), else it is a ConfigError.  With one row and
+    A plastic call needs one code per row of a nonempty batch, and ``e`` a
+    float64 ndarray of the weights' shape, both presynaptic-major
+    (Fortran-ordered; ``np.zeros_like(layer.weights)`` is a fresh ``e``),
+    else it is a ConfigError.  With one row and
     ``tau_e >= 1/2`` it runs event-driven: the LIF current and the updates
     touch only the synapses of inputs that spiked, and ``layer.weights`` and
-    ``eligibility.e`` hold the real values again when the call returns.
-    Every other call runs the dense rule.
+    ``e`` hold the real values again when the call returns.  Every other
+    call runs the dense rule.
 
     ``rng`` must be a numpy Generator, else it is a ConfigError.  Once the
     kernels have loaded (:mod:`ffa._kernels`), every call runs compiled but a
@@ -345,12 +328,12 @@ def simulate(
     kind and reset, that draws this loop's uniforms from ``rng`` itself and
     gives the same bits.
     """
-    X, plastic = _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta)
+    X, plastic = _checked_call(layer, X, rng, codes, prob_fn, e, eta)
     rows = X.shape[0]
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x
-    event = plastic and rows == 1 and eligibility.tau_e >= _FOLD_BELOW
+    event = plastic and rows == 1 and spiking.tau_e >= _FOLD_BELOW
     active_start = enc.steps - enc.active_window if plastic else enc.steps
     # Plastic weights are presynaptic-major, so this is the live layer; a
     # row-major layer (a loaded checkpoint) is copied once per call.  scipy's
@@ -358,11 +341,10 @@ def simulate(
     weights = np.asfortranarray(layer.weights)
     kernels = _loaded_kernels(prob_fn if plastic else None)
     if kernels is not None:
-        plasticity = {} if not plastic else _kernel_plasticity(
-            layer, codes, prob_fn, eligibility, eta, event)
+        plasticity = {} if not plastic else _kernel_plasticity(layer, codes, prob_fn, e, eta, event)
         return kernels.simulate(weights, spiking, p, cols, starts, rng, **plasticity)
     potential, trace = np.zeros((rows, layer.n_out)), np.zeros((rows, layer.n_out))
-    synapses = _EventSynapses(layer.weights, eligibility, eta) if event else None
+    synapses = _EventSynapses(layer.weights, e, spiking.tau_e, eta) if event else None
     for t in range(enc.steps):
         fired = rate_encode(p, rng)
         if not event:
@@ -376,8 +358,8 @@ def simulate(
             if event:
                 synapses.step(hebbian_post(trace, codes, prob_fn, layer.partition)[0])
             else:
-                hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
-                eligibility_step(eligibility, layer.weights, eta)
+                impulse = hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition)
+                eligibility_step(e, impulse, layer.weights, spiking.tau_e, eta)
     if event:
         synapses.fold()
     return trace
@@ -390,46 +372,49 @@ def simulate_online(
     rng: np.random.Generator,
     codes: np.ndarray,
     prob_fn: ProbabilityFn,
-    eligibility: EligibilityTrace,
+    e: np.ndarray,
     eta: float,
 ) -> np.ndarray:
     """Online training over the rows of ``X`` [B, n_in], one after another;
     returns the final traces [B, n_out].
 
     The rule is a loop of one-row plastic :func:`simulate` calls, row b with
-    polarity ``codes[b]``, each updating ``layer.weights`` and ``eligibility``
+    polarity ``codes[b]``, each updating ``layer.weights`` and ``e``
     before the next starts, and that loop is what runs on numpy and under
     the sigmoid probability.  Any other block with ``tau_e >= 1/2`` is checked
     once and runs as one kernel call with the same bits.  The checks and
     errors are :func:`simulate`'s; plasticity is not optional here.
     """
-    X, _ = _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plasticity=True)
+    X, _ = _checked_call(layer, X, rng, codes, prob_fn, e, eta, require_plasticity=True)
     kernels = _loaded_kernels(prob_fn)
-    if kernels is None or eligibility.tau_e < _FOLD_BELOW:
+    if kernels is None or spiking.tau_e < _FOLD_BELOW:
         return np.concatenate([
-            simulate(layer, X[b : b + 1], spiking, rng, codes[b : b + 1], prob_fn, eligibility, eta)
+            simulate(layer, X[b : b + 1], spiking, rng, codes[b : b + 1], prob_fn, e, eta)
             for b in range(len(X))])
     x, cols, starts = _input_events(X)
     return kernels.simulate(layer.weights, spiking, spiking.encoder.scale * x, cols, starts, rng,
-                            **_kernel_plasticity(layer, codes, prob_fn, eligibility, eta, True))
+                            **_kernel_plasticity(layer, codes, prob_fn, e, eta, True))
 
 
-def _checked_call(layer, X, rng, codes, prob_fn, eligibility, eta, require_plasticity=False):
+def _checked_call(layer, X, rng, codes, prob_fn, e, eta, require_plasticity=False):
     """``X`` as a checked batch [B, n_in] and whether the call is plastic; a
     ConfigError when the arguments do not make a :func:`simulate` call (a
     plastic one, with ``require_plasticity``)."""
     if not isinstance(rng, np.random.Generator):
         raise ConfigError(f"simulate needs a numpy Generator; got {type(rng).__name__}")
-    given = [arg is not None for arg in (codes, prob_fn, eligibility, eta)]
+    given = [arg is not None for arg in (codes, prob_fn, e, eta)]
     if (any(given) or require_plasticity) and not all(given):
         raise ConfigError("plasticity needs polarity codes, prob_fn, an eligibility trace and eta")
     plastic = all(given)
-    if plastic and not (layer.weights.flags.f_contiguous and eligibility.e.flags.f_contiguous):
+    if plastic and not (isinstance(e, np.ndarray) and e.dtype == np.float64):
+        raise ConfigError(f"plasticity needs a float64 ndarray eligibility trace; got "
+                          f"{getattr(e, 'dtype', type(e).__name__)}")
+    if plastic and not (layer.weights.flags.f_contiguous and e.flags.f_contiguous):
         raise ConfigError("plasticity needs presynaptic-major (Fortran-ordered) weights and "
-                          "eligibility; see EligibilityTrace.zeros_like")
-    if plastic and eligibility.e.shape != layer.weights.shape:
+                          "eligibility; np.zeros_like(layer.weights) makes a fresh trace")
+    if plastic and e.shape != layer.weights.shape:
         raise ConfigError(f"plasticity needs an eligibility trace of the weights' shape; got an "
-                          f"eligibility trace of shape {eligibility.e.shape} for weights of shape "
+                          f"eligibility trace of shape {e.shape} for weights of shape "
                           f"{layer.weights.shape}")
     X = layer.check_batch(X)
     rows = X.shape[0]
@@ -449,11 +434,10 @@ def _loaded_kernels(prob_fn: Optional[ProbabilityFn]):
     return _kernels if _kernels.library() is not None else None
 
 
-def _kernel_plasticity(layer, codes, prob_fn, eligibility, eta, event) -> dict:
+def _kernel_plasticity(layer, codes, prob_fn, e, eta, event) -> dict:
     """The plasticity arguments of a kernel call, event-driven when ``event`` is set."""
-    return dict(e=eligibility.e, impulse=eligibility.impulse, tau_e=eligibility.tau_e, eta=eta,
-                pos_mask=layer.partition.pos_mask, positive=codes > 0, epsilon=prob_fn.epsilon,
-                fold_below=_FOLD_BELOW if event else None)
+    return dict(e=e, eta=eta, pos_mask=layer.partition.pos_mask, positive=codes > 0,
+                epsilon=prob_fn.epsilon, fold_below=_FOLD_BELOW if event else None)
 
 
 # Images per update of online training: each update is one simulate_online
@@ -486,13 +470,13 @@ def train_hebbian(
     partition = partition_for(prob_fn, spiking.n_out)
     layer = DenseLayer.initialize(data.input_dim, spiking.n_out, partition, config.seed)
     layer.weights = np.asfortranarray(layer.weights)
-    eligibility = EligibilityTrace.zeros_like(layer.weights, spiking.tau_e)
+    e = np.zeros_like(layer.weights)
     online = mode == "online"
 
     def update(batch, codes, rng, stats):
         X = batch.rows(data.codebook)
         run = simulate_online if online else simulate
-        final = run(layer, X, spiking, rng, codes, prob_fn, eligibility, config.eta)
+        final = run(layer, X, spiking, rng, codes, prob_fn, e, config.eta)
         p = probability_batch(final, prob_fn, partition)
         if online:
             stats.update_each_row(final, codes, p)

@@ -211,16 +211,15 @@ def x_form_gradient(layer, X, polarities, prob_fn) -> np.ndarray:
     return post.T @ X / len(X)
 
 
-def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta) -> np.ndarray:
+def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, e, eta) -> np.ndarray:
     """A plastic lockstep call on the dense rule over row-major (C-ordered) storage.
 
-    ``layer.weights``, ``eligibility.e`` and the impulse buffer are C-ordered
-    [n_out, n_in].  The LIF current reads a C-ordered copy of ``W.T`` that is
-    refreshed after every plastic step, and each impulse is divided into the
-    C-ordered buffer.  Same draws, same operations in the same order as
+    ``layer.weights`` and the eligibility ``e`` are C-ordered [n_out, n_in].
+    The LIF current reads a C-ordered copy of ``W.T`` that is refreshed after
+    every plastic step.  Same draws, same operations in the same order as
     ``simulate``'s dense rule, so the two must agree bitwise.
     """
-    if not (layer.weights.flags.c_contiguous and eligibility.e.flags.c_contiguous):
+    if not (layer.weights.flags.c_contiguous and e.flags.c_contiguous):
         raise ConfigError("the row-major reference needs C-ordered weights and eligibility")
     X = layer.check_batch(X)
     x, cols, starts = _input_events(X)
@@ -233,8 +232,8 @@ def row_major_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta)
         spikes = _fired_spikes(cols, starts, rate_encode(p, rng), X.shape)
         trace = trace_step(trace, lif_step(potential, weights_t.T, spikes, spiking.lif), spiking.trace)
         if t >= active_start:
-            hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
-            eligibility_step(eligibility, layer.weights, eta)
+            impulse = hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition)
+            eligibility_step(e, impulse, layer.weights, spiking.tau_e, eta)
             np.copyto(weights_t, layer.weights.T)
     return trace
 

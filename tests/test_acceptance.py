@@ -22,7 +22,7 @@ from ffa.metrics import (
     hoyer_summary,
     separability_index,
 )
-from ffa.spiking import EligibilityTrace, TraceConfig, eligibility_step, trace_step
+from ffa.spiking import TraceConfig, eligibility_step, trace_step
 from tests.conftest import require_mnist
 from tests.reference import Polarity, forward, sample_loss, scalar_factorized_gradient
 
@@ -201,13 +201,12 @@ def test_criterion5_eligibility_closed_form():
     worst = 0.0
     for tau_e in (0.999, 0.99, 0.9):
         for g in (0.7, 1.0):
-            el = weights = np.zeros(1)
-            el = EligibilityTrace.zeros_like(weights, tau_e)
+            e, weights = np.zeros(1), np.zeros(1)
             for k in range(1, 10_001):
-                el.impulse[:] = g  # the production fold spends its impulse buffer
-                eligibility_step(el, weights, eta=0.0)
+                # the production fold spends its impulse as scratch
+                eligibility_step(e, np.full(1, g), weights, tau_e, eta=0.0)
                 closed = g * (1.0 - tau_e**k)
-                worst = max(worst, abs(float(el.e[0]) - closed))
+                worst = max(worst, abs(float(e[0]) - closed))
     print(f"criterion 5: worst |e_k - g(1 - tau^k)| = {worst:.3e} (<=1e-12)")
     assert worst <= 1e-12
 

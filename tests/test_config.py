@@ -220,6 +220,7 @@ class TestValidation:
         ({"model": "hebbian", "trace": "square"}, "trace"),
         ({"eta": 0.0}, "eta"),
         ({"eta": math.nan}, "eta"),
+        ({"tau_e": -0.1}, "tau_e"),
         ({"tau_e": 1.0}, "tau_e"),
         ({"tau_e": math.nan}, "tau_e"),
         ({"epochs": -1}, "epochs"),
@@ -267,10 +268,11 @@ class TestValidation:
 
     def test_each_problem_reported_once(self):
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(epsilon=-1.0, lif_decay=2.0).validate()
+            ExperimentConfig(epsilon=-1.0, lif_decay=2.0, tau_e=1.0).validate()
         text = str(err.value)
         assert text.count("epsilon must be positive") == 1
         assert text.count("lif decay") == 1
+        assert text.count("tau_e must be in [0, 1)") == 1
 
     def test_online_model_normalizes_batch_size(self):
         cfg = ExperimentConfig(model="hebbian_online", batch_size=50)

@@ -27,7 +27,6 @@ from ffa.spiking import (
     ONLINE_BLOCK,
     RESET_MODES,
     TRACE_KINDS,
-    EligibilityTrace,
     LIFConfig,
     SpikeEncoderConfig,
     SpikingConfig,
@@ -77,14 +76,13 @@ def plastic_model(prob, n_in=884, n_out=200, tau_e=0.999, **spiking):
     layer = DenseLayer.initialize(n_in, n_out, partition_for(prob, n_out), seed=3)
     layer.weights = np.asfortranarray(layer.weights)
     e0 = 0.01 * np.random.default_rng(5).standard_normal(layer.weights.shape)
-    return layer, EligibilityTrace(np.array(e0, order="F"), tau_e), SpikingConfig(
-        n_out=n_out, tau_e=tau_e, **spiking)
+    return layer, np.array(e0, order="F"), SpikingConfig(n_out=n_out, tau_e=tau_e, **spiking)
 
 
 def run_calls(rows, prob, compiled, monkeypatch, tau_e=0.999, **spiking):
     """Plastic B = 1 calls over ``rows``; the weights, the eligibility, the
     traces and the generator state after every call."""
-    layer, el, spk = plastic_model(prob, n_in=rows.shape[1], tau_e=tau_e, **spiking)
+    layer, e, spk = plastic_model(prob, n_in=rows.shape[1], tau_e=tau_e, **spiking)
     rng = np.random.default_rng(11)
     states = []
     with monkeypatch.context() as mp:
@@ -92,8 +90,8 @@ def run_calls(rows, prob, compiled, monkeypatch, tau_e=0.999, **spiking):
             mp.setattr(_kernels, "library", lambda: None)
         for i, x in enumerate(rows):
             codes = np.array([1 if i % 2 == 0 else -1], dtype=np.int8)
-            trace = simulate(layer, x[None, :], spk, rng, codes, prob, el, 0.03)
-            states.append((trace, layer.weights.copy(), el.e.copy(), rng.bit_generator.state))
+            trace = simulate(layer, x[None, :], spk, rng, codes, prob, e, 0.03)
+            states.append((trace, layer.weights.copy(), e.copy(), rng.bit_generator.state))
     return states
 
 
@@ -107,7 +105,7 @@ def input_rows(kind, n=6, n_in=884):
     return X
 
 
-ARRAY_ARGUMENTS = ["weights", "p", "cols", "starts", "e", "impulse", "pos_mask", "positive"]
+ARRAY_ARGUMENTS = ["weights", "p", "cols", "starts", "e", "pos_mask", "positive"]
 
 # every output trace under each reset, named "<trace kind>-<reset mode>"
 DYNAMICS = [f"{kind}-{reset}" for kind in TRACE_KINDS for reset in RESET_MODES]
@@ -124,21 +122,21 @@ class KernelCall:
     2) rows of a 10-input, 4-output layer."""
 
     def __init__(self, rows, **extra):
-        self.layer, self.el, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
+        self.layer, self.e, spk = plastic_model(SymmetricProb(), n_in=10, n_out=4)
         self.args = dict(
             weights=self.layer.weights, spiking=spk, p=np.full(rows + 1, 0.5),
             cols=np.array([3, 7, 2][: rows + 1]), starts=np.array([0, 2, 3][: rows + 1]),
-            rng=np.random.default_rng(1), e=self.el.e, impulse=self.el.impulse, tau_e=0.99,
-            eta=0.1, pos_mask=self.layer.partition.pos_mask,
-            positive=np.array([True, False][:rows]), epsilon=0.5, **extra)
+            rng=np.random.default_rng(1), e=self.e, eta=0.1,
+            pos_mask=self.layer.partition.pos_mask, positive=np.array([True, False][:rows]),
+            epsilon=0.5, **extra)
 
     def assert_refused(self):
         """The call raises a ValueError before it draws a uniform or writes a synapse."""
-        weights, e = self.layer.weights.copy(), self.el.e.copy()
+        weights, e = self.layer.weights.copy(), self.e.copy()
         state = self.args["rng"].bit_generator.state
         with pytest.raises(ValueError, match="do not fit"):
             _kernels.simulate(**self.args)
-        assert np.array_equal(self.layer.weights, weights) and np.array_equal(self.el.e, e)
+        assert np.array_equal(self.layer.weights, weights) and np.array_equal(self.e, e)
         assert self.args["rng"].bit_generator.state == state
 
 
@@ -204,11 +202,11 @@ class TestOnlineSample:
         (SymmetricProb(), {"lif": LIFConfig(reset_mode="subtract")}),
     ], ids=["sigmoid", "li", "hard_li", "subtract"])
     def test_only_sigmoid_plasticity_runs_numpy(self, kernel_calls, prob, spiking):
-        layer, el, spk = plastic_model(prob, n_in=60, n_out=20, **spiking)
+        layer, e, spk = plastic_model(prob, n_in=60, n_out=20, **spiking)
         X = np.random.default_rng(2).random((1, 60))
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(3), np.array([1], dtype=np.int8), prob,
-                 el, 0.1)
+                 e, 0.1)
         compiled = isinstance(prob, SymmetricProb) and _kernels.library() is not None
         assert kernel_calls == (["event"] if compiled else [])
         assert not np.array_equal(layer.weights, before)
@@ -219,10 +217,10 @@ class TestOnlineSample:
         assert kernel_calls == (["eval"] if _kernels.library() is not None else [])
 
     def test_unloaded_kernels_run_numpy(self, kernel_calls, numpy_path):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
+        layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
         codes = np.array([1], dtype=np.int8)
         simulate(layer, np.random.default_rng(2).random((1, 60)), spk, np.random.default_rng(3),
-                 codes, SymmetricProb(), el, 0.1)
+                 codes, SymmetricProb(), e, 0.1)
         assert kernel_calls == []
 
     # a one-element polarity is contiguous at any stride
@@ -241,7 +239,8 @@ class TestOnlineSample:
         call = KernelCall(rows=1, fold_below=0.5)
         spk = call.args["spiking"]
         encoder = SimpleNamespace(steps=spk.encoder.steps, active_window=spk.encoder.steps + 1)
-        call.args["spiking"] = SimpleNamespace(encoder=encoder, lif=spk.lif, trace=spk.trace)
+        call.args["spiking"] = SimpleNamespace(encoder=encoder, lif=spk.lif, trace=spk.trace,
+                                               tau_e=spk.tau_e)
         call.assert_refused()
 
     @pytest.mark.sanitized
@@ -268,13 +267,13 @@ def calls_of(rows, n_out, tau_e, compiled, monkeypatch, n_in=150, calls=2, X=Non
     all zero), plastic unless ``tau_e`` is None; the traces, the weights, the eligibility
     and the generator state after every call."""
     prob = SymmetricProb()
-    layer, el, spk = plastic_model(prob, n_in=n_in, n_out=n_out, tau_e=tau_e or 0.99, **spiking)
+    layer, e, spk = plastic_model(prob, n_in=n_in, n_out=n_out, tau_e=tau_e or 0.99, **spiking)
     if X is None:
         X = input_rows("sparse", n=rows, n_in=n_in)
         if rows > 1:
             X[1] = 0.0  # an all-zero input row
     codes = np.resize(np.array([1, -1, -1], dtype=np.int8), rows)
-    plastic = () if tau_e is None else (codes, prob, el, 0.03)
+    plastic = () if tau_e is None else (codes, prob, e, 0.03)
     rng = np.random.default_rng(11)
     states = []
     with monkeypatch.context() as mp:
@@ -282,7 +281,7 @@ def calls_of(rows, n_out, tau_e, compiled, monkeypatch, n_in=150, calls=2, X=Non
             mp.setattr(_kernels, "library", lambda: None)
         for _ in range(calls):
             trace = run(layer, X, spk, rng, *plastic)
-            states.append((trace, layer.weights.copy(), el.e.copy(), rng.bit_generator.state))
+            states.append((trace, layer.weights.copy(), e.copy(), rng.bit_generator.state))
     return states
 
 
@@ -373,11 +372,11 @@ class TestOnlineBlock:
                              ids=["tau_e_0.3", "sigmoid"])
     def test_other_blocks_loop_over_one_row_calls(self, kernel_calls, prob, tau_e):
         # tau_e < 1/2 makes one compiled lockstep call per row; sigmoid plasticity runs numpy
-        layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=tau_e)
+        layer, e, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=tau_e)
         X = np.random.default_rng(2).random((3, 60))
         codes = np.array([1, -1, 1], dtype=np.int8)
         before = layer.weights.copy()
-        simulate_online(layer, X, spk, np.random.default_rng(3), codes, prob, el, 0.1)
+        simulate_online(layer, X, spk, np.random.default_rng(3), codes, prob, e, 0.1)
         compiled = isinstance(prob, SymmetricProb) and _kernels.library() is not None
         assert kernel_calls == (["plastic"] * 3 if compiled else [])
         assert not np.array_equal(layer.weights, before)
@@ -389,13 +388,13 @@ class TestOnlineBlock:
     def test_refuses_codes_that_do_not_fit(self, monkeypatch, compiled, codes):
         if not compiled:
             monkeypatch.setattr(_kernels, "library", lambda: None)
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
+        layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
         X, rng = np.random.default_rng(2).random((2, 60)), np.random.default_rng(3)
-        weights, e, state = layer.weights.copy(), el.e.copy(), rng.bit_generator.state
+        weights, e0, state = layer.weights.copy(), e.copy(), rng.bit_generator.state
         codes = None if codes is None else np.array(codes, dtype=np.int8)
         with pytest.raises(ConfigError, match="polarity code|plasticity needs"):
-            simulate_online(layer, X, spk, rng, codes, SymmetricProb(), el, 0.1)
-        assert np.array_equal(layer.weights, weights) and np.array_equal(el.e, e)
+            simulate_online(layer, X, spk, rng, codes, SymmetricProb(), e, 0.1)
+        assert np.array_equal(layer.weights, weights) and np.array_equal(e, e0)
         assert rng.bit_generator.state == state
 
     @pytest.mark.sanitized
@@ -432,6 +431,38 @@ def test_scipy_sparse_products_add_left_to_right(rows, width):
             assert got.tolist() != [[left_to_right_sum(t[::-1]) for t in row] for row in sums]
 
 
+def resident_bytes():
+    """This process's resident set size, from ``/proc/self/statm``."""
+    return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.usefixtures("kernels")
+@pytest.mark.skipif(not Path("/proc/self/statm").is_file(), reason="no /proc/self/statm")
+def test_kernel_frees_its_scratch_after_every_call():
+    # the sanitized run does not look for leaks, so this reads the resident set: every
+    # input fires at every step and writes its row of the lockstep impulse (200 x 884
+    # doubles, 1.4 MB), so one impulse leaked per plastic call adds 141 MB over 100 calls
+    prob = SymmetricProb()
+    layer, e, spk = plastic_model(prob, tau_e=0.99, encoder=SpikeEncoderConfig(
+        scale=1.0, steps=2, active_window=1))
+    event = SpikingConfig(n_out=spk.n_out, tau_e=0.999, encoder=spk.encoder)
+    X, codes = np.ones((2, layer.n_in)), np.array([1, -1], dtype=np.int8)
+    rng = np.random.default_rng(0)
+
+    def calls(n):
+        for _ in range(n):
+            simulate(layer, X, spk, rng, codes, prob, e, 0.0)  # lockstep, plastic
+            simulate_online(layer, X, event, rng, codes, prob, e, 0.0)  # event
+            simulate(layer, X, spk, rng)  # plasticity-free
+
+    runs = _kernels.runs
+    calls(10)
+    before = resident_bytes()
+    calls(100)
+    assert _kernels.runs == runs + 330
+    assert resident_bytes() - before < 100 * layer.weights.nbytes / 4
+
+
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
 def test_next_double_draws_the_stream_of_generator_random(n):
     # the draws of the simulate kernel (numpy 2.4): successive calls of the generator's
@@ -450,9 +481,9 @@ def test_next_double_draws_the_stream_of_generator_random(n):
 def test_simulate_refuses_a_generator_that_is_not_numpys(monkeypatch, compiled, rng):
     if not compiled:
         monkeypatch.setattr(_kernels, "library", lambda: None)
-    layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
+    layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
     X, before = np.random.default_rng(2).random((1, 60)), layer.weights.copy()
-    for plastic in ((), (np.array([1], dtype=np.int8), SymmetricProb(), el, 0.1)):
+    for plastic in ((), (np.array([1], dtype=np.int8), SymmetricProb(), e, 0.1)):
         with pytest.raises(ConfigError, match="numpy Generator"):
             simulate(layer, X, spk, rng, *plastic)
     assert np.array_equal(layer.weights, before)
@@ -494,22 +525,21 @@ def run_drawn_call(call, compiled):
             "split": rng.random(n_out) < 0.5}[call["mask"]]
     layer = DenseLayer.initialize(n_in, n_out, PolarityPartition(mask), seed=call["seed"])
     layer.weights = np.asfortranarray(layer.weights)
-    el = EligibilityTrace(np.asfortranarray(0.01 * rng.standard_normal((n_out, n_in))),
-                          call["tau_e"])
+    e = np.asfortranarray(0.01 * rng.standard_normal((n_out, n_in)))
     X = rng.random((call["rows"], n_in)) * (rng.random((call["rows"], n_in)) < call["density"])
     X[X == 0.0] = 0.0  # no -0.0
     codes = rng.choice(np.array([1, -1], dtype=np.int8), call["rows"])
     spk = SpikingConfig(n_out=n_out, tau_e=call["tau_e"], encoder=SpikeEncoderConfig(
         call["scale"], call["steps"], call["window"]), trace=call["trace"],
         lif=LIFConfig(reset_mode=call["reset"]))
-    plastic = (codes, SymmetricProb(), el, 0.05) if call["plastic"] else ()
+    plastic = (codes, SymmetricProb(), e, 0.05) if call["plastic"] else ()
     with pytest.MonkeyPatch.context() as mp:
         if not compiled:
             mp.setattr(_kernels, "library", lambda: None)
         runs = _kernels.runs
         trace = (simulate_online if call["online"] else simulate)(layer, X, spk, rng, *plastic)
         assert _kernels.runs == runs + compiled
-    return trace, layer.weights, el.e, rng.bit_generator.state
+    return trace, layer.weights, e, rng.bit_generator.state
 
 
 @pytest.mark.sanitized
@@ -537,6 +567,25 @@ def test_drawn_calls_equal_the_numpy_path(call):
     for name, a, b in zip(("trace", "weights", "e"), got[:3], want[:3]):
         assert np.array_equal(a, b), name
     assert got[3] == want[3]
+
+
+def test_spiking_tau_e_governs_a_plastic_call(monkeypatch, kernel_calls):
+    # one layer, one e and one input row: at tau_e 0.3 a one-row call takes the dense
+    # rule, at 0.999 the event rule, on numpy and compiled alike
+    compiled = _kernels.library() is not None
+    dense_steps, real_step = [], ffa.spiking.eligibility_step
+    monkeypatch.setattr(ffa.spiking, "eligibility_step",
+                        lambda *args: dense_steps.append(True) or real_step(*args))
+    weights = {}
+    for tau_e in (0.3, 0.999):
+        dense_steps.clear()
+        want = calls_of(1, 20, tau_e, False, monkeypatch, n_in=60, calls=1)
+        assert len(dense_steps) == (SpikeEncoderConfig.active_window if tau_e < 0.5 else 0)
+        got = calls_of(1, 20, tau_e, compiled, monkeypatch, n_in=60, calls=1)
+        assert_same_states(got, want)
+        weights[tau_e] = want[0][1]
+    assert kernel_calls == (["plastic", "event"] if compiled else [])
+    assert not np.array_equal(weights[0.3], weights[0.999])
 
 
 class TestLockstepStep:
@@ -625,11 +674,11 @@ class TestLockstepStep:
 
     @pytest.mark.parametrize("tau_e,rows", [(0.3, 1), (0.999, 4)], ids=["tau_e_0.3", "four_rows"])
     def test_other_plastic_calls_run_the_lockstep_step(self, kernel_calls, tau_e, rows):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20, tau_e=tau_e)
+        layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20, tau_e=tau_e)
         X = np.random.default_rng(2).random((rows, 60))
         codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
         before = layer.weights.copy()
-        simulate(layer, X, spk, np.random.default_rng(3), codes, SymmetricProb(), el, 0.1)
+        simulate(layer, X, spk, np.random.default_rng(3), codes, SymmetricProb(), e, 0.1)
         assert kernel_calls == (["plastic"] if _kernels.library() is not None else [])
         assert not np.array_equal(layer.weights, before)
 
@@ -643,22 +692,22 @@ class TestLockstepStep:
     ], ids=["sigmoid", "li", "hard_li", "subtract", "li-eval", "subtract-eval"])
     def test_only_sigmoid_plasticity_makes_no_lockstep_call(self, kernel_calls, prob, spiking,
                                                             plastic):
-        layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99, **spiking)
+        layer, e, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99, **spiking)
         X = np.random.default_rng(2).random((4, 60))
         codes = np.resize(np.array([1, -1], dtype=np.int8), 4)
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(3), *(
-            (codes, prob, el, 0.1) if plastic else ()))
+            (codes, prob, e, 0.1) if plastic else ()))
         compiled = (isinstance(prob, SymmetricProb) or not plastic) and (
             _kernels.library() is not None)
         assert kernel_calls == ([("plastic" if plastic else "eval")] if compiled else [])
         assert np.array_equal(layer.weights, before) != plastic
 
     def test_unloaded_kernels_run_numpy(self, kernel_calls, numpy_path):
-        layer, el, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
+        layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
         codes = np.array([1, -1], dtype=np.int8)
         X = np.random.default_rng(2).random((2, 60))
-        simulate(layer, X, spk, np.random.default_rng(3), codes, SymmetricProb(), el, 0.1)
+        simulate(layer, X, spk, np.random.default_rng(3), codes, SymmetricProb(), e, 0.1)
         simulate(layer, X, spk, np.random.default_rng(3))
         assert kernel_calls == []
 
@@ -682,7 +731,7 @@ class TestLockstepStep:
         elif fault == "starts":
             call.args["starts"] = np.array([0, 4, 3])
         elif fault == "no_eligibility":
-            del call.args["e"], call.args["impulse"]
+            del call.args["e"]
         else:  # no rows, on the lockstep or the event path
             call.args.update(p=np.zeros(0), cols=np.zeros(0, dtype=np.intp),
                              starts=np.zeros(1, dtype=np.intp), positive=np.zeros(0, dtype=bool))
@@ -1028,14 +1077,14 @@ def test_every_trace_and_reset_makes_one_compiled_call(kernel_calls, dynamics):
     X = np.random.default_rng(2).random((3, 60))
     codes = np.array([1, -1, 1], dtype=np.int8)
     for prob in (SymmetricProb(), SigmoidProb(theta=1.0)):
-        layer, el, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99,
+        layer, e, spk = plastic_model(prob, n_in=60, n_out=20, tau_e=0.99,
                                        **dynamics_of(dynamics))
         rng = np.random.default_rng(3)
         kernel_calls.clear()
         simulate(layer, X, spk, rng)
-        simulate(layer, X, spk, rng, codes, prob, el, 0.1)
-        simulate(layer, X[:1], spk, rng, codes[:1], prob, el, 0.1)
-        simulate_online(layer, X, spk, rng, codes, prob, el, 0.1)
+        simulate(layer, X, spk, rng, codes, prob, e, 0.1)
+        simulate(layer, X[:1], spk, rng, codes[:1], prob, e, 0.1)
+        simulate_online(layer, X, spk, rng, codes, prob, e, 0.1)
         want = ["eval", "plastic", "event", "event"] if isinstance(prob, SymmetricProb) else [
             "eval"]
         assert kernel_calls == (want if _kernels.library() is not None else []), prob

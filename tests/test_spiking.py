@@ -13,7 +13,6 @@ from ffa.data import Dataset, ExperimentData, LabelCodebook
 from ffa.errors import ConfigError, DataError
 from ffa.spiking import (
     TRACE_KINDS,
-    EligibilityTrace,
     LIFConfig,
     SpikeEncoderConfig,
     SpikingConfig,
@@ -235,7 +234,7 @@ class TestLIF:
                                                                      rows, tau_e):
         # a C-ordered W.T spares scipy a copy per step; presynaptic-major
         # weights are read live, so every plastic step's move is seen at once
-        layer, spk = tiny_model(n_in=60)
+        layer, spk = tiny_model(n_in=60, **({} if tau_e is None else {"tau_e": tau_e}))
 
         def check(spikes, weights):
             assert weights.T.flags.c_contiguous
@@ -245,7 +244,7 @@ class TestLIF:
         X = np.random.default_rng(9).uniform(0.0, 1.0, size=(rows, 60))
         plastic = () if tau_e is None else (
             np.resize(np.array([1, -1], dtype=np.int8), rows), SymmetricProb(),
-            EligibilityTrace.zeros_like(layer.weights, tau_e), 0.5)
+            np.zeros_like(layer.weights), 0.5)
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(10), *plastic)
         # a one-row plastic call with tau_e >= 1/2 runs event-driven, without lif_step
@@ -344,42 +343,37 @@ class TestTraceStep:
 class TestEligibility:
     def test_constant_impulse_closed_form(self):
         for tau_e in (0.9, 0.99):
-            el = EligibilityTrace(np.zeros((2, 2)), tau_e)
+            e = np.zeros((2, 2))
             w = np.zeros((2, 2))
             for k in range(1, 200):
-                el.impulse[:] = 0.7
-                eligibility_step(el, w, eta=0.0)
-                assert np.allclose(el.e, 0.7 * (1 - tau_e**k), rtol=0, atol=1e-12)
+                eligibility_step(e, np.full((2, 2), 0.7), w, tau_e, eta=0.0)
+                assert np.allclose(e, 0.7 * (1 - tau_e**k), rtol=0, atol=1e-12)
 
     def test_no_smoothing_when_tau_zero(self):
-        el = EligibilityTrace(np.zeros((2, 3)), 0.0)
+        e = np.zeros((2, 3))
         w = np.zeros((2, 3))
         g = np.arange(6.0).reshape(2, 3)
-        el.impulse[:] = g
-        eligibility_step(el, w, eta=1.0)
-        assert np.array_equal(el.e, g)
+        eligibility_step(e, g.copy(), w, 0.0, eta=1.0)
+        assert np.array_equal(e, g)
         assert np.array_equal(w, g)
 
     def test_silent_impulse_decays_to_zero(self):
-        el = EligibilityTrace(np.zeros((1, 1)), 0.9)
-        el.e[:] = 1.0
+        e = np.ones((1, 1))
         w = np.zeros((1, 1))
         drifts = []
         prev_w = 0.0
         for _ in range(300):
-            el.impulse[:] = 0.0
-            eligibility_step(el, w, eta=0.1)
+            eligibility_step(e, np.zeros((1, 1)), w, 0.9, eta=0.1)
             drifts.append(abs(float(w[0, 0]) - prev_w))
             prev_w = float(w[0, 0])
-        assert el.e[0, 0] < 1e-13
+        assert e[0, 0] < 1e-13
         assert drifts[-1] < 1e-14  # weight drift vanishes with the trace
 
     def test_weight_update_adds_eta_times_trace(self):
-        el = EligibilityTrace(np.zeros((1, 1)), 0.5)
+        e = np.zeros((1, 1))
         w = np.array([[2.0]])
-        el.impulse[:] = 1.0
-        eligibility_step(el, w, eta=0.25)
-        assert el.e[0, 0] == 0.5
+        eligibility_step(e, np.ones((1, 1)), w, 0.5, eta=0.25)
+        assert e[0, 0] == 0.5
         assert w[0, 0] == 2.0 + 0.25 * 0.5
 
 
@@ -429,11 +423,10 @@ class TestHebbianImpulse:
         assert np.array_equal(trace[0], latent)
 
         # the production impulse, folded by the production eligibility step
-        el = EligibilityTrace.zeros_like(layer.weights, 0.0)
-        hebbian_impulse(trace, x[None, :], np.array([polarity.value]), prob,
-                        layer.partition, el.impulse)
-        eligibility_step(el, np.zeros_like(layer.weights), 1.0)
-        impulse = el.e
+        impulse = np.zeros_like(layer.weights)
+        eligibility_step(impulse, hebbian_impulse(trace, x[None, :], np.array([polarity.value]),
+                                                  prob, layer.partition),
+                         np.zeros_like(layer.weights), 0.0, 1.0)
         codes = np.array([polarity.value], dtype=np.int8)
         grad, _, _ = layer_gradient(layer, x[None, :], codes, prob)
         descent = -grad.ravel()
@@ -448,16 +441,15 @@ class TestHebbianImpulse:
         trace, spikes, codes, part, e0, w0 = random_plastic_step(rows=1)
         prob, tau_e, eta = SymmetricProb(), 0.97, 0.05
 
-        el, w = EligibilityTrace(e0.copy(), tau_e), w0.copy()
-        hebbian_impulse(trace, spikes, codes, prob, part, el.impulse)
-        eligibility_step(el, w, eta)
+        e, w = e0.copy(), w0.copy()
+        eligibility_step(e, hebbian_impulse(trace, spikes, codes, prob, part), w, tau_e, eta)
 
         _, modulation = modulation_batch(trace, codes, prob, part)
         post = (modulation * trace)[0]
         e_ref, w_ref = e0.copy(), w0.copy()
         e_ref += (1.0 - tau_e) * (np.outer(post, spikes[0]) - e_ref)
         w_ref += eta * e_ref
-        assert np.array_equal(el.e, e_ref) and np.array_equal(w, w_ref)
+        assert np.array_equal(e, e_ref) and np.array_equal(w, w_ref)
 
     @pytest.mark.parametrize("rows", [1, 7, 300])
     def test_sparse_spikes_match_dense_matmul(self, rows):
@@ -469,9 +461,7 @@ class TestHebbianImpulse:
         spikes = spiking_mod._fired_spikes(cols, starts, rate_encode(0.5 * x, rng), X.shape)
         codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
         part, prob = PolarityPartition.split_halves(n_out), SymmetricProb()
-        out = np.empty((n_out, n_in))
-        got = hebbian_impulse(trace, spikes, codes, prob, part, out)
-        assert got is out
+        got = hebbian_impulse(trace, spikes, codes, prob, part)
         _, modulation = modulation_batch(trace, codes, prob, part)
         want = (modulation * trace).T @ spikes.toarray() / rows
         assert spikes.nnz > 0
@@ -481,9 +471,8 @@ class TestHebbianImpulse:
         trace, spikes, codes, part, e0, w0 = random_plastic_step(rows=5)
         prob, tau_e, eta = SigmoidProb(theta=1.0), 0.9, 0.3
 
-        el, w = EligibilityTrace(e0.copy(), tau_e), w0.copy()
-        hebbian_impulse(trace, spikes, codes, prob, part, el.impulse)
-        eligibility_step(el, w, eta)
+        e, w = e0.copy(), w0.copy()
+        eligibility_step(e, hebbian_impulse(trace, spikes, codes, prob, part), w, tau_e, eta)
 
         _, modulation = modulation_batch(trace, codes, prob, part)
         post = modulation * trace
@@ -491,7 +480,7 @@ class TestHebbianImpulse:
         e_ref, w_ref = e0.copy(), w0.copy()
         e_ref += (1.0 - tau_e) * (mean - e_ref)
         w_ref += eta * e_ref
-        assert np.allclose(el.e, e_ref, rtol=0, atol=1e-12)
+        assert np.allclose(e, e_ref, rtol=0, atol=1e-12)
         assert np.allclose(w, w_ref, rtol=0, atol=1e-12)
 
 
@@ -526,13 +515,13 @@ class TestRunSample:
 
     def test_all_black_image_is_inert(self):
         rng = np.random.default_rng(8)
-        layer, spk = tiny_model()
-        el = EligibilityTrace.zeros_like(layer.weights, 0.99)
+        layer, spk = tiny_model(tau_e=0.99)
+        e = np.zeros_like(layer.weights)
         before = layer.weights.copy()
-        final = simulate(layer, np.zeros((1, 15)), spk, rng, POSITIVE, SymmetricProb(), el, 0.1)
+        final = simulate(layer, np.zeros((1, 15)), spk, rng, POSITIVE, SymmetricProb(), e, 0.1)
         assert np.all(final == 0.0)
         assert np.array_equal(layer.weights, before)
-        assert np.all(el.e == 0.0)
+        assert np.all(e == 0.0)
 
     def test_same_seed_same_trace(self):
         layer, spk = tiny_model()
@@ -572,16 +561,16 @@ class TestRunSample:
         rng = np.random.default_rng(10)
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=4)
         prob, tau_e, eta = SymmetricProb(), 0.99, 0.1
-        layer, spk = tiny_model(prob, encoder=enc)
+        layer, spk = tiny_model(prob, encoder=enc, tau_e=tau_e)
         for rows in (1, 4):
             spikes_seen.clear()
             traces_seen.clear()
             e0 = rng.standard_normal(layer.weights.shape)
             w0 = layer.weights.copy()
-            el = EligibilityTrace(np.array(e0, order="F"), tau_e)
+            e = np.array(e0, order="F")
             codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
             X = rng.uniform(0.0, 1.0, size=(rows, 15))
-            simulate(layer, X, spk, rng, codes, prob, el, eta)
+            simulate(layer, X, spk, rng, codes, prob, e, eta)
             assert len(spikes_seen) == len(traces_seen) == enc.steps
 
             e_ref, w_ref = e0.copy(), w0.copy()
@@ -590,18 +579,18 @@ class TestRunSample:
                 impulse = (modulation * traces_seen[t]).T @ densify(X, spikes_seen[t]) / rows
                 e_ref += (1.0 - tau_e) * (impulse - e_ref)
                 w_ref += eta * e_ref
-            assert np.allclose(el.e, e_ref, rtol=0, atol=1e-12), rows
+            assert np.allclose(e, e_ref, rtol=0, atol=1e-12), rows
             assert np.allclose(layer.weights, w_ref, rtol=0, atol=1e-12), rows
             # one decay step more or less moves e by (1 - tau_e) |e|, far above the tolerance
-            assert np.abs(el.e - e0).min() > 1e-4
+            assert np.abs(e - e0).min() > 1e-4
 
     def test_zero_active_window_never_updates(self):
         rng = np.random.default_rng(11)
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=0)
-        layer, spk = tiny_model(encoder=enc)
-        el = EligibilityTrace.zeros_like(layer.weights, 0.99)
+        layer, spk = tiny_model(encoder=enc, tau_e=0.99)
         before = layer.weights.copy()
-        simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(), el, 0.5)
+        simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(),
+                 np.zeros_like(layer.weights), 0.5)
         assert np.array_equal(layer.weights, before)
 
 
@@ -617,17 +606,16 @@ class TestMalformedPlasticCalls:
     def test_refused_before_either_path(self, request, path, rows, codes, tau_e):
         if path == "numpy":
             request.getfixturevalue("numpy_path")
-        layer, spk = tiny_model()
-        el = EligibilityTrace.zeros_like(layer.weights, tau_e)
-        el.e += 0.01
-        before = layer.weights.copy(), el.e.copy()
+        layer, spk = tiny_model(tau_e=tau_e)
+        e = np.full_like(layer.weights, 0.01)
+        before = layer.weights.copy(), e.copy()
         X = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 15))
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match="one polarity code per row of a nonempty batch"):
-            simulate(layer, X, spk, rng, np.array(codes, dtype=np.int8), SymmetricProb(), el,
+            simulate(layer, X, spk, rng, np.array(codes, dtype=np.int8), SymmetricProb(), e,
                      0.1)
-        assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
+        assert np.array_equal(layer.weights, before[0]) and np.array_equal(e, before[1])
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("path", ["numpy", "compiled"])
@@ -638,17 +626,41 @@ class TestMalformedPlasticCalls:
                                                                           rows, e_shape):
         if path == "numpy":
             request.getfixturevalue("numpy_path")
-        layer, spk = tiny_model(n_in=30, n_out=20)
-        el = EligibilityTrace(np.full(e_shape, 0.01, order="F"), 0.99)
-        before = layer.weights.copy(), el.e.copy()
+        layer, spk = tiny_model(n_in=30, n_out=20, tau_e=0.99)
+        e = np.full(e_shape, 0.01, order="F")
+        before = layer.weights.copy(), e.copy()
         X = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 30))
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
         with pytest.raises(ConfigError, match=re.escape(
                 f"got an eligibility trace of shape {e_shape} for weights of shape (20, 30)")):
-            run(layer, X, spk, rng, codes, SymmetricProb(), el, 0.1)
-        assert np.array_equal(layer.weights, before[0]) and np.array_equal(el.e, before[1])
+            run(layer, X, spk, rng, codes, SymmetricProb(), e, 0.1)
+        assert np.array_equal(layer.weights, before[0]) and np.array_equal(e, before[1])
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    @pytest.mark.parametrize("run", [simulate, simulate_online], ids=["simulate", "simulate_online"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("bad", ["float32", "list"])
+    def test_refuses_an_eligibility_trace_that_is_not_a_float64_array(self, request, path, run,
+                                                                      rows, bad):
+        # numpy would fold a float32 e in float32 through its in-place casts
+        if path == "numpy":
+            request.getfixturevalue("numpy_path")
+        layer, spk = tiny_model(n_in=30, n_out=20, tau_e=0.99)
+        e = np.full_like(layer.weights, 0.01, dtype=np.float32)
+        if bad == "list":
+            e = e.astype(np.float64).tolist()
+        before = layer.weights.copy(), np.array(e)
+        X = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 30))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
+        with pytest.raises(ConfigError, match="float64 ndarray eligibility trace"):
+            run(layer, X, spk, rng, codes, SymmetricProb(), e, 0.1)
+        assert np.array_equal(layer.weights, before[0])
+        assert np.array_equal(np.array(e), before[1]) and np.array(e).dtype == before[1].dtype
         assert rng.bit_generator.state == state
 
     def test_plasticity_free_calls_take_any_row_count(self):
@@ -656,7 +668,7 @@ class TestMalformedPlasticCalls:
         assert simulate(layer, np.zeros((0, 15)), spk, np.random.default_rng(1)).shape == (0, 10)
 
 
-def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
+def dense_simulate(layer, X, spiking, rng, codes, prob_fn, e, eta):
     """The plastic lockstep loop on the dense rule alone: the oracle of the event-driven path.
 
     It replays the spikes the production encoder draws from the same generator
@@ -670,8 +682,8 @@ def dense_simulate(layer, X, spiking, rng, codes, prob_fn, eligibility, eta):
         trace = spiking_mod.trace_step(trace, lif_step(potential, layer.weights, spikes, spiking.lif),
                                        spiking.trace)
         if t >= active_start:
-            hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition, eligibility.impulse)
-            eligibility_step(eligibility, layer.weights, eta)
+            impulse = hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition)
+            eligibility_step(e, impulse, layer.weights, spiking.tau_e, eta)
     return trace
 
 
@@ -712,7 +724,7 @@ class TestEventDrivenPlasticity:
         layer.weights = np.asfortranarray(layer.weights)
         ref_layer = DenseLayer(layer.weights.copy(), layer.partition)
         e0 = 0.1 * data_rng.standard_normal(layer.weights.shape)
-        el, ref_el = EligibilityTrace(np.array(e0, order="F"), tau_e), EligibilityTrace(e0.copy(), tau_e)
+        e, ref_e = np.array(e0, order="F"), e0.copy()
 
         silent_steps, dense_steps, folds = [], [], []
         real_encode, real_step = spiking_mod.rate_encode, spiking_mod.eligibility_step
@@ -737,11 +749,11 @@ class TestEventDrivenPlasticity:
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
         for i, x in enumerate(X):
             codes = np.array([1 if i % 2 == 0 else -1], dtype=np.int8)
-            got = simulate(layer, x[None, :], spk, rng, codes, prob, el, eta)
-            want = dense_simulate(ref_layer, x[None, :], spk, ref_rng, codes, prob, ref_el, eta)
+            got = simulate(layer, x[None, :], spk, rng, codes, prob, e, eta)
+            want = dense_simulate(ref_layer, x[None, :], spk, ref_rng, codes, prob, ref_e, eta)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert np.allclose(layer.weights, ref_layer.weights, rtol=0, atol=1e-12)
-            assert np.allclose(el.e, ref_el.e, rtol=0, atol=1e-12)
+            assert np.allclose(e, ref_e, rtol=0, atol=1e-12)
 
         assert not np.allclose(layer.weights, DenseLayer.initialize(n_in, n_out, layer.partition, 5).weights)
         if sparse:
@@ -779,19 +791,18 @@ class TestPresynapticMajor:
         layer, spk = tiny_model(prob, n_in=40, tau_e=tau_e, trace=TraceConfig(kind=trace))
         ref_layer = DenseLayer(np.ascontiguousarray(layer.weights), layer.partition)
         e0 = 0.1 * np.random.default_rng(40).standard_normal(layer.weights.shape)
-        el = EligibilityTrace(np.array(e0, order="F"), tau_e)
-        ref_el = EligibilityTrace(e0.copy(), tau_e)
+        e, ref_e = np.array(e0, order="F"), e0.copy()
         data_rng, rng, ref_rng = (np.random.default_rng(s) for s in (41, 42, 42))
         codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
         for _ in range(3):
             X = data_rng.uniform(0.0, 1.0, size=(rows, 40)) * (data_rng.random((rows, 40)) < 0.6)
-            got = simulate(layer, X, spk, rng, codes, prob, el, 0.2)
-            want = row_major_simulate(ref_layer, X, spk, ref_rng, codes, prob, ref_el, 0.2)
+            got = simulate(layer, X, spk, rng, codes, prob, e, 0.2)
+            want = row_major_simulate(ref_layer, X, spk, ref_rng, codes, prob, ref_e, 0.2)
             assert np.array_equal(got, want)
             assert np.array_equal(layer.weights, ref_layer.weights)
-            assert np.array_equal(el.e, ref_el.e)
-        assert layer.weights.T.flags.c_contiguous and el.e.T.flags.c_contiguous
-        assert not np.array_equal(el.e, e0)
+            assert np.array_equal(e, ref_e)
+        assert layer.weights.T.flags.c_contiguous and e.T.flags.c_contiguous
+        assert not np.array_equal(e, e0)
 
     @pytest.mark.parametrize("mode", ["batch", "online"])
     def test_train_hebbian_returns_presynaptic_major_weights(self, small_data, mode):
@@ -807,18 +818,18 @@ class TestPresynapticMajor:
     @pytest.mark.parametrize("rows", [1, 4])
     @pytest.mark.parametrize("row_major", ["weights", "eligibility"])
     def test_plastic_call_refuses_row_major_storage(self, rows, row_major):
-        layer, spk = tiny_model()
-        el = EligibilityTrace.zeros_like(layer.weights, 0.99)
+        layer, spk = tiny_model(tau_e=0.99)
+        e = np.zeros_like(layer.weights)
         if row_major == "weights":
             layer.weights = np.ascontiguousarray(layer.weights)
         else:
-            el = EligibilityTrace.zeros_like(np.ascontiguousarray(layer.weights), 0.99)
+            e = np.ascontiguousarray(e)
         before = layer.weights.copy()
         codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
         with pytest.raises(ConfigError, match="presynaptic-major"):
             simulate(layer, np.full((rows, 15), 0.5), spk, np.random.default_rng(0), codes,
-                     SymmetricProb(), el, 0.1)
-        assert np.array_equal(layer.weights, before) and np.all(el.e == 0.0)
+                     SymmetricProb(), e, 0.1)
+        assert np.array_equal(layer.weights, before) and np.all(e == 0.0)
 
     @pytest.mark.parametrize("rows", [1, 6])
     def test_loaded_checkpoint_gives_the_latents_of_the_presynaptic_major_layer(self, tmp_path,
@@ -889,7 +900,7 @@ class TestSimulateLatents:
         rows = 1 if mode == "online" else 4
         plastic = () if mode == "eval" else (
             np.where(np.arange(rows) % 2 == 0, 1, -1).astype(np.int8), SymmetricProb(),
-            EligibilityTrace.zeros_like(layer.weights, 0.99), 0.1,
+            np.zeros_like(layer.weights), 0.1,
         )
         before = layer.weights.copy()
         with pytest.raises(ConfigError, match=r"batch has shape .*, layer expects \[B, 15\]"):
@@ -977,6 +988,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             LIFConfig(reset_mode="clamp")
 
-    def test_eligibility_tau_bounds(self):
-        with pytest.raises(ConfigError):
-            EligibilityTrace(np.zeros((2, 2)), 1.0)
+    @pytest.mark.parametrize("tau_e", [-0.1, 1.0, np.nan])
+    def test_eligibility_tau_bounds(self, tau_e):
+        with pytest.raises(ConfigError, match=re.escape("tau_e must be in [0, 1)")):
+            SpikingConfig(tau_e=tau_e)

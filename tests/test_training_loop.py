@@ -12,7 +12,6 @@ from ffa.core import SymmetricProb, probability_batch
 from ffa.data import ExperimentData, LabelCodebook, batches, embed_batch, pair_codes
 from ffa.errors import DivergenceError, SilentLayerError
 from ffa.spiking import (
-    EligibilityTrace,
     LIFConfig,
     SpikeEncoderConfig,
     SpikingConfig,
@@ -171,7 +170,7 @@ def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
     prob = SymmetricProb()
     layer = DenseLayer.initialize(tiny_data.input_dim, N_OUT, partition_for(prob, N_OUT), SEED)
     layer.weights = np.asfortranarray(layer.weights)
-    eligibility = EligibilityTrace.zeros_like(layer.weights, SPIKING.tau_e)
+    e = np.zeros_like(layer.weights)
     rng = np.random.default_rng([SEED, 0, 0x5E1])
     stats = _RunningStats()
     pairs = 1 if mode == "online" else 10
@@ -180,7 +179,7 @@ def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
         rows = 1 if mode == "online" else len(X)
         for i in range(0, len(X), rows):
             c = codes[i : i + rows]
-            final = simulate(layer, X[i : i + rows], SPIKING, rng, c, prob, eligibility, 0.05)
+            final = simulate(layer, X[i : i + rows], SPIKING, rng, c, prob, e, 0.05)
             stats.update(final, c, probability_batch(final, prob, layer.partition))
     init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
     assert not np.array_equal(layer.weights, init.weights)
@@ -215,11 +214,11 @@ def test_batch_epoch_equals_the_row_major_reference_bitwise(tiny_data):
     trained, _ = train("hebbian_batch", tiny_data, epochs=1)
     prob = SymmetricProb()
     layer = DenseLayer.initialize(tiny_data.input_dim, N_OUT, partition_for(prob, N_OUT), SEED)
-    eligibility = EligibilityTrace.zeros_like(layer.weights, SPIKING.tau_e)
+    e = np.zeros_like(layer.weights)
     rng = np.random.default_rng([SEED, 0, 0x5E1])
     for batch in batches(tiny_data.train, 10, SEED, 0):
         row_major_simulate(layer, batch.rows(tiny_data.codebook), SPIKING, rng,
-                           pair_codes(len(batch)), prob, eligibility, 0.05)
+                           pair_codes(len(batch)), prob, e, 0.05)
     assert trained.weights.T.flags.c_contiguous and layer.weights.flags.c_contiguous
     init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
     assert not np.array_equal(layer.weights, init.weights)
