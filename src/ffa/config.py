@@ -11,6 +11,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .analog import TrainConfig
@@ -103,21 +104,28 @@ class ExperimentConfig:
 
         The range and enum rules belong to the components that use the
         values; this builds each component and gathers their errors, plus
-        the rules that no component owns.
+        the rules that no component owns.  Each grid value is built as the
+        component its cells build, under a prefix that names the value.
         """
         problems: list[str] = []
-        builders = (
-            self._own_rules, self.train_config, self.codebook,
-            self._lif, self._trace, self._encoder, lambda: SpikingConfig(tau_e=self.tau_e),
-            # both probability forms, whichever one is selected
-            *(replace(self, prob=prob).prob_fn for prob in PROBS),
-        )
-        for build in builders:
+        builders = [
+            ("", build) for build in (
+                self._own_rules, self.train_config, self.codebook,
+                self._lif, self._trace, self._encoder, lambda: SpikingConfig(tau_e=self.tau_e),
+                # both probability forms, whichever one is selected
+                *(replace(self, prob=prob).prob_fn for prob in PROBS),
+            )
+        ]
+        builders += [(f"grid.eta value {eta!r}: ", partial(TrainConfig, eta=eta))
+                     for eta in self.grid_eta]
+        builders += [(f"grid.tau_e value {tau_e!r}: ", partial(SpikingConfig, tau_e=tau_e))
+                     for tau_e in self.grid_tau_e]
+        for prefix, build in builders:
             try:
                 build()
             except FFAError as exc:
-                if str(exc) not in problems:
-                    problems.append(str(exc))
+                if prefix + str(exc) not in problems:
+                    problems.append(prefix + str(exc))
         return problems
 
     def _own_rules(self) -> None:

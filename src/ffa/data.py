@@ -178,6 +178,12 @@ def _repeated_codeword(vectors: np.ndarray) -> tuple[int, int] | None:
     return next(((i, rows.index(row)) for i, row in enumerate(rows) if rows.index(row) < i), None)
 
 
+def _check_density(density: float) -> None:
+    """A codeword bit is 1 with probability ``density``; 0, 1 and NaN are refused."""
+    if not 0.0 < density < 1.0:
+        raise DataError(f"codeword density must be in (0, 1), got {density!r}")
+
+
 class LabelCodebook:
     """Ten fixed binary codewords appended to the image to embed a label.
 
@@ -190,8 +196,7 @@ class LabelCodebook:
     def __init__(self, length: int = 100, density: float = 0.3, seed: int = 101):
         if length < 4:
             raise DataError("codeword length must be >= 4 (ten distinct codewords needed)")
-        if not 0.0 < density < 1.0:
-            raise DataError("codeword density must be in (0, 1)")
+        _check_density(density)
         if seed < 0:
             raise DataError("codebook seed must be >= 0")
         self.length = length
@@ -209,6 +214,8 @@ class LabelCodebook:
 
     @classmethod
     def from_vectors(cls, vectors: np.ndarray, density: float, seed: int) -> "LabelCodebook":
+        """The book of given codewords, held to the constructor's density rule."""
+        _check_density(density)
         book = cls.__new__(cls)
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.shape[0] != 10:

@@ -27,7 +27,7 @@ from .core import ProbabilityFn, SigmoidProb, row_sums
 from .data import Dataset, LabelCodebook, embed_batch
 from .errors import DataError
 from .forks import fork_map
-from .spiking import SpikingConfig, simulate
+from .spiking import SpikingConfig, load_scan_path, simulate
 
 LatentRunner = Callable[[DenseLayer, np.ndarray, LabelCodebook], Iterator[np.ndarray]]
 
@@ -63,11 +63,7 @@ def spiking_runner(spiking: SpikingConfig, seed: int, epoch: int = 0) -> LatentR
             rows[:, -codebook.length:] = codebook.vectors[label]
             return simulate(layer, rows, spiking, np.random.default_rng([*key, label]))
 
-        # What simulate runs on is loaded here, once, not in every forked child.
-        from . import _kernels
-
-        if _kernels.library() is None:
-            import scipy.sparse  # noqa: F401
+        load_scan_path()  # once, here, not in every forked child
         return fork_map(latents, range(10), len(os.sched_getaffinity(0)))
 
     return run
@@ -157,71 +153,111 @@ def hoyer_summary(latents: np.ndarray) -> tuple[float, float, int]:
     return float(values.mean()), float(values.std()), int((~alive).sum())
 
 
-# Query rows per exact recompute; their union of candidate columns stays near 8 * k_nn.
-_RECOMPUTE_ROWS = 8
+# Candidate pairs per exact recompute block: about 2^20 gathered differences each.
+_PAIR_BLOCK = 1 << 20
 
 
-def _screen_error_bound(n: int, sq_norms: np.ndarray) -> np.ndarray:
-    """Per query row a, a bound E_a >= |screen - cdist| over every pair (a, b) of n features.
+def _screen_error_bound(n: int, norms: np.ndarray, exponent: int) -> np.ndarray:
+    """Per query row a, a bound E_a >= |screen - 2^(-2e) d| over every pair (a, b),
+    where d is the float64 feature-order sum of squared differences over n live columns.
 
-    With g(m) = m*u / (1 - m*u) and u the unit roundoff, the two squared norms
-    together err by at most g(n)(|a|^2 + |b|^2), and so does twice the dot product
-    (2|a||b| <= |a|^2 + |b|^2); the screen's two final roundings add at most
-    4u(1 + g(n))(|a|^2 + |b|^2), and cdist's feature-order sum errs by at most
-    g(n+2)|a - b|^2 <= 2g(n+2)(|a|^2 + |b|^2).  In all that is below
-    g(4n + 16)(|a|^2 + |b|^2), and |b|^2 <= max |b|^2.  The factor 2 covers the
-    rounding of the norms, of this bound and of the threshold; the absolute term
-    covers underflow, gradual or flushed to zero, in the 4n products.
+    The screen rows are z = float32(2^-e (x - mu)): the live columns of x less their
+    float64 mean mu, scaled by e = ``exponent`` so that every |z_j| <= 1; ``norms``
+    holds each row's |z|^2 summed in float64.  Let u = 2^-24, g(m) = m*u / (1 - m*u),
+    g64 the same at 2^-53, t32 and t64 the smallest normal floats, N = |z_a|^2 +
+    |z_b|^2 <= 2n, and w = 2^-e (x - mu) exactly, so |w_a - w_b|^2 = 2^-2e D for the
+    exact distance D.  Underflow may be gradual or flushed to zero, inputs included.
+
+    - Entries: centering rounds by 2^-53 relative and t64 absolute, the scaling by
+      t64 absolute, the cast by u relative and t32 absolute, so |z_j - w_j| <= r|z_j|
+      + A with r < 1.01u and A = 2(t32 + (1 + 2^-e) t64).
+    - Those errors: with f the difference of the two rows' entry errors, |f| <= r
+      sqrt(2N) + 2A sqrt(n), and R = |z_a - z_b|^2 <= 2N, so |R - 2^-2e D| <=
+      2 sqrt(R)|f| + |f|^2 <= 5uN + 9n(A + A^2).
+    - The float32 GEMM of -2 z_a (exact) by z_b, in any summation order, with or
+      without FMA: g(n) 2 sum|z_aj z_bj| <= g(n) N; and per term under 3 t32 for
+      inputs read as zero, t32 for the product and t32 for the partial sum.
+    - Each norm, summed in float64 (every z^2 is exact) and cast to float32, errs by
+      (u + g64(n)(1 + u))|z|^2 + t32.  The screen adds the query norm, then the
+      other: to first order |G + |z_a|^2| <= 2N and |screen| <= 3N, so the two adds
+      err by 5uN + 2t32.  In all |screen - R| <= g(n + 8) N + (5n + 4) t32.
+    - d: n squares of rounded (or exact) differences added left to right, so |d -
+      D| <= g64(n + 2) D + 3n t64, and 2^-2e D <= R + |R - 2^-2e D| <= 3N + 9n(A + A^2).
+
+    Summed, for n < 2^28: |screen - 2^-2e d| <= g(n + 16) N + 12(n + 1)(A + A^2) +
+    4n 2^-2e t64, and N <= |z_a|^2 + max |z_b|^2.  The factor 2 covers the rounding of
+    the norms, of this bound and of the threshold.  An absolute term past float64's
+    range (latents all below about 1e-150) makes every pair a candidate.
     """
-    u = np.finfo(np.float64).eps / 2
-    m = 4 * n + 16
+    u = 2.0**-24
+    m = n + 16
     gamma = m * u / (1 - m * u)
-    return 2 * gamma * (sq_norms + sq_norms.max()) + m * np.finfo(np.float64).tiny
+    tiny32, tiny64 = float(np.finfo(np.float32).tiny), float(np.finfo(np.float64).tiny)
+    with np.errstate(over="ignore"):
+        entry = 2 * (tiny32 + (1 + np.ldexp(1.0, -exponent)) * tiny64)
+        recompute = 4 * n * np.ldexp(tiny64, -2 * exponent)
+    absolute = 12 * (n + 1) * (entry + entry * entry) + recompute
+    return 2 * (gamma * (norms + norms.max()) + absolute)
 
 
 def separability_index(dump: LatentDump, k_nn: int = 5, chunk: int = 256) -> float:
     """Mean fraction of the k nearest latent neighbors sharing the true label.
 
-    Exact Euclidean neighbors, query point excluded: the distance is scipy's
-    ``cdist(..., "sqeuclidean")``, a sum of squared differences in feature order,
-    and exact distance ties resolve in index order.  Per chunk of query rows, one
-    GEMM screen ``|a|^2 + |b|^2 - 2 a.b`` finds each row's k-th screened distance t;
-    only columns screened within 2E of t can be among the k nearest, where E bounds
-    the rounding gap between screen and cdist (see ``_screen_error_bound``).  Those
-    candidates are recomputed with cdist and sorted, so the result equals a full
-    sort of every cdist distance bit for bit.  If every row ties, every column is a
+    Exact Euclidean neighbors, query point excluded: the distance is the sum of
+    squared differences in feature order, and exact distance ties resolve in index
+    order.  A column that is zero in every row adds an exact +0.0 to that sum, so
+    only the live columns are read.  Per chunk of query rows, one float32 GEMM screen
+    ``|a|^2 + |b|^2 - 2 a.b`` of the centered live columns, scaled below 1, finds each
+    row's k-th screened distance t; only pairs screened within 2E of t can be among
+    the k nearest, where E bounds the gap between the screen and the exact sum at
+    the screen's scale (see ``_screen_error_bound``).  Those candidates are summed
+    exactly, in blocks of about 2^20 differences, and sorted, so the result equals a
+    full sort of every distance bit for bit.  If every row ties, every pair is a
     candidate.  Latents need finite squared norms below 1/4 of the float64 maximum.
     """
-    from scipy.spatial.distance import cdist
-
     latents, labels = dump.latents, dump.labels
-    q, n = latents.shape
+    q = latents.shape[0]
     if not 1 <= k_nn < q:
         raise DataError(f"need 1 <= k_nn < samples, got k_nn={k_nn} and {q} samples")
     sq_norms = np.einsum("qj,qj->q", latents, latents)
     if not np.isfinite(4.0 * sq_norms.max()):
         raise DataError("latents must be finite, with squared norms below 4.4e307")
-    margin = 2.0 * _screen_error_bound(n, sq_norms)
+    live = latents[:, latents.any(axis=0)]
+    n = live.shape[1]
+    centered = live - live.mean(axis=0)
+    exponent = int(np.frexp(np.abs(centered).max(initial=0.0))[1])
+    screen_rows = np.ldexp(centered, -exponent).astype(np.float32)
+    norms = np.einsum("qj,qj->q", screen_rows, screen_rows, dtype=np.float64)
+    margin = 2.0 * _screen_error_bound(n, norms, exponent)
+    norms = norms.astype(np.float32)
+    # a threshold past float32's range admits every screened pair, never the inf diagonal
+    most = np.finfo(np.float32).max
+    step = max(1, _PAIR_BLOCK // max(n, 1))
     matches = 0
     for start in range(0, q, chunk):
         stop = min(start + chunk, q)
-        # -2 is a power of two, so scaling the query block first gives the same screen
-        # (an underflowing product aside, which E's absolute term covers) in one pass less
-        screen = (-2.0 * latents[start:stop]) @ latents.T
-        screen += sq_norms[start:stop, None]
-        screen += sq_norms
+        # -2 is a power of two and |z| <= 1, so scaling the query block is exact
+        screen = (-2.0 * screen_rows[start:stop]) @ screen_rows.T
+        screen += norms[start:stop, None]
+        screen += norms
         screen[np.arange(stop - start), np.arange(start, stop)] = np.inf
         kth = np.partition(screen, k_nn - 1, axis=1)[:, k_nn - 1]
-        candidates = screen <= (kth + margin[start:stop])[:, None]
-        for offset in range(0, stop - start, _RECOMPUTE_ROWS):
-            mask = candidates[offset : offset + _RECOMPUTE_ROWS]
-            rows = slice(start + offset, start + offset + mask.shape[0])
-            columns = np.flatnonzero(mask.any(axis=0))
-            d = cdist(latents[rows], latents[columns], "sqeuclidean")
-            d[~mask[:, columns]] = np.inf
-            # columns ascend, so a stable sort breaks distance ties in index order
-            neighbors = columns[np.argsort(d, axis=1, kind="stable")[:, :k_nn]]
-            matches += int((labels[neighbors] == labels[rows, None]).sum())
+        with np.errstate(over="ignore"):
+            limit = np.nextafter((kth + margin[start:stop]).astype(np.float32), np.inf)
+        rows, cols = np.divmod(np.flatnonzero(screen <= np.minimum(limit, most)[:, None]), q)
+        d = np.empty(rows.size)
+        for first in range(0, rows.size, step):
+            pairs = slice(first, first + step)
+            diff = live[rows[pairs] + start]
+            diff -= live[cols[pairs]]
+            diff *= diff
+            d[pairs] = row_sums(diff)
+        # rows ascend, and each holds at least k_nn candidates
+        order = np.lexsort((cols, d, rows))
+        counts = np.bincount(rows, minlength=stop - start)
+        firsts = np.cumsum(counts) - counts
+        neighbors = cols[order[firsts[:, None] + np.arange(k_nn)]]
+        matches += int((labels[neighbors] == labels[start:stop, None]).sum())
     return matches / (q * k_nn)
 
 

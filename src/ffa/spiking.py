@@ -434,6 +434,13 @@ def _loaded_kernels(prob_fn: Optional[ProbabilityFn]):
     return _kernels if _kernels.library() is not None else None
 
 
+def load_scan_path() -> None:
+    """Load what a plasticity-free :func:`simulate` call runs on: the compiled kernels,
+    or else ``scipy.sparse``."""
+    if _loaded_kernels(None) is None:
+        import scipy.sparse  # noqa: F401
+
+
 def _kernel_plasticity(layer, codes, prob_fn, e, eta, event) -> dict:
     """The plasticity arguments of a kernel call, event-driven when ``event`` is set."""
     return dict(e=e, eta=eta, pos_mask=layer.partition.pos_mask, positive=codes > 0,

@@ -30,6 +30,21 @@ class TestRoundTrip:
         assert book2 == book
         assert book2.length == 17 and book2.seed == 42
 
+    @pytest.mark.parametrize("make_book", [
+        lambda: LabelCodebook(length=4, density=0.5, seed=3),
+        lambda: LabelCodebook(length=100, density=0.95, seed=3),
+        lambda: LabelCodebook.from_vectors(np.eye(10, 12), 5e-324, 3),
+        lambda: LabelCodebook.from_vectors(np.eye(10, 12), np.nextafter(1.0, 0.0), 3),
+    ], ids=["drawn_4", "drawn_100", "least_density", "greatest_density"])
+    def test_every_book_saved_loads(self, tmp_path, layer_and_book, make_book):
+        # a book holds any density in (0, 1), and its file loads it back unchanged
+        layer, _ = layer_and_book
+        book = make_book()
+        path = tmp_path / "model.ffaw"
+        save_checkpoint(path, layer, book)
+        _, loaded = load_checkpoint(path)
+        assert loaded == book and (loaded.density, loaded.seed) == (book.density, book.seed)
+
     def test_save_is_deterministic(self, tmp_path, layer_and_book):
         layer, book = layer_and_book
         a, b = tmp_path / "a.ffaw", tmp_path / "b.ffaw"
@@ -92,6 +107,21 @@ class TestErrors:
         path = tmp_path / "model.ffaw"
         save_checkpoint(path, layer, book)
         with pytest.raises(CheckpointError, match="model.ffaw: codeword 7 repeats codeword 3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("density", [1.325, 0.0, np.nan], ids=["1.325", "0", "nan"])
+    def test_codebook_density_out_of_range_refused(self, tmp_path, layer_and_book, density):
+        # the density field follows the magic, the header, the mask and the code length
+        layer, book = layer_and_book
+        path = tmp_path / "model.ffaw"
+        save_checkpoint(path, layer, book)
+        data = bytearray(path.read_bytes())
+        at = 4 + 16 + layer.n_out + 4
+        assert struct.unpack_from("<d", data, at) == (book.density,)
+        struct.pack_into("<d", data, at, density)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=r"model.ffaw: codeword density must be in \(0, 1\)"):
             load_checkpoint(path)
 
     def test_zero_length_codebook_refused(self, tmp_path, layer_and_book):

@@ -403,16 +403,17 @@ class TestGrid:
         assert rows == ["0.02,0.9,nan,silent"]
         assert "no grid cell finished successfully" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("etas,taus,bad_cells", [
-        ("-0.1", "1.5", ["eta=-0.1 tau_e=1.5: eta must be positive; tau_e must be in [0, 1)"]),
-        ("-0.1, 0.02", "0.9, 1.5", [
-            "eta=-0.1 tau_e=0.9: eta must be positive",
-            "eta=-0.1 tau_e=1.5: eta must be positive; tau_e must be in [0, 1)",
-            "eta=0.02 tau_e=1.5: tau_e must be in [0, 1)",
+    @pytest.mark.parametrize("etas,taus,named", [
+        ("-0.1", "1.5", ["grid.eta value -0.1: eta must be positive",
+                         "grid.tau_e value 1.5: tau_e must be in [0, 1)"]),
+        ("-0.1, 0.02", "0.9, 1.5, 7.0", [
+            "grid.eta value -0.1: eta must be positive",
+            "grid.tau_e value 1.5: tau_e must be in [0, 1)",
+            "grid.tau_e value 7.0: tau_e must be in [0, 1)",
         ]),
     ])
-    def test_bad_cells_rejected_before_training(self, base_config, capsys, monkeypatch,
-                                                etas, taus, bad_cells):
+    def test_bad_grid_values_rejected_before_training(self, base_config, capsys, monkeypatch,
+                                                      etas, taus, named):
         config, out_dir = base_config
         trained = []
         monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: trained.append(args))
@@ -422,10 +423,10 @@ class TestGrid:
                        "--set", f"grid.tau_e={taus}")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:config:")
-        for cell in bad_cells:
-            assert cell in err
-        assert "eta=0.02 tau_e=0.9" not in err
+        assert err.startswith("error:config: invalid config:")
+        for problem in named:
+            assert err.count(problem) == 1
+        assert "0.02" not in err and "0.9:" not in err
         assert trained == []
         assert not (out_dir / "grid.csv").exists()
 

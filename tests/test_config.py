@@ -266,6 +266,19 @@ class TestValidation:
         for fragment in ("alpha", "eta", "decay", "trace kind", "steps"):
             assert fragment in text
 
+    def test_grid_values_are_range_checked(self):
+        # each grid value is built as its cells build it, and named once
+        cfg = ExperimentConfig(grid_tau_e=(1.0, 7.0, 1.0), grid_eta=(-1.0, 0.1, math.nan))
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert cfg.problems() == [
+            "grid.eta value -1.0: eta must be positive",
+            "grid.eta value nan: eta must be positive",
+            "grid.tau_e value 1.0: tau_e must be in [0, 1)",
+            "grid.tau_e value 7.0: tau_e must be in [0, 1)",
+        ]
+        assert str(err.value) == "invalid config: " + "; ".join(cfg.problems())
+
     def test_each_problem_reported_once(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(epsilon=-1.0, lif_decay=2.0, tau_e=1.0).validate()

@@ -286,6 +286,15 @@ class TestLabelCodebook:
             LabelCodebook.from_vectors(vectors, 0.3, 2)
 
 
+    @pytest.mark.parametrize("density", [1.325, 1.0, 0.0, -0.1, float("nan")])
+    def test_from_vectors_holds_the_constructors_density_rule(self, density):
+        vectors = LabelCodebook(length=30, density=0.3, seed=2).vectors
+        for build in (lambda: LabelCodebook(30, density, 2),
+                      lambda: LabelCodebook.from_vectors(vectors, density, 2)):
+            with pytest.raises(DataError, match=r"codeword density must be in \(0, 1\), got"):
+                build()
+
+
 class TestEmbedding:
     def test_zero_image_nonzeros_only_in_suffix(self):
         book = LabelCodebook(length=20, density=0.3, seed=3)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffa.metrics
@@ -76,8 +81,8 @@ def brute_force_si(latents, labels, k):
 
 
 def feature_order_si(latents, labels, k):
-    """kNN oracle on the textbook distance: squared differences summed in feature
-    order (the order cdist uses), then a full sort with ties broken by index."""
+    """kNN oracle on the textbook distance: squared differences of every column summed
+    in feature order, then a full sort with ties broken by index."""
     q = len(labels)
     d = np.zeros((q, q))
     for column in latents.T:
@@ -108,6 +113,18 @@ def near_tie_triples(rng, clusters=40, n=8, offset=1e3):
     return np.array(rows)
 
 
+def scaled_rows(rng, low, high, q=300, n=10):
+    """Rows whose scales are drawn log-uniformly from 10^low to 10^high."""
+    return rng.normal(size=(q, n)) * 10.0 ** rng.uniform(low, high, size=(q, 1))
+
+
+def sparse_relu(rng, q=600, n=40, dead=21):
+    """Mostly-zero relu latents with dead columns, as analog latents are."""
+    latents = np.maximum(rng.normal(size=(q, n)) - 1.9, 0.0)
+    latents[:, rng.permutation(n)[:dead]] = 0.0
+    return latents
+
+
 ORACLE_CASES = {
     "crosses_chunks": lambda rng: rng.normal(size=(700, 12)),
     "duplicate_rows": lambda rng: np.vstack([rng.normal(size=(150, 10))] * 2),
@@ -119,7 +136,40 @@ ORACLE_CASES = {
     "large_offset_and_scale": lambda rng: rng.normal(size=(300, 10)) * 1e6 + 1e3,
     "large_offset_small_spread": lambda rng: rng.normal(size=(300, 10)) + 1e6,
     "near_ties_below_screen_rounding": near_tie_triples,
+    # the screen is float32: scales past its range, and below its normal range
+    "row_scales_above_float32": lambda rng: scaled_rows(rng, 39, 150),
+    "row_scales_below_float32_normal": lambda rng: scaled_rows(rng, -160, -39),
+    "row_scales_mixed_across_350_decades": lambda rng: scaled_rows(rng, -200, 150),
+    # squared differences near 1e-320 are subnormal: the exact sums tie coarsely
+    "subnormal_distances": lambda rng: rng.normal(size=(300, 10)) * 1e-160,
+    "interleaved_dead_columns": lambda rng: rng.normal(size=(300, 12)) * (np.arange(12) % 2),
+    "all_columns_dead": lambda rng: np.zeros((300, 10)),
+    "sparse_relu": sparse_relu,
 }
+
+
+@st.composite
+def latent_sets(draw):
+    """Small latent sets that stress the float32 screen: row scales from 1e-160 to 1e146,
+    offsets, exact ties, duplicate rows and dead columns."""
+    q, n = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "integer", "relu"]))
+    if values == "normal":
+        latents = rng.normal(size=(q, n))
+    elif values == "integer":
+        latents = rng.integers(0, 3, size=(q, n)).astype(float)
+    else:
+        latents = np.maximum(rng.normal(size=(q, n)) - 1.0, 0.0)
+    latents += draw(st.sampled_from([0.0, 1e3, 1e6]))
+    low = draw(st.integers(-160, 140))
+    high = draw(st.integers(low, 140))
+    latents *= 10.0 ** rng.uniform(low, high, size=(q, 1))
+    latents[:, rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    if draw(st.booleans()):
+        latents[q // 2 :] = latents[: q - q // 2]
+    k_nn = draw(st.integers(1, min(6, q - 1)))
+    return latents, rng.integers(0, 3, size=q), k_nn, draw(st.sampled_from([1, 3, 256]))
 
 
 class TestSeparabilityIndex:
@@ -208,6 +258,31 @@ class TestSeparabilityIndex:
             assert separability_index(dump, k_nn=k, chunk=chunk) == feature_order_si(
                 latents, labels, k
             )
+
+    @settings(max_examples=60, database=None)
+    @given(case=latent_sets())
+    def test_drawn_latents_equal_feature_order_oracle(self, case):
+        latents, labels, k_nn, chunk = case
+        got = separability_index(LatentDump(latents, labels), k_nn=k_nn, chunk=chunk)
+        assert got == feature_order_si(latents, labels, k_nn)
+
+    def test_every_pair_a_candidate_keeps_memory_flat(self):
+        # 3,000 identical rows: every distance is 0.0, so each row's k nearest are the
+        # lowest other indices and every pair of a chunk is a candidate
+        q, k = 3000, 5
+        labels = np.random.default_rng(6).integers(0, 3, size=q)
+        dump = LatentDump(np.tile(np.linspace(0.5, 2.0, 16), (q, 1)), labels)
+        tracemalloc.start()
+        try:
+            si = separability_index(dump, k_nn=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nearest = np.array([[b for b in range(k + 1) if b != a][:k] for a in range(q)])
+        assert si == int((labels[nearest] == labels[:, None]).sum()) / (q * k)
+        # a 256-row chunk holds 768,000 candidate pairs: their 16 differences each,
+        # gathered at once rather than in blocks of 2^20, would be 98 MB per array
+        assert peak < 80 * 2**20, peak
 
 
 class TestExport:
@@ -514,3 +589,41 @@ class TestEvaluate:
         sub = Dataset(synthetic_data.test.images[:20], synthetic_data.test.labels[:20])
         with pytest.raises(DataError, match="at least 2 components"):
             evaluate(layer, sub, synthetic_data.codebook, analog_runner(), SigmoidProb())
+
+
+SCIPY_FREE_RUN = """
+import sys
+import numpy as np
+from ffa import _kernels
+from ffa.analog import TrainConfig, train_analog
+from ffa.core import SymmetricProb
+from ffa.data import Dataset, ExperimentData, LabelCodebook
+from ffa.metrics import analog_runner, evaluate, spiking_runner
+from ffa.spiking import SpikeEncoderConfig, SpikingConfig
+
+rng = np.random.default_rng(0)
+labels = rng.integers(0, 10, size=300)
+images = np.clip(rng.random((10, 60))[labels] + rng.normal(0, 0.2, (300, 60)), 0.0, 1.0)
+data = ExperimentData(Dataset(images[:200], labels[:200]), Dataset(images[200:], labels[200:]),
+                      LabelCodebook(length=16, density=0.3, seed=9))
+prob = SymmetricProb()
+layer, _ = train_analog(TrainConfig(eta=0.01, epochs=1, prob_fn=prob), data, None, 20)
+evaluate(layer, data.test, data.codebook, analog_runner(), prob)
+spiking = SpikingConfig(n_out=20, encoder=SpikeEncoderConfig(steps=6, active_window=2))
+evaluate(layer, data.test, data.codebook, spiking_runner(spiking, seed=1), prob)
+print(_kernels.library() is not None)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_a_compiled_run_never_loads_scipy():
+    # an analog train and eval and a spiking eval, in a fresh process: compiled, no
+    # scipy module loads; on the numpy spiking path (CC=false) only scipy.sparse may
+    env = {**os.environ, "PYTHONPATH": str(Path(ffa.metrics.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], capture_output=True,
+                          text=True, check=True, timeout=300, env=env)
+    compiled, loaded = (done.stdout.splitlines() + [""])[:2]
+    if compiled == "True":
+        assert loaded == ""
+    else:
+        assert "scipy.sparse" in loaded.split() and "scipy.spatial" not in loaded
