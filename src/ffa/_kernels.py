@@ -1,10 +1,10 @@
 """Compiled forms of two overhead-bound loops, bitwise equal to their numpy rules.
 
-``_kernels.c`` holds one whole call of :func:`ffa.spiking.simulate` over B
-rows on its lockstep path, or a block of B event-driven one-row calls run one
-after another (:func:`ffa.spiking.simulate_online`, whose folds it applies
-per input row when that input next fires), for every output trace
-and reset, and one fused :func:`ffa.analog.adam_step`.  numpy stays the rule
+``_kernels.c`` holds one whole lockstep call of :func:`ffa.spiking.simulate`
+over B rows, or one :func:`ffa.spiking.simulate_online` block of B
+event-driven rows run one after another (whose folds it applies per input
+row when that input next fires), for every output trace and reset, and one
+fused :func:`ffa.analog.adam_step`.  numpy stays the rule
 and the oracle: each C loop performs the same IEEE operations in the same
 order, summation orders included, so it gives the numpy path's bits.
 :func:`ffa.core.row_sums` adds each row's partition goodness left to right at
@@ -204,14 +204,14 @@ def simulate(weights: np.ndarray, spiking, p: np.ndarray, cols: np.ndarray, star
     eligibility ``e``, ``eta``, the layer's ``pos_mask``, each row's
     polarity ``positive`` [B] and the symmetric ``epsilon``; its last
     ``active_window`` steps update ``weights`` and ``e`` in place, at the
-    decay ``spiking.tau_e``.  Given ``fold_below``, a plastic call runs its
-    rows event-driven one after another, each as a one-row call that folds
-    once the decay product drops below it and at its end.  The kernel queues
-    those folds and applies them to an input's rows of ``W.T`` and ``e.T``
-    just before the input next fires, and to every row before it returns.  Each element goes through the dense fold's operations in the
-    same order, and nothing touches a row between a fold and its application
-    there, so the bits are the dense fold's.  Every argument is checked
-    before anything is drawn or written.
+    decay ``spiking.tau_e``.  Given ``fold_below``, it is a ``simulate_online``
+    block: its rows run event-driven one after another, each from fresh state,
+    folding once the decay product drops below it and at its end.  The kernel
+    queues those folds and applies them to an input's rows of ``W.T`` and
+    ``e.T`` just before the input next fires, and to every row before it
+    returns.  Each element goes through the dense fold's operations in the
+    same order, and nothing touches a row between a fold and its application,
+    so the bits are the dense fold's.  Every argument is checked before anything moves.
     """
     n_out, n_in = shape = weights.shape
     rows, nnz = starts.size - 1, p.size

@@ -9,15 +9,13 @@ modulation factor.  During the last few timesteps of each sample the
 three-factor product ``modulation * trace * input_spike`` is fed through a
 per-synapse eligibility trace that low-passes the updates into the weights.
 
-One lockstep loop, :func:`simulate`, serves evaluation, batch training and
-online training (a batch of one).  It holds the membrane potentials and the
-output traces as two plain [B, n_out] arrays, as the compiled kernel does;
-the caller holds the eligibility ``e``, one plain float64 value per synapse,
-whose decay is ``SpikingConfig.tau_e``.
-A plastic batch of one runs the same rule event-driven: only the synapses of
-inputs that spiked are touched.  Online training hands :func:`simulate_online`
-a block of rows, each of which is such a call in turn; compiled, the whole
-block is one kernel call.
+One lockstep loop, :func:`simulate`, serves evaluation and batch training.
+It holds the membrane potentials and output traces as two plain [B, n_out]
+arrays, as the compiled kernel does; the caller holds the eligibility ``e``,
+one float64 value per synapse, whose decay is ``SpikingConfig.tau_e``.
+Online training hands :func:`simulate_online` blocks of rows, run one after
+another, each row event-driven from ``tau_e >= 1/2`` on: only the synapses of
+inputs that spiked are touched.  Compiled, such a block is one kernel call.
 
 Plastic weights and eligibility are stored presynaptic-major, as
 address-event hardware stores its synapses: Fortran-ordered [n_out, n_in],
@@ -316,11 +314,7 @@ def simulate(
     A plastic call needs one code per row of a nonempty batch, and ``e`` a
     float64 ndarray of the weights' shape, both presynaptic-major
     (Fortran-ordered; ``np.zeros_like(layer.weights)`` is a fresh ``e``),
-    else it is a ConfigError.  With one row and
-    ``tau_e >= 1/2`` it runs event-driven: the LIF current and the updates
-    touch only the synapses of inputs that spiked, and ``layer.weights`` and
-    ``e`` hold the real values again when the call returns.  Every other
-    call runs the dense rule.
+    else it is a ConfigError.  Every call, at any B, runs this dense rule.
 
     ``rng`` must be a numpy Generator, else it is a ConfigError.  Once the
     kernels have loaded (:mod:`ffa._kernels`), every call runs compiled but a
@@ -329,11 +323,9 @@ def simulate(
     gives the same bits.
     """
     X, plastic = _checked_call(layer, X, rng, codes, prob_fn, e, eta)
-    rows = X.shape[0]
     x, cols, starts = _input_events(X)
     enc = spiking.encoder
     p = enc.scale * x
-    event = plastic and rows == 1 and spiking.tau_e >= _FOLD_BELOW
     active_start = enc.steps - enc.active_window if plastic else enc.steps
     # Plastic weights are presynaptic-major, so this is the live layer; a
     # row-major layer (a loaded checkpoint) is copied once per call.  scipy's
@@ -341,27 +333,17 @@ def simulate(
     weights = np.asfortranarray(layer.weights)
     kernels = _loaded_kernels(prob_fn if plastic else None)
     if kernels is not None:
-        plasticity = {} if not plastic else _kernel_plasticity(layer, codes, prob_fn, e, eta, event)
+        plasticity = {} if not plastic else _kernel_plasticity(layer, codes, prob_fn, e, eta)
         return kernels.simulate(weights, spiking, p, cols, starts, rng, **plasticity)
-    potential, trace = np.zeros((rows, layer.n_out)), np.zeros((rows, layer.n_out))
-    synapses = _EventSynapses(layer.weights, e, spiking.tau_e, eta) if event else None
+    potential, trace = np.zeros((len(X), layer.n_out)), np.zeros((len(X), layer.n_out))
     for t in range(enc.steps):
-        fired = rate_encode(p, rng)
-        if not event:
-            spikes = _fired_spikes(cols, starts, fired, X.shape)
+        spikes = _fired_spikes(cols, starts, rate_encode(p, rng), X.shape)
         # The output spikes stay a temporary: a [B, n_out] array held across
         # steps would raise eval's peak memory.
-        trace = trace_step(trace, (lif_fire(potential, synapses.current(cols[fired]), spiking.lif)
-                                   if event else lif_step(potential, weights, spikes, spiking.lif)),
-                           spiking.trace)
+        trace = trace_step(trace, lif_step(potential, weights, spikes, spiking.lif), spiking.trace)
         if t >= active_start:
-            if event:
-                synapses.step(hebbian_post(trace, codes, prob_fn, layer.partition)[0])
-            else:
-                impulse = hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition)
-                eligibility_step(e, impulse, layer.weights, spiking.tau_e, eta)
-    if event:
-        synapses.fold()
+            impulse = hebbian_impulse(trace, spikes, codes, prob_fn, layer.partition)
+            eligibility_step(e, impulse, layer.weights, spiking.tau_e, eta)
     return trace
 
 
@@ -375,25 +357,43 @@ def simulate_online(
     e: np.ndarray,
     eta: float,
 ) -> np.ndarray:
-    """Online training over the rows of ``X`` [B, n_in], one after another;
-    returns the final traces [B, n_out].
+    """Train online over the rows of ``X`` [B, n_in] in turn; returns the final traces [B, n_out].
 
-    The rule is a loop of one-row plastic :func:`simulate` calls, row b with
-    polarity ``codes[b]``, each updating ``layer.weights`` and ``e``
-    before the next starts, and that loop is what runs on numpy and under
-    the sigmoid probability.  Any other block with ``tau_e >= 1/2`` is checked
-    once and runs as one kernel call with the same bits.  The checks and
-    errors are :func:`simulate`'s; plasticity is not optional here.
+    Row b, with polarity ``codes[b]``, starts from fresh LIF and trace state
+    and updates ``layer.weights`` and ``e`` before row b + 1 starts.  The
+    checks and errors are :func:`simulate`'s, all made before anything moves;
+    plasticity is not optional.  At ``tau_e < 1/2`` each row is a one-row
+    :func:`simulate` call.  From 1/2 on, each runs event-driven, touching only
+    the synapses of inputs that spiked, and folds at its end; compiled, under
+    the symmetric probability, the block is one kernel call with the same bits.
     """
     X, _ = _checked_call(layer, X, rng, codes, prob_fn, e, eta, require_plasticity=True)
-    kernels = _loaded_kernels(prob_fn)
-    if kernels is None or spiking.tau_e < _FOLD_BELOW:
+    x, cols, starts = _input_events(X)
+    if spiking.tau_e < _FOLD_BELOW:
         return np.concatenate([
             simulate(layer, X[b : b + 1], spiking, rng, codes[b : b + 1], prob_fn, e, eta)
             for b in range(len(X))])
-    x, cols, starts = _input_events(X)
-    return kernels.simulate(layer.weights, spiking, spiking.encoder.scale * x, cols, starts, rng,
-                            **_kernel_plasticity(layer, codes, prob_fn, e, eta, True))
+    enc = spiking.encoder
+    p = enc.scale * x
+    kernels = _loaded_kernels(prob_fn)
+    if kernels is not None:
+        return kernels.simulate(layer.weights, spiking, p, cols, starts, rng,
+                                fold_below=_FOLD_BELOW,
+                                **_kernel_plasticity(layer, codes, prob_fn, e, eta))
+    traces = np.empty((len(X), layer.n_out))
+    for b in range(len(X)):
+        p_b, cols_b = p[starts[b] : starts[b + 1]], cols[starts[b] : starts[b + 1]]
+        potential, trace = np.zeros((1, layer.n_out)), np.zeros((1, layer.n_out))
+        synapses = _EventSynapses(layer.weights, e, spiking.tau_e, eta)
+        for t in range(enc.steps):
+            fired = cols_b[rate_encode(p_b, rng)]
+            trace = trace_step(trace, lif_fire(potential, synapses.current(fired), spiking.lif),
+                               spiking.trace)
+            if t >= enc.steps - enc.active_window:
+                synapses.step(hebbian_post(trace, codes[b : b + 1], prob_fn, layer.partition)[0])
+        synapses.fold()
+        traces[b] = trace[0]
+    return traces
 
 
 def _checked_call(layer, X, rng, codes, prob_fn, e, eta, require_plasticity=False):
@@ -441,10 +441,10 @@ def load_scan_path() -> None:
         import scipy.sparse  # noqa: F401
 
 
-def _kernel_plasticity(layer, codes, prob_fn, e, eta, event) -> dict:
-    """The plasticity arguments of a kernel call, event-driven when ``event`` is set."""
+def _kernel_plasticity(layer, codes, prob_fn, e, eta) -> dict:
+    """The plasticity arguments of a kernel call."""
     return dict(e=e, eta=eta, pos_mask=layer.partition.pos_mask, positive=codes > 0,
-                epsilon=prob_fn.epsilon, fold_below=_FOLD_BELOW if event else None)
+                epsilon=prob_fn.epsilon)
 
 
 # Images per update of online training: each update is one simulate_online

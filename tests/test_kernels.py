@@ -22,7 +22,7 @@ from ffa import _kernels
 from ffa.analog import ADAM_TILE, AdamState, DenseLayer, TrainConfig, adam_step, partition_for
 from ffa.checkpoint import save_checkpoint
 from ffa.core import PolarityPartition, SigmoidProb, SymmetricProb
-from ffa.errors import ConfigError
+from ffa.errors import ConfigError, DataError
 from ffa.spiking import (
     ONLINE_BLOCK,
     RESET_MODES,
@@ -80,8 +80,8 @@ def plastic_model(prob, n_in=884, n_out=200, tau_e=0.999, **spiking):
 
 
 def run_calls(rows, prob, compiled, monkeypatch, tau_e=0.999, **spiking):
-    """Plastic B = 1 calls over ``rows``; the weights, the eligibility, the
-    traces and the generator state after every call."""
+    """One-row ``simulate_online`` calls over ``rows``; the weights, the
+    eligibility, the traces and the generator state after every call."""
     layer, e, spk = plastic_model(prob, n_in=rows.shape[1], tau_e=tau_e, **spiking)
     rng = np.random.default_rng(11)
     states = []
@@ -90,7 +90,7 @@ def run_calls(rows, prob, compiled, monkeypatch, tau_e=0.999, **spiking):
             mp.setattr(_kernels, "library", lambda: None)
         for i, x in enumerate(rows):
             codes = np.array([1 if i % 2 == 0 else -1], dtype=np.int8)
-            trace = simulate(layer, x[None, :], spk, rng, codes, prob, e, 0.03)
+            trace = simulate_online(layer, x[None, :], spk, rng, codes, prob, e, 0.03)
             states.append((trace, layer.weights.copy(), e.copy(), rng.bit_generator.state))
     return states
 
@@ -141,7 +141,7 @@ class KernelCall:
 
 
 class TestOnlineSample:
-    """A compiled event-driven call equals ``simulate``'s numpy event path bitwise."""
+    """A compiled one-row online call equals ``simulate_online``'s numpy event loop bitwise."""
 
     @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
@@ -205,8 +205,8 @@ class TestOnlineSample:
         layer, e, spk = plastic_model(prob, n_in=60, n_out=20, **spiking)
         X = np.random.default_rng(2).random((1, 60))
         before = layer.weights.copy()
-        simulate(layer, X, spk, np.random.default_rng(3), np.array([1], dtype=np.int8), prob,
-                 e, 0.1)
+        simulate_online(layer, X, spk, np.random.default_rng(3), np.array([1], dtype=np.int8),
+                        prob, e, 0.1)
         compiled = isinstance(prob, SymmetricProb) and _kernels.library() is not None
         assert kernel_calls == (["event"] if compiled else [])
         assert not np.array_equal(layer.weights, before)
@@ -219,8 +219,8 @@ class TestOnlineSample:
     def test_unloaded_kernels_run_numpy(self, kernel_calls, numpy_path):
         layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20)
         codes = np.array([1], dtype=np.int8)
-        simulate(layer, np.random.default_rng(2).random((1, 60)), spk, np.random.default_rng(3),
-                 codes, SymmetricProb(), e, 0.1)
+        simulate_online(layer, np.random.default_rng(2).random((1, 60)), spk,
+                        np.random.default_rng(3), codes, SymmetricProb(), e, 0.1)
         assert kernel_calls == []
 
     # a one-element polarity is contiguous at any stride
@@ -356,16 +356,17 @@ class TestOnlineBlock:
             assert not np.array_equal(silent[0][1][:, 0], got[0][1][:, 0])
 
     def test_the_block_is_a_loop_of_one_row_calls(self, monkeypatch):
-        # the rule itself, whatever runs it: row b is a one-row plastic simulate call
-        got = calls_of(4, 20, 0.99, _kernels.library() is not None, monkeypatch, n_in=60,
-                       run=simulate_online)
-
+        # the rule itself, whatever runs it: row b is a one-row simulate_online call,
+        # from fresh LIF and trace state and with the weights and e folded at its end
         def loop(layer, X, spk, rng, codes, *plastic):
-            return np.concatenate([simulate(layer, X[b : b + 1], spk, rng, codes[b : b + 1],
-                                            *plastic) for b in range(len(X))])
+            return np.concatenate([simulate_online(layer, X[b : b + 1], spk, rng,
+                                                   codes[b : b + 1], *plastic)
+                                   for b in range(len(X))])
 
         want = calls_of(4, 20, 0.99, False, monkeypatch, n_in=60, run=loop)
-        assert_same_states(got, want)
+        for compiled in {False, _kernels.library() is not None}:
+            got = calls_of(4, 20, 0.99, compiled, monkeypatch, n_in=60, run=simulate_online)
+            assert_same_states(got, want)
 
     @pytest.mark.parametrize("prob,tau_e", [(SymmetricProb(), 0.3),
                                             (SigmoidProb(theta=1.0), 0.999)],
@@ -393,6 +394,23 @@ class TestOnlineBlock:
         weights, e0, state = layer.weights.copy(), e.copy(), rng.bit_generator.state
         codes = None if codes is None else np.array(codes, dtype=np.int8)
         with pytest.raises(ConfigError, match="polarity code|plasticity needs"):
+            simulate_online(layer, X, spk, rng, codes, SymmetricProb(), e, 0.1)
+        assert np.array_equal(layer.weights, weights) and np.array_equal(e, e0)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.sanitized
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("tau_e", [0.3, 0.999])
+    def test_refuses_a_bad_input_before_any_row_moves(self, monkeypatch, compiled, tau_e):
+        # the block's inputs are checked before its first row draws or writes
+        if not compiled:
+            monkeypatch.setattr(_kernels, "library", lambda: None)
+        layer, e, spk = plastic_model(SymmetricProb(), n_in=60, n_out=20, tau_e=tau_e)
+        X, rng = np.random.default_rng(2).random((3, 60)), np.random.default_rng(3)
+        X[-1, 7] = 1.5
+        codes = np.array([1, -1, 1], dtype=np.int8)
+        weights, e0, state = layer.weights.copy(), e.copy(), rng.bit_generator.state
+        with pytest.raises(DataError, match="must lie in"):
             simulate_online(layer, X, spk, rng, codes, SymmetricProb(), e, 0.1)
         assert np.array_equal(layer.weights, weights) and np.array_equal(e, e0)
         assert rng.bit_generator.state == state
@@ -491,20 +509,20 @@ def test_simulate_refuses_a_generator_that_is_not_numpys(monkeypatch, compiled, 
 
 @st.composite
 def simulate_calls(draw):
-    """A ``simulate`` call: its path and rows, shape, inputs, polarity, tau_e, window,
-    output trace and reset."""
+    """A ``simulate`` call or ``simulate_online`` block: its path and rows, shape, inputs,
+    polarity, tau_e, window, output trace and reset."""
     path, rows = draw(st.sampled_from([("eval", 0), ("eval", 1), ("eval", 3), ("lockstep", 1),
                                        ("lockstep", 2), ("lockstep", 3)] + [("event", 1)] * 3
                                       + [("online", 1)] * 4))
     if path == "online":
         rows = draw(st.integers(1, 12))
-    # one row runs event-driven from tau_e = 1/2 on, and so does an online block
+    # an online row runs event-driven from tau_e = 1/2 on, a lockstep call never
     taus = {"event": [0.5, 0.6, 0.9, 0.999], "online": [0.5, 0.6, 0.9, 0.999],
-            "lockstep": [0.3, 0.49] if rows == 1 else [0.3, 0.49, 0.5, 0.9, 0.999],
-            "eval": [0.9]}[path]
+            "lockstep": [0.3, 0.49, 0.5, 0.9, 0.999], "eval": [0.9]}[path]
     steps = draw(st.integers(1, 24))
     return dict(
-        rows=rows, plastic=path != "eval", online=path == "online", n_in=draw(st.integers(1, 40)),
+        rows=rows, plastic=path != "eval", online=path in ("event", "online"),
+        n_in=draw(st.integers(1, 40)),
         n_out=draw(st.sampled_from([14, 16, 18, 254, 256, 258])),
         density=draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])),
         scale=draw(st.sampled_from([0.25, 1.0])),
@@ -544,13 +562,14 @@ def run_drawn_call(call, compiled):
 
 @pytest.mark.sanitized
 @pytest.mark.usefixtures("kernels")
-@pytest.mark.parametrize("rows,tau_e", [(1, 0.999), (1, 0.3), (3, 0.99)],
-                         ids=["event", "1", "3"])
-def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_calls, rows, tau_e):
+@pytest.mark.parametrize("rows,tau_e,run", [(1, 0.999, simulate_online), (1, 0.3, simulate),
+                                            (3, 0.99, simulate)], ids=["event", "1", "3"])
+def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_calls, rows, tau_e,
+                                                        run):
     # split_halves(1) leaves the negative half empty: its goodness is 0.0 on both paths
-    got = calls_of(rows, 1, tau_e, True, monkeypatch, n_in=60)
-    want = calls_of(rows, 1, tau_e, False, monkeypatch, n_in=60)
-    assert kernel_calls == ["event" if rows == 1 and tau_e >= 0.5 else "plastic"] * 2
+    got = calls_of(rows, 1, tau_e, True, monkeypatch, n_in=60, run=run)
+    want = calls_of(rows, 1, tau_e, False, monkeypatch, n_in=60, run=run)
+    assert kernel_calls == ["event" if run is simulate_online else "plastic"] * 2
     assert_same_states(got, want)
     assert not np.array_equal(got[0][1], got[-1][1])
 
@@ -560,7 +579,7 @@ def test_calls_of_a_one_unit_layer_equal_the_numpy_path(monkeypatch, kernel_call
 @settings(max_examples=200)
 @given(call=simulate_calls())
 def test_drawn_calls_equal_the_numpy_path(call):
-    # B 0-3, event-driven B = 1 and online blocks of B 1-12, widths at numpy's block
+    # lockstep B 0-3, online blocks of B 1 and of B 1-12, widths at numpy's block
     # edges, densities from none to all, all-positive, all-negative and split masks,
     # tau_e on both sides of 1/2, every output trace (mu, tau_o) and both resets
     got, want = run_drawn_call(call, True), run_drawn_call(call, False)
@@ -570,8 +589,8 @@ def test_drawn_calls_equal_the_numpy_path(call):
 
 
 def test_spiking_tau_e_governs_a_plastic_call(monkeypatch, kernel_calls):
-    # one layer, one e and one input row: at tau_e 0.3 a one-row call takes the dense
-    # rule, at 0.999 the event rule, on numpy and compiled alike
+    # one layer, one e and one input row: at tau_e 0.3 a one-row online block takes the
+    # dense rule, at 0.999 the event rule, on numpy and compiled alike
     compiled = _kernels.library() is not None
     dense_steps, real_step = [], ffa.spiking.eligibility_step
     monkeypatch.setattr(ffa.spiking, "eligibility_step",
@@ -579,9 +598,9 @@ def test_spiking_tau_e_governs_a_plastic_call(monkeypatch, kernel_calls):
     weights = {}
     for tau_e in (0.3, 0.999):
         dense_steps.clear()
-        want = calls_of(1, 20, tau_e, False, monkeypatch, n_in=60, calls=1)
+        want = calls_of(1, 20, tau_e, False, monkeypatch, n_in=60, calls=1, run=simulate_online)
         assert len(dense_steps) == (SpikeEncoderConfig.active_window if tau_e < 0.5 else 0)
-        got = calls_of(1, 20, tau_e, compiled, monkeypatch, n_in=60, calls=1)
+        got = calls_of(1, 20, tau_e, compiled, monkeypatch, n_in=60, calls=1, run=simulate_online)
         assert_same_states(got, want)
         weights[tau_e] = want[0][1]
     assert kernel_calls == (["plastic", "event"] if compiled else [])
@@ -594,9 +613,9 @@ class TestLockstepStep:
     @pytest.mark.sanitized
     @pytest.mark.usefixtures("kernels")
     @pytest.mark.parametrize("rows,tau_e", [
-        (0, None), (1, None), (1, 0.3), (2, 0.99), (3, 0.99), (100, 0.99), (1000, 0.99),
-        (1000, None),
-    ], ids=["0", "1-eval", "1-tau_e_0.3", "2", "3", "100", "1000", "1000-eval"])
+        (0, None), (1, None), (1, 0.3), (1, 0.999), (2, 0.99), (3, 0.99), (100, 0.99),
+        (1000, 0.99), (1000, None),
+    ], ids=["0", "1-eval", "1-tau_e_0.3", "1-tau_e_0.999", "2", "3", "100", "1000", "1000-eval"])
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_calls_equal_the_numpy_path(self, monkeypatch, kernel_calls, dynamics, rows, tau_e):
         parts = dynamics_of(dynamics)
@@ -1083,7 +1102,7 @@ def test_every_trace_and_reset_makes_one_compiled_call(kernel_calls, dynamics):
         kernel_calls.clear()
         simulate(layer, X, spk, rng)
         simulate(layer, X, spk, rng, codes, prob, e, 0.1)
-        simulate(layer, X[:1], spk, rng, codes[:1], prob, e, 0.1)
+        simulate_online(layer, X[:1], spk, rng, codes[:1], prob, e, 0.1)
         simulate_online(layer, X, spk, rng, codes, prob, e, 0.1)
         want = ["eval", "plastic", "event", "event"] if isinstance(prob, SymmetricProb) else [
             "eval"]

@@ -25,7 +25,7 @@ from ffa.spiking import (
     simulate_online,
     train_hebbian,
 )
-from ffa import _kernels, metrics
+from ffa import metrics
 from tests.reference import Polarity, forward, row_major_simulate
 
 
@@ -233,7 +233,9 @@ class TestLIF:
     def test_current_reads_a_contiguous_copy_of_the_current_weights(self, monkeypatch, numpy_path,
                                                                      rows, tau_e):
         # a C-ordered W.T spares scipy a copy per step; presynaptic-major
-        # weights are read live, so every plastic step's move is seen at once
+        # weights are read live, so every plastic step's move is seen at once.
+        # simulate runs the lockstep rule at any B; an online block runs each
+        # row event-driven from tau_e = 1/2 on, without lif_step
         layer, spk = tiny_model(n_in=60, **({} if tau_e is None else {"tau_e": tau_e}))
 
         def check(spikes, weights):
@@ -247,10 +249,14 @@ class TestLIF:
             np.zeros_like(layer.weights), 0.5)
         before = layer.weights.copy()
         simulate(layer, X, spk, np.random.default_rng(10), *plastic)
-        # a one-row plastic call with tau_e >= 1/2 runs event-driven, without lif_step
-        event = tau_e is not None and rows == 1 and tau_e >= 0.5
-        assert len(seen) == (0 if event else spk.encoder.steps)
+        assert len(seen) == spk.encoder.steps
         assert np.array_equal(layer.weights, before) == (tau_e is None)
+        if plastic:
+            seen.clear()
+            before = layer.weights.copy()
+            simulate_online(layer, X, spk, np.random.default_rng(10), *plastic)
+            assert len(seen) == (0 if tau_e >= 0.5 else rows * spk.encoder.steps)
+            assert not np.array_equal(layer.weights, before)
 
     def test_csr_step_matches_dense_step(self):
         rng = np.random.default_rng(8)
@@ -504,7 +510,7 @@ def positive_input(rng, n=15):
 
 
 class TestRunSample:
-    """Single-instance (B=1) runs of the shared simulation loop."""
+    """Single-instance (B=1) runs: simulate's lockstep loop, and one-row online blocks."""
 
     def test_inference_leaves_weights_untouched(self):
         rng = np.random.default_rng(7)
@@ -518,7 +524,8 @@ class TestRunSample:
         layer, spk = tiny_model(tau_e=0.99)
         e = np.zeros_like(layer.weights)
         before = layer.weights.copy()
-        final = simulate(layer, np.zeros((1, 15)), spk, rng, POSITIVE, SymmetricProb(), e, 0.1)
+        final = simulate_online(layer, np.zeros((1, 15)), spk, rng, POSITIVE, SymmetricProb(), e,
+                                0.1)
         assert np.all(final == 0.0)
         assert np.array_equal(layer.weights, before)
         assert np.all(e == 0.0)
@@ -541,9 +548,10 @@ class TestRunSample:
         # the dense rule over the last active_window steps only.  e starts
         # nonzero, so an update outside the window decays it once too often
         # and a missing update inside it once too rarely.  One row runs
-        # event-driven, four run the dense rule.  The recorded spikes are the
-        # positions the encoder fired among the nonzero inputs.  The recorders
-        # sit in the numpy loop, so the compiled sample is switched off.
+        # event-driven as an online block, four run the lockstep rule.  The
+        # recorded spikes are the positions the encoder fired among the
+        # nonzero inputs.  The recorders sit in the numpy loops, so the
+        # compiled sample is switched off.
         spikes_seen, traces_seen = [], []
         real_encode, real_trace_step = spiking_mod.rate_encode, spiking_mod.trace_step
 
@@ -570,7 +578,7 @@ class TestRunSample:
             e = np.array(e0, order="F")
             codes = np.resize(np.array([1, -1], dtype=np.int8), rows)
             X = rng.uniform(0.0, 1.0, size=(rows, 15))
-            simulate(layer, X, spk, rng, codes, prob, e, eta)
+            (simulate_online if rows == 1 else simulate)(layer, X, spk, rng, codes, prob, e, eta)
             assert len(spikes_seen) == len(traces_seen) == enc.steps
 
             e_ref, w_ref = e0.copy(), w0.copy()
@@ -589,8 +597,8 @@ class TestRunSample:
         enc = SpikeEncoderConfig(scale=0.25, steps=12, active_window=0)
         layer, spk = tiny_model(encoder=enc, tau_e=0.99)
         before = layer.weights.copy()
-        simulate(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(),
-                 np.zeros_like(layer.weights), 0.5)
+        simulate_online(layer, positive_input(rng), spk, rng, POSITIVE, SymmetricProb(),
+                        np.zeros_like(layer.weights), 0.5)
         assert np.array_equal(layer.weights, before)
 
 
@@ -669,7 +677,7 @@ class TestMalformedPlasticCalls:
 
 
 def dense_simulate(layer, X, spiking, rng, codes, prob_fn, e, eta):
-    """The plastic lockstep loop on the dense rule alone: the oracle of the event-driven path.
+    """The plastic lockstep loop on the dense rule alone: the oracle of the event-driven rows.
 
     It replays the spikes the production encoder draws from the same generator
     state as dense arrays, and runs dense GEMMs on them.
@@ -698,7 +706,7 @@ def dense_eval_simulate(layer, X, spiking, rng):
 
 
 class TestEventDrivenPlasticity:
-    """A plastic B=1 call updates only the synapses of inputs that spiked; the dense rule is its oracle."""
+    """An online row updates only the synapses of inputs that spiked; the dense rule is its oracle."""
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "silent_steps"])
     @pytest.mark.parametrize("reset_mode", ["to_zero", "subtract"])
@@ -749,7 +757,7 @@ class TestEventDrivenPlasticity:
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
         for i, x in enumerate(X):
             codes = np.array([1 if i % 2 == 0 else -1], dtype=np.int8)
-            got = simulate(layer, x[None, :], spk, rng, codes, prob, e, eta)
+            got = simulate_online(layer, x[None, :], spk, rng, codes, prob, e, eta)
             want = dense_simulate(ref_layer, x[None, :], spk, ref_rng, codes, prob, ref_e, eta)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert np.allclose(layer.weights, ref_layer.weights, rtol=0, atol=1e-12)
@@ -758,7 +766,7 @@ class TestEventDrivenPlasticity:
         assert not np.allclose(layer.weights, DenseLayer.initialize(n_in, n_out, layer.partition, 5).weights)
         if sparse:
             assert sum(silent_steps) > len(silent_steps) // 2
-        # tau_e < 1/2 stays on the dense rule; otherwise each call folds once at
+        # tau_e < 1/2 stays on the dense rule; otherwise each row folds once at
         # its end, and tau_e = 0.9 once more mid-window (0.9**7 < 1/2)
         event = tau_e >= 0.5
         assert len(dense_steps) == (0 if event else len(X) * spk.encoder.active_window)
@@ -770,10 +778,17 @@ class TestEventDrivenPlasticity:
         cfg = TrainConfig(eta=0.03, batch_size=1, epochs=1, seed=6, prob_fn=prob)
         spk = SpikingConfig(n_out=40, tau_e=tau_e)
         layer, log = train_hebbian(cfg, small_data, "online", spk)
-        # with the kernels unloaded, online training is a loop of simulate calls
-        monkeypatch.setattr(_kernels, "library", lambda: None)
-        monkeypatch.setattr(spiking_mod, "simulate", dense_simulate)
+        # the reference trains each block as a loop of one-row dense calls
+        ref_rows = []
+
+        def dense_block(layer, X, spk, rng, codes, prob, e, eta):
+            ref_rows.extend(codes)
+            return np.concatenate([dense_simulate(layer, X[b : b + 1], spk, rng, codes[b : b + 1],
+                                                  prob, e, eta) for b in range(len(X))])
+
+        monkeypatch.setattr(spiking_mod, "simulate_online", dense_block)
         ref_layer, ref_log = train_hebbian(cfg, small_data, "online", spk)
+        assert len(ref_rows) == 2 * len(small_data.train)
         init = DenseLayer.initialize(small_data.input_dim, 40, layer.partition, 6)
         assert np.abs(layer.weights - init.weights).max() > 1e-3
         assert np.allclose(layer.weights, ref_layer.weights, rtol=0, atol=1e-12)
@@ -902,9 +917,10 @@ class TestSimulateLatents:
             np.where(np.arange(rows) % 2 == 0, 1, -1).astype(np.int8), SymmetricProb(),
             np.zeros_like(layer.weights), 0.1,
         )
+        run = simulate_online if mode == "online" else simulate
         before = layer.weights.copy()
         with pytest.raises(ConfigError, match=r"batch has shape .*, layer expects \[B, 15\]"):
-            simulate(layer, np.full((rows, width), 0.5), spk, np.random.default_rng(0), *plastic)
+            run(layer, np.full((rows, width), 0.5), spk, np.random.default_rng(0), *plastic)
         assert np.array_equal(layer.weights, before)
 
 

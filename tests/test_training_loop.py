@@ -16,6 +16,7 @@ from ffa.spiking import (
     SpikeEncoderConfig,
     SpikingConfig,
     simulate,
+    simulate_online,
     train_hebbian,
 )
 from tests.conftest import make_synthetic
@@ -174,12 +175,13 @@ def test_spiking_epoch_equals_a_loop_over_embedded_rows(tiny_data, mode):
     rng = np.random.default_rng([SEED, 0, 0x5E1])
     stats = _RunningStats()
     pairs = 1 if mode == "online" else 10
+    run = simulate_online if mode == "online" else simulate
     for X in embedded_batches(tiny_data.train, tiny_data.codebook, pairs, SEED, epoch=0):
         codes = pair_codes(len(X))
         rows = 1 if mode == "online" else len(X)
         for i in range(0, len(X), rows):
             c = codes[i : i + rows]
-            final = simulate(layer, X[i : i + rows], SPIKING, rng, c, prob, e, 0.05)
+            final = run(layer, X[i : i + rows], SPIKING, rng, c, prob, e, 0.05)
             stats.update(final, c, probability_batch(final, prob, layer.partition))
     init = DenseLayer.initialize(tiny_data.input_dim, N_OUT, layer.partition, SEED)
     assert not np.array_equal(layer.weights, init.weights)
